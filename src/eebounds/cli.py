@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, binary, finite, simulate, spherical
-from .numerics import LN2, binary_entropy
+from .numerics import LN2, ConvergenceError, binary_entropy
 
 _BINARY_BOUNDS = ("gallager", "bz_e", "bz_x", "m_plus", "m_minus")
 _SPHERICAL_BOUNDS = ("shannon", "m_error", "m_erasure")
@@ -591,7 +591,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,11 @@
-"""Exact finite-blocklength union bounds and an exhaustive decoding oracle.
+"""Exact finite-blocklength union bounds and an exact coset decoding oracle.
 
 These are the numerical ground truth for the asymptotic modules: the binary
-union bound dominates the exhaustive margin-decoding oracle for every code,
-and its normalized exponent converges to the asymptotic trade-off bounds.
+union bound dominates the exact margin-decoding oracle for every code, and
+its normalized exponent converges to the asymptotic trade-off bounds.
+All exact binary decoding, here and in ``simulate``, goes through the popcount
+kernel ``_distances``, run on coset representatives by the oracle and the BSC
+simulator.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ def binary_union_bound(
 
     pieces: list[float] = []
     if d is not None:
-        lgc_n = _log2_binom_row(n)
         for w in range(d, n + 1):
             law = wd.log2_counts[w]
             if law == -math.inf:
@@ -203,15 +205,66 @@ def awgn_union_bound(
     return log_sum(pieces, base=math.e)
 
 
-_POPCOUNT16 = np.array([bin(v).count("1") for v in range(1 << 16)], dtype=np.uint8)
+_BUDGET_BITS = 20  # log2 of the element budget of one intermediate array
+
+
+def _pack(bits) -> np.ndarray:
+    """Pack a (B, m) 0/1 matrix into (B, max(1, ceil(m/64))) uint64 words;
+    column j goes to bit j % 64 of word j // 64."""
+    rows, m = np.shape(bits)
+    padded = np.zeros((rows, max(1, -(-m // 64)) * 64), dtype=np.uint64)
+    padded[:, :m] = bits
+    shifted = padded.reshape(rows, -1, 64) << np.arange(64, dtype=np.uint64)
+    return shifted.sum(axis=2, dtype=np.uint64)
+
+
+def _span(rows: np.ndarray) -> np.ndarray:
+    """Entry u of the (2^m, W) result is the XOR of the word rows set in u."""
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        out[1 << i : 2 << i] = out[: 1 << i] ^ row
+    return out
+
+
+def _syndrome_columns(code) -> np.ndarray:
+    """Packed syndrome of each coordinate of a systematic code, (n, W): the k
+    parity rows, then unit vectors for the n - k parity positions."""
+    parity = np.asarray(code.parity, dtype=np.uint64).reshape(code.k, code.n - code.k)
+    return _pack(np.vstack([parity, np.eye(code.n - code.k, dtype=np.uint64)]))
+
+
+def _distances(code, info: np.ndarray, par: np.ndarray) -> np.ndarray:
+    """Distances (B, 2^k) from words with info bits ``info`` (B,) and packed
+    parity bits ``par`` (B, W) to every codeword of the systematic ``code``, in
+    message order: popcount(info ^ u) + popcount(par ^ su[u]), su[u] being the
+    parity bits of u. Chunks hold 2^_BUDGET_BITS elements (or one row)."""
+    su = _span(_syndrome_columns(code)[: code.k])
+    msgs = np.arange(len(su), dtype=np.uint64)
+    out = np.empty((len(info), len(su)), dtype=np.uint16)
+    step = max(1, (1 << _BUDGET_BITS) >> code.k)
+    for lo in range(0, len(info), step):
+        block = out[lo : lo + step]
+        np.bitwise_count(info[lo : lo + step, None] ^ msgs, out=block)
+        for w in range(su.shape[1]):
+            block += np.bitwise_count(par[lo : lo + step, w, None] ^ su[:, w])
+    return out
+
+
+def _decide(dist: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the least distance, and whether the runner-up is farther by at
+    least ``margin`` and strictly, so ties erase. A lone codeword always wins."""
+    if dist.shape[1] == 1:
+        return dist[:, 0], np.ones(len(dist), dtype=bool)
+    part = np.partition(dist, 1, axis=1)
+    return part[:, 0], (part[:, 1] - part[:, 0] >= margin) & (part[:, 1] > part[:, 0])
 
 
 def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, float]:
-    """Exact (P_correct, P_undetected, P_erasure) of margin decoding by
-    enumerating every received word. Requires n <= 16 and k <= 10.
-
-    ``code`` must expose ``n``, ``k`` and ``codeword_ints()``.
-    """
+    """Exact (P_correct, P_undetected, P_erasure) of margin decoding on the BSC
+    with the all-zero codeword sent, summed over the 2^(n-k) cosets: a coset is
+    decoded when its two least weights differ by max(2t, 1), and then only its
+    leader decodes correctly. Requires n <= 16, k <= 10 and a systematic
+    ``code`` exposing ``n``, ``k`` and ``parity``."""
     n, k = code.n, code.k
     if n > 16 or k > 10:
         raise ValueError(f"exhaustive oracle limited to n <= 16, k <= 10, got ({n}, {k})")
@@ -219,33 +272,10 @@ def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, floa
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
     if t < 0:
         raise ValueError(f"margin must be nonnegative, got {t}")
-    cws = np.asarray(code.codeword_ints(), dtype=np.uint32)
-    ys = np.arange(1 << n, dtype=np.uint32)
-    wt_y = _POPCOUNT16[ys].astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_prob_y = wt_y * (math.log(p) if p > 0 else -math.inf) + (n - wt_y) * (
-            math.log1p(-p) if p < 1 else -math.inf
-        )
-    if p == 0.0:
-        log_prob_y = np.where(wt_y == 0, 0.0, -math.inf)
-    if p == 1.0:
-        log_prob_y = np.where(wt_y == n, 0.0, -math.inf)
-    prob_y = np.exp(log_prob_y)
-
-    dist = _POPCOUNT16[ys[:, None] ^ cws[None, :]].astype(np.int16)
-    order = np.argsort(dist, axis=1, kind="stable")
-    d1 = np.take_along_axis(dist, order[:, :1], axis=1)[:, 0]
-    if cws.size > 1:
-        d2 = np.take_along_axis(dist, order[:, 1:2], axis=1)[:, 0]
-    else:
-        d2 = np.full_like(d1, np.iinfo(np.int16).max)
-    winner = order[:, 0]
-    margin = d2 - d1
-    decoded = margin >= max(2 * t, 1)  # strict tie-break: equal distances erase
-    correct = decoded & (winner == 0)
-    undetected = decoded & (winner != 0)
-
-    p_correct = float(prob_y[correct].sum())
-    p_und = float(prob_y[undetected].sum())
-    p_erase = float(prob_y[~decoded].sum())
-    return p_correct, p_und, p_erase
+    cosets = np.arange(1 << (n - k), dtype=np.uint64)
+    dist = _distances(code, np.zeros_like(cosets), cosets[:, None])
+    d1, decoded = _decide(dist, 2 * t)
+    prob_w = p ** np.arange(n + 1) * (1.0 - p) ** np.arange(n, -1, -1)
+    leader, coset = prob_w[d1], prob_w[dist].sum(axis=1)
+    p_correct, p_und = leader[decoded].sum(), (coset - leader)[decoded].sum()
+    return float(p_correct), float(p_und), float(coset[~decoded].sum())

@@ -1,8 +1,9 @@
 """Seeded Monte Carlo simulation of the margin decoder over BSC and AWGN.
 
 Trials are processed in fixed-size blocks; block b draws from an RNG seeded
-by (seed, b), so tallies are identical for any worker count and can be
-verified against the exhaustive oracle classification word by word.
+by (seed, b), so tallies are identical for any worker count. BSC trials are
+classified by the syndrome of the error pattern with the same coset kernel
+as the exact oracle in ``finite``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .finite import WeightDistribution
+from .finite import WeightDistribution, _decide, _distances, _pack, _span, _syndrome_columns
 from .spherical import AwgnChannel
 
 __all__ = [
@@ -120,16 +121,15 @@ def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
 
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact weight distribution by enumerating all 2^k codewords."""
+    """Exact weight distribution: wt(u) + wt(parity bits of u) over all 2^k
+    messages u, in chunks of 2^20 messages (low bits) per high-bit pattern."""
+    rows = _syndrome_columns(code)[: code.k]
+    low = min(code.k, 20)
+    low_par, low_wt = _span(rows[:low]), np.bitwise_count(np.arange(1 << low, dtype=np.uint64))
     counts = np.zeros(code.n + 1, dtype=np.int64)
-    total = 1 << code.k
-    gen = code.generator
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = ((idx[:, None] >> np.arange(code.k)) & 1).astype(np.uint8)
-        wts = ((msgs @ gen) % 2).sum(axis=1)
-        counts += np.bincount(wts, minlength=code.n + 1)
+    for high, high_par in enumerate(_span(rows[low:])):
+        wts = np.bitwise_count(low_par ^ high_par).sum(axis=1, dtype=np.int64) + low_wt
+        counts += np.bincount(wts + high.bit_count(), minlength=code.n + 1)
     return WeightDistribution.from_counts(counts.tolist())
 
 
@@ -140,14 +140,9 @@ def margin_decode(code: LinearCode, y: Sequence[int], t: int) -> Optional[int]:
     """
     if t < 0:
         raise ValueError(f"margin must be nonnegative, got {t}")
-    yv = np.asarray(y, dtype=np.uint8)
-    dist = (code.codewords() ^ yv).sum(axis=1)
-    order = np.argsort(dist, kind="stable")
-    d1 = int(dist[order[0]])
-    d2 = int(dist[order[1]]) if dist.size > 1 else d1 + 2 * t + 1
-    if d2 - d1 >= max(2 * t, 1):
-        return int(order[0])
-    return None
+    yv = np.asarray(y, dtype=np.uint64).reshape(1, code.n)
+    dist = _distances(code, _pack(yv[:, : code.k])[:, 0], _pack(yv[:, code.k :]))
+    return int(np.argmin(dist[0])) if _decide(dist, 2 * t)[1][0] else None
 
 
 def margin_decode_awgn(
@@ -162,12 +157,7 @@ def margin_decode_awgn(
         return None
     cosang = (codebook.points @ yv) / (ny * math.sqrt(codebook.A * codebook.n))
     ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    order = np.argsort(ang, kind="stable")
-    if ang.size == 1:
-        return int(order[0])
-    if ang[order[1]] - ang[order[0]] >= 2.0 * tau and ang[order[1]] > ang[order[0]]:
-        return int(order[0])
-    return None
+    return int(np.argmin(ang)) if _decide(ang[None], 2.0 * tau)[1][0] else None
 
 
 @dataclass(frozen=True)
@@ -201,20 +191,8 @@ class SphericalCodebook:
         return cls(1 << code.k, code.n, A, pts)
 
 
-def _blocks(trials: int) -> list[tuple[int, int]]:
-    out = []
-    b = 0
-    left = trials
-    while left > 0:
-        size = min(_BLOCK, left)
-        out.append((b, size))
-        b += 1
-        left -= size
-    return out
-
-
 def _run_blocks(fn, trials: int, workers: int) -> np.ndarray:
-    blocks = _blocks(trials)
+    blocks = [(b, min(_BLOCK, trials - lo)) for b, lo in enumerate(range(0, trials, _BLOCK))]
     if workers <= 1:
         parts = [fn(b, size) for b, size in blocks]
     else:
@@ -223,33 +201,32 @@ def _run_blocks(fn, trials: int, workers: int) -> np.ndarray:
     return np.sum(parts, axis=0)
 
 
+def _tally(decoded: np.ndarray, correct: np.ndarray) -> np.ndarray:
+    """(correct, undetected, erasure) counts of one block of trials."""
+    c, d = np.count_nonzero(decoded & correct), np.count_nonzero(decoded)
+    return np.array([c, d - c, decoded.size - d], dtype=np.int64)
+
+
 def simulate_bsc(
     code: LinearCode, p: float, t: int, trials: int, seed: int, workers: int = 1
 ) -> TrialTally:
     """Margin-decode BSC trials with the all-zero codeword transmitted
-    (exact by linearity and channel symmetry)."""
+    (exact by linearity and channel symmetry). A trial is decoded when the two
+    least weights d1, d2 of its error pattern's coset differ by max(2t, 1),
+    and correct when also wt(e) = d1; each block runs the coset kernel once
+    per distinct syndrome."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
-    cw_pm = (1.0 - 2.0 * code.codewords().astype(np.float64)).T  # (n, 2^k)
-    n = code.n
-    need_margin = max(2 * t, 1)
+    columns = _syndrome_columns(code)
 
     def block(b: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
-        err = rng.random((size, n)) < p
-        e_pm = 1.0 - 2.0 * err
-        dist = (n - e_pm @ cw_pm) / 2.0  # integer-valued distances
-        part = np.partition(dist, 1, axis=1) if dist.shape[1] > 1 else None
-        if part is None:
-            return np.array([size, 0, 0], dtype=np.int64)
-        d1 = part[:, 0]
-        d2 = part[:, 1]
-        decoded = (d2 - d1) >= need_margin
-        winner0 = dist[:, 0] == d1
-        correct = int(np.count_nonzero(decoded & winner0))
-        undetected = int(np.count_nonzero(decoded & ~winner0))
-        erased = size - correct - undetected
-        return np.array([correct, undetected, erased], dtype=np.int64)
+        err = rng.random((size, code.n)) < p
+        syndromes = np.bitwise_xor.reduce(np.where(err[:, :, None], columns, 0), axis=1)
+        cosets, which = np.unique(syndromes, axis=0, return_inverse=True)
+        dist = _distances(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
+        d1, decoded = _decide(dist, 2 * t)
+        return _tally(decoded[which], err.sum(axis=1) == d1[which])
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)
@@ -269,16 +246,8 @@ def simulate_awgn(
         ny = np.linalg.norm(y, axis=1, keepdims=True)
         cosang = (y @ pts.T) / (ny * norm_pts)
         ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-        part = np.partition(ang, 1, axis=1) if codebook.M > 1 else None
-        if part is None:
-            return np.array([size, 0, 0], dtype=np.int64)
-        a1, a2 = part[:, 0], part[:, 1]
-        decoded = ((a2 - a1) >= 2.0 * tau) & (a2 > a1)
-        winner_sent = ang[np.arange(size), sent] == a1
-        correct = int(np.count_nonzero(decoded & winner_sent))
-        undetected = int(np.count_nonzero(decoded & ~winner_sent))
-        erased = size - correct - undetected
-        return np.array([correct, undetected, erased], dtype=np.int64)
+        a1, decoded = _decide(ang, 2.0 * tau)
+        return _tally(decoded, ang[np.arange(size), sent] == a1)
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)

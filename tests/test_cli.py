@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from eebounds import __version__
+from eebounds import __version__, cli
 from eebounds.cli import main
-from eebounds.numerics import LN2
+from eebounds.numerics import LN2, ConvergenceError
 
 
 def run(tmp_path, name, *argv):
@@ -257,3 +257,13 @@ class TestValidate:
         rc, text = run(tmp_path, "v2.txt", "validate", "--perturb-g", "1e-3")
         assert rc == 1
         assert "FAIL" in text
+
+
+class TestSolverFailure:
+    def test_convergence_error_is_reported_with_exit_2(self, monkeypatch, capsys):
+        def fail(args):
+            raise ConvergenceError("iteration budget exhausted")
+
+        monkeypatch.setattr(cli, "cmd_validate", fail)
+        assert main(["validate"]) == 2
+        assert capsys.readouterr().err == "error: iteration budget exhausted\n"

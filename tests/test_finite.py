@@ -13,7 +13,7 @@ from eebounds.finite import (
     triangle_count,
 )
 from eebounds.spherical import AwgnChannel, esp, f_exponent
-from eebounds.simulate import LinearCode, gen_linear_code, weight_distribution
+from eebounds.simulate import LinearCode, gen_linear_code, margin_decode, weight_distribution
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
 
@@ -222,3 +222,66 @@ class TestExactOracle:
             exact_margin_probability(HAMMING74, 1.5, 0)
         with pytest.raises(ValueError):
             exact_margin_probability(HAMMING74, 0.05, -1)
+
+
+def reference_codewords(code):
+    """Codewords of a systematic code as Python ints, message order: bit j is
+    coordinate j, and message u is the XOR of the generator rows set in u."""
+    n, k = code.n, code.k
+    rows = [(1 << i) | sum(b << (k + j) for j, b in enumerate(code.parity[i])) for i in range(k)]
+    cws = []
+    for u in range(1 << k):
+        c = 0
+        for i in range(k):
+            if u >> i & 1:
+                c ^= rows[i]
+        cws.append(c)
+    return cws
+
+
+def reference_margin_decode(cws, y, t):
+    """Margin winner for the integer word y by sorting Hamming distances to
+    every codeword (stable, so ties rank by message index), or None."""
+    dist = [bin(y ^ c).count("1") for c in cws]
+    ranked = sorted(range(len(cws)), key=dist.__getitem__)
+    if len(ranked) == 1 or dist[ranked[1]] - dist[ranked[0]] >= max(2 * t, 1):
+        return ranked[0]
+    return None
+
+
+REFERENCE_CODES = [
+    gen_linear_code(10, 4, 0),
+    gen_linear_code(9, 5, 1),
+    gen_linear_code(10, 6, 2),
+    gen_linear_code(8, 0, 3),
+    gen_linear_code(8, 8, 4),
+    HAMMING74,
+]
+
+
+class TestPurePythonReference:
+    """Every received word decoded by sorting integer distances, independent
+    of the coset kernel that the oracle, margin_decode and the simulator share."""
+
+    @pytest.mark.parametrize("code", REFERENCE_CODES, ids=lambda c: f"{c.n}-{c.k}")
+    def test_oracle_and_margin_decode(self, code):
+        n = code.n
+        cws = reference_codewords(code)
+        for t in (0, 1, 2, 7):
+            outcomes = [reference_margin_decode(cws, y, t) for y in range(1 << n)]
+            for y, want in enumerate(outcomes):
+                assert margin_decode(code, [(y >> j) & 1 for j in range(n)], t) == want
+            for p in (0.0, 0.1, 1.0):
+                probs = [0.0, 0.0, 0.0]
+                for y, out in enumerate(outcomes):
+                    w = bin(y).count("1")
+                    probs[0 if out == 0 else 2 if out is None else 1] += p**w * (1 - p) ** (n - w)
+                got = exact_margin_probability(code, p, t)
+                assert got == pytest.approx(tuple(probs), abs=1e-12)
+
+    @pytest.mark.parametrize("code", REFERENCE_CODES, ids=lambda c: f"{c.n}-{c.k}")
+    def test_weight_distribution(self, code):
+        counts = [0] * (code.n + 1)
+        for c in reference_codewords(code):
+            counts[bin(c).count("1")] += 1
+        assert weight_distribution(code) == WeightDistribution.from_counts(counts)

@@ -141,7 +141,27 @@ class TestTallies:
             wilson_interval(1, 0)
 
 
+# (code, p, t, trials, (correct, undetected, erasure)) at seed=1, recorded with
+# the dense all-codeword decoder; the coset decoder must reproduce them exactly.
+PINNED_BSC_TALLIES = [
+    (HAMMING74, 0.05, 0, 50_000, (47800, 2200, 0)),
+    (gen_linear_code(16, 10, 3), 0.05, 1, 32_768, (14392, 106, 18270)),
+    (gen_linear_code(24, 12, 0), 0.05, 1, 32_768, (26853, 84, 5831)),
+    (gen_linear_code(40, 8, 1), 0.1, 1, 32_768, (32375, 12, 381)),
+]
+
+
 class TestSimulateBsc:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize(
+        "code,p,t,trials,expected",
+        PINNED_BSC_TALLIES,
+        ids=[f"{c.n}-{c.k}" for c, *_ in PINNED_BSC_TALLIES],
+    )
+    def test_pinned_tallies(self, code, p, t, trials, expected, workers):
+        tally = simulate_bsc(code, p, t, trials, seed=1, workers=workers)
+        assert (tally.correct, tally.undetected, tally.erasure) == expected
+
     def test_deterministic_across_workers(self):
         one = simulate_bsc(HAMMING74, 0.05, 0, 50_000, seed=9, workers=1)
         four = simulate_bsc(HAMMING74, 0.05, 0, 50_000, seed=9, workers=4)
