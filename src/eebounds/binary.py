@@ -16,9 +16,9 @@ import numpy as np
 
 from .numerics import (
     RealInterval,
+    _log2_factorials,
     binary_entropy as h,
     entropy_inverse,
-    log2_binomial,
     maximize_unimodal,
 )
 
@@ -326,25 +326,12 @@ def specific_code_bound(profile: WeightProfile, R: float, ch: BscChannel) -> flo
     def excess(w: float) -> float:
         return profile(w) - max(0.0, h(w) - (1.0 - R))
 
-    interval = RealInterval(lo, hi) if hi > lo else None
-    if interval is None:
-        d_part = -bhatta(lo)
-        kappa = max(0.0, excess(lo))
-    else:
+    def peak(f) -> float:
         # Dense grid + golden refinement; the profile is only piecewise smooth.
-        grid = np.linspace(lo, hi, 4001)
-        bvals = np.array([bhatta(float(w)) for w in grid])
-        k = int(np.argmax(bvals))
-        a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-        _, bmax = maximize_unimodal(bhatta, RealInterval(a, b)) if b > a else (a, bvals[k])
-        d_part = -max(float(bmax), float(bvals[k]))
-        evals = np.array([excess(float(w)) for w in grid])
-        k = int(np.argmax(evals))
-        a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-        _, emax = maximize_unimodal(excess, RealInterval(a, b)) if b > a else (a, evals[k])
-        kappa = max(0.0, float(emax), float(evals[k]))
-    e0 = gallager_exponent(R, ch).value
-    return max(d_part, e0 - kappa)
+        return maximize_unimodal(f, RealInterval(lo, hi), points=4001)[1] if hi > lo else f(lo)
+
+    kappa = max(0.0, peak(excess))
+    return max(-peak(bhatta), gallager_exponent(R, ch).value - kappa)
 
 
 def bounded_distance_exponent(
@@ -372,20 +359,19 @@ def _bounded_distance_hypothesis(R: float, ch: BscChannel, tau: float, n: int) -
     t = int(round(tau * n))
     d = max(1, int(math.floor(delta_gv(R) * n)))
     lp, lq = math.log2(p), math.log2(1.0 - p)
+    lf = _log2_factorials(n)
     for w in range(d, n + 1):
-        i_lo = max(math.ceil(w / 2), w - t)
-        best = (-math.inf, None)
-        for i in range(i_lo, w + 1):
-            for ell in range(0, min(t, n - w) + 1):
-                lt = (
-                    log2_binomial(w, i)
-                    + log2_binomial(n - w, ell)
-                    + (i + ell) * lp
-                    + (n - i - ell) * lq
-                )
-                if lt > best[0]:
-                    best = (lt, (i, ell))
-        if best[1] != (max(i_lo, w - t), 0):
+        # Terms over i >= max(ceil(w/2), w - t) (rows) and ell <= t (columns);
+        # argmax takes the first maximum in row-major order.
+        i = np.arange(max(math.ceil(w / 2), w - t), w + 1)[:, None]
+        ell = np.arange(min(t, n - w) + 1)
+        lt = (
+            (lf[w] - lf[i] - lf[w - i])
+            + (lf[n - w] - lf[ell] - lf[n - w - ell])
+            + (i + ell) * lp
+            + (n - i - ell) * lq
+        )
+        if np.argmax(lt) != 0:
             return False
     return True
 

@@ -588,10 +588,7 @@ def main(argv=None) -> int:
         args.units = "bits" if args.channel == "bsc" else "nats"
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
+    except (UsageError, ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
-from .numerics import LN2, log_sum
+from .numerics import LN2, _log2_factorials, log_sum
 from .spherical import AwgnChannel, esp
 
 __all__ = [
@@ -49,8 +48,8 @@ class WeightDistribution:
     @classmethod
     def gv_ensemble(cls, n: int, rate_bits: float) -> "WeightDistribution":
         """Expected spectrum floor(C(n,w) 2^{-n(1-R)}) of the rate-R ensemble."""
-        lgc = (gammaln(n + 1) - gammaln(np.arange(n + 1) + 1) - gammaln(n - np.arange(n + 1) + 1)) / LN2
-        la = lgc - n * (1.0 - rate_bits)
+        lf = _log2_factorials(n)
+        la = (lf[n] - lf - lf[::-1]) - n * (1.0 - rate_bits)
         la[la < 0.0] = -math.inf  # floor() kills expected counts below one
         la[0] = 0.0
         return cls(n, tuple(float(x) for x in la))
@@ -94,11 +93,6 @@ def triangle_count(n: int, k: int, i: int, j: int) -> int:
     return math.comb(k, s) * math.comb(n - k, i - s)
 
 
-def _log2_binom_row(m: int) -> np.ndarray:
-    ks = np.arange(m + 1)
-    return (gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)) / LN2
-
-
 def binary_union_bound(
     wd: WeightDistribution, p: float, m: MarginParams, mode: str = "error"
 ) -> float:
@@ -125,18 +119,18 @@ def binary_union_bound(
         r = d + sign * 2 * t
     r = max(min(r, n), -1)
 
+    lf = _log2_factorials(n)
     pieces: list[float] = []
     if d is not None:
         for w in range(d, n + 1):
             law = wd.log2_counts[w]
             if law == -math.inf:
                 continue
-            lo = math.ceil(w / 2) + sign * t
-            lo = max(lo, 0)
+            lo = max(math.ceil(w / 2) + sign * t, 0)
             if lo > r:
                 continue
-            lgc_w = _log2_binom_row(w)
-            lgc_nw = _log2_binom_row(n - w)
+            lgc_w = lf[w] - lf[: w + 1] - lf[w::-1]
+            lgc_nw = lf[n - w] - lf[: n - w + 1] - lf[n - w :: -1]
             for e in range(lo, r + 1):
                 i_arr = np.arange(lo, min(e, w) + 1)
                 if i_arr.size == 0:
@@ -151,8 +145,7 @@ def binary_union_bound(
     # Tail: error weight beyond the decoding radius.
     if r < n:
         es = np.arange(r + 1, n + 1)
-        lgc_n = _log2_binom_row(n)
-        pieces.append(log_sum(lgc_n[es] + es * lp + (n - es) * lq))
+        pieces.append(log_sum(lf[n] - lf[es] - lf[n - es] + es * lp + (n - es) * lq))
     return log_sum(pieces) if pieces else -math.inf
 
 
@@ -170,8 +163,8 @@ def awgn_union_bound(
         raise ValueError(f"decoding radius must lie in (0, pi/2), got {rho}")
     d = hamming_wd.min_distance
     # Normalized cap-area prefactor, exact to leading order.
-    log_cap_pref = float(
-        gammaln(n / 2.0) - gammaln((n - 1) / 2.0) - 0.5 * math.log(math.pi) - math.log(n - 1)
+    log_cap_pref = (
+        math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi) - math.log(n - 1)
     )
 
     def log_f(theta: float) -> float:
@@ -183,11 +176,7 @@ def awgn_union_bound(
         sin_x = np.sqrt(np.maximum(1.0 - tan_ratio**2, 0.0))
         with np.errstate(divide="ignore"):
             log_omega = log_cap_pref + (n - 1) * np.log(sin_x) - np.log(tan_ratio)
-        A = ch.A
-        cphi = np.cos(phis)
-        g = 0.5 * (math.sqrt(A) * cphi + np.sqrt(A * cphi**2 + 4.0))
-        e_sp = A / 2.0 - (math.sqrt(A) / 2.0) * g * cphi - np.log(g * np.sin(phis))
-        integrand = log_omega - n * e_sp
+        integrand = log_omega - n * esp(phis, ch)
         return log_sum(list(integrand), base=math.e) + math.log((rho - half) / quad_points)
 
     pieces: list[float] = []

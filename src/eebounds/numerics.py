@@ -1,8 +1,11 @@
 """Scalar analysis kernel shared by all bound modules.
 
-Bracketed root finding, unimodal maximization, the binary-entropy inverse
-and overflow-safe log-domain combinatorics. Everything here is a pure
-function of its inputs.
+One copy of each numerical tool: bracketed root finding and the sign scan
+that feeds it (``_scan_root``), the grid-then-golden maximizer
+(``maximize_unimodal``; minimize by negating), the binary-entropy inverse,
+the log-factorial table behind every log-binomial row (``_log2_factorials``)
+and overflow-safe log-domain sums. Both scans skip grid points where the
+function raises. Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "RealInterval",
@@ -125,54 +127,99 @@ def solve_bracketed(
     )
 
 
+def _guarded(f: Callable[[float], float], x: float, fill: float = math.nan) -> float:
+    """f(x), or ``fill`` where f raises ValueError (BracketError too) or ZeroDivisionError."""
+    try:
+        return f(x)
+    except (ValueError, ZeroDivisionError):
+        return fill
+
+
+def _grid(
+    f: Callable[[float], float], lo: float, hi: float, points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, f(xs)) on ``points`` evenly spaced points of [lo, hi], nan where f raises."""
+    xs = np.linspace(lo, hi, points)
+    return xs, np.array([_guarded(f, float(x)) for x in xs], dtype=float)
+
+
+def _scan_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    points: int,
+    cfg: SolverConfig,
+    all_roots: bool = False,
+) -> list[float]:
+    """Roots of f on [lo, hi]: a sign scan over ``points`` grid points, each
+    sign change refined by ``solve_bracketed``. Cells touching a point where
+    f raises are skipped. Stops at the first root unless ``all_roots``."""
+    xs, vals = _grid(f, lo, hi, points)
+    roots: list[float] = []
+    for i in range(len(xs) - 1):
+        v0, v1 = vals[i], vals[i + 1]
+        if math.isnan(v0) or math.isnan(v1):
+            continue
+        if v0 == 0.0:
+            roots.append(float(xs[i]))
+        elif v0 * v1 < 0.0:
+            roots.append(solve_bracketed(f, RealInterval(float(xs[i]), float(xs[i + 1])), cfg))
+        if roots and not all_roots:
+            return roots
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return roots
+
+
 def maximize_unimodal(
     f: Callable[[float], float],
     interval: RealInterval,
     cfg: SolverConfig = SolverConfig(),
+    points: int = 64,
 ) -> tuple[float, float]:
     """(argmax, max) of f on the interval.
 
-    A 64-point guard scan locates the coarse peak first, golden-section then
-    refines inside the surrounding grid cell. The scan makes the result
-    robust when the caller cannot certify unimodality.
+    A guard scan over ``points`` grid points locates the coarse peak first,
+    golden-section then refines inside the surrounding grid cell. The scan
+    makes the result robust when the caller cannot certify unimodality.
+    Grid points and probes where f raises count as -inf.
     """
-    lo, hi = interval.lo, interval.hi
-    xs = np.linspace(lo, hi, 64)
-    vals = np.array([f(x) for x in xs])
+
+    def g(x: float) -> float:
+        return _guarded(f, x, -math.inf)
+
+    xs, vals = _grid(g, interval.lo, interval.hi, points)
     k = int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, len(xs) - 1)]
-    if a == b:
-        return float(xs[k]), float(vals[k])
+    a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
 
     # Golden-section on [a, b].
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = g(x1), g(x2)
     for _ in range(cfg.max_iter):
         if (b - a) <= cfg.abs_tol:
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
+            f2 = g(x2)
         elif f1 > f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
+            f1 = g(x1)
         else:
             # Exact tie: a flat plateau around the peak. Shrink both ends so
             # the bracket stays centered instead of drifting to one edge.
             a, b = x1, x2
             x1 = b - _INV_GOLDEN * (b - a)
             x2 = a + _INV_GOLDEN * (b - a)
-            f1, f2 = f(x1), f(x2)
+            f1, f2 = g(x1), g(x2)
     xm = 0.5 * (a + b)
-    fm = f(xm)
+    fm = g(xm)
     # The guard-scan maximum can still win for very flat or spiky functions.
     if vals[k] > fm:
         return float(xs[k]), float(vals[k])
-    return xm, fm
+    return float(xm), float(fm)
 
 
 def binary_entropy(x: float) -> float:
@@ -201,7 +248,13 @@ def log2_binomial(n: int, k: int) -> float:
         raise ValueError(f"negative argument: n={n}, k={k}")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) / LN2
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
+
+
+def _log2_factorials(n: int) -> np.ndarray:
+    """log2 k! for k = 0..n. Row m of log2 binomials is
+    ``lf[m] - lf[:m + 1] - lf[m::-1]``."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1) / LN2
 
 
 def log_binomial(n: int, k: int) -> float:

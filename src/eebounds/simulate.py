@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .finite import WeightDistribution, _decide, _distances, _pack, _span, _syndrome_columns
 from .spherical import AwgnChannel
@@ -43,7 +43,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -107,10 +107,6 @@ class LinearCode:
             np.uint8
         )
         return (msgs @ self.generator) % 2
-
-    def codeword_ints(self) -> np.ndarray:
-        cw = self.codewords().astype(np.uint64)
-        return (cw << np.arange(self.n, dtype=np.uint64)).sum(axis=1).astype(np.uint64)
 
 
 def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
@@ -192,6 +188,9 @@ class SphericalCodebook:
 
 
 def _run_blocks(fn, trials: int, workers: int) -> np.ndarray:
+    """Sum of ``fn(b, size)`` over the blocks of ``trials`` trials."""
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
     blocks = [(b, min(_BLOCK, trials - lo)) for b, lo in enumerate(range(0, trials, _BLOCK))]
     if workers <= 1:
         parts = [fn(b, size) for b, size in blocks]
@@ -261,8 +260,6 @@ def simulate_cone_exit(
 
     Returns (estimate, wilson 95% interval, exit count).
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     if not 0.0 < phi < math.pi:

@@ -4,6 +4,9 @@ All angles are radians, all exponents nats per dimension. The module covers
 the classical lower bound on the reliability function, the trade-off bound
 for margin decoding (error and erasure flavors), the distance-profile bound
 it derives from, and the bounded-distance / error-detection exponents.
+Implicit angles come from the shared sign scan in ``numerics``, worst-angle
+minima from ``maximize_unimodal`` on the negated integrand; ``esp`` also
+takes an array of angles, for the quadrature in ``finite``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import BracketError, RealInterval, SolverConfig, solve_bracketed
+from .numerics import (
+    BracketError,
+    RealInterval,
+    SolverConfig,
+    _guarded,
+    _scan_root,
+    maximize_unimodal,
+)
 
 __all__ = [
     "AwgnChannel",
@@ -96,24 +106,27 @@ def rate_of_angle(theta: float) -> float:
     return -math.log(s)
 
 
-def g_aux(phi: float, ch: AwgnChannel) -> float:
-    """Saddle factor g(phi) of the sphere-packing exponent."""
+def g_aux(phi, ch: AwgnChannel):
+    """Saddle factor g(phi) of the sphere-packing exponent; elementwise on an
+    array of angles, a float for a scalar."""
+    xp = np if isinstance(phi, np.ndarray) else math
     A = ch.A
-    c = math.cos(phi)
-    return 0.5 * (math.sqrt(A) * c + math.sqrt(A * c * c + 4.0))
+    c = xp.cos(phi)
+    return 0.5 * (math.sqrt(A) * c + xp.sqrt(A * c * c + 4.0))
 
 
-def esp(phi: float, ch: AwgnChannel) -> float:
+def esp(phi, ch: AwgnChannel):
     """Sphere-packing exponent: decay rate of noise escaping a cone of
-    half-angle phi."""
-    if not 0.0 < phi < math.pi:
-        raise ValueError(f"angle must lie in (0, pi), got {phi}")
+    half-angle phi. Elementwise on an array of angles, a float for a scalar;
+    every angle must lie in (0, pi)."""
+    xp = np if isinstance(phi, np.ndarray) else math
+    lo, hi = (phi.min(), phi.max()) if xp is np else (phi, phi)
+    if not 0.0 < lo <= hi < math.pi:
+        raise ValueError(f"angle must lie in (0, pi), got {hi if lo > 0.0 else lo}")
     A = ch.A
     g = g_aux(phi, ch)
-    gs = g * math.sin(phi)
-    if gs <= 0.0:
-        raise ValueError(f"degenerate angle {phi}: g*sin(phi) = {gs}")
-    return A / 2.0 - (math.sqrt(A) / 2.0) * g * math.cos(phi) - math.log(gs)
+    # g > 0 and sin(phi) > 0 on (0, pi), so the log argument is positive.
+    return A / 2.0 - (math.sqrt(A) / 2.0) * g * xp.cos(phi) - xp.log(g * xp.sin(phi))
 
 
 def shannon_angles(ch: AwgnChannel) -> tuple[float, float]:
@@ -172,39 +185,6 @@ def _big_g_dx(x: float, tau: float, ch: AwgnChannel) -> float:
     return 0.5 * A * dN / (1.0 + A * N)
 
 
-def _scan_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    points: int = 512,
-    all_roots: bool = False,
-) -> list[float]:
-    """Sign-scan on [lo, hi] followed by bracketed refinement."""
-    xs = np.linspace(lo, hi, points)
-    vals = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        try:
-            vals[i] = f(float(x))
-        except (ValueError, ZeroDivisionError):
-            vals[i] = math.nan
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if math.isnan(v0) or math.isnan(v1):
-            continue
-        if v0 == 0.0:
-            roots.append(float(xs[i]))
-        elif v0 * v1 < 0.0:
-            roots.append(
-                solve_bracketed(f, RealInterval(float(xs[i]), float(xs[i + 1])), _ROOT_CFG)
-            )
-        if roots and not all_roots:
-            return roots
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
-
-
 def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
     """Neighbor angle theta(x): the implicit covering-angle equation's root.
 
@@ -223,7 +203,7 @@ def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
         )
 
     hi = math.pi - 2.0 * tau - 1e-9
-    roots = _scan_root(resid, 1e-9, hi, points=160)
+    roots = _scan_root(resid, 1e-9, hi, 160, _ROOT_CFG)
     if not roots:
         raise BracketError(f"no root of the neighbor-angle equation on (0, {hi})")
     theta = roots[0]
@@ -261,13 +241,9 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
         return _decoding_residual(rho, R, tau)
 
     # Endpoint can be an exact root (tau = 0 collapses to theta_s).
-    try:
-        flo = f(lo)
-        if abs(flo) < 1e-11:
-            return lo
-    except (ValueError, BracketError):
-        pass
-    roots = _scan_root(f, lo, hi, points=48, all_roots=True)
+    if abs(_guarded(f, lo)) < 1e-11:
+        return lo
+    roots = _scan_root(f, lo, hi, 48, _ROOT_CFG, all_roots=True)
     if not roots:
         raise BracketError(
             f"no sign change of the decoding-radius equation on [{lo}, {hi}]"
@@ -288,7 +264,7 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
         # saddle-simplified expurgation integrand.
         return math.cos(x) / math.sin(x) - (A / 4.0) * math.sin(x + 2.0 * tau)
 
-    roots = _scan_root(d_expurg, 1e-6, math.pi / 2.0 - 1e-6, points=1024)
+    roots = _scan_root(d_expurg, 1e-6, math.pi / 2.0 - 1e-6, 1024, _ROOT_CFG)
     if not roots:
         raise BracketError("expurgation-angle equation has no root in (0, pi/2)")
     theta_1 = roots[0]
@@ -301,7 +277,7 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
         return theta_of_rate(R) - theta_1
 
     r_hi = ch.capacity - 1e-9
-    roots = _scan_root(f_rstar, 1e-4, r_hi, points=24)
+    roots = _scan_root(f_rstar, 1e-4, r_hi, 24, _ROOT_CFG)
     if not roots:
         raise BracketError("no root for the straight-line/sphere-packing rate boundary")
     r_star = roots[0]
@@ -405,49 +381,6 @@ class DistanceProfile:
         return cls(lambda th: value, theta0, theta0)
 
 
-def _grid_refine_min(
-    f: Callable[[float], float], lo: float, hi: float, grid: int = 2001
-) -> float:
-    """Minimum of f on [lo, hi] by a dense grid plus golden refinement."""
-    if hi <= lo:
-        return f(lo)
-    xs = np.linspace(lo, hi, grid)
-    vals = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        try:
-            vals[i] = f(float(x))
-        except (ValueError, BracketError):
-            vals[i] = math.inf
-    k = int(np.argmin(vals))
-    a, b = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, len(xs) - 1)])
-    best = float(vals[k])
-    if b > a:
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = b - inv * (b - a)
-        x2 = a + inv * (b - a)
-
-        def safe(x: float) -> float:
-            try:
-                return f(x)
-            except (ValueError, BracketError):
-                return math.inf
-
-        f1, f2 = safe(x1), safe(x2)
-        for _ in range(200):
-            if (b - a) < 1e-12:
-                break
-            if f1 > f2:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + inv * (b - a)
-                f2 = safe(x2)
-            else:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - inv * (b - a)
-                f1 = safe(x1)
-        best = min(best, safe(0.5 * (a + b)))
-    return best
-
-
 def profile_exponent(
     profile: DistanceProfile,
     R: float,
@@ -465,7 +398,9 @@ def profile_exponent(
     def per_theta(th: float) -> float:
         return -profile.b(th) + f_exponent(th, tau, ch, rho)[0]
 
-    worst = _grid_refine_min(per_theta, lo, hi)
+    worst = per_theta(lo) if hi == lo else -maximize_unimodal(
+        lambda th: -per_theta(th), RealInterval(lo, hi), points=2001
+    )[1]
     return min(worst, esp(rho, ch))
 
 
@@ -494,7 +429,9 @@ def bounded_distance_exponent_s(
         q = 0.5 * math.log(1.0 - t2) - esp(theta0, ch)
         return -profile.b(th) - q
 
-    worst = _grid_refine_min(per_theta, lo, hi)
+    worst = per_theta(lo) if hi == lo else -maximize_unimodal(
+        lambda th: -per_theta(th), RealInterval(lo, hi), points=2001
+    )[1]
     return min(worst, esp(hi, ch))
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eebounds
 from eebounds import __version__, cli
 from eebounds.cli import main
 from eebounds.numerics import LN2, ConvergenceError
@@ -244,6 +248,18 @@ class TestSimulate:
         rc, _ = run(tmp_path, "s9.json", "simulate", "--kind", "bsc", "--seed", "1")
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ("bsc", "awgn", "cone"))
+    def test_zero_trials_is_error(self, tmp_path, capsys, kind):
+        args = {
+            "bsc": ["--n", "7", "--k", "4", "--p", "0.05"],
+            "awgn": ["--n", "8", "--M", "4", "--snr", "2"],
+            "cone": ["--n", "20", "--snr", "4", "--phi", "0.5"],
+        }[kind]
+        rc, text = run(tmp_path, "s10.json", "simulate", "--kind", kind, *args,
+                       "--trials", "0", "--seed", "1")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
+
 
 class TestValidate:
     def test_passes_and_reports(self, tmp_path):
@@ -267,3 +283,19 @@ class TestSolverFailure:
         monkeypatch.setattr(cli, "cmd_validate", fail)
         assert main(["validate"]) == 2
         assert capsys.readouterr().err == "error: iteration budget exhausted\n"
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eebounds.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        code = (
+            "import sys, eebounds.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

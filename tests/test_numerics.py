@@ -8,6 +8,8 @@ from eebounds.numerics import (
     BracketError,
     RealInterval,
     SolverConfig,
+    _log2_factorials,
+    _scan_root,
     binary_entropy,
     entropy_inverse,
     log2_binomial,
@@ -16,6 +18,7 @@ from eebounds.numerics import (
     maximize_unimodal,
     solve_bracketed,
 )
+from eebounds.spherical import AwgnChannel, DistanceProfile, f_exponent
 
 
 class TestSolveBracketed:
@@ -70,6 +73,65 @@ class TestMaximizeUnimodal:
         assert abs(x - 2.0) < 1e-8
         assert abs(v - 2.0) < 1e-8
 
+    def test_raising_region_is_skipped(self):
+        def f(x):
+            if x < 0.5:
+                raise ValueError("outside the domain")
+            return -((x - 0.7) ** 2)
+
+        x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
+        assert abs(x - 0.7) < 1e-8
+        assert abs(v) < 1e-12
+        # The peak sits on the edge of the raising region: the golden probes
+        # that land past it count as -inf.
+        x, v = maximize_unimodal(lambda x: -math.sqrt(x - 0.5), RealInterval(0.0, 1.0))
+        assert x == pytest.approx(0.5, abs=1e-8)
+        assert v == pytest.approx(0.0, abs=1e-5)
+
+    def test_flat_plateau(self):
+        f = lambda x: min(1.0, 3.0 - 10.0 * abs(x - 0.5))
+        x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
+        assert v == 1.0
+        assert abs(x - 0.5) <= 0.2
+
+    def test_negated_profile_minimum(self):
+        # Worst angle of the distance-profile union bound: packing profile at
+        # R = 0.2, A = 4, tau = 0.02, rho = decoding_radius(R, tau). The value
+        # was recorded with the dedicated grid-and-golden minimizer that this
+        # call replaces in profile_exponent.
+        R, tau, rho, ch = 0.2, 0.02, 0.9788282935939788, AwgnChannel(4.0)
+        prof = DistanceProfile.packing(R)
+        interval = RealInterval(prof.theta_min, min(prof.theta_max, 2.0 * (rho - tau) - 1e-9))
+        _, v = maximize_unimodal(
+            lambda th: prof.b(th) - f_exponent(th, tau, ch, rho)[0], interval, points=2001
+        )
+        assert -v == pytest.approx(0.45902214579540956, abs=1e-14)
+
+
+class TestScanRoot:
+    CFG = SolverConfig(abs_tol=1e-14, max_iter=400)
+
+    def test_all_roots_of_sine(self):
+        roots = _scan_root(math.sin, 0.5, 10.0, 512, self.CFG, all_roots=True)
+        assert roots == pytest.approx([math.pi, 2.0 * math.pi, 3.0 * math.pi], abs=1e-12)
+        assert _scan_root(math.sin, 0.5, 10.0, 512, self.CFG) == pytest.approx([math.pi])
+
+    def test_raising_gap_is_skipped(self):
+        def f(x):
+            if 6.0 < x < 6.5:
+                raise ZeroDivisionError
+            if 9.0 < x < 9.5:
+                raise BracketError("no bracket here")
+            return math.sin(x)
+
+        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=True)
+        assert roots == pytest.approx([math.pi], abs=1e-12)
+
+    def test_grid_point_root(self):
+        assert _scan_root(lambda x: x - 1.0, 0.0, 2.0, 3, self.CFG) == [1.0]
+        assert _scan_root(lambda x: x - 2.0, 0.0, 2.0, 3, self.CFG) == [2.0]
+        assert _scan_root(lambda x: x * x + 1.0, 0.0, 2.0, 9, self.CFG, all_roots=True) == []
+
 
 class TestEntropy:
     def test_known_values(self):
@@ -105,6 +167,14 @@ class TestLogCombinatorics:
         for n in range(0, 40):
             for k in range(0, n + 1):
                 assert log2_binomial(n, k) == pytest.approx(math.log2(math.comb(n, k)), abs=1e-9)
+        lf = _log2_factorials(4096)
+        assert lf[0] == 0.0 and lf[1] == 0.0
+        assert lf[100] == pytest.approx(math.log2(math.factorial(100)), abs=1e-9)
+        for n in (40, 257, 1024, 2049, 4096):
+            for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} | set(range(0, n + 1, 97))):
+                exact = math.log2(math.comb(n, k))
+                assert log2_binomial(n, k) == pytest.approx(exact, abs=1e-9)
+                assert lf[n] - lf[k] - lf[n - k] == pytest.approx(exact, abs=1e-9)
 
     def test_log_binomial_base(self):
         assert log_binomial(10, 3) == pytest.approx(math.log(120.0), abs=1e-10)

@@ -38,9 +38,9 @@ class TestLinearCode:
         # Message 1 = unit vector on the first coordinate -> first row of G.
         assert (cws[1] == HAMMING74.generator[0]).all()
 
-    def test_codeword_ints_distinct(self):
-        ints = HAMMING74.codeword_ints()
-        assert len(set(int(v) for v in ints)) == 16
+    def test_codewords_distinct(self):
+        for code in (HAMMING74, gen_linear_code(70, 3, 0)):
+            assert len(np.unique(code.codewords(), axis=0)) == 1 << code.k
 
     def test_gen_deterministic(self):
         a = gen_linear_code(15, 5, 42)
@@ -182,6 +182,10 @@ class TestSimulateBsc:
         tally = simulate_bsc(HAMMING74, 0.0, 1, 10_000, seed=0)
         assert tally.correct == tally.trials
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            simulate_bsc(HAMMING74, 0.05, 0, 0, seed=1)
+
     def test_margin_increases_erasures(self):
         t0 = simulate_bsc(HAMMING74, 0.1, 0, 100_000, seed=4)
         t1 = simulate_bsc(HAMMING74, 0.1, 1, 100_000, seed=4)
@@ -201,6 +205,11 @@ class TestSimulateAwgn:
         t0 = simulate_awgn(cb, 0.0, 40_000, seed=3)
         t1 = simulate_awgn(cb, 0.1, 40_000, seed=3)
         assert t1.erasure > t0.erasure
+
+    def test_zero_trials_rejected(self):
+        cb = SphericalCodebook.random(16, 12, 4.0, 2)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            simulate_awgn(cb, 0.05, 0, seed=3)
 
 
 class TestConeExit:
@@ -222,7 +231,7 @@ class TestConeExit:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_cone_exit(1, CH4, 0.5, 100, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be positive"):
             simulate_cone_exit(10, CH4, 0.5, 0, seed=0)
         with pytest.raises(ValueError):
             simulate_cone_exit(10, CH4, 4.0, 100, seed=0)

@@ -78,6 +78,21 @@ class TestSpherePacking:
             esp(0.0, CH4)
         with pytest.raises(ValueError):
             esp(math.pi, CH4)
+        for bad in ([0.5, 0.0], [math.pi, 0.5], [0.5, math.nan, 1.0], [[0.5], [-0.1]]):
+            with pytest.raises(ValueError):
+                esp(np.array(bad), CH4)
+
+    def test_array_matches_scalar(self):
+        for ch in (AwgnChannel(1.0), CH4, AwgnChannel(64.0)):
+            phis = np.linspace(0.01, math.pi - 0.01, 997)
+            vals = esp(phis, ch)
+            gs = g_aux(phis, ch)
+            assert vals.shape == phis.shape
+            for phi, v, g in zip(phis, vals, gs):
+                assert abs(v - esp(float(phi), ch)) <= 1e-15
+                assert abs(g - g_aux(float(phi), ch)) <= 1e-15
+        assert type(esp(0.55, CH4)) is float
+        assert type(g_aux(0.55, CH4)) is float
 
     def test_channel_validation(self):
         with pytest.raises(ValueError):
