@@ -70,6 +70,7 @@ class BinaryBoundValue:
     regime: str  # one of "a", "b", "c"
     valid: bool = True
     diagnostics: Optional[dict] = None
+    reason: Optional[str] = None  # why the value is not valid
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,8 @@ def gallager_exponent(R: float, ch: BscChannel) -> BinaryBoundValue:
     """Classical random-coding / expurgated lower bound E0(R, p), in bits."""
     lm = landmarks(ch, 0.0)
     if R > ch.capacity + 1e-12:
-        return BinaryBoundValue(0.0, "c", valid=False)
+        reason = f"rate {R} above capacity {ch.capacity}"
+        return BinaryBoundValue(0.0, "c", valid=False, reason=reason)
     R = min(R, ch.capacity)
     dgv = delta_gv(R)
     if R <= lm.R_e:
@@ -166,10 +168,8 @@ def bz_bounds(
         raise ValueError(f"tau must be nonnegative, got {tau}")
     base = gallager_exponent(R, ch)
     if not base.valid:
-        return (
-            BinaryBoundValue(0.0, base.regime, valid=False),
-            BinaryBoundValue(0.0, base.regime, valid=False),
-        )
+        invalid = BinaryBoundValue(0.0, base.regime, valid=False, reason=base.reason)
+        return invalid, invalid
     lm = landmarks(ch, 0.0)
     if R < lm.R_c:
         shift = ch.nu * tau
@@ -181,7 +181,9 @@ def bz_bounds(
     ee = BinaryBoundValue(base.value + shift, base.regime)
     ex_val = base.value - shift
     if ex_val < 0.0:
-        ex = BinaryBoundValue(0.0, base.regime, valid=False)
+        ex = BinaryBoundValue(
+            0.0, base.regime, valid=False, reason=f"negative erasure exponent {ex_val}"
+        )
     else:
         ex = BinaryBoundValue(ex_val, base.regime)
     return ee, ex
@@ -211,7 +213,9 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
     if R <= Ra:
         arg = 0.5 + tau / dgv if dgv > 0 else math.inf
         if not 0.0 <= arg <= 1.0:
-            return BinaryBoundValue(0.0, "a", valid=False)
+            return BinaryBoundValue(
+                0.0, "a", valid=False, reason=f"entropy argument {arg} outside [0, 1]"
+            )
         value = -dgv * (h(arg) + 0.5 * math.log2(u)) + sign * nu * tau
         regime = "a"
         diag = {"rho_typ": (1.0 - dgv) * p + dgv / 2.0 + sign * tau, "omega_typ": dgv}
@@ -230,11 +234,19 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
             # Decoding radius below the typical noise weight (possibly even
             # negative): the tail term has no exponential decay, so the bound
             # degenerates.
-            return BinaryBoundValue(0.0, regime, valid=False, diagnostics=diag)
+            return BinaryBoundValue(
+                0.0, regime, valid=False, diagnostics=diag,
+                reason=f"decoding radius {rho} below the crossover probability {p}",
+            )
         value = _D(rho, p)
     if value < 0.0 and value > -1e-12:
         value = 0.0
-    return BinaryBoundValue(value, regime, valid=valid and value >= 0.0, diagnostics=diag)
+    reason = None
+    if not valid:
+        reason = f"rate {R} below 1 - h(1/2 - tau)" if sign > 0 else f"tau {tau} above p/2"
+    elif value < 0.0:
+        reason = f"negative exponent {value}"
+    return BinaryBoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
 
 
 def tradeoff_bounds(

@@ -6,7 +6,10 @@ for margin decoding (error and erasure flavors), the distance-profile bound
 it derives from, and the bounded-distance / error-detection exponents.
 Implicit angles come from the shared sign scan in ``numerics``, worst-angle
 minima from ``maximize_unimodal`` on the negated integrand; ``esp`` also
-takes an array of angles, for the quadrature in ``finite``.
+takes an array of angles, for the quadrature in ``finite``. The neighbor-
+angle equation of ``elias_theta`` has a closed-form inverse x(theta), so the
+decoding radius is one scan in theta and the boundary rate R* a formula,
+with no scan nested in another. Invalid bound values carry a ``reason``.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ class SphericalBoundValue:
     regime: str  # "expurgation" | "straight" | "sphere-packing"
     valid: bool = True
     diagnostics: Optional[dict] = None
+    reason: Optional[str] = None  # why the value is not valid
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,9 @@ def shannon_angles(ch: AwgnChannel) -> tuple[float, float]:
 def shannon_exponent(R: float, ch: AwgnChannel) -> SphericalBoundValue:
     """Classical lower bound on the AWGN reliability function at rate R."""
     if R > ch.capacity + 1e-12:
-        return SphericalBoundValue(0.0, "sphere-packing", valid=False)
+        return SphericalBoundValue(
+            0.0, "sphere-packing", valid=False, reason=f"rate {R} above capacity {ch.capacity}"
+        )
     theta = theta_s(R)
     te, tc = shannon_angles(ch)
     A = ch.A
@@ -190,6 +196,11 @@ def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
 
     Solved on the cleared (pole-free) form cot(theta) * (cos(theta + 2 tau)
     - cos 2x) - cos^2 x * tan(theta/2 + tau) = 0, scanned on (0, pi - 2 tau).
+    The equation is linear in cos^2 x (cos 2x = 2 cos^2 x - 1), so its
+    inverse is closed-form: cos^2 x = cot(theta) (1 + cos(theta + 2 tau)) /
+    (2 cot(theta) + tan(theta/2 + tau)), which is cos(theta) at tau = 0.
+    ``decoding_radius`` and ``spherical_landmarks`` solve in theta through
+    that inverse and call this scan only at bracket ends and to check roots.
     """
     if not 0.0 < x <= math.pi / 2.0:
         raise ValueError(f"x must lie in (0, pi/2], got {x}")
@@ -212,18 +223,46 @@ def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
     return theta
 
 
-def _decoding_residual(rho: float, R: float, tau: float) -> float:
-    theta = elias_theta(rho if rho <= math.pi / 2.0 else math.pi / 2.0, tau)
+def _elias_x(theta: float, tau: float) -> float:
+    """Inverse of ``elias_theta``: the x whose neighbor angle is theta, from
+    cos^2 x = cos(theta) (1 + cos(theta + 2 tau)) / (2 cos(theta) + sin(theta)
+    tan(theta/2 + tau)), the cot form multiplied through by sin(theta).
+    cos^2 x is clamped to [0, 1]: rounding leaves it just below 0 where
+    ``elias_theta`` returns a hair above pi/2, and off the principal branch
+    the clamped x fails the root checks of its callers."""
+    ct = math.cos(theta)
+    c = ct * (1.0 + math.cos(theta + 2.0 * tau)) / (
+        2.0 * ct + math.sin(theta) * math.tan(theta / 2.0 + tau)
+    )
+    return math.acos(math.sqrt(min(max(c, 0.0), 1.0)))
+
+
+def _radius_residual(theta: float, rho: float, R: float, tau: float) -> float:
+    """R + ln sin(theta) + 1/2 ln(1 - tan^2(theta/2 + tau) / tan^2 rho): the
+    decoding-radius equation at radius rho and neighbor angle theta."""
     t2 = math.tan(theta / 2.0 + tau) ** 2 / math.tan(rho) ** 2
     if t2 >= 1.0:
         raise ValueError("decoding radius inside the half-distance cone")
     return R + math.log(math.sin(theta)) + 0.5 * math.log(1.0 - t2)
 
 
+def _decoding_residual(rho: float, R: float, tau: float) -> float:
+    return _radius_residual(elias_theta(min(rho, math.pi / 2.0), tau), rho, R, tau)
+
+
 def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     """Decoding radius rho(R): the unique root of the self-consistency
-    equation on [theta_s, 2 theta_s]. Raises BracketError when the scan
-    finds no (or no unique) sign change."""
+    equation R + ln sin(theta) + 1/2 ln(1 - tan^2(theta/2 + tau) / tan^2 rho)
+    = 0, theta = elias_theta(rho, tau), on [theta_s, 2 theta_s] (on
+    [1e-3, theta_s] for tau < 0).
+
+    The bracket ends go to neighbor angles by two ``elias_theta`` calls, and
+    the equation is scanned in theta with rho = x(theta) from the closed-form
+    inverse (see ``elias_theta``), so no scan runs inside another. A root is
+    accepted only if its rho lies in the bracket and the equation in rho, with
+    theta from ``elias_theta``, holds there to 1e-10; this rejects roots on
+    the second branch of the theta equation, which occur at tau < 0. Raises
+    BracketError when no root, or no unique root, is accepted."""
     if R <= 0.0:
         raise ValueError(f"rate must be positive, got {R}")
     ts = theta_s(R)
@@ -237,13 +276,23 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     if hi <= lo:
         raise BracketError(f"degenerate decoding-radius bracket [{lo}, {hi}]")
 
-    def f(rho: float) -> float:
+    th_lo = elias_theta(lo, tau)
+    # Endpoint can be an exact root (tau = 0 collapses to theta_s).
+    if abs(_guarded(lambda th: _radius_residual(th, lo, R, tau), th_lo)) < 1e-11:
+        return lo
+    th_hi = elias_theta(hi, tau)
+
+    def f(theta: float) -> float:
+        return _radius_residual(theta, _elias_x(theta, tau), R, tau)
+
+    def f_rho(rho: float) -> float:
         return _decoding_residual(rho, R, tau)
 
-    # Endpoint can be an exact root (tau = 0 collapses to theta_s).
-    if abs(_guarded(f, lo)) < 1e-11:
-        return lo
-    roots = _scan_root(f, lo, hi, 48, _ROOT_CFG, all_roots=True)
+    roots = []
+    for theta in _scan_root(f, min(th_lo, th_hi), max(th_lo, th_hi), 48, _ROOT_CFG, all_roots=True):
+        rho = _elias_x(theta, tau)
+        if lo <= rho <= hi and abs(_guarded(f_rho, rho)) < 1e-10:
+            roots.append(rho)
     if not roots:
         raise BracketError(
             f"no sign change of the decoding-radius equation on [{lo}, {hi}]"
@@ -254,9 +303,10 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
 
 
 @lru_cache(maxsize=256)
-def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
-    """Regime-boundary angles of the trade-off bound, memoized per (A, tau)."""
-    te, tc = shannon_angles(ch)
+def _expurgation_angle(tau: float, ch: AwgnChannel) -> tuple[float, float]:
+    """(theta_1, stationarity residual): the expurgation/straight-line
+    boundary angle, memoized per (A, tau). It is all the expurgation regime
+    of ``tradeoff_exponent`` needs."""
     A = ch.A
 
     def d_expurg(x: float) -> float:
@@ -267,28 +317,36 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
     roots = _scan_root(d_expurg, 1e-6, math.pi / 2.0 - 1e-6, 1024, _ROOT_CFG)
     if not roots:
         raise BracketError("expurgation-angle equation has no root in (0, pi/2)")
-    theta_1 = roots[0]
-    resid_t1 = d_expurg(theta_1)
+    return roots[0], d_expurg(roots[0])
 
-    def theta_of_rate(R: float) -> float:
-        return elias_theta(decoding_radius(R, tau, ch), tau)
 
-    def f_rstar(R: float) -> float:
-        return theta_of_rate(R) - theta_1
+@lru_cache(maxsize=256)
+def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
+    """Regime-boundary angles of the trade-off bound, memoized per (A, tau).
 
-    r_hi = ch.capacity - 1e-9
-    roots = _scan_root(f_rstar, 1e-4, r_hi, 24, _ROOT_CFG)
-    if not roots:
+    R* is where the neighbor angle of the decoding radius reaches theta_1.
+    In closed form, with x_1 = x(theta_1) from the inverse of the neighbor-
+    angle equation (see ``elias_theta``), R* = -ln sin(theta_1) - 1/2 ln(1 -
+    tan^2(theta_1/2 + tau) / tan^2 x_1). It is kept only if it lies in
+    [1e-4, C - 1e-9] and ``decoding_radius(R*)`` reproduces x_1 within 1e-8;
+    otherwise BracketError. ``residuals`` holds the stationarity residual at
+    theta_1 and elias_theta(rho(R*)) - theta_1."""
+    te, tc = shannon_angles(ch)
+    theta_1, resid_t1 = _expurgation_angle(tau, ch)
+    x_1 = _elias_x(theta_1, tau)
+    r_star = -_guarded(lambda th: _radius_residual(th, x_1, 0.0, tau), theta_1)
+    if not 1e-4 <= r_star <= ch.capacity - 1e-9:
         raise BracketError("no root for the straight-line/sphere-packing rate boundary")
-    r_star = roots[0]
-    resid_rs = f_rstar(r_star)
+    rho = decoding_radius(r_star, tau, ch)
+    if abs(rho - x_1) > 1e-8:
+        raise BracketError("no root for the straight-line/sphere-packing rate boundary")
     return SphericalLandmarks(
         theta_e=te,
         theta_c=tc,
         theta_1=theta_1,
         theta_2=theta_s(r_star),
         R_star=r_star,
-        residuals={"theta_1": resid_t1, "R_star": resid_rs},
+        residuals={"theta_1": resid_t1, "R_star": elias_theta(rho, tau) - theta_1},
     )
 
 
@@ -327,39 +385,46 @@ def tradeoff_exponent(
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     t = tau if kind == "error" else -tau
+    if R <= 0.0 or R > ch.capacity + 1e-12:
+        return SphericalBoundValue(
+            0.0, "sphere-packing", valid=False,
+            reason=f"rate {R} outside (0, capacity {ch.capacity}]",
+        )
+    ts = theta_s(R)
+    A = ch.A
     try:
-        if R <= 0.0 or R > ch.capacity + 1e-12:
-            return SphericalBoundValue(0.0, "sphere-packing", valid=False)
-        ts = theta_s(R)
-        lms = spherical_landmarks(t, ch)
-        A = ch.A
+        # Each regime looks up only the landmarks it needs, so a failed R*
+        # search leaves the expurgation regime valid.
+        theta_1 = _expurgation_angle(t, ch)[0]
         # The pairwise-error exponent at the interior saddle simplifies
         # exactly to (A/4)(1 - cos(theta + 2 tau)); equivalently, the
         # correction to the tau-shifted expurgation term is
         # (A/4)(cos(theta + 2 tau) - cos(theta + tau)), which vanishes at
         # tau = 0 and is negative for tau > 0.
-        if ts > lms.theta_1:
+        if ts > theta_1:
             value = (A / 4.0) * (1.0 - math.cos(ts + 2.0 * t))
             return SphericalBoundValue(
                 value, "expurgation", diagnostics={"theta_star": ts}
             )
-        if ts > lms.theta_2:
-            value = (A / 4.0) * (1.0 - math.cos(lms.theta_1 + 2.0 * t)) + math.log(
-                math.sin(ts) / math.sin(lms.theta_1)
+        if ts > spherical_landmarks(t, ch).theta_2:
+            value = (A / 4.0) * (1.0 - math.cos(theta_1 + 2.0 * t)) + math.log(
+                math.sin(ts) / math.sin(theta_1)
             )
             return SphericalBoundValue(
-                value, "straight", diagnostics={"theta_star": lms.theta_1}
+                value, "straight", diagnostics={"theta_star": theta_1}
             )
         rho = decoding_radius(R, t, ch)
         diag = {"rho": rho, "theta_star": elias_theta(rho, t)}
-        if rho < ch.capacity_angle - 1e-12:
-            # Noise typically exceeds the radius: the tail term carries no
-            # exponential decay and the bound degenerates.
-            return SphericalBoundValue(0.0, "sphere-packing", valid=False, diagnostics=diag)
-        value = esp(rho, ch)
-        return SphericalBoundValue(value, "sphere-packing", diagnostics=diag)
-    except (ValueError, BracketError):
-        return SphericalBoundValue(0.0, "sphere-packing", valid=False)
+    except (ValueError, BracketError) as exc:
+        return SphericalBoundValue(0.0, "sphere-packing", valid=False, reason=str(exc))
+    if rho < ch.capacity_angle - 1e-12:
+        # Noise typically exceeds the radius: the tail term carries no
+        # exponential decay and the bound degenerates.
+        return SphericalBoundValue(
+            0.0, "sphere-packing", valid=False, diagnostics=diag,
+            reason=f"decoding radius {rho} below the capacity angle {ch.capacity_angle}",
+        )
+    return SphericalBoundValue(esp(rho, ch), "sphere-packing", diagnostics=diag)
 
 
 @dataclass(frozen=True)
@@ -412,16 +477,13 @@ def bounded_distance_exponent_s(
         raise ValueError(f"tau must be positive, got {tau}")
     if not profile.theta_min > 0.0:
         raise ValueError("profile must have positive minimum distance")
-    A = ch.A
     lo = profile.theta_min
     hi = math.pi / 2.0 - tau - eps
     if hi < lo:
         raise ValueError(f"empty angle range [{lo}, {hi}]")
 
     def per_theta(th: float) -> float:
-        psi = 2.0 * (th - tau)
-        s2 = (4.0 + A * math.sin(psi) ** 2) / (4.0 + 2.0 * A + 2.0 * A * math.cos(psi))
-        phi0 = math.asin(math.sqrt(min(max(s2, 0.0), 1.0)))
+        phi0 = _phi0(2.0 * (th - tau), 0.0, ch)
         if not (phi0 < math.pi / 2.0 and phi0 > th - tau):
             raise ValueError(f"saddle {phi0} outside (theta - tau, pi/2) at theta={th}")
         theta0 = phi0 if phi0 < th + tau else th + tau
@@ -450,7 +512,9 @@ def undetected_error_exponent(theta: float, tau: float) -> SphericalBoundValue:
         raise ValueError(f"tau must be positive, got {tau}")
     arg = 8.0 * tau / math.sin(2.0 * theta)
     if arg > 1.0:
-        return SphericalBoundValue(0.0, "detection", valid=False)
+        return SphericalBoundValue(
+            0.0, "detection", valid=False, reason=f"first-order argument {arg} exceeds 1"
+        )
     return SphericalBoundValue(-0.5 * math.log(arg), "detection")
 
 

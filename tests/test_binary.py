@@ -275,6 +275,16 @@ class TestTradeoffBounds:
         _, m_minus = tradeoff_bounds(0.03, ch, 0.09)
         assert m_minus.valid and m_minus.value > 0.0
 
+    def test_invalid_states_a_reason(self):
+        for p, tau in ((0.07, 0.03), (0.2, 0.09), (0.3, 0.12)):
+            ch = BscChannel(p)
+            for r in np.linspace(0.0, 1.0, 41):
+                R = float(r)
+                vals = [gallager_exponent(R, ch), *bz_bounds(R, ch, tau)]
+                vals += tradeoff_bounds(R, ch, tau)
+                assert all(v.valid == (v.reason is None) for v in vals)
+        assert "above capacity" in gallager_exponent(CH.capacity + 0.01, CH).reason
+
     @given(
         st.floats(min_value=0.02, max_value=0.45),
         st.floats(min_value=0.0, max_value=0.05),

@@ -25,9 +25,166 @@ from eebounds.spherical import (
     tradeoff_exponent,
     undetected_error_exponent,
 )
-from eebounds.spherical import _big_g_dx, _phi0
+import eebounds.spherical as spherical
+from eebounds.spherical import _big_g_dx, _decoding_residual, _elias_x, _phi0
 
 CH4 = AwgnChannel(4.0)
+
+# (A, tau, R, rho) from the nested-scan solver (a 48-point scan in rho, each
+# point running the 160-point elias_theta scan) that decoding_radius used
+# before the closed-form inverse; rho is None where that solver raised
+# BracketError.
+NESTED_SCAN_RADII = [
+    (1.0, 0.0, 0.0347, 1.3088784076696507),
+    (1.0, 0.0, 0.1386, 1.0563721465487612),
+    (1.0, 0.0, 0.2426, 0.9020269712836515),
+    (1.0, 0.0, 0.3292, 0.8030808076744365),
+    (1.0, 0.02, 0.0347, 1.3187219523860265),
+    (1.0, 0.02, 0.1386, 1.0737577635998505),
+    (1.0, 0.02, 0.2426, 0.922815677294724),
+    (1.0, 0.02, 0.3292, 0.8256067451393982),
+    (1.0, -0.02, 0.0347, 1.2986595303129427),
+    (1.0, -0.02, 0.1386, 1.0384278429407563),
+    (1.0, -0.02, 0.2426, 0.8806487680177155),
+    (1.0, -0.02, 0.3292, 0.7799620496186275),
+    (1.0, 0.05, 0.0347, 1.3328399578281975),
+    (1.0, 0.05, 0.1386, 1.0988577657540155),
+    (1.0, 0.05, 0.2426, 0.9529603397616061),
+    (1.0, 0.05, 0.3292, 0.8583514347316202),
+    (1.0, -0.05, 0.0347, 1.2825642535909256),
+    (1.0, -0.05, 0.1386, 1.0103878076930712),
+    (1.0, -0.05, 0.2426, 0.847402056073419),
+    (1.0, -0.05, 0.3292, 0.7440964376357484),
+    (1.0, 0.1, 0.0347, 1.354832470850536),
+    (1.0, 0.1, 0.1386, 1.1383177248716887),
+    (1.0, 0.1, 0.2426, 1.0006598202014012),
+    (1.0, 0.1, 0.3292, 0.910366424245605),
+    (1.0, -0.1, 0.0347, 1.2534159891464594),
+    (1.0, -0.1, 0.1386, 0.9603316169072016),
+    (1.0, -0.1, 0.2426, 0.7885230825523626),
+    (1.0, -0.1, 0.3292, 0.6808132856170191),
+    (1.0, 0.15, 0.0347, 1.3751648502768385),
+    (1.0, 0.15, 0.1386, 1.1751458139862283),
+    (1.0, 0.15, 0.2426, 1.045505292753567),
+    (1.0, 0.15, 0.3292, 0.959497026618725),
+    (1.0, -0.15, 0.0347, 1.220821634445239),
+    (1.0, -0.15, 0.1386, 0.9055006025813648),
+    (1.0, -0.15, 0.2426, 0.7246773930099155),
+    (1.0, -0.15, 0.3292, 0.612445906203412),
+    (4.0, 0.0, 0.0805, 1.1749093971527658),
+    (4.0, 0.0, 0.3219, 0.8107014775077006),
+    (4.0, 0.0, 0.5633, 0.6056872187253449),
+    (4.0, 0.0, 0.7645, 0.4842747835905338),
+    (4.0, 0.02, 0.0805, 1.1890582239953884),
+    (4.0, 0.02, 0.3219, 0.8331049764977367),
+    (4.0, 0.02, 0.5633, 0.6307968838424665),
+    (4.0, 0.02, 0.7645, 0.510480071224694),
+    (4.0, -0.02, 0.0805, 1.1602633147788675),
+    (4.0, -0.02, 0.3219, 0.7877052035855301),
+    (4.0, -0.02, 0.5633, 0.57997861004967),
+    (4.0, -0.02, 0.7645, 0.4574410667842382),
+    (4.0, 0.05, 0.0805, 1.209416764088672),
+    (4.0, 0.05, 0.3219, 0.8656659411916705),
+    (4.0, 0.05, 0.5633, 0.6674220257487864),
+    (4.0, 0.05, 0.7645, 0.5487247024873441),
+    (4.0, -0.05, 0.0805, 1.1372869029889228),
+    (4.0, -0.05, 0.3219, 0.7520237162159787),
+    (4.0, -0.05, 0.5633, 0.5401912550728347),
+    (4.0, -0.05, 0.7645, 0.4158630239441333),
+    (4.0, 0.1, 0.0805, 1.2412706826027864),
+    (4.0, 0.1, 0.3219, 0.9173744226030468),
+    (4.0, 0.1, 0.5633, 0.7259528843158176),
+    (4.0, 0.1, 0.7645, 0.6099654916952821),
+    (4.0, -0.1, 0.0805, 1.0959825957140925),
+    (4.0, -0.1, 0.3219, 0.6890508739377789),
+    (4.0, -0.1, 0.5633, 0.4701073016084749),
+    (4.0, -0.1, 0.7645, 0.34219851345771923),
+    (4.0, 0.15, 0.0805, 1.2708501318303433),
+    (4.0, 0.15, 0.3219, 0.9661984925153284),
+    (4.0, 0.15, 0.5633, 0.7816839438510488),
+    (4.0, 0.15, 0.7645, 0.668487324523501),
+    (4.0, -0.15, 0.0805, 1.0502944067904547),
+    (4.0, -0.15, 0.3219, 0.6210061879006303),
+    (4.0, -0.15, 0.5633, 0.39407357608666166),
+    (4.0, -0.15, 0.7645, 0.2606451994318485),
+    (10.0, 0.0, 0.1199, 1.0908271008900963),
+    (10.0, 0.0, 0.4796, 0.6675082258634792),
+    (10.0, 0.0, 0.8393, 0.44672343003829734),
+    (10.0, 0.0, 1.139, 0.3258762063909494),
+    (10.0, 0.02, 0.1199, 1.1073289022575732),
+    (10.0, 0.02, 0.4796, 0.691923411604755),
+    (10.0, 0.02, 0.8393, 0.47320078838132584),
+    (10.0, 0.02, 1.139, 0.35302661333875623),
+    (10.0, -0.02, 0.1199, 1.0737804087715852),
+    (10.0, -0.02, 0.4796, 0.6424988129925626),
+    (10.0, -0.02, 0.8393, 0.4195995929718074),
+    (10.0, -0.02, 1.139, 0.2979657534239436),
+    (10.0, 0.05, 0.1199, 1.1311291727580035),
+    (10.0, 0.05, 0.4796, 0.727507349968121),
+    (10.0, 0.05, 0.8393, 0.5118357721488376),
+    (10.0, 0.05, 1.139, 0.3925535721579495),
+    (10.0, -0.05, 0.1199, 1.047112425159621),
+    (10.0, -0.05, 0.4796, 0.6037816501896874),
+    (10.0, -0.05, 0.8393, 0.37752713609326405),
+    (10.0, -0.05, 1.139, 0.2543351614858287),
+    (10.0, 0.1, 0.1199, 1.1684922285056958),
+    (10.0, 0.1, 0.4796, 0.7842847927855185),
+    (10.0, 0.1, 0.8393, 0.5737173686533186),
+    (10.0, 0.1, 1.139, 0.4558156595399915),
+    (10.0, -0.1, 0.1199, 0.9994100156290837),
+    (10.0, -0.1, 0.4796, 0.535618772731611),
+    (10.0, -0.1, 0.8393, 0.30269598549162097),
+    (10.0, -0.1, 1.139, 0.17442132437878094),
+    (10.0, 0.15, 0.1199, 1.2033092347139824),
+    (10.0, 0.15, 0.4796, 0.8382237060147167),
+    (10.0, 0.15, 0.8393, 0.6329017894671527),
+    (10.0, 0.15, 1.139, 0.5164257775808399),
+    (10.0, -0.15, 0.1199, 0.9470139824632223),
+    (10.0, -0.15, 0.4796, 0.46193904877390934),
+    (10.0, -0.15, 0.8393, 0.21873234038303213),
+    (10.0, -0.15, 1.139, None),
+    (64.0, 0.0, 0.2087, 0.9469518830599797),
+    (64.0, 0.0, 0.8349, 0.4488368344460003),
+    (64.0, 0.0, 1.461, 0.23413755052264656),
+    (64.0, 0.0, 1.9828, 0.13812193957724336),
+    (64.0, 0.02, 0.2087, 0.9668410225516213),
+    (64.0, 0.02, 0.8349, 0.47529968354982977),
+    (64.0, 0.02, 1.461, 0.26158497058321606),
+    (64.0, 0.02, 1.9828, 0.16561069573722698),
+    (64.0, -0.02, 0.2087, 0.9264779713614872),
+    (64.0, -0.02, 0.8349, 0.42172867813319564),
+    (64.0, -0.02, 1.461, 0.2057249246137),
+    (64.0, -0.02, 1.9828, 0.10908121106171398),
+    (64.0, 0.05, 0.2087, 0.9956457807118815),
+    (64.0, 0.05, 0.8349, 0.5139140803192414),
+    (64.0, 0.05, 1.461, 0.30135552006534755),
+    (64.0, 0.05, 1.9828, 0.2049806513476406),
+    (64.0, -0.05, 0.2087, 0.8945962338833613),
+    (64.0, -0.05, 0.8349, 0.3796835686719852),
+    (64.0, -0.05, 1.461, 0.16056477345935438),
+    (64.0, -0.05, 1.9828, 0.05945819965796144),
+    (64.0, 0.1, 0.2087, 1.0411400596904241),
+    (64.0, 0.1, 0.8349, 0.5757621445044867),
+    (64.0, 0.1, 1.461, 0.36482517829286093),
+    (64.0, 0.1, 1.9828, 0.2674123899502128),
+    (64.0, -0.1, 0.2087, 0.8380160736082068),
+    (64.0, -0.1, 0.8349, 0.3049203617509045),
+    (64.0, -0.1, 1.461, None),
+    (64.0, -0.1, 1.9828, None),
+    (64.0, 0.15, 0.2087, 1.0838200514133738),
+    (64.0, 0.15, 0.8349, 0.6349118835523841),
+    (64.0, 0.15, 1.461, 0.4256489482914555),
+    (64.0, 0.15, 1.9828, None),
+    (64.0, -0.15, 0.2087, 0.7765099685609385),
+    (64.0, -0.15, 0.8349, 0.2211095441181788),
+    (64.0, -0.15, 1.461, None),
+    (64.0, -0.15, 1.9828, None),
+    (10.0, -0.15, 1.0, None),
+    (64.0, -0.15, 0.97, None),
+    (64.0, 0.1, 2.06, None),
+    (64.0, 0.15, 1.8, None),
+    (64.0, -0.1, 1.5, None),
+]
 
 
 class TestAngleRate:
@@ -187,6 +344,15 @@ class TestEliasTheta:
         with pytest.raises(ValueError):
             elias_theta(0.0, 0.0)
 
+    def test_closed_form_inverse_round_trip(self):
+        # elias_theta has no root for x <= tau, so the grid starts above tau.
+        for tau in (0.0, 0.02, -0.02, 0.05, -0.05, 0.1, -0.1):
+            for x in np.linspace(0.05, math.pi / 2.0, 400)[1:]:
+                if x > tau:
+                    assert abs(_elias_x(elias_theta(float(x), tau), tau) - x) <= 1e-12
+        for x in np.linspace(0.1, 1.5, 15):
+            assert _elias_x(float(x), 0.0) == pytest.approx(math.acos(math.sqrt(math.cos(x))))
+
     @given(st.floats(min_value=0.2, max_value=1.5), st.floats(min_value=0.0, max_value=0.08))
     @settings(max_examples=30, deadline=None)
     def test_residual_always_small(self, x, tau):
@@ -222,6 +388,39 @@ class TestDecodingRadius:
     def test_zero_rate_degenerates(self):
         with pytest.raises(ValueError):
             decoding_radius(0.0, 0.04, CH4)
+
+    def test_matches_nested_scan(self):
+        # A raise of the nested scan may become a radius only where the
+        # equation in rho holds there.
+        for A, tau, R, rho in NESTED_SCAN_RADII:
+            ch = AwgnChannel(A)
+            if rho is not None:
+                assert abs(decoding_radius(R, tau, ch) - rho) <= 1e-12
+                continue
+            try:
+                got = decoding_radius(R, tau, ch)
+            except BracketError:
+                continue
+            assert abs(_decoding_residual(got, R, tau)) < 1e-10
+
+    def test_no_nested_scan(self, monkeypatch):
+        # Two elias_theta calls map the bracket ends; each root found in the
+        # bracket costs one more to check it. Every case here has at most one.
+        calls = []
+        inner = spherical.elias_theta
+
+        def counted(x, tau, *args):
+            calls.append(x)
+            return inner(x, tau, *args)
+
+        monkeypatch.setattr(spherical, "elias_theta", counted)
+        for A, tau, R, _ in NESTED_SCAN_RADII:
+            calls.clear()
+            try:
+                decoding_radius(R, tau, AwgnChannel(A))
+            except BracketError:
+                pass
+            assert len(calls) <= 3, (A, tau, R, len(calls))
 
 
 class TestLandmarks:
@@ -381,6 +580,50 @@ class TestTradeoffExponent:
             out = tradeoff_exponent(float(R), CH4, 0.04, "error")
             shifted = (CH4.A / 4.0) * (1.0 - math.cos(theta_s(float(R)) + 0.04))
             assert out.value >= shifted - 1e-12
+
+    def test_failure_stays_in_its_regime(self):
+        # At A=64, tau=0.1 the closed-form R* = 2.34 lies above capacity, so
+        # the landmarks fail; the expurgation regime needs only theta_1.
+        ch = AwgnChannel(64.0)
+        with pytest.raises(BracketError, match="rate boundary"):
+            spherical_landmarks(0.1, ch)
+        low = tradeoff_exponent(1.5, ch, 0.1, "error")
+        assert low.valid and low.regime == "expurgation" and low.reason is None
+        assert low.value == pytest.approx(16.0 * (1.0 - math.cos(theta_s(1.5) + 0.2)))
+        high = tradeoff_exponent(2.0, ch, 0.1, "error")
+        assert not high.valid and "rate boundary" in high.reason
+
+    def test_invalid_states_a_reason(self):
+        assert "outside (0, capacity" in tradeoff_exponent(1.0, CH4, 0.04).reason
+        assert "capacity angle" in tradeoff_exponent(0.79, CH4, 0.04, "erasure").reason
+        assert "exceeds 1" in undetected_error_exponent(math.pi / 4.0, 0.2).reason
+        assert "above capacity" in shannon_exponent(1.0, CH4).reason
+
+    @given(
+        st.floats(min_value=0.25, max_value=100.0),
+        st.floats(min_value=0.0, max_value=0.2),
+        st.floats(min_value=1e-3, max_value=1.0),
+        st.floats(min_value=1e-3, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_properties(self, A, tau, f1, f2):
+        # No exception; error >= erasure; the error bound is nonincreasing in
+        # R where valid; at tau=0 it is the classical bound.
+        ch = AwgnChannel(A)
+        r1, r2 = sorted((f1 * ch.capacity, f2 * ch.capacity))
+        err = [tradeoff_exponent(r, ch, tau, "error") for r in (r1, r2)]
+        era = [tradeoff_exponent(r, ch, tau, "erasure") for r in (r1, r2)]
+        for v in err + era:
+            assert v.valid == (v.reason is None)
+        for e, x in zip(err, era):
+            if e.valid and x.valid:
+                assert e.value >= x.value - 1e-10
+        if err[0].valid and err[1].valid:
+            assert err[0].value >= err[1].value - 1e-10
+        if tau == 0.0:
+            for r, e in zip((r1, r2), err):
+                s = shannon_exponent(r, ch)
+                assert e.valid == s.valid and abs(e.value - s.value) < 1e-6
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
