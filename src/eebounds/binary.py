@@ -3,7 +3,9 @@
 All quantities in this module are in bits (log base 2) and relative weights.
 Covers the classical random-coding exponent, the Blokh-Zyablov style
 error/erasure bounds, the improved trade-off pair M+/M-, bounds for a
-specific weight profile and for bounded-distance decoding.
+specific weight profile and for bounded-distance decoding. Every value is a
+closed form or an exact maximum over a finite set of weights; nothing here
+runs an optimizer, and only ``delta_gv`` solves an equation.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import (
-    RealInterval,
-    _log2_factorials,
-    binary_entropy as h,
-    entropy_inverse,
-    maximize_unimodal,
-)
+from .numerics import _log2_factorials, binary_entropy as h, entropy_inverse
 
 __all__ = [
     "BscChannel",
@@ -311,8 +307,7 @@ class WeightProfile:
         """Binomial/GV profile alpha(omega) = h(omega) - (1 - R) on its support."""
         dgv = delta_gv(R)
         om = np.linspace(dgv, 1.0, grid)
-        al = np.array([h(float(w)) - (1.0 - R) for w in om])
-        return cls(tuple(float(x) for x in om), tuple(float(x) for x in al))
+        return cls(tuple(om.tolist()), tuple((h(om) - (1.0 - R)).tolist()))
 
     @classmethod
     def single_weight(cls, omega: float, alpha: float = 0.0) -> "WeightProfile":
@@ -325,32 +320,33 @@ def specific_code_bound(profile: WeightProfile, R: float, ch: BscChannel) -> flo
 
     max(D, E0(R, p) - kappa) where D is the Bhattacharyya-weighted profile
     maximum and kappa the profile's excess over the rate-R ensemble.
+
+    Both maxima are exact. Between knots the profile is linear, so the
+    Bhattacharyya term alpha(w) + (w/2) log2(4u) is too, and the excess term
+    alpha(w) - max(0, h(w) - (1 - R)) is linear or linear minus the concave h
+    (convex). Each term thus peaks at a knot, at an end of the support, or,
+    for the excess, where h(w) = 1 - R: at delta_gv(R) or 1 - delta_gv(R).
     """
     lo, hi = profile.support
     if hi <= 0.0:
         raise ValueError("profile support must contain positive weights")
     lo = max(lo, 1e-9)
-    log4u = math.log2(4.0 * ch.u)
-
-    def bhatta(w: float) -> float:
-        return profile(w) + (w / 2.0) * log4u
-
-    def excess(w: float) -> float:
-        return profile(w) - max(0.0, h(w) - (1.0 - R))
-
-    def peak(f) -> float:
-        # Dense grid + golden refinement; the profile is only piecewise smooth.
-        return maximize_unimodal(f, RealInterval(lo, hi), points=4001)[1] if hi > lo else f(lo)
-
-    kappa = max(0.0, peak(excess))
-    return max(-peak(bhatta), gallager_exponent(R, ch).value - kappa)
+    dgv = delta_gv(min(max(R, 0.0), 1.0))
+    w = np.clip(np.array([lo, hi, *profile.omegas, dgv, 1.0 - dgv]), lo, hi)
+    alpha = np.interp(w, profile.omegas, profile.alphas)
+    bhatta = alpha + (w / 2.0) * math.log2(4.0 * ch.u)
+    kappa = max(0.0, float(np.max(alpha - np.maximum(0.0, h(w) - (1.0 - R)))))
+    return max(-float(np.max(bhatta)), gallager_exponent(R, ch).value - kappa)
 
 
 def bounded_distance_exponent(
     R: float, ch: BscChannel, tau: float, check_n: int = 128
-) -> tuple[float, bool]:
-    """Exponent of bounded-distance margin decoding, plus a finite-n check
-    that the single-term dominance hypothesis behind it holds.
+) -> BinaryBoundValue:
+    """Exponent of bounded-distance margin decoding: regime "a" at rates up
+    to the split 1 - h(p + tau (1 - p)), "b" above it. A negative exponent is
+    returned with valid=False. ``diagnostics["hypothesis_ok"]`` is a length-
+    ``check_n`` check that the single-term dominance hypothesis behind the
+    bound holds.
     """
     if not 0.0 <= tau <= 0.5:
         raise ValueError(f"tau must lie in [0, 1/2], got {tau}")
@@ -359,9 +355,13 @@ def bounded_distance_exponent(
     if R <= split:
         dgv = delta_gv(R)
         value = _T(dgv - tau, p) - dgv * h(min(tau / dgv, 1.0)) if dgv > 0 else 0.0
+        regime = "a"
     else:
         value = 1.0 - R - h(tau) - tau * math.log2(1.0 - p)
-    return value, _bounded_distance_hypothesis(R, ch, tau, check_n)
+        regime = "b"
+    diag = {"hypothesis_ok": _bounded_distance_hypothesis(R, ch, tau, check_n)}
+    reason = f"negative exponent {value}" if value < 0.0 else None
+    return BinaryBoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
 
 
 def _bounded_distance_hypothesis(R: float, ch: BscChannel, tau: float, n: int) -> bool:

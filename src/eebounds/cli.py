@@ -9,6 +9,7 @@ calls exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -172,51 +173,17 @@ def cmd_curve(args) -> int:
 
 def cmd_landmarks(args) -> int:
     ch = _make_channel(args)
+    head = {"version": __version__, "channel": args.channel, "tau": args.tau}
     if args.channel == "bsc":
         lm = binary.landmarks(ch, args.tau)
-        obj = {
-            "version": __version__,
-            "channel": "bsc",
-            "p": ch.p,
-            "tau": args.tau,
-            "rho0": lm.rho0,
-            "omega0": lm.omega0,
-            "R_e": lm.R_e,
-            "R_c": lm.R_c,
-            "rho0_plus": lm.rho0_plus,
-            "rho0_minus": lm.rho0_minus,
-            "omega0_tau": lm.omega0_tau,
-            "residuals": {},
-        }
+        obj = {**head, "p": ch.p, **dataclasses.asdict(lm), "residuals": {}}
     else:
         try:
             lm = spherical.spherical_landmarks(args.tau, ch)
         except Exception as exc:  # structured root-finding failure
-            _emit(
-                _json_dump(
-                    {
-                        "version": __version__,
-                        "channel": "awgn",
-                        "error": str(exc),
-                        "snr": ch.A,
-                        "tau": args.tau,
-                    }
-                ),
-                args.out,
-            )
+            _emit(_json_dump({**head, "error": str(exc), "snr": ch.A}), args.out)
             return 1
-        obj = {
-            "version": __version__,
-            "channel": "awgn",
-            "snr": ch.A,
-            "tau": args.tau,
-            "theta_e": lm.theta_e,
-            "theta_c": lm.theta_c,
-            "theta_1": lm.theta_1,
-            "theta_2": lm.theta_2,
-            "R_star": lm.R_star,
-            "residuals": lm.residuals or {},
-        }
+        obj = {**head, "snr": ch.A, **dataclasses.asdict(lm), "residuals": lm.residuals or {}}
     _emit(_json_dump(obj), args.out)
     return 0
 
@@ -258,12 +225,13 @@ def cmd_finite_bound(args) -> int:
     return 0
 
 
-def _wilson_dict(tally: simulate.TrialTally) -> dict:
-    out = {}
-    for cls in ("correct", "undetected", "erasure"):
-        lo, hi = tally.wilson(cls)
-        out[cls] = {"rate": tally.rate(cls), "wilson95": [lo, hi]}
-    return out
+def _tally_fields(tally: simulate.TrialTally) -> dict:
+    """The "counts" and "rates" objects of a bsc or awgn simulation."""
+    classes = ("correct", "undetected", "erasure")
+    return {
+        "counts": {c: getattr(tally, c) for c in classes},
+        "rates": {c: {"rate": tally.rate(c), "wilson95": list(tally.wilson(c))} for c in classes},
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -308,12 +276,7 @@ def cmd_simulate(args) -> int:
             "t": t,
             "trials": trials,
             "seed": seed,
-            "counts": {
-                "correct": tally.correct,
-                "undetected": tally.undetected,
-                "erasure": tally.erasure,
-            },
-            "rates": _wilson_dict(tally),
+            **_tally_fields(tally),
         }
     elif kind == "awgn":
         if ns is None or len(ns) != 1:
@@ -337,12 +300,7 @@ def cmd_simulate(args) -> int:
             "tau": tau,
             "trials": trials,
             "seed": seed,
-            "counts": {
-                "correct": tally.correct,
-                "undetected": tally.undetected,
-                "erasure": tally.erasure,
-            },
-            "rates": _wilson_dict(tally),
+            **_tally_fields(tally),
         }
     elif kind == "cone":
         snr = opt("snr", args.snr)

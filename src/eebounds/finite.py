@@ -2,7 +2,9 @@
 
 These are the numerical ground truth for the asymptotic modules: the binary
 union bound dominates the exact margin-decoding oracle for every code, and
-its normalized exponent converges to the asymptotic trade-off bounds.
+its normalized exponent converges to the asymptotic trade-off bounds. The
+binary bound is one log-domain sum per weight, its inner sum being a
+binomial CDF read from a prefix log-sum-exp.
 All exact binary decoding, here and in ``simulate``, goes through the popcount
 kernel ``_distances``, run on coset representatives by the oracle and the BSC
 simulator.
@@ -124,24 +126,18 @@ def binary_union_bound(
     if d is not None:
         for w in range(d, n + 1):
             law = wd.log2_counts[w]
-            if law == -math.inf:
-                continue
             lo = max(math.ceil(w / 2) + sign * t, 0)
-            if lo > r:
+            if law == -math.inf or lo > min(r, w):
                 continue
-            lgc_w = lf[w] - lf[: w + 1] - lf[w::-1]
-            lgc_nw = lf[n - w] - lf[: n - w + 1] - lf[n - w :: -1]
-            for e in range(lo, r + 1):
-                i_arr = np.arange(lo, min(e, w) + 1)
-                if i_arr.size == 0:
-                    continue
-                j_arr = e - i_arr
-                mask = j_arr <= n - w
-                if not mask.any():
-                    continue
-                i_arr, j_arr = i_arr[mask], j_arr[mask]
-                terms = lgc_w[i_arr] + lgc_nw[j_arr] + e * lp + (n - e) * lq
-                pieces.append(law + log_sum(terms))
+            # i errors on the codeword's support and j = e - i off it, e <= r:
+            # the sum over j is the binomial(n - w, p) CDF F at min(r - i, n - w),
+            # whose log2 is a prefix log-sum-exp of the binomial row.
+            m = n - w
+            j = np.arange(min(r - lo, m) + 1)
+            log_cdf = np.logaddexp2.accumulate(lf[m] - lf[j] - lf[m - j] + j * lp + (m - j) * lq)
+            i = np.arange(lo, min(r, w) + 1)
+            terms = lf[w] - lf[i] - lf[w - i] + i * lp + (w - i) * lq
+            pieces.append(law + log_sum(terms + log_cdf[np.minimum(r - i, m)]))
     # Tail: error weight beyond the decoding radius.
     if r < n:
         es = np.arange(r + 1, n + 1)

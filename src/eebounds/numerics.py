@@ -1,11 +1,12 @@
-"""Scalar analysis kernel shared by all bound modules.
+"""Analysis kernel shared by all bound modules.
 
 One copy of each numerical tool: bracketed root finding and the sign scan
 that feeds it (``_scan_root``), the grid-then-golden maximizer
-(``maximize_unimodal``; minimize by negating), the binary-entropy inverse,
-the log-factorial table behind every log-binomial row (``_log2_factorials``)
-and overflow-safe log-domain sums. Both scans skip grid points where the
-function raises. Everything here is a pure function of its inputs.
+(``maximize_unimodal``; minimize by negating), the binary entropy (elementwise
+on an array, like ``spherical.esp``) and its inverse, the log-factorial table
+behind every log-binomial row (``_log2_factorials``) and overflow-safe
+log-domain sums. Both scans skip grid points where the function raises.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -222,8 +223,17 @@ def maximize_unimodal(
     return float(xm), float(fm)
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) in bits."""
+def binary_entropy(x):
+    """h(x) in bits; elementwise on an array, a float for a scalar. Every
+    argument must lie in [0, 1], and h is 0 at both ends."""
+    # A float skips the isinstance test: entropy_inverse calls h in its root
+    # loop, about a hundred times per rate point of the binary bounds.
+    if type(x) is not float and isinstance(x, np.ndarray):
+        if x.size and not 0.0 <= x.min() <= x.max() <= 1.0:
+            raise ValueError(f"entropy argument must lie in [0, 1], got {x.min()}..{x.max()}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hx = -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+        return np.where((x == 0.0) | (x == 1.0), 0.0, hx)
     if x < 0.0 or x > 1.0:
         raise ValueError(f"entropy argument must lie in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:

@@ -201,9 +201,13 @@ def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
     (2 cot(theta) + tan(theta/2 + tau)), which is cos(theta) at tau = 0.
     ``decoding_radius`` and ``spherical_landmarks`` solve in theta through
     that inverse and call this scan only at bracket ends and to check roots.
+    For tau > 0 the inverse tends to tau as theta -> 0, so there is no root
+    unless x > tau.
     """
     if not 0.0 < x <= math.pi / 2.0:
         raise ValueError(f"x must lie in (0, pi/2], got {x}")
+    if 0.0 < tau and x <= tau:
+        raise ValueError(f"x must exceed tau > 0 (domain x > tau), got x={x}, tau={tau}")
     c2x = math.cos(2.0 * x)
     cx2 = math.cos(x) ** 2
 
@@ -263,6 +267,11 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     theta from ``elias_theta``, holds there to 1e-10; this rejects roots on
     the second branch of the theta equation, which occur at tau < 0. Raises
     BracketError when no root, or no unique root, is accepted."""
+    return _radius_and_angle(R, tau, ch)[0]
+
+
+def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, float]:
+    """``decoding_radius`` and the neighbor angle theta it accepted."""
     if R <= 0.0:
         raise ValueError(f"rate must be positive, got {R}")
     ts = theta_s(R)
@@ -275,11 +284,13 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
         hi = ts
     if hi <= lo:
         raise BracketError(f"degenerate decoding-radius bracket [{lo}, {hi}]")
+    if lo <= tau:
+        raise BracketError(f"no neighbor angle at the bracket end {lo} <= tau {tau}")
 
     th_lo = elias_theta(lo, tau)
     # Endpoint can be an exact root (tau = 0 collapses to theta_s).
     if abs(_guarded(lambda th: _radius_residual(th, lo, R, tau), th_lo)) < 1e-11:
-        return lo
+        return lo, th_lo
     th_hi = elias_theta(hi, tau)
 
     def f(theta: float) -> float:
@@ -288,18 +299,19 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     def f_rho(rho: float) -> float:
         return _decoding_residual(rho, R, tau)
 
-    roots = []
+    roots, thetas = [], []
     for theta in _scan_root(f, min(th_lo, th_hi), max(th_lo, th_hi), 48, _ROOT_CFG, all_roots=True):
         rho = _elias_x(theta, tau)
         if lo <= rho <= hi and abs(_guarded(f_rho, rho)) < 1e-10:
             roots.append(rho)
+            thetas.append(theta)
     if not roots:
         raise BracketError(
             f"no sign change of the decoding-radius equation on [{lo}, {hi}]"
         )
     if len(roots) > 1 and max(roots) - min(roots) > 1e-8:
         raise BracketError(f"decoding-radius root not unique on [{lo}, {hi}]: {roots}")
-    return roots[0]
+    return roots[0], thetas[0]
 
 
 @lru_cache(maxsize=256)
@@ -413,8 +425,8 @@ def tradeoff_exponent(
             return SphericalBoundValue(
                 value, "straight", diagnostics={"theta_star": theta_1}
             )
-        rho = decoding_radius(R, t, ch)
-        diag = {"rho": rho, "theta_star": elias_theta(rho, t)}
+        rho, theta_star = _radius_and_angle(R, t, ch)
+        diag = {"rho": rho, "theta_star": theta_star}
     except (ValueError, BracketError) as exc:
         return SphericalBoundValue(0.0, "sphere-packing", valid=False, reason=str(exc))
     if rho < ch.capacity_angle - 1e-12:

@@ -352,10 +352,31 @@ class TestSpecificCodeBound:
         worse = WeightProfile(base.omegas, tuple(a + 0.1 for a in base.alphas))
         assert specific_code_bound(worse, 0.3, CH) <= specific_code_bound(base, 0.3, CH) + 1e-9
 
+    def test_matches_dense_scan(self):
+        # Random piecewise-linear profiles against both terms of the bound
+        # scanned on 10^5 points of the support with np.interp. The scan can
+        # only miss a peak, so it never gives a smaller bound, and it misses
+        # by at most the largest step between neighboring grid values.
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            knots = int(rng.integers(2, 9))
+            omegas = np.sort(rng.uniform(0.0, 1.0, knots))
+            wp = WeightProfile(tuple(omegas.tolist()), tuple(rng.uniform(-0.6, 0.4, knots).tolist()))
+            R, ch = float(rng.uniform(0.05, 0.7)), BscChannel(float(rng.uniform(0.01, 0.3)))
+            w = np.linspace(max(omegas[0], 1e-9), omegas[-1], 100_001)
+            alpha = np.interp(w, omegas, wp.alphas)
+            bhatta = alpha + (w / 2.0) * math.log2(4.0 * ch.u)
+            excess = alpha - np.maximum(0.0, h(w) - (1.0 - R))
+            scan = max(-bhatta.max(), gallager_exponent(R, ch).value - max(0.0, excess.max()))
+            resolution = max(np.abs(np.diff(bhatta)).max(), np.abs(np.diff(excess)).max())
+            exact = specific_code_bound(wp, R, ch)
+            assert exact <= scan + 1e-12
+            assert scan - exact <= resolution
+
 
 class TestBoundedDistance:
     def test_zero_margin_is_complete_decoding_distance_term(self):
-        val, ok = bounded_distance_exponent(0.3, CH, 0.0)
+        val = bounded_distance_exponent(0.3, CH, 0.0).value
         dgv = delta_gv(0.3)
         _, t, _ = entropy_family(dgv, 0.07)
         assert val == pytest.approx(t, abs=1e-12)
@@ -363,30 +384,30 @@ class TestBoundedDistance:
     def test_high_rate_closed_form(self):
         p, tau = 0.07, 0.05
         R = 0.9
-        val, _ = bounded_distance_exponent(R, CH, tau)
+        val = bounded_distance_exponent(R, CH, tau).value
         assert val == pytest.approx(1.0 - R - h(tau) - tau * math.log2(1.0 - p), abs=1e-12)
 
     def test_split_continuity(self):
         p, tau = 0.07, 0.05
         split = 1.0 - h(p + tau * (1.0 - p))
-        lo, _ = bounded_distance_exponent(split - 1e-9, CH, tau)
-        hi, _ = bounded_distance_exponent(split + 1e-9, CH, tau)
+        lo = bounded_distance_exponent(split - 1e-9, CH, tau).value
+        hi = bounded_distance_exponent(split + 1e-9, CH, tau).value
         assert abs(lo - hi) < 1e-6
 
     def test_dominance_hypothesis_flag(self):
         # Zero margin: the double sum has a single term, trivially maximal.
-        _, ok = bounded_distance_exponent(0.3, CH, 0.0, check_n=64)
+        ok = bounded_distance_exponent(0.3, CH, 0.0, check_n=64).diagnostics["hypothesis_ok"]
         assert ok
         # At tau=0.05 the off-support term with ell=t exceeds ell=0 (the
         # per-term ratio (n-w)p/(1-p) > 1), so the flag must report failure.
-        _, ok = bounded_distance_exponent(0.3, CH, 0.05, check_n=96)
+        ok = bounded_distance_exponent(0.3, CH, 0.05, check_n=96).diagnostics["hypothesis_ok"]
         assert not ok
 
     def test_outline_sum_oracle(self):
         # Finite-n log-domain evaluation of the single-term sum behind the
         # bound: (t+1)^2 2^{-n(1-R)} sum_w C(n,w) C(w,w-t) p^(w-t) q^(n-w+t).
         R, p, tau = 0.3, 0.07, 0.05
-        val, _ = bounded_distance_exponent(R, CH, tau)
+        val = bounded_distance_exponent(R, CH, tau).value
 
         def sum_exponent(n):
             t = int(round(tau * n))
@@ -411,5 +432,16 @@ class TestBoundedDistance:
         assert val == pytest.approx(slope, abs=0.02)
 
     def test_decreasing_in_margin(self):
-        vals = [bounded_distance_exponent(0.3, CH, t)[0] for t in (0.0, 0.02, 0.05, 0.1)]
+        vals = [bounded_distance_exponent(0.3, CH, t).value for t in (0.0, 0.02, 0.05, 0.1)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_negative_exponent_is_invalid(self):
+        # Above the split the closed form 1 - R - h(tau) - tau log2(1 - p)
+        # goes negative at high rate: no bound, so valid=False with a reason.
+        b = bounded_distance_exponent(0.9, CH, 0.05)
+        assert b.value < 0.0 and b.regime == "b"
+        assert not b.valid and "negative exponent" in b.reason
+        assert isinstance(b.diagnostics["hypothesis_ok"], bool)
+        ok = bounded_distance_exponent(0.3, CH, 0.05)
+        assert ok.valid and ok.regime == "a" and ok.reason is None
+        assert ok.value > 0.0

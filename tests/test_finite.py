@@ -18,6 +18,21 @@ from eebounds.simulate import LinearCode, gen_linear_code, margin_decode, weight
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
 
 
+def _spectrum(code):
+    return [round(2.0**c) if c > -math.inf else 0 for c in weight_distribution(code).log2_counts]
+
+
+# (id, weight counts) of small codes for the direct-summation reference.
+DIRECT_SUM_SPECTRA = [
+    ("n10k4s3", _spectrum(gen_linear_code(10, 4, 3))),
+    ("n12k5s1", _spectrum(gen_linear_code(12, 5, 1))),
+    ("n12k8s2", _spectrum(gen_linear_code(12, 8, 2))),
+    ("hamming74", _spectrum(HAMMING74)),
+    ("n8k0", _spectrum(gen_linear_code(8, 0, 0))),
+    ("zero-only-n9", [1] + [0] * 9),
+]
+
+
 def brute_triangle(n, k, i, j):
     """Count z with |z| ... wt(z)=i and wt(z^x)=j for a fixed x of weight k."""
     x = (1 << k) - 1
@@ -93,28 +108,43 @@ class TestBinaryUnionBound:
         tail = sum(math.comb(n, e) * p**e * (1 - p) ** (n - e) for e in range(4, n + 1))
         assert 2.0**bound == pytest.approx(tail, rel=1e-12)
 
-    def test_matches_direct_summation(self):
-        # Independent linear-domain evaluation of the same finite sum.
-        code = gen_linear_code(10, 4, 3)
-        wd = weight_distribution(code)
-        n, p, t = 10, 0.2, 1
-        counts = [round(2.0**c) if c > -math.inf else 0 for c in wd.log2_counts]
-        d = next(w for w in range(1, n + 1) if counts[w] > 0)
-        r = d + 2 * t
-        total = 0.0
-        for w in range(d, n + 1):
-            if counts[w] == 0:
-                continue
-            for e in range(math.ceil(w / 2) + t, r + 1):
-                inner = sum(
-                    math.comb(w, i) * math.comb(n - w, e - i)
-                    for i in range(math.ceil(w / 2) + t, min(e, w) + 1)
-                    if 0 <= e - i <= n - w
-                )
-                total += counts[w] * inner * p**e * (1 - p) ** (n - e)
-        total += sum(math.comb(n, e) * p**e * (1 - p) ** (n - e) for e in range(r + 1, n + 1))
-        bound = binary_union_bound(wd, p, MarginParams(t), "error")
-        assert 2.0**bound == pytest.approx(total, rel=1e-12)
+    @pytest.mark.parametrize("p", [0.05, 0.2])
+    @pytest.mark.parametrize("t", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mode", ["error", "erasure"])
+    @pytest.mark.parametrize("spectrum", DIRECT_SUM_SPECTRA, ids=lambda c: c[0])
+    def test_matches_direct_summation(self, spectrum, mode, t, p):
+        # Independent linear-domain evaluation of the same finite sum, over
+        # (e, i) as the bound is defined, at the default radius and at an
+        # override.
+        counts = spectrum[1]
+        n = len(counts) - 1
+        wd = WeightDistribution.from_counts(counts)
+        sign = 1 if mode == "error" else -1
+        d = next((w for w in range(1, n + 1) if counts[w] > 0), None)
+        for r_override in (None, n // 3):
+            if r_override is not None:
+                r = r_override
+            else:
+                r = n if d is None else d + sign * 2 * t
+            r = max(min(r, n), -1)
+            total = 0.0
+            for w in range(1, n + 1):
+                if counts[w] == 0:
+                    continue
+                lo = max(math.ceil(w / 2) + sign * t, 0)
+                for e in range(lo, r + 1):
+                    inner = sum(
+                        math.comb(w, i) * math.comb(n - w, e - i)
+                        for i in range(lo, min(e, w) + 1)
+                        if 0 <= e - i <= n - w
+                    )
+                    total += counts[w] * inner * p**e * (1 - p) ** (n - e)
+            total += sum(math.comb(n, e) * p**e * (1 - p) ** (n - e) for e in range(r + 1, n + 1))
+            bound = binary_union_bound(wd, p, MarginParams(t, r_override), mode)
+            if total == 0.0:
+                assert bound == -math.inf
+            else:
+                assert 2.0**bound == pytest.approx(total, rel=1e-12)
 
     def test_monotone_in_counts_and_p(self):
         code = gen_linear_code(12, 5, 1)

@@ -140,6 +140,11 @@ class TestEntropy:
         assert binary_entropy(1.0) == 0.0
         assert abs(binary_entropy(0.11) - 0.49992) < 1e-4
         assert abs(binary_entropy(0.25) - 0.8112781244591328) < 1e-12
+        # Elementwise on an array, 0 (not nan) at both ends.
+        xs = np.array([0.0, 0.11, 0.25, 0.5, 1.0])
+        hs = binary_entropy(xs)
+        assert isinstance(hs, np.ndarray) and hs[0] == 0.0 and hs[-1] == 0.0
+        assert hs == pytest.approx([binary_entropy(float(x)) for x in xs], abs=1e-15)
 
     def test_symmetry(self):
         for x in np.linspace(0.0, 0.5, 20):
@@ -150,6 +155,8 @@ class TestEntropy:
             binary_entropy(-0.1)
         with pytest.raises(ValueError):
             binary_entropy(1.1)
+        with pytest.raises(ValueError):
+            binary_entropy(np.array([0.2, 1.1]))
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_inverse_roundtrip(self, y):

@@ -344,6 +344,20 @@ class TestEliasTheta:
         with pytest.raises(ValueError):
             elias_theta(0.0, 0.0)
 
+    @pytest.mark.parametrize("tau", [0.02, 0.05, 0.1])
+    def test_no_root_up_to_margin(self, tau, monkeypatch):
+        # For tau > 0 the inverse x(theta) tends to tau as theta -> 0, so
+        # x <= tau has no root: a ValueError naming the domain, raised before
+        # the scan runs (a BracketError would mean the scan ran and failed).
+        assert _elias_x(1e-9, tau) == pytest.approx(tau, abs=1e-8)
+        scans = []
+        monkeypatch.setattr(spherical, "_scan_root", lambda *args: scans.append(args))
+        for x in np.linspace(0.0, tau, 26)[1:]:
+            with pytest.raises(ValueError, match="x > tau") as err:
+                elias_theta(float(x), tau)
+            assert not isinstance(err.value, BracketError)
+        assert scans == []
+
     def test_closed_form_inverse_round_trip(self):
         # elias_theta has no root for x <= tau, so the grid starts above tau.
         for tau in (0.0, 0.02, -0.02, 0.05, -0.05, 0.1, -0.1):
@@ -421,6 +435,19 @@ class TestDecodingRadius:
             except BracketError:
                 pass
             assert len(calls) <= 3, (A, tau, R, len(calls))
+        # A sphere-packing point of the trade-off bound takes its theta_star
+        # diagnostic from the decoding-radius solve: no fourth scan. The
+        # first call warms the memoized landmarks.
+        for kind in ("error", "erasure"):
+            tradeoff_exponent(0.7, CH4, 0.02, kind)
+            calls.clear()
+            v = tradeoff_exponent(0.7, CH4, 0.02, kind)
+            assert v.valid and v.regime == "sphere-packing", (kind, v)
+            assert len(calls) <= 3, (kind, len(calls))
+            t = 0.02 if kind == "error" else -0.02
+            assert v.diagnostics["theta_star"] == pytest.approx(
+                inner(v.diagnostics["rho"], t), abs=1e-12
+            )
 
 
 class TestLandmarks:
