@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -106,8 +107,10 @@ def _D(x: float, y: float) -> float:
     return entropy_family(x, y)[2]
 
 
+@lru_cache(maxsize=256)
 def delta_gv(R: float) -> float:
-    """Relative Gilbert-Varshamov distance h^{-1}(1 - R)."""
+    """Relative Gilbert-Varshamov distance h^{-1}(1 - R), memoized per rate:
+    one BSC rate point asks for it from several bounds."""
     if not 0.0 <= R <= 1.0:
         raise ValueError(f"rate must lie in [0, 1], got {R}")
     return entropy_inverse(1.0 - R)

@@ -1,9 +1,13 @@
 """Seeded Monte Carlo simulation of the margin decoder over BSC and AWGN.
 
 Trials are processed in fixed-size blocks; block b draws from an RNG seeded
-by (seed, b), so tallies are identical for any worker count. BSC trials are
-classified by the syndrome of the error pattern with the same coset kernel
-as the exact oracle in ``finite``.
+by (seed, b), so tallies are identical for any worker count. Each simulator
+does only the work its decision needs. BSC trials are classified by the
+syndrome of the error pattern with the same coset kernel as the exact oracle
+in ``finite``, run once per distinct syndrome of a block. An AWGN trial is
+decided from its two largest inner products with the codebook. A cone-exit
+trial draws only its sufficient statistic: the noise along the signal and the
+chi-square energy of the rest.
 """
 
 from __future__ import annotations
@@ -206,6 +210,18 @@ def _tally(decoded: np.ndarray, correct: np.ndarray) -> np.ndarray:
     return np.array([c, d - c, decoded.size - d], dtype=np.int64)
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order and each row's index among them:
+    ``np.unique(rows, axis=0, return_inverse=True)`` by one lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return ranked[new], which
+
+
 def simulate_bsc(
     code: LinearCode, p: float, t: int, trials: int, seed: int, workers: int = 1
 ) -> TrialTally:
@@ -222,7 +238,7 @@ def simulate_bsc(
         rng = np.random.default_rng([seed, b])
         err = rng.random((size, code.n)) < p
         syndromes = np.bitwise_xor.reduce(np.where(err[:, :, None], columns, 0), axis=1)
-        cosets, which = np.unique(syndromes, axis=0, return_inverse=True)
+        cosets, which = _unique_rows(syndromes)
         dist = _distances(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
         d1, decoded = _decide(dist, 2 * t)
         return _tally(decoded[which], err.sum(axis=1) == d1[which])
@@ -234,7 +250,12 @@ def simulate_bsc(
 def simulate_awgn(
     codebook: SphericalCodebook, tau: float, trials: int, seed: int, workers: int = 1
 ) -> TrialTally:
-    """Margin-decode AWGN trials with a uniformly drawn transmitted point."""
+    """Margin-decode AWGN trials with a uniformly drawn transmitted point.
+
+    The angle arccos(clip(<y, x> / (|y| |x|))) is a nonincreasing function of
+    the inner product <y, x>, so the two least angles of a trial are those of
+    its two largest inner products. Only those two and the sent point's are
+    turned into angles; the tallies equal those of the full angle matrix."""
     pts = codebook.points
     norm_pts = math.sqrt(codebook.A * codebook.n)
 
@@ -242,11 +263,18 @@ def simulate_awgn(
         rng = np.random.default_rng([seed, b])
         sent = rng.integers(0, codebook.M, size=size)
         y = pts[sent] + rng.standard_normal((size, codebook.n))
-        ny = np.linalg.norm(y, axis=1, keepdims=True)
-        cosang = (y @ pts.T) / (ny * norm_pts)
-        ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-        a1, decoded = _decide(ang, 2.0 * tau)
-        return _tally(decoded, ang[np.arange(size), sent] == a1)
+        scale = np.linalg.norm(y, axis=1, keepdims=True) * norm_pts
+        dots = y @ pts.T
+        rows = np.arange(size)
+        best = dots.argmax(axis=1)
+        # Columns: sent, best, then the runner-up when there is one.
+        top = [dots[rows, sent], dots[rows, best]]
+        if codebook.M > 1:
+            dots[rows, best] = -np.inf
+            top.append(dots.max(axis=1))
+        ang = np.arccos(np.clip(np.stack(top, axis=1) / scale, -1.0, 1.0))
+        a1, decoded = _decide(ang[:, 1:], 2.0 * tau)
+        return _tally(decoded, ang[:, 0] == a1)
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)
@@ -257,6 +285,10 @@ def simulate_cone_exit(
 ) -> tuple[float, tuple[float, float], int]:
     """Estimate the cone-exit probability Q(phi): i.i.d. Gaussian noise
     pushing a signal point outside the cone of half-angle phi.
+
+    The exit event depends on the noise z only through z1 (along the signal)
+    and |z_rest|^2, which is chi-square with n - 1 degrees of freedom
+    (Shannon 1959), so a trial draws those two numbers and costs O(1) in n.
 
     Returns (estimate, wilson 95% interval, exit count).
     """
@@ -269,9 +301,8 @@ def simulate_cone_exit(
 
     def block(b: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
-        z = rng.standard_normal((size, n))
-        first = radius + z[:, 0]
-        rest_sq = np.einsum("ij,ij->i", z[:, 1:], z[:, 1:])
+        first = radius + rng.standard_normal(size)
+        rest_sq = rng.chisquare(n - 1, size)
         cosang = first / np.sqrt(first * first + rest_sq)
         return np.array([int(np.count_nonzero(cosang < cos_phi))], dtype=np.int64)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, xlogy
 
+from eebounds import binary as binary_module
 from eebounds.binary import (
     BscChannel,
     WeightProfile,
@@ -20,7 +21,7 @@ from eebounds.binary import (
     tradeoff_case_b_alternative,
     typical_error_geometry,
 )
-from eebounds.numerics import LN2, binary_entropy as h
+from eebounds.numerics import LN2, binary_entropy as h, entropy_inverse
 
 CH = BscChannel(0.07)
 
@@ -106,6 +107,24 @@ class TestChannelAndLandmarks:
         assert delta_gv(0.0) == 0.5
         assert delta_gv(1.0) == 0.0
         assert h(delta_gv(0.4)) == pytest.approx(0.6, abs=1e-12)
+
+    def test_gv_distance_solved_once_per_rate(self, monkeypatch):
+        solves = []
+
+        def counted(y):
+            solves.append(y)
+            return entropy_inverse(y)
+
+        monkeypatch.setattr(binary_module, "entropy_inverse", counted)
+        delta_gv.cache_clear()
+        rates = (0.05, 0.2, 0.4)
+        for R in rates:
+            gallager_exponent(R, CH)
+            bz_bounds(R, CH, 0.03)
+            tradeoff_bounds(R, CH, 0.03)
+            assert delta_gv(R) == entropy_inverse(1.0 - R)
+        assert len(solves) == len(rates)
+        delta_gv.cache_clear()
 
 
 class TestEntropyFamily:

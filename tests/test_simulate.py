@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from eebounds.finite import exact_margin_probability
 from eebounds.simulate import (
@@ -151,6 +153,16 @@ PINNED_BSC_TALLIES = [
 ]
 
 
+# Codes with n - k > 64, whose syndromes span two uint64 words, at seed=1 and
+# 40,000 trials, recorded with np.unique row deduplication; the lexsort
+# deduplication must reproduce them exactly. At p = 0.02 most syndromes repeat.
+PINNED_TWO_WORD_TALLIES = [
+    (gen_linear_code(100, 4, 0), 0.3, 1, (38716, 294, 990)),
+    (gen_linear_code(130, 3, 0), 0.35, 2, (35646, 319, 4035)),
+    (gen_linear_code(100, 4, 0), 0.02, 0, (40000, 0, 0)),
+]
+
+
 class TestSimulateBsc:
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize(
@@ -160,6 +172,16 @@ class TestSimulateBsc:
     )
     def test_pinned_tallies(self, code, p, t, trials, expected, workers):
         tally = simulate_bsc(code, p, t, trials, seed=1, workers=workers)
+        assert (tally.correct, tally.undetected, tally.erasure) == expected
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize(
+        "code,p,t,expected",
+        PINNED_TWO_WORD_TALLIES,
+        ids=[f"{c.n}-{c.k}-p{p}" for c, p, *_ in PINNED_TWO_WORD_TALLIES],
+    )
+    def test_pinned_two_word_syndromes(self, code, p, t, expected, workers):
+        tally = simulate_bsc(code, p, t, 40_000, seed=1, workers=workers)
         assert (tally.correct, tally.undetected, tally.erasure) == expected
 
     def test_deterministic_across_workers(self):
@@ -193,7 +215,38 @@ class TestSimulateBsc:
         assert t1.undetected < t0.undetected
 
 
+# (name, codebook, tau, (correct, undetected, erasure)) at seed=1 and 40,000 trials,
+# recorded from the full (trials, M) angle matrix; deciding from the two
+# largest inner products must reproduce them exactly. The codebook with a
+# repeated point ties whenever that point wins, so the strict tie rule erases.
+_M1 = SphericalCodebook.random(1, 8, 4.0, 5)
+_M2 = SphericalCodebook.random(2, 6, 1.0, 7)
+_REPEATED = SphericalCodebook(3, 6, 1.0, _M2.points[[0, 0, 1]])
+_BPSK84 = SphericalCodebook.binary(gen_linear_code(8, 4, 0), 1.0)
+PINNED_AWGN_TALLIES = [
+    ("M256-n32", SphericalCodebook.random(256, 32, 1.0, 100), 0.05, (37193, 61, 2746)),
+    ("M1", _M1, 0.0, (40000, 0, 0)),
+    ("M1", _M1, 0.05, (40000, 0, 0)),
+    ("M2", _M2, 0.0, (37574, 2426, 0)),
+    ("M2", _M2, 0.05, (36567, 1676, 1757)),
+    ("repeated", _REPEATED, 0.0, (12652, 1621, 25727)),
+    ("repeated", _REPEATED, 0.05, (12311, 1109, 26580)),
+    ("bpsk-8-4", _BPSK84, 0.0, (31967, 8033, 0)),
+    ("bpsk-8-4", _BPSK84, 0.05, (28250, 4240, 7510)),
+]
+
+
 class TestSimulateAwgn:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize(
+        "name,codebook,tau,expected",
+        PINNED_AWGN_TALLIES,
+        ids=[f"{name}-tau{tau}" for name, _, tau, _ in PINNED_AWGN_TALLIES],
+    )
+    def test_pinned_tallies(self, name, codebook, tau, expected, workers):
+        tally = simulate_awgn(codebook, tau, 40_000, seed=1, workers=workers)
+        assert (tally.correct, tally.undetected, tally.erasure) == expected
+
     def test_deterministic_across_workers(self):
         cb = SphericalCodebook.random(16, 12, 4.0, 2)
         one = simulate_awgn(cb, 0.05, 40_000, seed=3, workers=1)
@@ -212,7 +265,37 @@ class TestSimulateAwgn:
             simulate_awgn(cb, 0.05, 0, seed=3)
 
 
+def cone_exit_probability(n, A, phi):
+    """Exact Q_n(phi) for phi < pi/2 (Shannon 1959): with x = sqrt(A n) + z1
+    the point leaves the cone iff x <= 0 or |z_rest|^2 > x^2 tan^2(phi), and
+    |z_rest|^2 is chi-square with n - 1 degrees of freedom."""
+    r, t2, chi = math.sqrt(A * n), math.tan(phi) ** 2, stats.chi2(n - 1)
+    lo, hi = max(-r, -12.0), 12.0
+    inside, _ = integrate.quad(
+        lambda z: stats.norm.pdf(z) * chi.sf((r + z) ** 2 * t2),
+        lo, hi, epsabs=0.0, epsrel=1e-12, limit=400,
+    )
+    return float(stats.norm.cdf(lo) + inside)
+
+
 class TestConeExit:
+    @pytest.mark.parametrize("n,A,phi", [(20, 1.0, 0.8), (60, 4.0, 0.6), (100, 4.0, 0.55)])
+    def test_matches_exact_probability(self, n, A, phi):
+        trials = 1_000_000
+        q = cone_exit_probability(n, A, phi)
+        _, _, exits = simulate_cone_exit(n, AwgnChannel(A), phi, trials, seed=n, workers=2)
+        z = (exits - trials * q) / math.sqrt(trials * q * (1.0 - q))
+        assert abs(z) <= 5.0
+
+    def test_cost_independent_of_dimension(self):
+        tracemalloc.start()
+        try:
+            simulate_cone_exit(2000, CH4, 0.55, 2**14, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_deterministic_across_workers(self):
         a = simulate_cone_exit(60, CH4, 0.55, 100_000, seed=8, workers=1)
         b = simulate_cone_exit(60, CH4, 0.55, 100_000, seed=8, workers=4)
