@@ -4,7 +4,11 @@ These are the numerical ground truth for the asymptotic modules: the binary
 union bound dominates the exact margin-decoding oracle for every code, and
 its normalized exponent converges to the asymptotic trade-off bounds. The
 binary bound is one log-domain sum per weight, its inner sum being a
-binomial CDF read from a prefix log-sum-exp.
+binomial CDF read from a prefix log-sum-exp; the AWGN bound is one
+midpoint-rule integral per weight. Both bounds evaluate all weights at once
+as 2-D arrays, one row per weight, in blocks of at most ``_ROW_BUDGET``
+elements (128 KB of float64 per intermediate), so their memory does not grow
+with n, and sum each row by a row-wise log-sum-exp.
 All exact binary decoding, here and in ``simulate``, goes through the popcount
 kernel ``_distances``, run on coset representatives by the oracle and the BSC
 simulator.
@@ -18,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import LN2, _log2_factorials, log_sum
+from .numerics import LN2, _log2_factorials, _row_log_sum, log_sum
 from .spherical import AwgnChannel, esp
 
 __all__ = [
@@ -95,6 +99,9 @@ def triangle_count(n: int, k: int, i: int, j: int) -> int:
     return math.comb(k, s) * math.comb(n - k, i - s)
 
 
+_ROW_BUDGET = 1 << 14  # elements of one (weights x terms) block of the union bounds
+
+
 def binary_union_bound(
     wd: WeightDistribution, p: float, m: MarginParams, mode: str = "error"
 ) -> float:
@@ -103,6 +110,12 @@ def binary_union_bound(
 
     mode="error" bounds the undetected-error probability, mode="erasure" the
     error-or-erasure probability (margin sign flipped).
+
+    Weight w contributes A_w times a sum over i errors on its support; the
+    sum over the j errors off it is a binomial(n - w, p) CDF. The weights are
+    evaluated in blocks of rows of at most ``_ROW_BUDGET`` elements: one
+    prefix log-sum-exp along each row gives the CDFs, and each row's i-terms
+    are gathered from its CDF and reduced by a row-wise log-sum-exp.
     """
     if mode not in ("error", "erasure"):
         raise ValueError(f"mode must be 'error' or 'erasure', got {mode}")
@@ -122,27 +135,39 @@ def binary_union_bound(
     r = max(min(r, n), -1)
 
     lf = _log2_factorials(n)
-    pieces: list[float] = []
-    if d is not None:
-        for w in range(d, n + 1):
-            law = wd.log2_counts[w]
-            lo = max(math.ceil(w / 2) + sign * t, 0)
-            if law == -math.inf or lo > min(r, w):
-                continue
-            # i errors on the codeword's support and j = e - i off it, e <= r:
-            # the sum over j is the binomial(n - w, p) CDF F at min(r - i, n - w),
-            # whose log2 is a prefix log-sum-exp of the binomial row.
-            m = n - w
-            j = np.arange(min(r - lo, m) + 1)
-            log_cdf = np.logaddexp2.accumulate(lf[m] - lf[j] - lf[m - j] + j * lp + (m - j) * lq)
-            i = np.arange(lo, min(r, w) + 1)
-            terms = lf[w] - lf[i] - lf[w - i] + i * lp + (w - i) * lq
-            pieces.append(law + log_sum(terms + log_cdf[np.minimum(r - i, m)]))
+    # Weights w >= 1 that are present and admit i in [lo, hi].
+    counts = np.asarray(wd.log2_counts)
+    w = np.arange(1, n + 1)
+    lo = np.maximum((w + 1) // 2 + sign * t, 0)
+    hi = np.minimum(r, w)
+    keep = (counts[1:] > -math.inf) & (lo <= hi)
+    w, lo, hi = w[keep], lo[keep], hi[keep]
+    off = n - w
+    last = np.minimum(r - lo, off)  # largest CDF argument a row reads
+    width = int(max(last.max(initial=0), (hi - lo).max(initial=0))) + 1
+    rows = max(1, _ROW_BUDGET // width)
+    pieces = np.empty(len(w))
+    for s in range(0, len(w), rows):
+        b = slice(s, s + rows)
+        mb, wb = off[b, None], w[b, None]
+        # Binomial(n - w, p) CDFs at j = 0..last. Past a row's last, j is
+        # clipped to keep the indices valid; those prefix sums are never read.
+        jc = np.minimum(np.arange(int(last[b].max()) + 1), last[b, None])
+        log_pmf = lf[mb] - lf[jc] - lf[mb - jc] + jc * lp + (mb - jc) * lq
+        log_cdf = np.logaddexp2.accumulate(log_pmf, axis=1)
+        # i errors on the codeword's support, i = lo..hi, and the CDF at
+        # min(r - i, n - w); -inf past each row's hi.
+        i = lo[b, None] + np.arange(int((hi - lo)[b].max()) + 1)
+        ic = np.minimum(i, hi[b, None])
+        terms = lf[wb] - lf[ic] - lf[wb - ic] + ic * lp + (wb - ic) * lq
+        terms += np.take_along_axis(log_cdf, np.minimum(r - ic, mb), axis=1)
+        terms[i > hi[b, None]] = -math.inf
+        pieces[b] = counts[w[b]] + _row_log_sum(terms)
     # Tail: error weight beyond the decoding radius.
     if r < n:
         es = np.arange(r + 1, n + 1)
-        pieces.append(log_sum(lf[n] - lf[es] - lf[n - es] + es * lp + (n - es) * lq))
-    return log_sum(pieces) if pieces else -math.inf
+        pieces = np.append(pieces, log_sum(lf[n] - lf[es] - lf[n - es] + es * lp + (n - es) * lq))
+    return log_sum(pieces)
 
 
 def awgn_union_bound(
@@ -153,41 +178,53 @@ def awgn_union_bound(
     quad_points: int = 2048,
 ) -> float:
     """ln of the finite-n tangential-sphere style union bound for a binary
-    spherical code with the given Hamming spectrum."""
+    spherical code with the given Hamming spectrum.
+
+    Weight w contributes A_w times a ``quad_points``-node midpoint rule over
+    the cone angles from its cone start theta_w / 2 + tau to rho. The
+    integrands are evaluated in blocks of ``_ROW_BUDGET // quad_points``
+    weights (at least one) by ``quad_points`` nodes, so memory stays bounded
+    at any n, and each row is summed by a row-wise log-sum-exp.
+    """
     n = hamming_wd.n
     if not 0.0 < rho < math.pi / 2.0:
         raise ValueError(f"decoding radius must lie in (0, pi/2), got {rho}")
+    if quad_points < 1:
+        raise ValueError(f"quad_points must be at least 1, got {quad_points}")
+    if n < 2:
+        raise ValueError(f"dimension n must be at least 2, got {n}")
     d = hamming_wd.min_distance
+    # (log2 A_w, cone start) of the present weights whose cone starts inside rho.
+    cones = []
+    if d is not None:
+        w_hi = min(n, math.floor(n * (1.0 - math.cos(2.0 * rho)) / 2.0))
+        for w in range(d, w_hi + 1):
+            half = math.acos(1.0 - 2.0 * w / n) / 2.0 + tau
+            if hamming_wd.log2_counts[w] > -math.inf and half < rho - 1e-12:
+                if half <= 0.0:
+                    raise ValueError(f"tau={tau} puts the cone start of weight {w} at {half} <= 0")
+                cones.append((hamming_wd.log2_counts[w], half))
+    law, half = np.array(cones).reshape(-1, 2).T
     # Normalized cap-area prefactor, exact to leading order.
     log_cap_pref = (
         math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi) - math.log(n - 1)
     )
-
-    def log_f(theta: float) -> float:
-        half = theta / 2.0 + tau
-        if half >= rho:
-            raise ValueError(f"cone start {half} at or beyond radius {rho}")
-        phis = half + (np.arange(quad_points) + 0.5) * (rho - half) / quad_points
-        tan_ratio = math.tan(half) / np.tan(phis)
+    tan_half = np.array([math.tan(h) for h in half])
+    log_step = np.array([math.log((rho - h) / quad_points) for h in half])
+    nodes = np.arange(quad_points) + 0.5
+    pieces = np.empty(len(half))
+    rows = max(1, _ROW_BUDGET // quad_points)
+    for s in range(0, len(half), rows):
+        b = slice(s, s + rows)
+        h = half[b, None]
+        phis = h + nodes * (rho - h) / quad_points
+        tan_ratio = tan_half[b, None] / np.tan(phis)
         sin_x = np.sqrt(np.maximum(1.0 - tan_ratio**2, 0.0))
         with np.errstate(divide="ignore"):
             log_omega = log_cap_pref + (n - 1) * np.log(sin_x) - np.log(tan_ratio)
         integrand = log_omega - n * esp(phis, ch)
-        return log_sum(list(integrand), base=math.e) + math.log((rho - half) / quad_points)
-
-    pieces: list[float] = []
-    if d is not None:
-        w_hi = min(n, math.floor(n * (1.0 - math.cos(2.0 * rho)) / 2.0))
-        for w in range(d, w_hi + 1):
-            law = hamming_wd.log2_counts[w]
-            if law == -math.inf:
-                continue
-            theta_w = math.acos(1.0 - 2.0 * w / n)
-            if theta_w / 2.0 + tau >= rho - 1e-12:
-                continue
-            pieces.append(law * LN2 + log_f(theta_w))
-    pieces.append(-n * esp(rho, ch))
-    return log_sum(pieces, base=math.e)
+        pieces[b] = law[b] * LN2 + (_row_log_sum(integrand, math.e) + log_step[b])
+    return log_sum(np.append(pieces, -n * esp(rho, ch)), base=math.e)
 
 
 _BUDGET_BITS = 20  # log2 of the element budget of one intermediate array

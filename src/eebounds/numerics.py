@@ -5,7 +5,8 @@ that feeds it (``_scan_root``), the grid-then-golden maximizer
 (``maximize_unimodal``; minimize by negating), the binary entropy (elementwise
 on an array, like ``spherical.esp``) and its inverse, the log-factorial table
 behind every log-binomial row (``_log2_factorials``) and overflow-safe
-log-domain sums. Both scans skip grid points where the function raises.
+log-domain sums, of a sequence (``log_sum``) or of each row of a 2-D array
+(``_row_log_sum``). Both scans skip grid points where the function raises.
 Everything here is a pure function of its inputs.
 """
 
@@ -281,8 +282,16 @@ def log_sum(values: Sequence[float], base: float = 2.0) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return -math.inf
-    m = np.max(arr)
-    if not math.isfinite(m):
-        return float(m)
+    return float(_row_log_sum(arr.reshape(1, -1), base)[0])
+
+
+def _row_log_sum(rows: np.ndarray, base: float = 2.0) -> np.ndarray:
+    """``log_sum`` of each row of a 2-D array: a row whose maximum is not
+    finite gives that maximum, and -inf entries (padding) add nothing."""
+    m = rows.max(axis=1)
+    finite = np.isfinite(m)
+    shift = np.where(finite, m, 0.0)
     lb = math.log(base)
-    return float(m + np.log(np.sum(np.exp((arr - m) * lb))) / lb)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = shift + np.log(np.sum(np.exp((rows - shift[:, None]) * lb), axis=1)) / lb
+    return np.where(finite, out, m)

@@ -3,9 +3,11 @@
 Trials are processed in fixed-size blocks; block b draws from an RNG seeded
 by (seed, b), so tallies are identical for any worker count. Each simulator
 does only the work its decision needs. BSC trials are classified by the
-syndrome of the error pattern with the same coset kernel as the exact oracle
-in ``finite``, run once per distinct syndrome of a block. An AWGN trial is
-decided from its two largest inner products with the codebook. A cone-exit
+syndrome of the error pattern (the XOR of one table entry per byte of the
+packed pattern), with the same coset kernel as the exact oracle in
+``finite``, run once per distinct syndrome of a block. An AWGN trial is decided from its
+two largest inner products with the codebook, computed in row slices of a
+block so that the (trials x M) products stay small. A cone-exit
 trial draws only its sufficient statistic: the noise along the signal and the
 chi-square energy of the rest.
 """
@@ -40,6 +42,7 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14
+_DOTS_BUDGET = 1 << 18  # elements of one (rows x M) slice of AWGN inner products
 _MAX_K = 26
 
 
@@ -233,11 +236,16 @@ def simulate_bsc(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
     columns = _syndrome_columns(code)
+    # Entry u of table g is the syndrome of the error bits u on coordinates 8g..8g+7.
+    tables = [_span(columns[g : g + 8]) for g in range(0, code.n, 8)]
 
     def block(b: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
         err = rng.random((size, code.n)) < p
-        syndromes = np.bitwise_xor.reduce(np.where(err[:, :, None], columns, 0), axis=1)
+        packed = np.packbits(err, axis=1, bitorder="little")
+        syndromes = np.zeros((size, columns.shape[1]), dtype=np.uint64)
+        for g, table in enumerate(tables):
+            syndromes ^= table[packed[:, g]]
         cosets, which = _unique_rows(syndromes)
         dist = _distances(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
         d1, decoded = _decide(dist, 2 * t)
@@ -258,21 +266,26 @@ def simulate_awgn(
     turned into angles; the tallies equal those of the full angle matrix."""
     pts = codebook.points
     norm_pts = math.sqrt(codebook.A * codebook.n)
+    step = max(1, _DOTS_BUDGET // codebook.M)
 
     def block(b: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
         sent = rng.integers(0, codebook.M, size=size)
         y = pts[sent] + rng.standard_normal((size, codebook.n))
         scale = np.linalg.norm(y, axis=1, keepdims=True) * norm_pts
-        dots = y @ pts.T
-        rows = np.arange(size)
-        best = dots.argmax(axis=1)
         # Columns: sent, best, then the runner-up when there is one.
-        top = [dots[rows, sent], dots[rows, best]]
-        if codebook.M > 1:
-            dots[rows, best] = -np.inf
-            top.append(dots.max(axis=1))
-        ang = np.arccos(np.clip(np.stack(top, axis=1) / scale, -1.0, 1.0))
+        top = np.empty((size, 3 if codebook.M > 1 else 2))
+        for lo in range(0, size, step):
+            part = slice(lo, lo + step)
+            dots = y[part] @ pts.T
+            rows = np.arange(len(dots))
+            best = dots.argmax(axis=1)
+            top[part, 0] = dots[rows, sent[part]]
+            top[part, 1] = dots[rows, best]
+            if codebook.M > 1:
+                dots[rows, best] = -np.inf
+                top[part, 2] = dots.max(axis=1)
+        ang = np.arccos(np.clip(top / scale, -1.0, 1.0))
         a1, decoded = _decide(ang[:, 1:], 2.0 * tau)
         return _tally(decoded, ang[:, 0] == a1)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from eebounds.finite import (
     exact_margin_probability,
     triangle_count,
 )
+from eebounds.numerics import LN2, log_sum
 from eebounds.spherical import AwgnChannel, esp, f_exponent
 from eebounds.simulate import LinearCode, gen_linear_code, margin_decode, weight_distribution
 
@@ -31,6 +33,33 @@ DIRECT_SUM_SPECTRA = [
     ("n8k0", _spectrum(gen_linear_code(8, 0, 0))),
     ("zero-only-n9", [1] + [0] * 9),
 ]
+
+
+# log2 binary_union_bound(gv_ensemble(n, 0.3), p=0.07, MarginParams(t), mode),
+# recorded from the per-weight evaluation; each n spans several row blocks.
+PINNED_GV_BOUNDS = {
+    (1024, "error", 0): -120.05979778627626,
+    (1024, "error", 2): -126.70354664997595,
+    (1024, "erasure", 0): -120.05979778627626,
+    (1024, "erasure", 2): -113.55521022890653,
+    (2048, "error", 0): -234.72815647653462,
+    (2048, "error", 2): -241.31947607984227,
+    (2048, "erasure", 0): -234.72815647653462,
+    (2048, "erasure", 2): -228.2081113326227,
+    (4096, "error", 0): -463.13733819557484,
+    (4096, "error", 2): -469.7021993599513,
+    (4096, "erasure", 0): -463.13733819557484,
+    (4096, "erasure", 2): -456.6086109861701,
+}
+
+
+def _peak_mb(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def brute_triangle(n, k, i, j):
@@ -170,6 +199,18 @@ class TestBinaryUnionBound:
         bound = binary_union_bound(wd, p, MarginParams(0), "error")
         assert -bound / n == pytest.approx(gallager_exponent(R, BscChannel(p)).value, abs=0.05)
 
+    @pytest.mark.parametrize("key", sorted(PINNED_GV_BOUNDS), ids=str)
+    def test_pinned_gv_values(self, key):
+        n, mode, t = key
+        wd = WeightDistribution.gv_ensemble(n, 0.3)
+        bound = binary_union_bound(wd, 0.07, MarginParams(t), mode)
+        assert bound == pytest.approx(PINNED_GV_BOUNDS[key], rel=1e-12)
+
+    def test_peak_memory_bounded(self):
+        wd = WeightDistribution.gv_ensemble(4096, 0.3)
+        for mode in ("error", "erasure"):
+            assert _peak_mb(lambda: binary_union_bound(wd, 0.07, MarginParams(2), mode)) < 2.0
+
     def test_mode_validation(self):
         wd = weight_distribution(HAMMING74)
         with pytest.raises(ValueError):
@@ -215,6 +256,69 @@ class TestAwgnUnionBound:
         wd = WeightDistribution.from_counts([1, 0, 1])
         with pytest.raises(ValueError):
             awgn_union_bound(wd, self.CH, 0.0, 2.0)
+
+    def test_input_validation(self):
+        wd = WeightDistribution.binomial_spherical(64, 0.3)
+        for q in (0, -3):
+            with pytest.raises(ValueError, match="quad_points"):
+                awgn_union_bound(wd, self.CH, 0.0, 1.0, quad_points=q)
+        with pytest.raises(ValueError, match="dimension n"):
+            awgn_union_bound(WeightDistribution.from_counts([1, 1]), self.CH, 0.0, 1.0)
+        # Weight 1 of n = 64 starts its cone at acos(1 - 2/64)/2 ~ 0.125.
+        light = WeightDistribution.from_counts([1, 1] + [0] * 63)
+        with pytest.raises(ValueError, match="tau"):
+            awgn_union_bound(light, self.CH, -0.2, 1.0)
+
+    @staticmethod
+    def _per_weight_reference(wd, ch, tau, rho, quad_points):
+        """The bound evaluated one weight at a time: a midpoint rule per weight."""
+        n = wd.n
+        log_cap_pref = (
+            math.lgamma(n / 2.0)
+            - math.lgamma((n - 1) / 2.0)
+            - 0.5 * math.log(math.pi)
+            - math.log(n - 1)
+        )
+
+        def log_f(theta):
+            half = theta / 2.0 + tau
+            phis = half + (np.arange(quad_points) + 0.5) * (rho - half) / quad_points
+            tan_ratio = math.tan(half) / np.tan(phis)
+            sin_x = np.sqrt(np.maximum(1.0 - tan_ratio**2, 0.0))
+            with np.errstate(divide="ignore"):
+                log_omega = log_cap_pref + (n - 1) * np.log(sin_x) - np.log(tan_ratio)
+            integrand = log_omega - n * esp(phis, ch)
+            return log_sum(list(integrand), base=math.e) + math.log((rho - half) / quad_points)
+
+        pieces = []
+        d = wd.min_distance
+        if d is not None:
+            w_hi = min(n, math.floor(n * (1.0 - math.cos(2.0 * rho)) / 2.0))
+            for w in range(d, w_hi + 1):
+                law = wd.log2_counts[w]
+                if law == -math.inf:
+                    continue
+                theta_w = math.acos(1.0 - 2.0 * w / n)
+                if theta_w / 2.0 + tau >= rho - 1e-12:
+                    continue
+                pieces.append(law * LN2 + log_f(theta_w))
+        pieces.append(-n * esp(rho, ch))
+        return log_sum(pieces, base=math.e)
+
+    @pytest.mark.parametrize("quad_points", [1, 3, 2048])
+    @pytest.mark.parametrize("tau", [-0.02, 0.0, 0.05])
+    @pytest.mark.parametrize("rate", [0.2, 0.45])
+    @pytest.mark.parametrize("n", [2, 64, 256, 1024])
+    def test_matches_per_weight_loop(self, n, rate, tau, quad_points):
+        wd = WeightDistribution.binomial_spherical(n, rate)
+        rho = 1.3
+        bound = awgn_union_bound(wd, self.CH, tau, rho, quad_points)
+        ref = self._per_weight_reference(wd, self.CH, tau, rho, quad_points)
+        assert bound == pytest.approx(ref, rel=1e-12)
+
+    def test_peak_memory_bounded(self):
+        wd = WeightDistribution.binomial_spherical(4096, 0.275)
+        assert _peak_mb(lambda: awgn_union_bound(wd, self.CH, 0.02, 1.2)) < 2.0
 
 
 class TestExactOracle:
