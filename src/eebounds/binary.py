@@ -201,7 +201,7 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
     else:
         valid = tau <= p / 2.0 + 1e-15
 
-    dgv = delta_gv(min(max(R, 0.0), 1.0))
+    dgv = delta_gv(R)
     # Regime boundaries: the (b)/(c) split is where the interior saddle
     # rho0 leaves the feasible range [dgv/2 + tau, dgv + 2 tau], i.e. at
     # dgv = rho0 - 2*sign*tau.
@@ -251,9 +251,15 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
 def tradeoff_bounds(
     R: float, ch: BscChannel, tau: float
 ) -> tuple[BinaryBoundValue, BinaryBoundValue]:
-    """Nonlinear trade-off pair (M_plus, M_minus) for undetected error / erasure."""
+    """Nonlinear trade-off pair (M_plus, M_minus) for undetected error / erasure.
+    A rate outside [0, 1] gives both members ``valid=False``."""
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not 0.0 <= R <= 1.0:
+        invalid = BinaryBoundValue(
+            0.0, "a" if R < 0.0 else "c", valid=False, reason=f"rate {R} outside [0, 1]"
+        )
+        return invalid, invalid
     return _tradeoff_one(R, ch, tau, +1), _tradeoff_one(R, ch, tau, -1)
 
 

@@ -6,7 +6,10 @@ that feeds it (``_scan_root``), the grid-then-golden maximizer
 on an array, like ``spherical.esp``) and its inverse, the log-factorial table
 behind every log-binomial row (``_log2_factorials``) and overflow-safe
 log-domain sums, of a sequence (``log_sum``) or of each row of a 2-D array
-(``_row_log_sum``). Both scans skip grid points where the function raises.
+(``_row_log_sum``). The root scan evaluates its grid by one call of an
+elementwise function and skips grid points where it is not finite (NaN on an
+array where the float path would raise); the maximizer's guard grid calls its
+scalar function per point and counts a raise as -inf.
 Everything here is a pure function of its inputs.
 """
 
@@ -137,14 +140,6 @@ def _guarded(f: Callable[[float], float], x: float, fill: float = math.nan) -> f
         return fill
 
 
-def _grid(
-    f: Callable[[float], float], lo: float, hi: float, points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, f(xs)) on ``points`` evenly spaced points of [lo, hi], nan where f raises."""
-    xs = np.linspace(lo, hi, points)
-    return xs, np.array([_guarded(f, float(x)) for x in xs], dtype=float)
-
-
 def _scan_root(
     f: Callable[[float], float],
     lo: float,
@@ -154,21 +149,39 @@ def _scan_root(
     all_roots: bool = False,
 ) -> list[float]:
     """Roots of f on [lo, hi]: a sign scan over ``points`` grid points, each
-    sign change refined by ``solve_bracketed``. Cells touching a point where
-    f raises are skipped. Stops at the first root unless ``all_roots``."""
-    xs, vals = _grid(f, lo, hi, points)
+    sign change refined by ``solve_bracketed``.
+
+    f is elementwise: the grid is evaluated by one call on the ndarray of its
+    points, and the refinement calls f on floats. Where the float path would
+    raise, the array path gives NaN; non-finite grid values count as NaN, and
+    cells touching one are skipped. The two paths may round differently:
+    a cell whose float end values raise is skipped too, and one whose float
+    end values share a sign gives the end nearer zero, a root to within
+    rounding. Stops at the first root unless ``all_roots``."""
+    xs = np.linspace(lo, hi, points)
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(xs), dtype=float)
+    vals = np.where(np.isfinite(vals), vals, np.nan)
+    v0, v1 = vals[:-1], vals[1:]
+    cells = np.flatnonzero(~np.isnan(v0) & ~np.isnan(v1) & ((v0 == 0.0) | (v0 * v1 < 0.0)))
     roots: list[float] = []
-    for i in range(len(xs) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if math.isnan(v0) or math.isnan(v1):
-            continue
-        if v0 == 0.0:
-            roots.append(float(xs[i]))
-        elif v0 * v1 < 0.0:
-            roots.append(solve_bracketed(f, RealInterval(float(xs[i]), float(xs[i + 1])), cfg))
+    for i in cells:
+        a, b = float(xs[i]), float(xs[i + 1])
+        if v0[i] == 0.0:
+            roots.append(a)
+        else:
+            try:
+                roots.append(solve_bracketed(f, RealInterval(a, b), cfg))
+            except (ValueError, ZeroDivisionError):  # BracketError too
+                fa, fb = _guarded(f, a), _guarded(f, b)
+                if not (math.isfinite(fa) and math.isfinite(fb)):
+                    continue
+                if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
+                    raise  # raised inside the cell
+                roots.append(a if abs(fa) <= abs(fb) else b)
         if roots and not all_roots:
-            return roots
-    if vals[-1] == 0.0:
+            break
+    if (all_roots or not roots) and vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
 
@@ -190,7 +203,8 @@ def maximize_unimodal(
     def g(x: float) -> float:
         return _guarded(f, x, -math.inf)
 
-    xs, vals = _grid(g, interval.lo, interval.hi, points)
+    xs = np.linspace(interval.lo, interval.hi, points)
+    vals = np.array([g(float(x)) for x in xs], dtype=float)
     k = int(np.argmax(vals))
     a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
 

@@ -6,10 +6,12 @@ for margin decoding (error and erasure flavors), the distance-profile bound
 it derives from, and the bounded-distance / error-detection exponents.
 Implicit angles come from the shared sign scan in ``numerics``, worst-angle
 minima from ``maximize_unimodal`` on the negated integrand; ``esp`` also
-takes an array of angles, for the quadrature in ``finite``. The neighbor-
-angle equation of ``elias_theta`` has a closed-form inverse x(theta), so the
-decoding radius is one scan in theta and the boundary rate R* a formula,
-with no scan nested in another. Invalid bound values carry a ``reason``.
+takes an array of angles, for the quadrature in ``finite``, and so does each
+residual a scan takes, which gives NaN where its float form raises. The
+neighbor-angle equation of ``elias_theta`` has a closed-form inverse
+x(theta), so the decoding radius is one scan in theta and the boundary rate
+R* a formula, with no scan nested in another. Invalid bound values carry a
+``reason``.
 """
 
 from __future__ import annotations
@@ -211,10 +213,11 @@ def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
     c2x = math.cos(2.0 * x)
     cx2 = math.cos(x) ** 2
 
-    def resid(theta: float) -> float:
+    def resid(theta):
+        xp = np if isinstance(theta, np.ndarray) else math
         return (
-            (math.cos(theta) / math.sin(theta)) * (math.cos(theta + 2.0 * tau) - c2x)
-            - cx2 * math.tan(theta / 2.0 + tau)
+            (xp.cos(theta) / xp.sin(theta)) * (xp.cos(theta + 2.0 * tau) - c2x)
+            - cx2 * xp.tan(theta / 2.0 + tau)
         )
 
     hi = math.pi - 2.0 * tau - 1e-9
@@ -227,13 +230,19 @@ def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
     return theta
 
 
-def _elias_x(theta: float, tau: float) -> float:
+def _elias_x(theta, tau: float):
     """Inverse of ``elias_theta``: the x whose neighbor angle is theta, from
     cos^2 x = cos(theta) (1 + cos(theta + 2 tau)) / (2 cos(theta) + sin(theta)
     tan(theta/2 + tau)), the cot form multiplied through by sin(theta).
     cos^2 x is clamped to [0, 1]: rounding leaves it just below 0 where
     ``elias_theta`` returns a hair above pi/2, and off the principal branch
-    the clamped x fails the root checks of its callers."""
+    the clamped x fails the root checks of its callers. Elementwise on an
+    array of angles, NaN where the denominator is zero."""
+    if isinstance(theta, np.ndarray):
+        ct = np.cos(theta)
+        den = 2.0 * ct + np.sin(theta) * np.tan(theta / 2.0 + tau)
+        c = ct * (1.0 + np.cos(theta + 2.0 * tau)) / np.where(den == 0.0, np.nan, den)
+        return np.arccos(np.sqrt(np.clip(c, 0.0, 1.0)))
     ct = math.cos(theta)
     c = ct * (1.0 + math.cos(theta + 2.0 * tau)) / (
         2.0 * ct + math.sin(theta) * math.tan(theta / 2.0 + tau)
@@ -241,13 +250,16 @@ def _elias_x(theta: float, tau: float) -> float:
     return math.acos(math.sqrt(min(max(c, 0.0), 1.0)))
 
 
-def _radius_residual(theta: float, rho: float, R: float, tau: float) -> float:
+def _radius_residual(theta, rho, R: float, tau: float):
     """R + ln sin(theta) + 1/2 ln(1 - tan^2(theta/2 + tau) / tan^2 rho): the
-    decoding-radius equation at radius rho and neighbor angle theta."""
-    t2 = math.tan(theta / 2.0 + tau) ** 2 / math.tan(rho) ** 2
-    if t2 >= 1.0:
+    decoding-radius equation at radius rho and neighbor angle theta.
+    Elementwise on arrays, NaN or -inf where the float path raises (t2 >= 1
+    or sin(theta) <= 0)."""
+    xp = np if isinstance(theta, np.ndarray) else math
+    t2 = xp.tan(theta / 2.0 + tau) ** 2 / xp.tan(rho) ** 2
+    if xp is math and t2 >= 1.0:
         raise ValueError("decoding radius inside the half-distance cone")
-    return R + math.log(math.sin(theta)) + 0.5 * math.log(1.0 - t2)
+    return R + xp.log(xp.sin(theta)) + 0.5 * xp.log(1.0 - t2)
 
 
 def _decoding_residual(rho: float, R: float, tau: float) -> float:
@@ -293,7 +305,7 @@ def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, flo
         return lo, th_lo
     th_hi = elias_theta(hi, tau)
 
-    def f(theta: float) -> float:
+    def f(theta):
         return _radius_residual(theta, _elias_x(theta, tau), R, tau)
 
     def f_rho(rho: float) -> float:
@@ -321,10 +333,11 @@ def _expurgation_angle(tau: float, ch: AwgnChannel) -> tuple[float, float]:
     of ``tradeoff_exponent`` needs."""
     A = ch.A
 
-    def d_expurg(x: float) -> float:
+    def d_expurg(x):
         # Stationarity of ln sin(x) - (A/4)(1 - cos(x + 2 tau)), the exact
         # saddle-simplified expurgation integrand.
-        return math.cos(x) / math.sin(x) - (A / 4.0) * math.sin(x + 2.0 * tau)
+        xp = np if isinstance(x, np.ndarray) else math
+        return xp.cos(x) / xp.sin(x) - (A / 4.0) * xp.sin(x + 2.0 * tau)
 
     roots = _scan_root(d_expurg, 1e-6, math.pi / 2.0 - 1e-6, 1024, _ROOT_CFG)
     if not roots:

@@ -222,6 +222,25 @@ class TestTradeoffBounds:
             if ex.valid and m_minus.valid:
                 assert m_minus.value >= ex.value - 1e-12
 
+    @pytest.mark.parametrize("R", [-0.2, -1e-9, 1.0 + 1e-9, 1.5])
+    def test_rate_outside_unit_interval_invalid(self, R):
+        # Clamping would report the value at the nearest end as computed.
+        for m in tradeoff_bounds(R, CH, 0.03):
+            assert not m.valid
+            assert "[0, 1]" in m.reason
+
+    def test_rates_in_unit_interval_unchanged(self):
+        # (R, M+ value, M+ valid, M- value, M- valid) before the range check.
+        for R, vp, okp, vm, okm in [
+            (0.0, 0.6024600176564384, False, 0.3785517843134128, True),
+            (1e-9, 0.6024421432973303, False, 0.37853390995430464, True),
+            (0.5, 0.08143950761276142, True, 0.0, False),
+            (1.0 - 1e-9, 0.0011606928487327695, True, 0.0, False),
+            (1.0, 0.0011606928552427287, True, 0.0, False),
+        ]:
+            m_plus, m_minus = tradeoff_bounds(R, CH, 0.03)
+            assert (m_plus.value, m_plus.valid, m_minus.value, m_minus.valid) == (vp, okp, vm, okm)
+
     def test_reference_gap(self):
         m_plus, _ = tradeoff_bounds(0.4, CH, 0.03)
         ee, _ = bz_bounds(0.4, CH, 0.03)

@@ -112,20 +112,66 @@ class TestScanRoot:
     CFG = SolverConfig(abs_tol=1e-14, max_iter=400)
 
     def test_all_roots_of_sine(self):
-        roots = _scan_root(math.sin, 0.5, 10.0, 512, self.CFG, all_roots=True)
+        roots = _scan_root(np.sin, 0.5, 10.0, 512, self.CFG, all_roots=True)
         assert roots == pytest.approx([math.pi, 2.0 * math.pi, 3.0 * math.pi], abs=1e-12)
-        assert _scan_root(math.sin, 0.5, 10.0, 512, self.CFG) == pytest.approx([math.pi])
+        assert _scan_root(np.sin, 0.5, 10.0, 512, self.CFG) == pytest.approx([math.pi])
 
     def test_raising_gap_is_skipped(self):
+        # The array form of a function that raises on (6, 6.5) and (9, 9.5).
         def f(x):
-            if 6.0 < x < 6.5:
-                raise ZeroDivisionError
-            if 9.0 < x < 9.5:
-                raise BracketError("no bracket here")
-            return math.sin(x)
+            v = np.sin(x)
+            v = np.where((6.0 < x) & (x < 6.5), np.inf, v)
+            return np.where((9.0 < x) & (x < 9.5), np.nan, v)
 
         roots = _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=True)
         assert roots == pytest.approx([math.pi], abs=1e-12)
+
+    @pytest.mark.parametrize("all_roots", [False, True])
+    def test_grid_is_one_array_call(self, all_roots):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+
+        _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=all_roots)
+        arrays = [x for x in calls if isinstance(x, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0].shape == (512,)
+        assert isinstance(calls[0], np.ndarray)
+        assert all(type(x) is float for x in calls[1:]) and len(calls) > 1
+
+    def test_float_path_rounding_the_other_way(self):
+        # The array gives +1e-16 at the grid point 1, the float -1e-16: the
+        # floats do not bracket [0, 1], and the end nearer zero is the root.
+        def f(x):
+            return x - 1.0 + (1e-16 if isinstance(x, np.ndarray) else -1e-16)
+
+        assert _scan_root(f, 0.0, 2.0, 3, self.CFG) == [1.0]
+
+    def test_float_path_raising_at_an_end(self):
+        # The floats raise on [3, 3.2], which holds both ends of the grid cell
+        # around pi, where the array is finite: that cell is skipped.
+        def f(x):
+            if isinstance(x, np.ndarray):
+                return np.sin(x)
+            if 3.0 <= x <= 3.2:
+                raise ValueError("outside the domain")
+            return math.sin(x)
+
+        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=True)
+        assert roots == pytest.approx([2.0 * math.pi, 3.0 * math.pi], abs=1e-12)
+        assert _scan_root(f, 0.5, 10.0, 512, self.CFG) == pytest.approx([2.0 * math.pi])
+
+    def test_raise_inside_a_cell_propagates(self):
+        def f(x):
+            if isinstance(x, np.ndarray):
+                return np.sin(x)
+            if abs(x - math.pi) < 1e-4:
+                raise ZeroDivisionError
+            return math.sin(x)
+
+        with pytest.raises(ZeroDivisionError):
+            _scan_root(f, 0.5, 10.0, 512, self.CFG)
 
     def test_grid_point_root(self):
         assert _scan_root(lambda x: x - 1.0, 0.0, 2.0, 3, self.CFG) == [1.0]

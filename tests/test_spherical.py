@@ -26,7 +26,13 @@ from eebounds.spherical import (
     undetected_error_exponent,
 )
 import eebounds.spherical as spherical
-from eebounds.spherical import _big_g_dx, _decoding_residual, _elias_x, _phi0
+from eebounds.spherical import (
+    _big_g_dx,
+    _decoding_residual,
+    _elias_x,
+    _phi0,
+    _radius_residual,
+)
 
 CH4 = AwgnChannel(4.0)
 
@@ -448,6 +454,176 @@ class TestDecodingRadius:
             assert v.diagnostics["theta_star"] == pytest.approx(
                 inner(v.diagnostics["rho"], t), abs=1e-12
             )
+
+
+# (function, arguments, value) recorded at commit 6ab1abf, when the sign scan
+# still called each residual once per grid point; the array scan sees the
+# same brackets, so every value is bit-identical.
+PINNED_PER_POINT_SCAN = [
+    ("elias_theta", (0.5, 0.0), 0.6917182407210487),
+    ("elias_theta", (0.8, 0.04), 1.019309947231298),
+    ("elias_theta", (1.2, -0.05), 1.4592646803035452),
+    ("elias_theta", (1.5, 0.1), 1.5631941471855884),
+    ("decoding_radius", (0.208, 0.03, 1.0), 0.9775193182396057),
+    ("decoding_radius", (0.208, -0.03, 1.0), 0.917015595571439),
+    ("decoding_radius", (0.483, 0.03, 4.0), 0.7012948137164166),
+    ("decoding_radius", (0.483, -0.03, 4.0), 0.6270381215629967),
+    ("decoding_radius", (0.85, 0.03, 16.0), 0.4811758627093458),
+    ("decoding_radius", (0.85, -0.03, 16.0), 0.40062208586951525),
+    ("tradeoff_exponent", (0.035, 1.0, "error"), 0.1993227085130656),
+    ("tradeoff_exponent", (0.173, 1.0, "error"), 0.06589948539238788),
+    ("tradeoff_exponent", (0.295, 1.0, "error"), 0.009497692850184147),
+    ("tradeoff_exponent", (0.035, 1.0, "erasure"), 0.17018547215778437),
+    ("tradeoff_exponent", (0.173, 1.0, "erasure"), 0.03995156373456457),
+    ("tradeoff_exponent", (0.295, 1.0, "erasure"), 0.0005485263533645621),
+    ("tradeoff_exponent", (0.08, 4.0, "error"), 0.6715249293083091),
+    ("tradeoff_exponent", (0.402, 4.0, "error"), 0.2685368681014326),
+    ("tradeoff_exponent", (0.684, 4.0, "error"), 0.04056622140394456),
+    ("tradeoff_exponent", (0.08, 4.0, "erasure"), 0.5608174201562901),
+    ("tradeoff_exponent", (0.402, 4.0, "erasure"), 0.17421629152737755),
+    ("tradeoff_exponent", (0.684, 4.0, "erasure"), 0.0026061129865655383),
+    ("tradeoff_exponent", (0.142, 16.0, "error"), 2.2227805041556397),
+    ("tradeoff_exponent", (0.708, 16.0, "error"), 0.6434648265367526),
+    ("tradeoff_exponent", (1.204, 16.0, "error"), 0.14127200910447396),
+    ("tradeoff_exponent", (0.142, 16.0, "erasure"), 1.8065721309906375),
+    ("tradeoff_exponent", (0.708, 16.0, "erasure"), 0.40714055683008976),
+    ("tradeoff_exponent", (1.204, 16.0, "erasure"), 0.004687093826648656),
+    ("R_star", (1.0,), 0.13767326432664911),
+    ("theta_1", (1.0,), 1.329670411494781),
+    ("R_star", (4.0,), 0.5069336567333714),
+    ("theta_1", (4.0,), 0.8884662753133155),
+    ("R_star", (16.0,), 1.151357501268994),
+    ("theta_1", (16.0,), 0.4636276235316317),
+]
+
+
+def _pinned(name, args):
+    if name == "elias_theta":
+        return elias_theta(*args)
+    if name == "decoding_radius":
+        R, tau, A = args
+        return decoding_radius(R, tau, AwgnChannel(A))
+    if name == "tradeoff_exponent":
+        R, A, kind = args
+        v = tradeoff_exponent(R, AwgnChannel(A), 0.03, kind)
+        assert v.valid
+        return v.value
+    return getattr(spherical_landmarks(0.03, AwgnChannel(args[0])), name)
+
+
+class TestArrayScan:
+    """The sign scans evaluate each residual once on the whole grid; the
+    array path of a residual must give the float path's signs and NaNs."""
+
+    @pytest.mark.parametrize("name, args, value", PINNED_PER_POINT_SCAN)
+    def test_pinned_values(self, name, args, value):
+        spherical._expurgation_angle.cache_clear()
+        spherical.spherical_landmarks.cache_clear()
+        assert _pinned(name, args) == value
+
+    @staticmethod
+    def _float_path(f, *args):
+        def guarded(*x):
+            try:
+                return f(*x)
+            except (ValueError, ZeroDivisionError):
+                return math.nan
+
+        return np.array([guarded(*map(float, x)) for x in zip(*args)])
+
+    @staticmethod
+    def _assert_same(array_vals, float_vals, scale):
+        """Same NaN positions, and values within 1e-13 relative plus 32 ulp
+        of ``scale``, the size of the terms a value is computed from: np and
+        math may each be a few ulp off, which near a root, where the terms
+        cancel, is far more than 1e-13 of the value. Wherever the float
+        value exceeds that tolerance, the signs agree too."""
+        assert isinstance(array_vals, np.ndarray)
+        array_vals = np.where(np.isfinite(array_vals), array_vals, np.nan)
+        nan = np.isnan(float_vals)
+        assert (np.isnan(array_vals) == nan).all()
+        a, s = array_vals[~nan], float_vals[~nan]
+        tol = 1e-13 * np.abs(s) + 32 * np.finfo(float).eps * scale[~nan]
+        assert (np.abs(a - s) <= tol).all()
+
+    def _check_scan(self, f, xs):
+        """Compare the array and float paths of the residual a scan ran on
+        its grid xs, and return the residual's name."""
+        env = {k: c.cell_contents for k, c in zip(f.__code__.co_freevars, f.__closure__)}
+        tau = env["tau"]
+        name = f.__qualname__.split(".")[0]
+        with np.errstate(all="ignore"):
+            vals = f(xs)
+            if name == "elias_theta":
+                scale = np.abs(np.cos(xs) / np.sin(xs)) * (
+                    np.abs(np.cos(xs + 2.0 * tau)) + abs(env["c2x"])
+                ) + env["cx2"] * np.abs(np.tan(xs / 2.0 + tau))
+                self._assert_same(vals, self._float_path(f, xs), scale)
+            elif name == "_expurgation_angle":
+                scale = np.abs(np.cos(xs) / np.sin(xs)) + env["A"] / 4.0 * np.abs(
+                    np.sin(xs + 2.0 * tau)
+                )
+                self._assert_same(vals, self._float_path(f, xs), scale)
+            else:
+                # The radius residual is _radius_residual at rho = _elias_x(theta);
+                # each is checked on its own, on the same rho.
+                ct, t = np.cos(xs), np.tan(xs / 2.0 + tau)
+                den = np.abs(2.0 * ct + np.sin(xs) * t)
+                num = np.abs(ct) * (1.0 + np.abs(np.cos(xs + 2.0 * tau)))
+                rho = self._float_path(lambda th: _elias_x(th, tau), xs)
+                # d rho / d cos^2 rho = -1 / sin(2 rho).
+                scale = (num + num / den * (2.0 * np.abs(ct) + np.abs(np.sin(xs) * t))) / den
+                self._assert_same(_elias_x(xs, tau), rho, scale / np.abs(np.sin(2.0 * rho)))
+                t2 = t**2 / np.tan(rho) ** 2
+                R = env["R"]
+                scale = (
+                    abs(R)
+                    + np.abs(np.log(np.abs(np.sin(xs))))
+                    + 0.5 * np.abs(np.log(np.abs(1.0 - t2)))
+                    + t2 / np.abs(1.0 - t2)
+                )
+                radius = self._float_path(lambda th, r: _radius_residual(th, r, R, tau), xs, rho)
+                self._assert_same(_radius_residual(xs, rho, R, tau), radius, scale)
+        return name
+
+    @pytest.mark.parametrize("A", [1.0, 4.0, 16.0])
+    def test_residuals_match_float_path(self, A, monkeypatch):
+        scans = []
+        real = spherical._scan_root
+
+        def recorded(f, lo, hi, points, cfg, all_roots=False):
+            scans.append((f, np.linspace(lo, hi, points)))
+            return real(f, lo, hi, points, cfg, all_roots)
+
+        monkeypatch.setattr(spherical, "_scan_root", recorded)
+        spherical._expurgation_angle.cache_clear()
+        spherical.spherical_landmarks.cache_clear()
+        ch = AwgnChannel(A)
+        for tau in (0.0, 0.03, 0.1):
+            for R in np.linspace(0.0, ch.capacity, 12)[1:-1]:
+                for kind in ("error", "erasure"):
+                    tradeoff_exponent(float(R), ch, tau, kind)
+                try:
+                    decoding_radius(float(R), -tau, ch)
+                except BracketError:
+                    pass
+        names = {self._check_scan(f, xs) for f, xs in scans}
+        assert names == {"elias_theta", "_radius_and_angle", "_expurgation_angle"}
+
+    def test_nan_where_float_path_raises(self):
+        # Raises at t2 >= 1 (first) and at ln sin(theta) of sin(theta) < 0 (third).
+        theta = np.array([0.3, 0.3, -0.2, 1.0])
+        rho = np.array([0.1, 0.9, 0.9, 0.9])
+        with np.errstate(all="ignore"):
+            vals = _radius_residual(theta, rho, 0.1, 0.02)
+        for th, r, v in zip(theta, rho, vals):
+            try:
+                want = _radius_residual(float(th), float(r), 0.1, 0.02)
+            except ValueError:
+                assert math.isnan(v)
+            else:
+                assert v == pytest.approx(want, rel=1e-13)
+        assert np.isnan(vals).tolist() == [True, False, True, False]
 
 
 class TestLandmarks:
