@@ -20,9 +20,46 @@ import numpy as np
 from . import __version__, binary, finite, simulate, spherical
 from .numerics import LN2, ConvergenceError, binary_entropy
 
-_BINARY_BOUNDS = ("gallager", "bz_e", "bz_x", "m_plus", "m_minus")
-_SPHERICAL_BOUNDS = ("shannon", "m_error", "m_erasure")
-_BOUND_ORDER = _BINARY_BOUNDS + _SPHERICAL_BOUNDS
+# Each channel's curve bounds, in output order, grouped by the call that
+# computes them. The binary bounds take and return bits, the spherical nats.
+# The calls look their function up when they run, so a patched one is used.
+_CURVE_BOUNDS = {
+    "bsc": (
+        (("gallager",), lambda r, ch, tau: (binary.gallager_exponent(r, ch),)),
+        (("bz_e", "bz_x"), lambda r, ch, tau: binary.bz_bounds(r, ch, tau)),
+        (("m_plus", "m_minus"), lambda r, ch, tau: binary.tradeoff_bounds(r, ch, tau)),
+    ),
+    "awgn": (
+        (("shannon",), lambda r, ch, tau: (spherical.shannon_exponent(r, ch),)),
+        (("m_error",), lambda r, ch, tau: (spherical.tradeoff_exponent(r, ch, tau, "error"),)),
+        (("m_erasure",), lambda r, ch, tau: (spherical.tradeoff_exponent(r, ch, tau, "erasure"),)),
+    ),
+}
+_NATIVE_UNITS = {"bsc": "bits", "awgn": "nats"}
+
+# Simulate parameters: (conversion, default). A flag beats the config file,
+# and the config file beats the default.
+_SIM_PARAMS = {
+    "kind": (str, None),
+    "seed": (int, None),
+    "trials": (int, 100000),
+    "workers": (int, 1),
+    "n": (lambda ns: [int(n) for n in ns], None),
+    "k": (int, None),
+    "M": (int, None),
+    "p": (float, None),
+    "snr": (float, None),
+    "tau": (float, 0.0),
+    "t": (int, 0),
+    "phi": (float, None),
+    "code_seed": (int, 0),
+}
+# The parameters each simulation kind cannot do without; bsc and awgn take one n.
+_SIM_NEEDS = {
+    "bsc": (("n", "k", "p"), "bsc simulation needs exactly one --n, --k and --p"),
+    "awgn": (("n", "snr", "M"), "awgn simulation needs exactly one --n, --snr and --M"),
+    "cone": (("n", "snr", "phi"), "cone simulation needs --n (one or more), --snr and --phi"),
+}
 
 
 class UsageError(Exception):
@@ -56,46 +93,29 @@ def _make_channel(args):
 
 
 def _curve_rows(args, ch) -> list[tuple[float, str, float, str, bool]]:
-    if args.channel == "bsc":
-        allowed, native_bits = _BINARY_BOUNDS, True
-    else:
-        allowed, native_bits = _SPHERICAL_BOUNDS, False
-    names = args.bounds.split(",") if args.bounds else list(allowed)
+    groups = _CURVE_BOUNDS[args.channel]
+    allowed = [b for names, _ in groups for b in names]
+    names = args.bounds.split(",") if args.bounds else allowed
     for b in names:
-        if b not in _BOUND_ORDER:
+        if not any(b in group for gs in _CURVE_BOUNDS.values() for group, _ in gs):
             raise UsageError(f"unknown bound name: {b}")
         if b not in allowed:
             raise UsageError(f"bound {b} is not defined for channel {args.channel}")
-    names = [b for b in _BOUND_ORDER if b in names]
 
-    want_bits = args.units == "bits"
     # Convert the user grid into the channel's native units, and values back.
-    in_scale = 1.0 if want_bits == native_bits else (LN2 if want_bits else 1.0 / LN2)
+    in_scale = 1.0
+    if args.units != _NATIVE_UNITS[args.channel]:
+        in_scale = LN2 if args.units == "bits" else 1.0 / LN2
     out_scale = 1.0 / in_scale
 
     rows = []
     for r_user in np.linspace(args.rmin, args.rmax, args.steps):
         r = float(r_user) * in_scale
-        per_bound = {}
-        if args.channel == "bsc":
-            if "gallager" in names:
-                per_bound["gallager"] = binary.gallager_exponent(r, ch)
-            if "bz_e" in names or "bz_x" in names:
-                ee, ex = binary.bz_bounds(r, ch, args.tau)
-                per_bound["bz_e"], per_bound["bz_x"] = ee, ex
-            if "m_plus" in names or "m_minus" in names:
-                mp, mm = binary.tradeoff_bounds(r, ch, args.tau)
-                per_bound["m_plus"], per_bound["m_minus"] = mp, mm
-        else:
-            if "shannon" in names:
-                per_bound["shannon"] = spherical.shannon_exponent(r, ch)
-            if "m_error" in names:
-                per_bound["m_error"] = spherical.tradeoff_exponent(r, ch, args.tau, "error")
-            if "m_erasure" in names:
-                per_bound["m_erasure"] = spherical.tradeoff_exponent(r, ch, args.tau, "erasure")
-        for b in names:
-            v = per_bound[b]
-            rows.append((float(r_user), b, v.value * out_scale, v.regime, v.valid))
+        for group, call in groups:
+            if any(b in names for b in group):
+                for b, v in zip(group, call(r, ch, args.tau)):
+                    if b in names:
+                        rows.append((float(r_user), b, v.value * out_scale, v.regime, v.valid))
     return rows
 
 
@@ -239,231 +259,165 @@ def cmd_simulate(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-
-    def opt(name, flag_value, default=None):
-        return flag_value if flag_value is not None else cfg.get(name, default)
-
-    seed = opt("seed", args.seed)
+    v = {}
+    for name, (convert, default) in _SIM_PARAMS.items():
+        flag = getattr(args, name)
+        value = flag if flag is not None else cfg.get(name, default)
+        v[name] = None if value is None else convert(value)
+    kind, trials, seed, workers = v["kind"], v["trials"], v["seed"], v["workers"]
     if seed is None:
         raise UsageError("a seed is required for simulation (use --seed)")
-    seed = int(seed)
-    kind = opt("kind", args.kind)
     if kind is None:
         raise UsageError("simulation kind is required (use --kind bsc|awgn|cone)")
-    trials = int(opt("trials", args.trials, 100000))
-    workers = int(opt("workers", args.workers, 1))
-    ns = opt("n", args.n)
+    if kind not in _SIM_NEEDS:
+        raise UsageError(f"unknown simulation kind: {kind}")
+    needed, usage = _SIM_NEEDS[kind]
+    if any(v[name] is None for name in needed) or (kind != "cone" and len(v["n"]) != 1):
+        raise UsageError(usage)
 
+    obj = {"version": __version__, "kind": kind, "trials": trials, "seed": seed}
     if kind == "bsc":
-        if ns is None or len(ns) != 1:
-            raise UsageError("bsc simulation needs exactly one --n")
-        n = int(ns[0])
-        k = opt("k", args.k)
-        p = opt("p", args.p)
-        if k is None or p is None:
-            raise UsageError("bsc simulation needs --k and --p")
-        t = int(opt("t", args.t, 0))
-        code_seed = int(opt("code_seed", args.code_seed, 0))
-        code = simulate.gen_linear_code(n, int(k), code_seed)
-        tally = simulate.simulate_bsc(code, float(p), t, trials, seed, workers)
-        obj = {
-            "version": __version__,
-            "kind": "bsc",
-            "n": n,
-            "k": int(k),
-            "code_seed": code_seed,
-            "p": float(p),
-            "t": t,
-            "trials": trials,
-            "seed": seed,
-            **_tally_fields(tally),
-        }
+        code = simulate.gen_linear_code(v["n"][0], v["k"], v["code_seed"])
+        tally = simulate.simulate_bsc(code, v["p"], v["t"], trials, seed, workers)
+        obj.update({name: v[name] for name in ("k", "code_seed", "p", "t")}, n=v["n"][0])
+        obj.update(_tally_fields(tally))
     elif kind == "awgn":
-        if ns is None or len(ns) != 1:
-            raise UsageError("awgn simulation needs exactly one --n")
-        n = int(ns[0])
-        snr = opt("snr", args.snr)
-        M = opt("M", args.M)
-        tau = float(opt("tau", args.tau, 0.0))
-        if snr is None or M is None:
-            raise UsageError("awgn simulation needs --snr and --M")
-        code_seed = int(opt("code_seed", args.code_seed, 0))
-        cb = simulate.SphericalCodebook.random(int(M), n, float(snr), code_seed)
-        tally = simulate.simulate_awgn(cb, tau, trials, seed, workers)
-        obj = {
-            "version": __version__,
-            "kind": "awgn",
-            "n": n,
-            "M": int(M),
-            "code_seed": code_seed,
-            "snr": float(snr),
-            "tau": tau,
-            "trials": trials,
-            "seed": seed,
-            **_tally_fields(tally),
-        }
-    elif kind == "cone":
-        snr = opt("snr", args.snr)
-        phi = opt("phi", args.phi)
-        if ns is None or snr is None or phi is None:
-            raise UsageError("cone simulation needs --n (one or more), --snr and --phi")
-        ch = spherical.AwgnChannel(float(snr))
+        cb = simulate.SphericalCodebook.random(v["M"], v["n"][0], v["snr"], v["code_seed"])
+        tally = simulate.simulate_awgn(cb, v["tau"], trials, seed, workers)
+        obj.update({name: v[name] for name in ("M", "code_seed", "snr", "tau")}, n=v["n"][0])
+        obj.update(_tally_fields(tally))
+    else:
+        ch = spherical.AwgnChannel(v["snr"])
+        obj.update(snr=v["snr"], phi=v["phi"], results=[])
         points = []
-        per_n = []
-        for n in ns:
+        for n in v["n"]:
             est, (lo, hi), exits = simulate.simulate_cone_exit(
-                int(n), ch, float(phi), trials, seed, workers
+                n, ch, v["phi"], trials, seed, workers
             )
-            per_n.append(
-                {"n": int(n), "estimate": est, "exits": exits, "wilson95": [lo, hi]}
-            )
+            obj["results"].append({"n": n, "estimate": est, "exits": exits, "wilson95": [lo, hi]})
             if est > 0.0:
                 points.append((float(n), est))
-        obj = {
-            "version": __version__,
-            "kind": "cone",
-            "snr": float(snr),
-            "phi": float(phi),
-            "trials": trials,
-            "seed": seed,
-            "results": per_n,
-        }
         if len(points) >= 3:
-            reg = simulate.estimate_exponent(points)
-            obj["regression"] = {
-                "slope": reg.slope,
-                "intercept": reg.intercept,
-                "r_squared": reg.r_squared,
-            }
-    else:
-        raise UsageError(f"unknown simulation kind: {kind}")
+            obj["regression"] = dataclasses.asdict(simulate.estimate_exponent(points))
     _emit(_json_dump(obj), args.out)
     return 0
 
 
-def _validation_checks(perturb_g: float = 0.0):
+def _validation_checks():
     """Yield (name, defect, tolerance) triples for the cross-module suite."""
-    original_g = spherical.big_g
-    if perturb_g != 0.0:
-        # Negative-control hook: shift G and watch the identity suite fail.
-        spherical.big_g = lambda phi, tau, ch: original_g(phi, tau, ch) + perturb_g
+    # Binary: tau=0 reduction of the trade-off pair to the classical bound.
+    worst = 0.0
+    for p in (0.05, 0.1, 0.3):
+        ch = binary.BscChannel(p)
+        for r in np.linspace(1e-3, ch.capacity - 1e-6, 40):
+            e0 = binary.gallager_exponent(float(r), ch).value
+            mp, mm = binary.tradeoff_bounds(float(r), ch, 0.0)
+            worst = max(worst, abs(mp.value - e0), abs(mm.value - e0))
+    yield "binary tau=0 reduction", worst, 1e-9
 
-    try:
-        # Binary: tau=0 reduction of the trade-off pair to the classical bound.
-        worst = 0.0
-        for p in (0.05, 0.1, 0.3):
-            ch = binary.BscChannel(p)
-            for r in np.linspace(1e-3, ch.capacity - 1e-6, 40):
-                e0 = binary.gallager_exponent(float(r), ch).value
-                mp, mm = binary.tradeoff_bounds(float(r), ch, 0.0)
-                worst = max(worst, abs(mp.value - e0), abs(mm.value - e0))
-        yield "binary tau=0 reduction", worst, 1e-9
+    # Binary: trade-off pair dominates the linear bounds where both valid.
+    ch = binary.BscChannel(0.07)
+    worst = 0.0
+    for r in np.linspace(0.01, ch.capacity - 1e-6, 60):
+        ee, ex = binary.bz_bounds(float(r), ch, 0.03)
+        mp, mm = binary.tradeoff_bounds(float(r), ch, 0.03)
+        if ee.valid and mp.valid:
+            worst = max(worst, ee.value - mp.value)
+        if ex.valid and mm.valid:
+            worst = max(worst, ex.value - mm.value)
+    yield "binary trade-off dominance", worst, 1e-12
 
-        # Binary: trade-off pair dominates the linear bounds where both valid.
-        ch = binary.BscChannel(0.07)
-        worst = 0.0
-        for r in np.linspace(0.01, ch.capacity - 1e-6, 60):
-            ee, ex = binary.bz_bounds(float(r), ch, 0.03)
-            mp, mm = binary.tradeoff_bounds(float(r), ch, 0.03)
-            if ee.valid and mp.valid:
-                worst = max(worst, ee.value - mp.value)
-            if ex.valid and mm.valid:
-                worst = max(worst, ex.value - mm.value)
-        yield "binary trade-off dominance", worst, 1e-12
+    # Binary: case-(b) value agrees with its alternative form.
+    lmb = binary.landmarks(ch, 0.03)
+    worst = 0.0
+    for sign in (+1, -1):
+        inner = (lmb.rho0_plus if sign > 0 else lmb.rho0_minus) - 2 * sign * 0.03
+        r_mid = 0.5 * ((1.0 - binary_entropy(lmb.omega0_tau)) + (1.0 - binary_entropy(inner)))
+        direct = binary._tradeoff_one(r_mid, ch, 0.03, sign).value
+        alt = binary.tradeoff_case_b_alternative(ch, 0.03, sign, r_mid)
+        worst = max(worst, abs(direct - alt))
+    yield "binary case-b identity", worst, 1e-6
 
-        # Binary: case-(b) value agrees with its alternative form.
-        lmb = binary.landmarks(ch, 0.03)
-        worst = 0.0
-        for sign in (+1, -1):
-            inner = (lmb.rho0_plus if sign > 0 else lmb.rho0_minus) - 2 * sign * 0.03
-            r_mid = 0.5 * ((1.0 - binary_entropy(lmb.omega0_tau)) + (1.0 - binary_entropy(inner)))
-            direct = binary._tradeoff_one(r_mid, ch, 0.03, sign).value
-            alt = binary.tradeoff_case_b_alternative(ch, 0.03, sign, r_mid)
-            worst = max(worst, abs(direct - alt))
-        yield "binary case-b identity", worst, 1e-6
+    # Spherical: G vanishes at tau=0.
+    chA = spherical.AwgnChannel(4.0)
+    worst = max(abs(spherical.big_g(phi, 0.0, chA)) for phi in np.linspace(0.2, 1.4, 25))
+    yield "G(phi, 0) = 0", worst, 1e-14
 
-        # Spherical: G vanishes at tau=0.
-        chA = spherical.AwgnChannel(4.0)
-        worst = max(abs(spherical.big_g(phi, 0.0, chA)) for phi in np.linspace(0.2, 1.4, 25))
-        yield "G(phi, 0) = 0", worst, 1e-14
+    # Spherical: tau=0 trade-off collapses onto the classical bound.
+    worst = 0.0
+    for r in np.linspace(0.02, chA.capacity - 1e-3, 25):
+        sh = spherical.shannon_exponent(float(r), chA).value
+        me = spherical.tradeoff_exponent(float(r), chA, 0.0, "error").value
+        worst = max(worst, abs(me - sh))
+    yield "spherical tau=0 reduction", worst, 1e-6
 
-        # Spherical: tau=0 trade-off collapses onto the classical bound.
-        worst = 0.0
-        for r in np.linspace(0.02, chA.capacity - 1e-3, 25):
-            sh = spherical.shannon_exponent(float(r), chA).value
-            me = spherical.tradeoff_exponent(float(r), chA, 0.0, "error").value
-            worst = max(worst, abs(me - sh))
-        yield "spherical tau=0 reduction", worst, 1e-6
+    # Spherical: tau=0 landmark collapse.
+    lms = spherical.spherical_landmarks(0.0, chA)
+    defect = max(abs(lms.theta_1 - lms.theta_e), abs(lms.theta_2 - lms.theta_c))
+    yield "tau=0 landmark collapse", defect, 1e-9
 
-        # Spherical: tau=0 landmark collapse.
-        lms = spherical.spherical_landmarks(0.0, chA)
-        defect = max(abs(lms.theta_1 - lms.theta_e), abs(lms.theta_2 - lms.theta_c))
-        yield "tau=0 landmark collapse", defect, 1e-9
+    # Neighbor-angle identity at tau=0: cos(theta) = cos^2(x).
+    worst = 0.0
+    for x in np.linspace(0.15, 1.5, 15):
+        th = spherical.elias_theta(float(x), 0.0)
+        worst = max(worst, abs(math.cos(th) - math.cos(float(x)) ** 2))
+    yield "tau=0 neighbor-angle identity", worst, 1e-10
 
-        # Neighbor-angle identity at tau=0: cos(theta) = cos^2(x).
-        worst = 0.0
-        for x in np.linspace(0.15, 1.5, 15):
-            th = spherical.elias_theta(float(x), 0.0)
-            worst = max(worst, abs(math.cos(th) - math.cos(float(x)) ** 2))
-        yield "tau=0 neighbor-angle identity", worst, 1e-10
+    # Closed-form boundary identity and its Rankin-rate consequence.
+    te_root = spherical.elias_theta(spherical.theta_s(lms.R_star), 0.0)
+    lhs = 1.0 / math.sin(te_root) ** 2
+    rhs = 0.5 * (1.0 + math.sqrt(1.0 + chA.A**2 / 4.0))
+    yield "critical-angle identity", abs(lhs - rhs), 1e-9
+    worst = 0.0
+    for r in (0.2, 0.4, 0.6):
+        te = spherical.elias_theta(spherical.theta_s(r), 0.0)
+        worst = max(worst, abs(spherical.rankin_rate(te) - r))
+    yield "Rankin rate identity", worst, 1e-9
 
-        # Closed-form boundary identity and its Rankin-rate consequence.
-        te_root = spherical.elias_theta(spherical.theta_s(lms.R_star), 0.0)
-        lhs = 1.0 / math.sin(te_root) ** 2
-        rhs = 0.5 * (1.0 + math.sqrt(1.0 + chA.A**2 / 4.0))
-        yield "critical-angle identity", abs(lhs - rhs), 1e-9
-        worst = 0.0
-        for r in (0.2, 0.4, 0.6):
-            te = spherical.elias_theta(spherical.theta_s(r), 0.0)
-            worst = max(worst, abs(spherical.rankin_rate(te) - r))
-        yield "Rankin rate identity", worst, 1e-9
+    # Landmark residuals reported by the solver.
+    res = lms.residuals or {}
+    defect = max((abs(v) for v in res.values()), default=0.0)
+    yield "landmark residuals", defect, 1e-10
 
-        # Landmark residuals reported by the solver.
-        res = lms.residuals or {}
-        defect = max((abs(v) for v in res.values()), default=0.0)
-        yield "landmark residuals", defect, 1e-10
+    # Triangle counts against brute force at n=6.
+    n = 6
+    worst = 0
+    for kk in range(n + 1):
+        x, y = 0, (1 << kk) - 1
+        for i in range(n + 1):
+            for j in range(n + 1):
+                bf = sum(
+                    1
+                    for z in range(1 << n)
+                    if bin(z ^ x).count("1") == i and bin(z ^ y).count("1") == j
+                )
+                worst = max(worst, abs(bf - finite.triangle_count(n, kk, i, j)))
+    yield "triangle-count brute force", float(worst), 0.5
 
-        # Triangle counts against brute force at n=6.
-        n = 6
-        worst = 0
-        for kk in range(n + 1):
-            x, y = 0, (1 << kk) - 1
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    bf = sum(
-                        1
-                        for z in range(1 << n)
-                        if bin(z ^ x).count("1") == i and bin(z ^ y).count("1") == j
-                    )
-                    worst = max(worst, abs(bf - finite.triangle_count(n, kk, i, j)))
-        yield "triangle-count brute force", float(worst), 0.5
-
-        # Exhaustive oracle: probabilities sum to one, union bound dominates.
-        worst_sum, worst_dom = 0.0, 0.0
-        for seed in (1, 2, 3):
-            code = simulate.gen_linear_code(12, 5, seed)
-            wd = simulate.weight_distribution(code)
-            for p in (0.05, 0.1):
-                for t in (0, 1):
-                    pc, pu, pe = finite.exact_margin_probability(code, p, t)
-                    worst_sum = max(worst_sum, abs(pc + pu + pe - 1.0))
-                    mb = finite.MarginParams(t=t)
-                    ub_e = finite.binary_union_bound(wd, p, mb, "error")
-                    ub_x = finite.binary_union_bound(wd, p, mb, "erasure")
-                    if pu > 0:
-                        worst_dom = max(worst_dom, math.log2(pu) - ub_e)
-                    if pu + pe > 0:
-                        worst_dom = max(worst_dom, math.log2(pu + pe) - ub_x)
-        yield "oracle total probability", worst_sum, 1e-12
-        yield "union bound dominates oracle", worst_dom, 1e-9
-    finally:
-        spherical.big_g = original_g
+    # Exhaustive oracle: probabilities sum to one, union bound dominates.
+    worst_sum, worst_dom = 0.0, 0.0
+    for seed in (1, 2, 3):
+        code = simulate.gen_linear_code(12, 5, seed)
+        wd = simulate.weight_distribution(code)
+        for p in (0.05, 0.1):
+            for t in (0, 1):
+                pc, pu, pe = finite.exact_margin_probability(code, p, t)
+                worst_sum = max(worst_sum, abs(pc + pu + pe - 1.0))
+                mb = finite.MarginParams(t=t)
+                ub_e = finite.binary_union_bound(wd, p, mb, "error")
+                ub_x = finite.binary_union_bound(wd, p, mb, "erasure")
+                if pu > 0:
+                    worst_dom = max(worst_dom, math.log2(pu) - ub_e)
+                if pu + pe > 0:
+                    worst_dom = max(worst_dom, math.log2(pu + pe) - ub_x)
+    yield "oracle total probability", worst_sum, 1e-12
+    yield "union bound dominates oracle", worst_dom, 1e-9
 
 
 def cmd_validate(args) -> int:
     failures = 0
     lines = []
-    for name, defect, tol in _validation_checks(args.perturb_g):
+    for name, defect, tol in _validation_checks():
         ok = defect <= tol
         failures += 0 if ok else 1
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name}: defect={defect:.3e} tol={tol:.0e}")
@@ -530,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run the fast cross-module identity suite")
     sp.add_argument("--out")
-    sp.add_argument("--perturb-g", dest="perturb_g", type=float, default=0.0,
-                    help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_validate)
     return ap
 
@@ -542,8 +494,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
-    if getattr(args, "units", None) is None and hasattr(args, "units"):
-        args.units = "bits" if args.channel == "bsc" else "nats"
+    if hasattr(args, "units") and args.units is None:
+        args.units = _NATIVE_UNITS[args.channel]
     try:
         return args.func(args)
     except (UsageError, ValueError, OSError, json.JSONDecodeError, ConvergenceError) as exc:

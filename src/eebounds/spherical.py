@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 _ROOT_CFG = SolverConfig(abs_tol=1e-14, max_iter=400)
+# Largest neighbor-angle residual elias_theta accepts at its root.
+_ELIAS_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -173,27 +175,7 @@ def big_g(phi: float, tau: float, ch: AwgnChannel) -> float:
     return 0.5 * math.log(arg)
 
 
-def _big_g_dx(x: float, tau: float, ch: AwgnChannel) -> float:
-    """d/dx G(x, tau), assembled in closed form."""
-    A = ch.A
-    a = 0.5 * (x + tau)
-    b = 0.5 * x + tau
-    sec2b = 1.0 / math.cos(b) ** 2
-    tanb = math.tan(b)
-    sin2a = math.sin(2.0 * a)
-    cos2a = math.cos(2.0 * a)
-    ca2 = math.cos(a) ** 2
-    N = 0.25 * sin2a * sin2a * sec2b - ca2 * tanb * tanb
-    dN = (
-        0.25 * math.sin(4.0 * a) * sec2b
-        + 0.25 * sin2a * sin2a * sec2b * tanb
-        + 0.5 * sin2a * tanb * tanb
-        - ca2 * tanb * sec2b
-    )
-    return 0.5 * A * dN / (1.0 + A * N)
-
-
-def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
+def elias_theta(x: float, tau: float) -> float:
     """Neighbor angle theta(x): the implicit covering-angle equation's root.
 
     Solved on the cleared (pole-free) form cot(theta) * (cos(theta + 2 tau)
@@ -225,8 +207,10 @@ def elias_theta(x: float, tau: float, residual_tol: float = 1e-10) -> float:
     if not roots:
         raise BracketError(f"no root of the neighbor-angle equation on (0, {hi})")
     theta = roots[0]
-    if abs(resid(theta)) > residual_tol:
-        raise BracketError(f"neighbor-angle residual {resid(theta)} exceeds {residual_tol}")
+    if abs(resid(theta)) > _ELIAS_RESIDUAL_TOL:
+        raise BracketError(
+            f"neighbor-angle residual {resid(theta)} exceeds {_ELIAS_RESIDUAL_TOL}"
+        )
     return theta
 
 
@@ -507,14 +491,11 @@ def bounded_distance_exponent_s(
     if hi < lo:
         raise ValueError(f"empty angle range [{lo}, {hi}]")
 
+    # The pair at angle 2(theta - tau), margin 0, errors capped at theta + tau.
+    # sin^2 phi0 = 1 only at 2(theta - tau) = pi, so the saddle lies below
+    # pi/2; where rounding puts it at pi/2 it is still past the cap.
     def per_theta(th: float) -> float:
-        phi0 = _phi0(2.0 * (th - tau), 0.0, ch)
-        if not (phi0 < math.pi / 2.0 and phi0 > th - tau):
-            raise ValueError(f"saddle {phi0} outside (theta - tau, pi/2) at theta={th}")
-        theta0 = phi0 if phi0 < th + tau else th + tau
-        t2 = math.tan(th - tau) ** 2 / math.tan(theta0) ** 2
-        q = 0.5 * math.log(1.0 - t2) - esp(theta0, ch)
-        return -profile.b(th) - q
+        return -profile.b(th) + f_exponent(2.0 * (th - tau), 0.0, ch, th + tau)[0]
 
     worst = per_theta(lo) if hi == lo else -maximize_unimodal(
         lambda th: -per_theta(th), RealInterval(lo, hi), points=2001

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import eebounds
-from eebounds import __version__, cli
+from eebounds import __version__, binary, cli, finite, simulate, spherical
 from eebounds.cli import main
 from eebounds.numerics import LN2, ConvergenceError
 
@@ -239,6 +240,88 @@ class TestSimulate:
         assert len(obj["results"]) == 3
         assert obj["regression"]["slope"] > 0.0
 
+    # A config file holding every parameter of the kind, and the same file
+    # without the parameters that have defaults.
+    CONFIGS = {
+        "bsc": {"kind": "bsc", "n": [7], "k": 4, "p": 0.05, "trials": 3000, "seed": 5,
+                "t": 1, "code_seed": 3, "workers": 2},
+        "awgn": {"kind": "awgn", "n": [8], "M": 4, "snr": 2, "trials": 2000, "seed": 4,
+                 "tau": 0.05, "code_seed": 2, "workers": 2},
+    }
+    DEFAULTS = {
+        "bsc": {"trials": 100000, "t": 0, "code_seed": 0, "workers": 1},
+        "awgn": {"trials": 100000, "tau": 0.0, "code_seed": 0, "workers": 1},
+    }
+    FLAGS = {
+        "bsc": (["--p", "0.1", "--seed", "9", "--code-seed", "6"],
+                {"p": 0.1, "seed": 9, "code_seed": 6}),
+        "awgn": (["--snr", "3", "--M", "5", "--tau", "0.02"], {"snr": 3.0, "M": 5, "tau": 0.02}),
+    }
+
+    @pytest.mark.parametrize("kind", ("bsc", "awgn"))
+    @pytest.mark.parametrize("full_config", (True, False))
+    def test_flag_then_config_then_default(self, tmp_path, kind, full_config):
+        cfg = dict(self.CONFIGS[kind])
+        expected = dict(cfg)
+        if not full_config:
+            for name, default in self.DEFAULTS[kind].items():
+                del cfg[name]
+                expected[name] = default
+        flags, overrides = self.FLAGS[kind]
+        expected.update(overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc, text = run(tmp_path, "s11.json", "simulate", str(path), *flags)
+        assert rc == 0
+
+        e = expected
+        if kind == "bsc":
+            code = simulate.gen_linear_code(7, 4, e["code_seed"])
+            tally = simulate.simulate_bsc(code, e["p"], e["t"], e["trials"], e["seed"], 1)
+            fields = {"k": 4, "p": e["p"], "t": e["t"]}
+        else:
+            cb = simulate.SphericalCodebook.random(e["M"], 8, float(e["snr"]), e["code_seed"])
+            tally = simulate.simulate_awgn(cb, e["tau"], e["trials"], e["seed"], 1)
+            fields = {"M": e["M"], "snr": float(e["snr"]), "tau": e["tau"]}
+        classes = ("correct", "undetected", "erasure")
+        assert json.loads(text) == {
+            "version": __version__, "kind": kind, "n": e["n"][0], "code_seed": e["code_seed"],
+            "trials": e["trials"], "seed": e["seed"], **fields,
+            "counts": {c: getattr(tally, c) for c in classes},
+            "rates": {c: {"rate": tally.rate(c), "wilson95": list(tally.wilson(c))}
+                      for c in classes},
+        }
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "bsc", "--n", "7", "--k", "4", "--p", "0.05"],
+         "a seed is required for simulation (use --seed)"),
+        (["--n", "7", "--seed", "1"], "simulation kind is required (use --kind bsc|awgn|cone)"),
+        (["--kind", "bsc", "--seed", "1"], "bsc simulation needs exactly one --n, --k and --p"),
+        (["--kind", "bsc", "--n", "7", "--k", "4", "--seed", "1"],
+         "bsc simulation needs exactly one --n, --k and --p"),
+        (["--kind", "bsc", "--n", "7", "8", "--k", "4", "--p", "0.1", "--seed", "1"],
+         "bsc simulation needs exactly one --n, --k and --p"),
+        (["--kind", "awgn", "--n", "8", "--M", "4", "--seed", "1"],
+         "awgn simulation needs exactly one --n, --snr and --M"),
+        (["--kind", "awgn", "--n", "8", "9", "--M", "4", "--snr", "2", "--seed", "1"],
+         "awgn simulation needs exactly one --n, --snr and --M"),
+        (["--kind", "cone", "--n", "20", "--snr", "4", "--seed", "1"],
+         "cone simulation needs --n (one or more), --snr and --phi"),
+        (["--kind", "cone", "--snr", "4", "--phi", "0.5", "--seed", "1"],
+         "cone simulation needs --n (one or more), --snr and --phi"),
+    ])
+    def test_usage_messages(self, tmp_path, capsys, argv, message):
+        rc, text = run(tmp_path, "s12.json", "simulate", *argv)
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unknown_kind_in_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg3.json"
+        path.write_text(json.dumps({"kind": "qam", "seed": 1}))
+        rc, text = run(tmp_path, "s13.json", "simulate", str(path))
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: unknown simulation kind: qam\n"
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         rc, _ = run(tmp_path, "s8.json", "simulate", "--kind", "bsc", "--n", "7",
                     "--k", "4", "--p", "0.05")
@@ -269,10 +352,27 @@ class TestValidate:
         assert text.strip().endswith("OK")
         assert "critical-angle identity" in text
 
-    def test_perturbation_negative_control(self, tmp_path):
-        rc, text = run(tmp_path, "v2.txt", "validate", "--perturb-g", "1e-3")
+    # Negative controls: shift one function the checks use and watch the
+    # check named for it, and only that one, fail.
+    @pytest.mark.parametrize("module, name, shift, check", [
+        (binary, "gallager_exponent",
+         lambda f: lambda r, ch: dataclasses.replace(f(r, ch), value=f(r, ch).value + 1e-3),
+         "binary tau=0 reduction"),
+        (finite, "binary_union_bound", lambda f: lambda *a: f(*a) - 1.0,
+         "union bound dominates oracle"),
+        (spherical, "big_g", lambda f: lambda *a: f(*a) + 1e-3, "G(phi, 0) = 0"),
+    ], ids=("gallager_exponent", "binary_union_bound", "big_g"))
+    def test_negative_control(self, tmp_path, monkeypatch, module, name, shift, check):
+        monkeypatch.setattr(module, name, shift(getattr(module, name)))
+        rc, text = run(tmp_path, "v2.txt", "validate")
         assert rc == 1
-        assert "FAIL" in text
+        failed = [ln.split(":")[0] for ln in text.splitlines() if ln.startswith("FAIL")]
+        assert failed == [f"FAIL  {check}"]
+        assert text.endswith("\n1 FAILED\n")
+
+    def test_no_perturbation_flag(self, tmp_path):
+        rc, text = run(tmp_path, "v3.txt", "validate", "--perturb-g", "1e-3")
+        assert rc == 2 and text == ""
 
 
 class TestSolverFailure:
