@@ -5,14 +5,13 @@ oracle and seeded Monte Carlo simulation."""
 __version__ = "0.1.0"
 
 from .numerics import (
+    BoundValue,
     BracketError,
     ConvergenceError,
     RealInterval,
     SolverConfig,
     binary_entropy,
     entropy_inverse,
-    log2_binomial,
-    log_binomial,
     log_sum,
     maximize_unimodal,
     solve_bracketed,

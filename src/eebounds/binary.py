@@ -11,13 +11,12 @@ runs an optimizer, and only ``delta_gv`` solves an equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .numerics import _log2_factorials, binary_entropy as h, entropy_inverse
+from .numerics import BoundValue, _log2_factorials, _log2_pmf, binary_entropy as h, entropy_inverse
 
 __all__ = [
     "BscChannel",
@@ -61,13 +60,7 @@ class BscChannel:
         return 1.0 - h(self.p)
 
 
-@dataclass(frozen=True)
-class BinaryBoundValue:
-    value: float
-    regime: str  # one of "a", "b", "c"
-    valid: bool = True
-    diagnostics: Optional[dict] = None
-    reason: Optional[str] = None  # why the value is not valid
+BinaryBoundValue = BoundValue  # regime "a", "b" or "c"
 
 
 @dataclass(frozen=True)
@@ -386,12 +379,7 @@ def _bounded_distance_hypothesis(R: float, ch: BscChannel, tau: float, n: int) -
         # argmax takes the first maximum in row-major order.
         i = np.arange(max(math.ceil(w / 2), w - t), w + 1)[:, None]
         ell = np.arange(min(t, n - w) + 1)
-        lt = (
-            (lf[w] - lf[i] - lf[w - i])
-            + (lf[n - w] - lf[ell] - lf[n - w - ell])
-            + (i + ell) * lp
-            + (n - i - ell) * lq
-        )
+        lt = _log2_pmf(lf, w, i, lp, lq) + _log2_pmf(lf, n - w, ell, lp, lq)
         if np.argmax(lt) != 0:
             return False
     return True

@@ -38,13 +38,13 @@ _CURVE_BOUNDS = {
 _NATIVE_UNITS = {"bsc": "bits", "awgn": "nats"}
 
 # Simulate parameters: (conversion, default). A flag beats the config file,
-# and the config file beats the default.
+# and the config file beats the default. A config "n" may be one number.
 _SIM_PARAMS = {
     "kind": (str, None),
     "seed": (int, None),
     "trials": (int, 100000),
     "workers": (int, 1),
-    "n": (lambda ns: [int(n) for n in ns], None),
+    "n": (lambda ns: [int(n) for n in (ns if isinstance(ns, list) else [ns])], None),
     "k": (int, None),
     "M": (int, None),
     "p": (float, None),

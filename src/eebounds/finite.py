@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import LN2, _log2_factorials, _row_log_sum, log_sum
-from .spherical import AwgnChannel, esp
+from .numerics import LN2, _log2_factorials, _log2_pmf, _row_log_sum, log_sum
+from .spherical import AwgnChannel, _tail, esp
 
 __all__ = [
     "WeightDistribution",
@@ -153,20 +153,20 @@ def binary_union_bound(
         # Binomial(n - w, p) CDFs at j = 0..last. Past a row's last, j is
         # clipped to keep the indices valid; those prefix sums are never read.
         jc = np.minimum(np.arange(int(last[b].max()) + 1), last[b, None])
-        log_pmf = lf[mb] - lf[jc] - lf[mb - jc] + jc * lp + (mb - jc) * lq
+        log_pmf = _log2_pmf(lf, mb, jc, lp, lq)
         log_cdf = np.logaddexp2.accumulate(log_pmf, axis=1)
         # i errors on the codeword's support, i = lo..hi, and the CDF at
         # min(r - i, n - w); -inf past each row's hi.
         i = lo[b, None] + np.arange(int((hi - lo)[b].max()) + 1)
         ic = np.minimum(i, hi[b, None])
-        terms = lf[wb] - lf[ic] - lf[wb - ic] + ic * lp + (wb - ic) * lq
+        terms = _log2_pmf(lf, wb, ic, lp, lq)
         terms += np.take_along_axis(log_cdf, np.minimum(r - ic, mb), axis=1)
         terms[i > hi[b, None]] = -math.inf
         pieces[b] = counts[w[b]] + _row_log_sum(terms)
     # Tail: error weight beyond the decoding radius.
     if r < n:
         es = np.arange(r + 1, n + 1)
-        pieces = np.append(pieces, log_sum(lf[n] - lf[es] - lf[n - es] + es * lp + (n - es) * lq))
+        pieces = np.append(pieces, log_sum(_log2_pmf(lf, n, es, lp, lq)))
     return log_sum(pieces)
 
 
@@ -184,7 +184,8 @@ def awgn_union_bound(
     the cone angles from its cone start theta_w / 2 + tau to rho. The
     integrands are evaluated in blocks of ``_ROW_BUDGET // quad_points``
     weights (at least one) by ``quad_points`` nodes, so memory stays bounded
-    at any n, and each row is summed by a row-wise log-sum-exp.
+    at any n, and each row is summed by a row-wise log-sum-exp. The tail
+    beyond rho is ``spherical._tail``: ValueError below the capacity angle.
     """
     n = hamming_wd.n
     if not 0.0 < rho < math.pi / 2.0:
@@ -193,6 +194,7 @@ def awgn_union_bound(
         raise ValueError(f"quad_points must be at least 1, got {quad_points}")
     if n < 2:
         raise ValueError(f"dimension n must be at least 2, got {n}")
+    tail = -n * _tail(rho, ch)
     d = hamming_wd.min_distance
     # (log2 A_w, cone start) of the present weights whose cone starts inside rho.
     cones = []
@@ -224,7 +226,7 @@ def awgn_union_bound(
             log_omega = log_cap_pref + (n - 1) * np.log(sin_x) - np.log(tan_ratio)
         integrand = log_omega - n * esp(phis, ch)
         pieces[b] = law[b] * LN2 + (_row_log_sum(integrand, math.e) + log_step[b])
-    return log_sum(np.append(pieces, -n * esp(rho, ch)), base=math.e)
+    return log_sum(np.append(pieces, tail), base=math.e)
 
 
 _BUDGET_BITS = 20  # log2 of the element budget of one intermediate array

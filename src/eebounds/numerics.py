@@ -1,13 +1,14 @@
 """Analysis kernel shared by all bound modules.
 
-One copy of each numerical tool: bracketed root finding and the sign scan
-that feeds it (``_scan_root``), the grid-then-golden maximizer
-(``maximize_unimodal``; minimize by negating), the binary entropy (elementwise
-on an array, like ``spherical.esp``) and its inverse, the log-factorial table
-behind every log-binomial row (``_log2_factorials``) and overflow-safe
-log-domain sums, of a sequence (``log_sum``) or of each row of a 2-D array
-(``_row_log_sum``). The root scan evaluates its grid by one call of an
-elementwise function and skips grid points where it is not finite (NaN on an
+One copy of each shared piece: the value type of every bound on both channels
+(``BoundValue``), bracketed root finding and the sign scan that feeds it
+(``_scan_root``), the grid-then-golden maximizer (``maximize_unimodal``;
+minimize by negating), the binary entropy (elementwise on an array, like
+``spherical.esp``) and its inverse, the log-factorial table behind every
+log-binomial row (``_log2_factorials``), the one log2 binomial pmf term
+(``_log2_pmf``) and overflow-safe log-domain sums, of a sequence (``log_sum``)
+or of each row of a 2-D array (``_row_log_sum``). The root scan evaluates its
+grid by one call of an elementwise function and skips grid points where it is not finite (NaN on an
 array where the float path would raise); the maximizer's guard grid calls its
 scalar function per point and counts a raise as -inf.
 Everything here is a pure function of its inputs.
@@ -17,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "BoundValue",
     "RealInterval",
     "SolverConfig",
     "BracketError",
@@ -30,8 +32,6 @@ __all__ = [
     "maximize_unimodal",
     "binary_entropy",
     "entropy_inverse",
-    "log2_binomial",
-    "log_binomial",
     "log_sum",
 ]
 
@@ -45,6 +45,18 @@ class BracketError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching the requested tolerance."""
+
+
+@dataclass(frozen=True)
+class BoundValue:
+    """A bound's value and the regime that gave it, on either channel;
+    ``valid=False`` comes with a ``reason``."""
+
+    value: float
+    regime: str
+    valid: bool = True
+    diagnostics: Optional[dict] = None
+    reason: Optional[str] = None  # why the value is not valid
 
 
 @dataclass(frozen=True)
@@ -267,24 +279,16 @@ def entropy_inverse(y: float, cfg: SolverConfig = SolverConfig(abs_tol=1e-15)) -
     return solve_bracketed(lambda x: binary_entropy(x) - y, RealInterval(0.0, 0.5), cfg)
 
 
-def log2_binomial(n: int, k: int) -> float:
-    """log2 C(n, k) via log-gamma."""
-    if n < 0 or k < 0:
-        raise ValueError(f"negative argument: n={n}, k={k}")
-    if k > n:
-        raise ValueError(f"k={k} exceeds n={n}")
-    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / LN2
-
-
 def _log2_factorials(n: int) -> np.ndarray:
     """log2 k! for k = 0..n. Row m of log2 binomials is
     ``lf[m] - lf[:m + 1] - lf[m::-1]``."""
     return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1) / LN2
 
 
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) via log-gamma."""
-    return log2_binomial(n, k) * LN2
+def _log2_pmf(lf: np.ndarray, m, j, lp: float, lq: float):
+    """log2 of the binomial(m, p) pmf at j, from ``lf = _log2_factorials(N)``
+    (N >= m), lp = log2 p and lq = log2(1 - p); elementwise on index arrays."""
+    return lf[m] - lf[j] - lf[m - j] + j * lp + (m - j) * lq
 
 
 def log_sum(values: Sequence[float], base: float = 2.0) -> float:

@@ -11,7 +11,9 @@ residual a scan takes, which gives NaN where its float form raises. The
 neighbor-angle equation of ``elias_theta`` has a closed-form inverse
 x(theta), so the decoding radius is one scan in theta and the boundary rate
 R* a formula, with no scan nested in another. Invalid bound values carry a
-``reason``.
+``reason``. Both distance-profile exponents are one ``_union_exponent``: the
+worst angle against the noise tail ``_tail``, which raises ValueError below
+the capacity angle, where leaving the cone is the typical event.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import (
+    BoundValue,
     BracketError,
     RealInterval,
     SolverConfig,
@@ -80,13 +83,7 @@ class AwgnChannel:
         return math.atan(1.0 / math.sqrt(self.A))
 
 
-@dataclass(frozen=True)
-class SphericalBoundValue:
-    value: float
-    regime: str  # "expurgation" | "straight" | "sphere-packing"
-    valid: bool = True
-    diagnostics: Optional[dict] = None
-    reason: Optional[str] = None  # why the value is not valid
+SphericalBoundValue = BoundValue  # regimes: expurgation, straight, sphere-packing, detection
 
 
 @dataclass(frozen=True)
@@ -135,6 +132,14 @@ def esp(phi, ch: AwgnChannel):
     g = g_aux(phi, ch)
     # g > 0 and sin(phi) > 0 on (0, pi), so the log argument is positive.
     return A / 2.0 - (math.sqrt(A) / 2.0) * g * xp.cos(phi) - xp.log(g * xp.sin(phi))
+
+
+def _tail(rho: float, ch: AwgnChannel) -> float:
+    """esp(rho), the decay rate of noise leaving the cone of half-angle rho;
+    ValueError below the capacity angle, where it does not decay."""
+    if rho < ch.capacity_angle:
+        raise ValueError(f"radius {rho} below the capacity angle {ch.capacity_angle}")
+    return esp(rho, ch)
 
 
 def shannon_angles(ch: AwgnChannel) -> tuple[float, float]:
@@ -455,52 +460,51 @@ class DistanceProfile:
         return cls(lambda th: value, theta0, theta0)
 
 
-def profile_exponent(
-    profile: DistanceProfile,
-    R: float,
-    ch: AwgnChannel,
-    tau: float,
-    rho: float,
+def _union_exponent(
+    profile: DistanceProfile, pair, hi: float, rho: float, ch: AwgnChannel
 ) -> float:
-    """Exponent of the distance-profile union bound: competition between the
-    worst profile angle and the sphere-packing tail at radius rho."""
+    """The smaller of pair(theta) - b(theta) at its worst angle theta in
+    [theta_min, hi] and the noise tail at radius rho."""
     lo = profile.theta_min
-    hi = min(profile.theta_max, 2.0 * (rho - tau) - 1e-9)
     if hi < lo:
-        raise ValueError(f"empty angular support [{lo}, {hi}]")
+        raise ValueError(f"empty angle range [{lo}, {hi}]")
+    tail = _tail(rho, ch)
 
     def per_theta(th: float) -> float:
-        return -profile.b(th) + f_exponent(th, tau, ch, rho)[0]
+        return -profile.b(th) + pair(th)
 
     worst = per_theta(lo) if hi == lo else -maximize_unimodal(
         lambda th: -per_theta(th), RealInterval(lo, hi), points=2001
     )[1]
-    return min(worst, esp(rho, ch))
+    return min(worst, tail)
+
+
+def profile_exponent(
+    profile: DistanceProfile, R: float, ch: AwgnChannel, tau: float, rho: float
+) -> float:
+    """Exponent of the distance-profile union bound: competition between the
+    worst profile angle and the sphere-packing tail at radius rho, which must
+    not lie below the capacity angle."""
+    hi = min(profile.theta_max, 2.0 * (rho - tau) - 1e-9)
+    return _union_exponent(profile, lambda th: f_exponent(th, tau, ch, rho)[0], hi, rho, ch)
 
 
 def bounded_distance_exponent_s(
     profile: DistanceProfile, ch: AwgnChannel, tau: float, eps: float = 1e-4
 ) -> float:
-    """Error exponent of bounded-distance decoding at angular radius tau."""
+    """Error exponent of bounded-distance decoding at angular radius tau; the
+    tail is taken at pi/2 - tau - eps, the top of the angle range."""
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if not profile.theta_min > 0.0:
         raise ValueError("profile must have positive minimum distance")
-    lo = profile.theta_min
     hi = math.pi / 2.0 - tau - eps
-    if hi < lo:
-        raise ValueError(f"empty angle range [{lo}, {hi}]")
-
     # The pair at angle 2(theta - tau), margin 0, errors capped at theta + tau.
     # sin^2 phi0 = 1 only at 2(theta - tau) = pi, so the saddle lies below
     # pi/2; where rounding puts it at pi/2 it is still past the cap.
-    def per_theta(th: float) -> float:
-        return -profile.b(th) + f_exponent(2.0 * (th - tau), 0.0, ch, th + tau)[0]
-
-    worst = per_theta(lo) if hi == lo else -maximize_unimodal(
-        lambda th: -per_theta(th), RealInterval(lo, hi), points=2001
-    )[1]
-    return min(worst, esp(hi, ch))
+    return _union_exponent(
+        profile, lambda th: f_exponent(2.0 * (th - tau), 0.0, ch, th + tau)[0], hi, hi, ch
+    )
 
 
 def undetected_error_exponent(theta: float, tau: float) -> SphericalBoundValue:

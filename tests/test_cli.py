@@ -191,6 +191,16 @@ class TestFiniteBound:
         assert obj["rho"] == 1.0
         assert obj["exponent_nats"] > 0.0
 
+    def test_awgn_radius_below_capacity_angle_is_error(self, tmp_path, capsys):
+        rc, text = run(
+            tmp_path, "fb3.json",
+            "finite-bound", "--channel", "awgn", "--snr", "4", "--n", "256",
+            "--rate", "0.5", "--rho", "0.3",
+        )
+        assert rc == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius 0.3 below the capacity angle")
+
 
 class TestSimulate:
     BSC = [
@@ -218,6 +228,20 @@ class TestSimulate:
         obj = json.loads(text)
         assert rc == 0
         assert obj["counts"]["undetected"] == 0 and obj["counts"]["erasure"] == 0
+
+    @pytest.mark.parametrize("n", [7, "7"])
+    def test_scalar_n_in_config(self, tmp_path, n):
+        outs = []
+        for name, value in (("one", n), ("list", [7])):
+            cfg = tmp_path / f"cfg-{name}.json"
+            cfg.write_text(json.dumps({
+                "kind": "bsc", "n": value, "k": 4, "p": 0.05, "trials": 2000, "seed": 3,
+            }))
+            rc, text = run(tmp_path, f"s-{name}.json", "simulate", str(cfg))
+            assert rc == 0
+            outs.append(text)
+        assert outs[0] == outs[1] and json.loads(outs[0])["n"] == 7
+        assert cli._SIM_PARAMS["n"][0]("77") == [77]
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg2.json"

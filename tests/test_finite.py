@@ -257,6 +257,12 @@ class TestAwgnUnionBound:
         with pytest.raises(ValueError):
             awgn_union_bound(wd, self.CH, 0.0, 2.0)
 
+    def test_radius_below_capacity_angle_raises(self):
+        # esp(0.3) > 0 at A = 4, but the cone-exit probability is near 1 there.
+        wd = WeightDistribution.binomial_spherical(256, 0.5)
+        with pytest.raises(ValueError, match="capacity angle"):
+            awgn_union_bound(wd, self.CH, 0.0, 0.3)
+
     def test_input_validation(self):
         wd = WeightDistribution.binomial_spherical(64, 0.3)
         for q in (0, -3):

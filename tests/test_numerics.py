@@ -9,11 +9,10 @@ from eebounds.numerics import (
     RealInterval,
     SolverConfig,
     _log2_factorials,
+    _log2_pmf,
     _scan_root,
     binary_entropy,
     entropy_inverse,
-    log2_binomial,
-    log_binomial,
     log_sum,
     maximize_unimodal,
     solve_bracketed,
@@ -217,26 +216,27 @@ class TestEntropy:
 
 class TestLogCombinatorics:
     def test_log2_binomial_exact(self):
-        for n in range(0, 40):
-            for k in range(0, n + 1):
-                assert log2_binomial(n, k) == pytest.approx(math.log2(math.comb(n, k)), abs=1e-9)
         lf = _log2_factorials(4096)
         assert lf[0] == 0.0 and lf[1] == 0.0
         assert lf[100] == pytest.approx(math.log2(math.factorial(100)), abs=1e-9)
         for n in (40, 257, 1024, 2049, 4096):
             for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} | set(range(0, n + 1, 97))):
                 exact = math.log2(math.comb(n, k))
-                assert log2_binomial(n, k) == pytest.approx(exact, abs=1e-9)
                 assert lf[n] - lf[k] - lf[n - k] == pytest.approx(exact, abs=1e-9)
 
-    def test_log_binomial_base(self):
-        assert log_binomial(10, 3) == pytest.approx(math.log(120.0), abs=1e-10)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            log2_binomial(3, 5)
-        with pytest.raises(ValueError):
-            log2_binomial(-1, 0)
+    @pytest.mark.parametrize("p", [0.07, 0.3, 0.5])
+    def test_log2_pmf_exact(self, p):
+        lf = _log2_factorials(300)
+        lp, lq = math.log2(p), math.log2(1.0 - p)
+        for m in (0, 1, 7, 40, 300):
+            j = np.arange(m + 1)
+            got = _log2_pmf(lf, m, j, lp, lq)
+            for k in range(m + 1):
+                exact = math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
+                if exact > 1e-300:  # a normal float
+                    assert 2.0 ** got[k] == pytest.approx(exact, rel=1e-9)
+            assert float(_log2_pmf(lf, m, m // 2, lp, lq)) == got[m // 2]
+            assert math.log2(np.sum(np.exp2(got))) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_sum_matches_direct(self):
         vals = [-3.0, -1.5, -10.0, 0.25]

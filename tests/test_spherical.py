@@ -863,6 +863,15 @@ class TestProfileExponent:
         with pytest.raises(ValueError):
             profile_exponent(DistanceProfile.single_angle(1.4), 0.3, CH4, 0.0, 0.5)
 
+    def test_radius_below_capacity_angle_raises(self):
+        # Below arccot sqrt(A) ~ 0.4636 the noise typically leaves the cone.
+        prof = DistanceProfile.single_angle(0.3)
+        with pytest.raises(ValueError, match="capacity angle"):
+            profile_exponent(prof, 0.3, CH4, 0.0, 0.4)
+        assert profile_exponent(prof, 0.3, CH4, 0.0, CH4.capacity_angle) == min(
+            f_exponent(0.3, 0.0, CH4, CH4.capacity_angle)[0], esp(CH4.capacity_angle, CH4)
+        )
+
 
 class TestBoundedDistanceSpherical:
     def test_saddle_location_checks(self):
@@ -912,6 +921,11 @@ class TestBoundedDistanceSpherical:
     def test_validation(self):
         with pytest.raises(ValueError):
             bounded_distance_exponent_s(DistanceProfile.packing(0.3), CH4, 0.0)
+
+    def test_tail_below_capacity_angle_raises(self):
+        # At A = 0.01 the capacity angle is ~1.4711, above pi/2 - 0.2 - 1e-4.
+        with pytest.raises(ValueError, match="capacity angle"):
+            bounded_distance_exponent_s(DistanceProfile.packing(0.3), AwgnChannel(0.01), 0.2)
 
     @pytest.mark.parametrize("A, tau, profile, expected", [
         (4.0, 0.1, DistanceProfile.packing(0.2), 1.1470623019412667),
