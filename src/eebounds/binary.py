@@ -376,11 +376,11 @@ def _bounded_distance_hypothesis(R: float, ch: BscChannel, tau: float, n: int) -
     lf = _log2_factorials(n)
     for w in range(d, n + 1):
         # Terms over i >= max(ceil(w/2), w - t) (rows) and ell <= t (columns);
-        # argmax takes the first maximum in row-major order.
+        # another beats the first only by more than a relative 1e-12: rounding breaks no tie.
         i = np.arange(max(math.ceil(w / 2), w - t), w + 1)[:, None]
         ell = np.arange(min(t, n - w) + 1)
         lt = _log2_pmf(lf, w, i, lp, lq) + _log2_pmf(lf, n - w, ell, lp, lq)
-        if np.argmax(lt) != 0:
+        if lt.max() - lt[0, 0] > 1e-12 * abs(lt[0, 0]):
             return False
     return True
 

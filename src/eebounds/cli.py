@@ -200,7 +200,7 @@ def cmd_landmarks(args) -> int:
     else:
         try:
             lm = spherical.spherical_landmarks(args.tau, ch)
-        except Exception as exc:  # structured root-finding failure
+        except (ValueError, ConvergenceError) as exc:  # structured root-finding failure
             _emit(_json_dump({**head, "error": str(exc), "snr": ch.A}), args.out)
             return 1
         obj = {**head, "snr": ch.A, **dataclasses.asdict(lm), "residuals": lm.residuals or {}}

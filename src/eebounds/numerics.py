@@ -7,10 +7,10 @@ minimize by negating), the binary entropy (elementwise on an array, like
 ``spherical.esp``) and its inverse, the log-factorial table behind every
 log-binomial row (``_log2_factorials``), the one log2 binomial pmf term
 (``_log2_pmf``) and overflow-safe log-domain sums, of a sequence (``log_sum``)
-or of each row of a 2-D array (``_row_log_sum``). The root scan evaluates its
-grid by one call of an elementwise function and skips grid points where it is not finite (NaN on an
-array where the float path would raise); the maximizer's guard grid calls its
-scalar function per point and counts a raise as -inf.
+or of each row of a 2-D array (``_row_log_sum``). The root scan and the
+maximizer share one grid contract (``_grid``): f is elementwise, NaN on an array
+where a float would raise, its grid is one call on an array, non-finite grid
+values count as NaN, and refinement (brackets, golden probes) calls f on floats.
 Everything here is a pure function of its inputs.
 """
 
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_POINTS = 2001
 LN2 = math.log(2.0)
 
 
@@ -152,6 +153,13 @@ def _guarded(f: Callable[[float], float], x: float, fill: float = math.nan) -> f
         return fill
 
 
+def _grid(f: Callable, xs: np.ndarray) -> np.ndarray:
+    """f on the grid xs by one elementwise call, non-finite values as NaN."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(xs), dtype=float)
+    return np.where(np.isfinite(vals), vals, np.nan)
+
+
 def _scan_root(
     f: Callable[[float], float],
     lo: float,
@@ -163,17 +171,13 @@ def _scan_root(
     """Roots of f on [lo, hi]: a sign scan over ``points`` grid points, each
     sign change refined by ``solve_bracketed``.
 
-    f is elementwise: the grid is evaluated by one call on the ndarray of its
-    points, and the refinement calls f on floats. Where the float path would
-    raise, the array path gives NaN; non-finite grid values count as NaN, and
-    cells touching one are skipped. The two paths may round differently:
+    The grid follows ``_grid``, and the refinement calls f on floats; cells
+    touching a NaN grid value are skipped. The two paths may round differently:
     a cell whose float end values raise is skipped too, and one whose float
     end values share a sign gives the end nearer zero, a root to within
     rounding. Stops at the first root unless ``all_roots``."""
     xs = np.linspace(lo, hi, points)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f(xs), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, np.nan)
+    vals = _grid(f, xs)
     v0, v1 = vals[:-1], vals[1:]
     cells = np.flatnonzero(~np.isnan(v0) & ~np.isnan(v1) & ((v0 == 0.0) | (v0 * v1 < 0.0)))
     roots: list[float] = []
@@ -202,21 +206,21 @@ def maximize_unimodal(
     f: Callable[[float], float],
     interval: RealInterval,
     cfg: SolverConfig = SolverConfig(),
-    points: int = 64,
 ) -> tuple[float, float]:
-    """(argmax, max) of f on the interval.
+    """(argmax, max) of an elementwise f on the interval.
 
-    A guard scan over ``points`` grid points locates the coarse peak first,
-    golden-section then refines inside the surrounding grid cell. The scan
-    makes the result robust when the caller cannot certify unimodality.
-    Grid points and probes where f raises count as -inf.
+    A guard grid of ``_MAX_POINTS`` points, one ``_grid`` call, locates the
+    coarse peak; golden-section then refines inside the surrounding grid cell,
+    one float probe at a time. The grid makes the result robust when the caller
+    cannot certify unimodality. NaN grid values and raising probes count as -inf.
     """
 
     def g(x: float) -> float:
         return _guarded(f, x, -math.inf)
 
-    xs = np.linspace(interval.lo, interval.hi, points)
-    vals = np.array([g(float(x)) for x in xs], dtype=float)
+    xs = np.linspace(interval.lo, interval.hi, _MAX_POINTS)
+    vals = _grid(f, xs)
+    vals[np.isnan(vals)] = -math.inf
     k = int(np.argmax(vals))
     a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
 
@@ -244,9 +248,10 @@ def maximize_unimodal(
             f1, f2 = g(x1), g(x2)
     xm = 0.5 * (a + b)
     fm = g(xm)
-    # The guard-scan maximum can still win for very flat or spiky functions.
-    if vals[k] > fm:
-        return float(xs[k]), float(vals[k])
+    # The grid maximum, valued like a probe, can win for flat or spiky functions.
+    fk = g(float(xs[k]))
+    if fk > fm:
+        return float(xs[k]), float(fk)
     return float(xm), float(fm)
 
 

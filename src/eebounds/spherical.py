@@ -13,7 +13,9 @@ x(theta), so the decoding radius is one scan in theta and the boundary rate
 R* a formula, with no scan nested in another. Invalid bound values carry a
 ``reason``. Both distance-profile exponents are one ``_union_exponent``: the
 worst angle against the noise tail ``_tail``, which raises ValueError below
-the capacity angle, where leaving the cone is the typical event.
+the capacity angle, where leaving the cone is the typical event. The worst
+angle is searched on a grid, so ``f_exponent``, ``_phi0`` and every profile's
+``b`` are elementwise too.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ __all__ = [
 _ROOT_CFG = SolverConfig(abs_tol=1e-14, max_iter=400)
 # Largest neighbor-angle residual elias_theta accepts at its root.
 _ELIAS_RESIDUAL_TOL = 1e-10
+# Gap between the top of the bounded-distance angle range and pi/2 - tau.
+_BD_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -364,28 +368,33 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
     )
 
 
-def _phi0(theta: float, tau: float, ch: AwgnChannel) -> float:
-    """Interior saddle angle of the pairwise-error integrand."""
+def _phi0(theta, tau: float, ch: AwgnChannel):
+    """Interior saddle angle of the pairwise-error integrand, in (0, pi/2];
+    elementwise on an array of angles."""
+    xp = np if isinstance(theta, np.ndarray) else math
     A = ch.A
     psi = theta + 2.0 * tau
-    s2 = (4.0 + A * math.sin(psi) ** 2) / (2.0 * (2.0 + A + A * math.cos(psi)))
-    return math.asin(math.sqrt(min(max(s2, 0.0), 1.0)))
+    s2 = (4.0 + A * xp.sin(psi) ** 2) / (2.0 * (2.0 + A + A * xp.cos(psi)))
+    return xp.asin(xp.sqrt(np.clip(s2, 0.0, 1.0) if xp is np else min(max(s2, 0.0), 1.0)))
 
 
-def f_exponent(
-    theta: float, tau: float, ch: AwgnChannel, rho: float
-) -> tuple[float, float]:
+def f_exponent(theta, tau: float, ch: AwgnChannel, rho) -> tuple:
     """(-1/n ln of the pairwise error probability, active saddle angle) for
-    two codewords at angle theta under margin tau, errors capped at radius rho."""
+    two codewords at angle theta under margin tau, errors capped at radius rho;
+    elementwise on arrays (rho > 0), NaN where the float path raises: a mask for
+    the rho range, and a saddle at or below theta/2 + tau makes 1 - t2 <= 0."""
+    xp = np if isinstance(theta, np.ndarray) or isinstance(rho, np.ndarray) else math
     half = theta / 2.0 + tau
-    if not half < rho < math.pi / 2.0:
+    if xp is math and not half < rho < math.pi / 2.0:
         raise ValueError(f"require theta/2 + tau < rho < pi/2, got {half} vs {rho}")
     phi0 = _phi0(theta, tau, ch)
-    if phi0 <= half:
+    if xp is math and phi0 <= half:
         raise ValueError(f"saddle {phi0} at or below integration start {half}")
-    phi = phi0 if phi0 < rho else rho
-    t2 = math.tan(half) ** 2 / math.tan(phi) ** 2
-    value = -0.5 * math.log(1.0 - t2) + esp(phi, ch)
+    phi = np.where(phi0 < rho, phi0, rho) if xp is np else (phi0 if phi0 < rho else rho)
+    t2 = xp.tan(half) ** 2 / xp.tan(phi) ** 2
+    value = -0.5 * xp.log(1.0 - t2) + esp(phi, ch)
+    if xp is np:
+        value = np.where((half < rho) & (rho < math.pi / 2.0), value, np.nan)
     return value, phi
 
 
@@ -443,9 +452,9 @@ def tradeoff_exponent(
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Exponential distance profile b(theta) with declared angular support."""
+    """Exponential distance profile b(theta), elementwise, with declared angular support."""
 
-    b: Callable[[float], float]
+    b: Callable
     theta_min: float
     theta_max: float
 
@@ -453,7 +462,8 @@ class DistanceProfile:
     def packing(cls, R: float) -> "DistanceProfile":
         """Profile R + ln sin theta of the uniform-measure packing of rate R."""
         tmin = theta_s(R)
-        return cls(lambda th: R + math.log(math.sin(th)), tmin, math.pi - tmin)
+        b = lambda t: R + (np.log(np.sin(t)) if isinstance(t, np.ndarray) else math.log(math.sin(t)))
+        return cls(b, tmin, math.pi - tmin)
 
     @classmethod
     def single_angle(cls, theta0: float, value: float = 0.0) -> "DistanceProfile":
@@ -470,12 +480,10 @@ def _union_exponent(
         raise ValueError(f"empty angle range [{lo}, {hi}]")
     tail = _tail(rho, ch)
 
-    def per_theta(th: float) -> float:
-        return -profile.b(th) + pair(th)
+    def integrand(th):
+        return profile.b(th) - pair(th)
 
-    worst = per_theta(lo) if hi == lo else -maximize_unimodal(
-        lambda th: -per_theta(th), RealInterval(lo, hi), points=2001
-    )[1]
+    worst = -(integrand(lo) if hi == lo else maximize_unimodal(integrand, RealInterval(lo, hi))[1])
     return min(worst, tail)
 
 
@@ -489,16 +497,14 @@ def profile_exponent(
     return _union_exponent(profile, lambda th: f_exponent(th, tau, ch, rho)[0], hi, rho, ch)
 
 
-def bounded_distance_exponent_s(
-    profile: DistanceProfile, ch: AwgnChannel, tau: float, eps: float = 1e-4
-) -> float:
+def bounded_distance_exponent_s(profile: DistanceProfile, ch: AwgnChannel, tau: float) -> float:
     """Error exponent of bounded-distance decoding at angular radius tau; the
-    tail is taken at pi/2 - tau - eps, the top of the angle range."""
+    tail is taken at pi/2 - tau - _BD_EPS, the top of the angle range."""
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if not profile.theta_min > 0.0:
         raise ValueError("profile must have positive minimum distance")
-    hi = math.pi / 2.0 - tau - eps
+    hi = math.pi / 2.0 - tau - _BD_EPS
     # The pair at angle 2(theta - tau), margin 0, errors capped at theta + tau.
     # sin^2 phi0 = 1 only at 2(theta - tau) = pi, so the saddle lies below
     # pi/2; where rounding puts it at pi/2 it is still past the cap.

@@ -441,6 +441,25 @@ class TestBoundedDistance:
         ok = bounded_distance_exponent(0.3, CH, 0.05, check_n=96).diagnostics["hypothesis_ok"]
         assert not ok
 
+    def test_dominance_tie_is_not_a_failure(self, monkeypatch):
+        # At n = 32, t = 1, w = 13 the (12, 1) term equals the (12, 0) term
+        # in exact arithmetic, since 19 * 0.05 / 0.95 = 1. A tie does not
+        # break the hypothesis, whichever way the two terms round: raising
+        # every ell >= 1 term by a relative 1e-14 leaves the flag set.
+        def flag():
+            out = bounded_distance_exponent(0.02, BscChannel(0.05), 0.03, check_n=32)
+            return out.diagnostics["hypothesis_ok"]
+
+        assert flag() is True
+        pmf = binary_module._log2_pmf
+
+        def raised(lf, m, j, lp, lq):
+            v = pmf(lf, m, j, lp, lq)
+            return v + 1e-14 * np.abs(v) * (np.ndim(j) == 1) * (np.asarray(j) > 0)
+
+        monkeypatch.setattr(binary_module, "_log2_pmf", raised)
+        assert flag() is True
+
     def test_outline_sum_oracle(self):
         # Finite-n log-domain evaluation of the single-term sum behind the
         # bound: (t+1)^2 2^{-n(1-R)} sum_w C(n,w) C(w,w-t) p^(w-t) q^(n-w+t).

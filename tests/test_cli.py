@@ -168,6 +168,29 @@ class TestLandmarks:
         assert obj["R_star"] == pytest.approx(0.481212, abs=1e-5)
         assert all(abs(v) <= 1e-10 for v in obj["residuals"].values())
 
+    def test_spherical_failure_record(self, tmp_path):
+        # R* lies above capacity at A = 64, tau = 0.1: an error record, exit 1.
+        rc, text = run(
+            tmp_path, "lm3.json", "landmarks", "--channel", "awgn", "--snr", "64", "--tau", "0.1"
+        )
+        assert rc == 1
+        assert json.loads(text) == {
+            "channel": "awgn",
+            "error": "no root for the straight-line/sphere-packing rate boundary",
+            "snr": 64.0,
+            "tau": 0.1,
+            "version": __version__,
+        }
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # Only solver failures become an error record; a bug is not one.
+        def broken(tau, ch):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(spherical, "spherical_landmarks", broken)
+        with pytest.raises(TypeError, match="bug"):
+            run(tmp_path, "lm4.json", "landmarks", "--channel", "awgn", "--snr", "4", "--tau", "0")
+
 
 class TestFiniteBound:
     def test_binary_record(self, tmp_path):

@@ -73,25 +73,50 @@ class TestMaximizeUnimodal:
         assert abs(v - 2.0) < 1e-8
 
     def test_raising_region_is_skipped(self):
+        # Elementwise functions: NaN on an array where a float raises.
         def f(x):
+            if isinstance(x, np.ndarray):
+                return np.where(x < 0.5, np.nan, -((x - 0.7) ** 2))
             if x < 0.5:
                 raise ValueError("outside the domain")
             return -((x - 0.7) ** 2)
+
+        def g(x):
+            return -np.sqrt(x - 0.5) if isinstance(x, np.ndarray) else -math.sqrt(x - 0.5)
 
         x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
         assert abs(x - 0.7) < 1e-8
         assert abs(v) < 1e-12
         # The peak sits on the edge of the raising region: the golden probes
         # that land past it count as -inf.
-        x, v = maximize_unimodal(lambda x: -math.sqrt(x - 0.5), RealInterval(0.0, 1.0))
+        x, v = maximize_unimodal(g, RealInterval(0.0, 1.0))
         assert x == pytest.approx(0.5, abs=1e-8)
         assert v == pytest.approx(0.0, abs=1e-5)
 
     def test_flat_plateau(self):
-        f = lambda x: min(1.0, 3.0 - 10.0 * abs(x - 0.5))
+        f = lambda x: np.minimum(1.0, 3.0 - 10.0 * np.abs(x - 0.5))
         x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
         assert v == 1.0
         assert abs(x - 0.5) <= 0.2
+
+    def test_grid_is_one_array_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -((x - 0.3) ** 2)
+
+        maximize_unimodal(f, RealInterval(-1.0, 1.0))
+        arrays = [x for x in calls if isinstance(x, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0].shape == (2001,)
+        assert isinstance(calls[0], np.ndarray)
+        assert all(isinstance(x, float) for x in calls[1:])
+
+    def test_nan_grid_values_count_as_minus_inf(self):
+        # np.argmax would pick the first NaN; the peak must win instead.
+        f = lambda x: np.where(x < 0.2, np.nan, -((x - 0.7) ** 2))
+        x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
+        assert abs(x - 0.7) < 1e-8 and abs(v) < 1e-12
 
     def test_negated_profile_minimum(self):
         # Worst angle of the distance-profile union bound: packing profile at
@@ -102,7 +127,7 @@ class TestMaximizeUnimodal:
         prof = DistanceProfile.packing(R)
         interval = RealInterval(prof.theta_min, min(prof.theta_max, 2.0 * (rho - tau) - 1e-9))
         _, v = maximize_unimodal(
-            lambda th: prof.b(th) - f_exponent(th, tau, ch, rho)[0], interval, points=2001
+            lambda th: prof.b(th) - f_exponent(th, tau, ch, rho)[0], interval
         )
         assert -v == pytest.approx(0.45902214579540956, abs=1e-14)
 

@@ -602,6 +602,38 @@ class TestArrayScan:
         names = {self._check_scan(f, xs) for f, xs in scans}
         assert names == {"elias_theta", "_radius_and_angle", "_expurgation_angle"}
 
+    @pytest.mark.parametrize("A", [0.5, 4.0, 64.0])
+    def test_pair_exponent_matches_float_path(self, A):
+        # The worst-angle search evaluates f_exponent (and _phi0 in it) on its
+        # whole grid. theta runs to 2 pi, so that theta/2 + tau passes rho,
+        # pi/2 and pi, and the saddle falls below it; rho runs past pi/2, as
+        # an array too, as in bounded_distance_exponent_s.
+        ch = AwgnChannel(A)
+        theta = np.linspace(-0.5, 2.0 * math.pi, 1201)
+        for tau in (-0.05, 0.0, 0.03, 0.1):
+            phi0 = _phi0(theta, tau, ch)
+            floats = self._float_path(lambda t: _phi0(t, tau, ch), theta)
+            self._assert_same(phi0, floats, np.ones_like(theta))
+            rhos = [0.3, 0.9, 1.3, math.pi / 2.0, 2.0, np.linspace(2.0, 0.05, theta.size)]
+            for rho in rhos:
+                with np.errstate(all="ignore"):
+                    vals, phi = f_exponent(theta, tau, ch, rho)
+                    t2 = np.tan(theta / 2.0 + tau) ** 2 / np.tan(phi) ** 2
+                    scale = (
+                        0.5 * np.abs(np.log(np.abs(1.0 - t2)))
+                        + t2 / np.abs(1.0 - t2)
+                        + A / 2.0
+                        + np.abs(np.log(g_aux(phi, ch) * np.sin(phi)))
+                    )
+                rho_pts = np.broadcast_to(rho, theta.shape)
+                floats = self._float_path(lambda t, r: f_exponent(t, tau, ch, r)[0], theta, rho_pts)
+                self._assert_same(vals, floats, scale)
+        packing = DistanceProfile.packing(0.3)
+        theta = np.linspace(packing.theta_min, packing.theta_max, 101)
+        self._assert_same(
+            packing.b(theta), self._float_path(packing.b, theta), 0.3 + np.abs(np.log(np.sin(theta)))
+        )
+
     def test_nan_where_float_path_raises(self):
         # Raises at t2 >= 1 (first) and at ln sin(theta) of sin(theta) < 0 (third).
         theta = np.array([0.3, 0.3, -0.2, 1.0])
@@ -839,6 +871,41 @@ class TestProfileExponent:
                     DistanceProfile.packing(R), R, CH4, tau, rho
                 )
                 assert via_profile == pytest.approx(direct, abs=1e-4)
+
+    @staticmethod
+    def _max_over_radius(R, ch, t):
+        """Largest packing-profile exponent over 400 radii from the larger of
+        theta_s/2 + t and the capacity angle up to (not at) pi/2."""
+        prof, best = DistanceProfile.packing(R), -math.inf
+        lo = max(theta_s(R) / 2.0 + t, ch.capacity_angle)
+        for rho in np.linspace(lo, math.pi / 2.0, 400, endpoint=False):
+            try:
+                best = max(best, profile_exponent(prof, R, ch, t, float(rho)))
+            except ValueError:
+                pass
+        return best
+
+    @pytest.mark.parametrize("A, tau, rates", [
+        (4.0, 0.02, (0.2, 0.35, 0.6)),
+        (16.0, 0.05, (0.5, 1.06, 1.3)),
+    ])
+    def test_max_over_radius_oracle(self, A, tau, rates):
+        # The trade-off bound is the packing-profile union bound at its best
+        # decoding radius. The expurgation and straight regimes reach it
+        # exactly; in the sphere-packing regime the 400-point radius grid
+        # falls short by up to its resolution; an invalid bound has no radius
+        # with a positive exponent. The erasure kind negates the margin.
+        ch = AwgnChannel(A)
+        for R in rates:
+            for kind, t in (("error", tau), ("erasure", -tau)):
+                bound = tradeoff_exponent(R, ch, tau, kind)
+                oracle = self._max_over_radius(R, ch, t)
+                if not bound.valid:
+                    assert oracle < 0.0
+                elif bound.regime == "sphere-packing":
+                    assert 0.0 <= bound.value - oracle <= 3e-3
+                else:
+                    assert bound.value == pytest.approx(oracle, abs=1e-9)
 
     def test_single_angle_profile(self):
         theta0, tau, rho = 0.9, 0.02, 1.1
