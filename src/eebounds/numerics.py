@@ -93,13 +93,14 @@ def solve_bracketed(
     interval: RealInterval,
     cfg: SolverConfig = SolverConfig(),
 ) -> float:
-    """Root of f on a sign-changing bracket.
-
-    Bisection with a secant acceleration step; the secant proposal is only
-    accepted when it falls strictly inside the current bracket, so the
-    bisection contract (bracket width halves at least every other step)
-    is preserved.
-    """
+    """Root of f on a sign-changing bracket by the Illinois rule (Dowell and
+    Jarratt, BIT 11, 1971): one f call per step, at the regula falsi point or,
+    when that is not strictly inside, the midpoint; an end kept a second step
+    in a row has its stored f value halved. There is no bisection bound, and
+    ``cfg.max_iter`` steps raise ConvergenceError. Returns an exact zero of f,
+    else the ``hi`` end once the bracket is ``cfg.abs_tol`` wide or at float
+    resolution, never below the root: ``spherical._elias_x`` maps
+    ``elias_theta(pi/2, tau)`` back to pi/2 only from float pi/2 or above."""
     a, b = interval.lo, interval.hi
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -109,37 +110,22 @@ def solve_bracketed(
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(f"no sign change on [{a}, {b}]: f(lo)={fa}, f(hi)={fb}")
 
+    kept = ""  # the end the last step kept
     for _ in range(cfg.max_iter):
-        width = b - a
-        # Secant proposal; fall back to the midpoint when degenerate.
-        denom = fb - fa
-        x = 0.5 * (a + b)
-        if denom != 0.0:
-            xs = b - fb * (b - a) / denom
-            if a < xs < b:
-                x = xs
+        if (b - a) <= cfg.abs_tol or not a < 0.5 * (a + b) < b:
+            return b
+        x = (a * fb - b * fa) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
         fx = f(x)
-        if fx == 0.0 or (b - a) <= cfg.abs_tol:
+        if fx == 0.0:
             return x
         if math.copysign(1.0, fx) == math.copysign(1.0, fa):
-            a, fa = x, fx
+            a, fa, fb = x, fx, (0.5 * fb if kept == "b" else fb)
+            kept = "b"
         else:
-            b, fb = x, fx
-        # Guard against stagnating secant steps: force a bisection whenever
-        # the bracket did not at least halve this iteration.
-        if (b - a) > 0.5 * width:
-            mid = 0.5 * (a + b)
-            if not a < mid < b:
-                return mid  # bracket at floating-point resolution
-            fm = f(mid)
-            if fm == 0.0:
-                return mid
-            if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-                a, fa = mid, fm
-            else:
-                b, fb = mid, fm
-        if (b - a) <= cfg.abs_tol or not a < 0.5 * (a + b) < b:
-            return 0.5 * (a + b)
+            b, fb, fa = x, fx, (0.5 * fa if kept == "a" else fa)
+            kept = "a"
     raise ConvergenceError(
         f"max_iter={cfg.max_iter} exceeded, bracket [{a}, {b}] wider than {cfg.abs_tol}"
     )
@@ -259,7 +245,7 @@ def binary_entropy(x):
     """h(x) in bits; elementwise on an array, a float for a scalar. Every
     argument must lie in [0, 1], and h is 0 at both ends."""
     # A float skips the isinstance test: entropy_inverse calls h in its root
-    # loop, about a hundred times per rate point of the binary bounds.
+    # loop, about a dozen times per rate point of the binary bounds.
     if type(x) is not float and isinstance(x, np.ndarray):
         if x.size and not 0.0 <= x.min() <= x.max() <= 1.0:
             raise ValueError(f"entropy argument must lie in [0, 1], got {x.min()}..{x.max()}")

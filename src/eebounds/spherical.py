@@ -13,9 +13,10 @@ x(theta), so the decoding radius is one scan in theta and the boundary rate
 R* a formula, with no scan nested in another. Invalid bound values carry a
 ``reason``. Both distance-profile exponents are one ``_union_exponent``: the
 worst angle against the noise tail ``_tail``, which raises ValueError below
-the capacity angle, where leaving the cone is the typical event. The worst
-angle is searched on a grid, so ``f_exponent``, ``_phi0`` and every profile's
-``b`` are elementwise too.
+the capacity angle, where leaving the cone is the typical event. It raises
+ValueError too when no angle has a pair exponent. The worst angle is
+searched on a grid, so ``f_exponent``, ``_phi0`` and every profile's ``b``
+are elementwise too.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ __all__ = [
     "rankin_rate",
 ]
 
-_ROOT_CFG = SolverConfig(abs_tol=1e-14, max_iter=400)
+_ROOT_CFG = SolverConfig(abs_tol=1e-14)
 # Largest neighbor-angle residual elias_theta accepts at its root.
 _ELIAS_RESIDUAL_TOL = 1e-10
 # Gap between the top of the bounded-distance angle range and pi/2 - tau.
@@ -474,7 +475,9 @@ def _union_exponent(
     profile: DistanceProfile, pair, hi: float, rho: float, ch: AwgnChannel
 ) -> float:
     """The smaller of pair(theta) - b(theta) at its worst angle theta in
-    [theta_min, hi] and the noise tail at radius rho."""
+    [theta_min, hi] and the noise tail at radius rho. Raises ValueError when
+    no angle in the range has a pairwise exponent, rather than return the
+    tail alone."""
     lo = profile.theta_min
     if hi < lo:
         raise ValueError(f"empty angle range [{lo}, {hi}]")
@@ -483,8 +486,10 @@ def _union_exponent(
     def integrand(th):
         return profile.b(th) - pair(th)
 
-    worst = -(integrand(lo) if hi == lo else maximize_unimodal(integrand, RealInterval(lo, hi))[1])
-    return min(worst, tail)
+    best = integrand(lo) if hi == lo else maximize_unimodal(integrand, RealInterval(lo, hi))[1]
+    if best == -math.inf:
+        raise ValueError(f"no angle in [{lo}, {hi}] has a pairwise exponent at radius {rho}")
+    return min(-best, tail)
 
 
 def profile_exponent(

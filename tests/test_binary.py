@@ -231,11 +231,14 @@ class TestTradeoffBounds:
 
     def test_rates_in_unit_interval_unchanged(self):
         # (R, M+ value, M+ valid, M- value, M- valid) before the range check.
+        # At R = 1e-9, h is flat near delta_gv = 1/2: every x within about
+        # 1e-12 of it is an exact zero of h(x) - (1 - R), so that row pins the
+        # solver's path, not only the root.
         for R, vp, okp, vm, okm in [
             (0.0, 0.6024600176564384, False, 0.3785517843134128, True),
-            (1e-9, 0.6024421432973303, False, 0.37853390995430464, True),
+            (1e-9, 0.6024421432964512, False, 0.3785339099534256, True),
             (0.5, 0.08143950761276142, True, 0.0, False),
-            (1.0 - 1e-9, 0.0011606928487327695, True, 0.0, False),
+            (1.0 - 1e-9, 0.001160692848732714, True, 0.0, False),
             (1.0, 0.0011606928552427287, True, 0.0, False),
         ]:
             m_plus, m_minus = tradeoff_bounds(R, CH, 0.03)

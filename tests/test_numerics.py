@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import eebounds.numerics as numerics
 from eebounds.numerics import (
     BracketError,
+    ConvergenceError,
     RealInterval,
     SolverConfig,
     _log2_factorials,
@@ -17,7 +19,7 @@ from eebounds.numerics import (
     maximize_unimodal,
     solve_bracketed,
 )
-from eebounds.spherical import AwgnChannel, DistanceProfile, f_exponent
+from eebounds.spherical import AwgnChannel, DistanceProfile, elias_theta, f_exponent
 
 
 class TestSolveBracketed:
@@ -39,7 +41,8 @@ class TestSolveBracketed:
             solve_bracketed(lambda x: x * x + 1.0, RealInterval(-1.0, 1.0))
 
     def test_steep_function(self):
-        # Nearly flat then nearly vertical; stresses the secant guard.
+        # Nearly flat then nearly vertical: regula falsi keeps one end here,
+        # and only the Illinois halving moves it.
         f = lambda x: math.tanh(50.0 * (x - 0.123456789))
         root = solve_bracketed(f, RealInterval(0.0, 1.0))
         assert abs(root - 0.123456789) < 1e-10
@@ -48,6 +51,41 @@ class TestSolveBracketed:
         cfg = SolverConfig(abs_tol=1e-15, max_iter=200)
         root = solve_bracketed(lambda x: binary_entropy(x) - 0.6, RealInterval(0.0, 0.5), cfg)
         assert abs(binary_entropy(root) - 0.6) < 1e-12
+
+    @staticmethod
+    def _residual_calls(monkeypatch, fn):
+        """Residual calls of each ``solve_bracketed`` solve made by fn()."""
+        counts = []
+        solve = numerics.solve_bracketed
+
+        def counting(f, interval, cfg=SolverConfig()):
+            counts.append(0)
+
+            def g(x):
+                counts[-1] += 1
+                return f(x)
+
+            return solve(g, interval, cfg)
+
+        monkeypatch.setattr(numerics, "solve_bracketed", counting)
+        fn()
+        return counts
+
+    def test_no_stall_in_neighbor_angle(self, monkeypatch):
+        # Secant plus forced bisection took 49 calls here: the secant kept
+        # landing on one side of the root, so the bisections did the work.
+        counts = self._residual_calls(monkeypatch, lambda: elias_theta(0.8, 0.04))
+        assert len(counts) == 1 and counts[0] <= 12
+
+    def test_no_stall_in_entropy_inverse(self, monkeypatch):
+        ys = np.linspace(0.001, 0.999, 999)
+        counts = self._residual_calls(monkeypatch, lambda: [entropy_inverse(float(y)) for y in ys])
+        assert len(counts) == len(ys) and np.mean(counts) <= 14.0  # 20.9 before
+
+    def test_max_iter_caps_the_steps(self):
+        cfg = SolverConfig(max_iter=2)
+        with pytest.raises(ConvergenceError):
+            solve_bracketed(lambda x: math.cos(x) - x, RealInterval(0.0, 1.0), cfg)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

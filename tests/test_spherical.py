@@ -488,6 +488,29 @@ PINNED_PER_POINT_SCAN = [
     ("theta_1", (16.0,), 0.4636276235316317),
 ]
 
+# The pins above that the Illinois step rule of solve_bracketed moved, each by
+# at most 4.0e-15 (its abs_tol is 1e-14): (function, arguments) -> value.
+ILLINOIS_REPINS = {
+    ("elias_theta", (0.5, 0.0)): 0.6917182407210459,
+    ("elias_theta", (0.8, 0.04)): 1.019309947231302,
+    ("elias_theta", (1.2, -0.05)): 1.459264680303545,
+    ("elias_theta", (1.5, 0.1)): 1.5631941471855906,
+    ("decoding_radius", (0.208, -0.03, 1.0)): 0.9170155955714391,
+    ("decoding_radius", (0.483, 0.03, 4.0)): 0.7012948137164191,
+    ("decoding_radius", (0.483, -0.03, 4.0)): 0.6270381215629955,
+    ("decoding_radius", (0.85, 0.03, 16.0)): 0.48117586270934626,
+    ("tradeoff_exponent", (0.035, 1.0, "error")): 0.19932270851306566,
+    ("tradeoff_exponent", (0.173, 1.0, "error")): 0.06589948539238781,
+    ("tradeoff_exponent", (0.295, 1.0, "error")): 0.009497692850183807,
+    ("tradeoff_exponent", (0.173, 1.0, "erasure")): 0.03995156373456639,
+    ("tradeoff_exponent", (0.295, 1.0, "erasure")): 0.0005485263533647079,
+    ("tradeoff_exponent", (0.684, 4.0, "error")): 0.04056622140394503,
+    ("tradeoff_exponent", (0.402, 4.0, "erasure")): 0.17421629152737766,
+    ("tradeoff_exponent", (1.204, 16.0, "erasure")): 0.0046870938266478784,
+    ("R_star", (1.0,)): 0.13767326432664725,
+    ("theta_1", (1.0,)): 1.329670411494784,
+}
+
 
 def _pinned(name, args):
     if name == "elias_theta":
@@ -511,7 +534,9 @@ class TestArrayScan:
     def test_pinned_values(self, name, args, value):
         spherical._expurgation_angle.cache_clear()
         spherical.spherical_landmarks.cache_clear()
-        assert _pinned(name, args) == value
+        expected = ILLINOIS_REPINS.get((name, args), value)
+        assert abs(expected - value) <= 4e-15
+        assert _pinned(name, args) == expected
 
     @staticmethod
     def _float_path(f, *args):
@@ -929,6 +954,12 @@ class TestProfileExponent:
     def test_empty_support_error(self):
         with pytest.raises(ValueError):
             profile_exponent(DistanceProfile.single_angle(1.4), 0.3, CH4, 0.0, 0.5)
+
+    def test_no_pairwise_exponent_raises(self):
+        # At rho = pi/2 f_exponent rejects every angle; the bare tail esp(pi/2)
+        # = A/2 = 2.0 would stand in for a bound of about 0.35.
+        with pytest.raises(ValueError, match="no angle in .* has a pairwise exponent"):
+            profile_exponent(DistanceProfile.packing(0.3), 0.3, CH4, 0.02, math.pi / 2.0)
 
     def test_radius_below_capacity_angle_raises(self):
         # Below arccot sqrt(A) ~ 0.4636 the noise typically leaves the cone.
