@@ -379,19 +379,16 @@ def _validation_checks():
     defect = max((abs(v) for v in res.values()), default=0.0)
     yield "landmark residuals", defect, 1e-10
 
-    # Triangle counts against brute force at n=6.
+    # Triangle counts against brute force at n=6: every word z is counted by
+    # (k, wt(z ^ x), wt(z ^ y)) with x = 0 and y the first k coordinates.
     n = 6
-    worst = 0
-    for kk in range(n + 1):
-        x, y = 0, (1 << kk) - 1
-        for i in range(n + 1):
-            for j in range(n + 1):
-                bf = sum(
-                    1
-                    for z in range(1 << n)
-                    if bin(z ^ x).count("1") == i and bin(z ^ y).count("1") == j
-                )
-                worst = max(worst, abs(bf - finite.triangle_count(n, kk, i, j)))
+    z, ks = np.arange(1 << n), np.arange(n + 1)
+    cells = (ks[:, None] * (n + 1) + np.bitwise_count(z)) * (n + 1)
+    cells += np.bitwise_count(z ^ ((1 << ks[:, None]) - 1))
+    brute = np.bincount(cells.ravel(), minlength=(n + 1) ** 3).reshape((n + 1,) * 3)
+    r = range(n + 1)
+    exact = [[[finite.triangle_count(n, k, i, j) for j in r] for i in r] for k in r]
+    worst = int(np.abs(brute - exact).max())
     yield "triangle-count brute force", float(worst), 0.5
 
     # Exhaustive oracle: probabilities sum to one, union bound dominates.

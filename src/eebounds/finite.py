@@ -9,9 +9,12 @@ midpoint-rule integral per weight. Both bounds evaluate all weights at once
 as 2-D arrays, one row per weight, in blocks of at most ``_ROW_BUDGET``
 elements (128 KB of float64 per intermediate), so their memory does not grow
 with n, and sum each row by a row-wise log-sum-exp.
-All exact binary decoding, here and in ``simulate``, goes through the popcount
-kernel ``_distances``, run on coset representatives by the oracle and the BSC
-simulator.
+Exact binary decoding by cosets reads each coset's two least weights from one
+syndrome table, ``_coset_table``, built by one pass per parity bit over the
+2^(n-k) syndromes; the oracle and the BSC simulator use it when it fits the
+element budget. The popcount kernel ``_distances`` decodes single words
+(``margin_decode``) and, in the simulator, the syndromes of codes whose table
+would not fit.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class WeightDistribution:
         la = (lf[n] - lf - lf[::-1]) - n * (1.0 - rate_bits)
         la[la < 0.0] = -math.inf  # floor() kills expected counts below one
         la[0] = 0.0
-        return cls(n, tuple(float(x) for x in la))
+        return cls(n, tuple(la.tolist()))
 
     @classmethod
     def binomial_spherical(cls, n: int, rate_nats: float) -> "WeightDistribution":
@@ -283,23 +286,88 @@ def _decide(dist: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
     return part[:, 0], (part[:, 1] - part[:, 0] >= margin) & (part[:, 1] > part[:, 0])
 
 
+def _tabulable(code) -> bool:
+    """Whether ``_coset_table`` fits the element budget: 2^(n-k) syndromes
+    and 2^k messages."""
+    return max(code.n - code.k, code.k) <= _BUDGET_BITS
+
+
+def _coset_table(code, p: Optional[float] = None):
+    """The two least weights (d1, d2) of every coset of the systematic
+    ``code``, counted with multiplicity (a tie gives d2 = d1), as uint8 arrays
+    (``_tabulable`` codes have n <= 40) indexed by the syndrome (parity
+    position j -> bit j). A one-word coset (k = 0) has d2 = 2n + 1, which
+    clears every margin ``_margin_decoded`` applies. With ``p`` the third
+    array is each coset's probability on the BSC.
+
+    A coset's weights are wt(u) + popcount(s ^ su[u]) over the messages u,
+    su[u] being the parity bits of u: a min-plus XOR convolution that splits
+    by coordinate. It starts from the two least wt(u) per info syndrome su[u]
+    and takes one pass per parity bit i, merging each syndrome s with its
+    partner s ^ 2^i one weight up; the probabilities start from
+    sum p^wt(u) (1-p)^(k-wt(u)) per info syndrome and mix the same way."""
+    n, k, m = code.n, code.k, code.n - code.k
+    su = _span(_syndrome_columns(code)[:k])[:, 0].astype(np.intp)
+    wt = np.bitwise_count(np.arange(1 << k))
+    # Sorted (su, wt) keys list each syndrome's messages lightest first: its
+    # first entry holds d1 and its second, if any, d2.
+    shift = k.bit_length()
+    key = np.sort(su << shift | wt)
+    s, w = key >> shift, key & ((1 << shift) - 1)
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    second = np.zeros_like(first)
+    np.greater(first[:-1], first[1:], out=second[1:])
+    d = np.full((2, 1 << m), 2 * n + 1, dtype=np.uint8)  # rows d1, d2
+    d[0, s[first]], d[1, s[second]] = w[first], w[second]
+    if p is not None:
+        # Runs of equal keys sum as count * term: at most k + 1 terms per syndrome.
+        edge = np.ones(len(key) + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+        run = np.flatnonzero(edge)
+        pw = p ** np.arange(k + 1) * (1.0 - p) ** np.arange(k, -1, -1)
+        terms = np.diff(run) * pw[w[run[:-1]]]
+        prob = np.bincount(s[run[:-1]], weights=terms, minlength=1 << m)
+    for i in range(m):
+        # Axis 2 of the (2, -1, 2, 2^i) view is bit i; reversing it pairs s with s ^ 2^i.
+        a = d.reshape(2, -1, 2, 1 << i)
+        b = a[:, :, ::-1] + 1
+        low = np.minimum(a, b)  # d1, and min(d2, partner's d2 + 1)
+        np.minimum(low[1], np.maximum(a[0], b[0]), out=low[1])
+        d = low.reshape(2, -1)
+        if p is not None:
+            f = prob.reshape(-1, 2, 1 << i)
+            prob = ((1.0 - p) * f + p * f[:, ::-1]).reshape(-1)
+    return (d[0], d[1]) if p is None else (d[0], d[1], prob)
+
+
+def _margin_decoded(d1: np.ndarray, d2: np.ndarray, t: int, n: int) -> np.ndarray:
+    """Whether each coset is decoded at margin t: d2 - d1 >= max(2t, 1). No
+    two weights of a coset are more than n apart, so a margin above n is
+    taken as n + 1, which only one-word cosets clear."""
+    return d2 - d1 >= min(max(2 * t, 1), n + 1)
+
+
 def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, float]:
     """Exact (P_correct, P_undetected, P_erasure) of margin decoding on the BSC
-    with the all-zero codeword sent, summed over the 2^(n-k) cosets: a coset is
-    decoded when its two least weights differ by max(2t, 1), and then only its
-    leader decodes correctly. Requires n <= 16, k <= 10 and a systematic
-    ``code`` exposing ``n``, ``k`` and ``parity``."""
+    with the all-zero codeword sent, summed over the 2^(n-k) cosets of the
+    syndrome table: a coset is decoded when its two least weights differ by
+    max(2t, 1), and then only its leader decodes correctly. Requires
+    n - k <= _BUDGET_BITS, k <= _BUDGET_BITS and a systematic ``code``
+    exposing ``n``, ``k`` and ``parity``."""
     n, k = code.n, code.k
-    if n > 16 or k > 10:
-        raise ValueError(f"exhaustive oracle limited to n <= 16, k <= 10, got ({n}, {k})")
+    if not _tabulable(code):
+        raise ValueError(
+            f"exact oracle limited to n - k <= {_BUDGET_BITS}, k <= {_BUDGET_BITS}, got ({n}, {k})"
+        )
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
     if t < 0:
         raise ValueError(f"margin must be nonnegative, got {t}")
-    cosets = np.arange(1 << (n - k), dtype=np.uint64)
-    dist = _distances(code, np.zeros_like(cosets), cosets[:, None])
-    d1, decoded = _decide(dist, 2 * t)
+    d1, d2, coset = _coset_table(code, p)
+    decoded = _margin_decoded(d1, d2, t, n)
     prob_w = p ** np.arange(n + 1) * (1.0 - p) ** np.arange(n, -1, -1)
-    leader, coset = prob_w[d1], prob_w[dist].sum(axis=1)
-    p_correct, p_und = leader[decoded].sum(), (coset - leader)[decoded].sum()
-    return float(p_correct), float(p_und), float(coset[~decoded].sum())
+    leader = prob_w[d1]
+    # Rounding can leave a coset's sum a few ulps below its leader's term.
+    p_und = np.maximum(coset - leader, 0.0) @ decoded
+    return float(leader @ decoded), float(p_und), float(coset @ ~decoded)

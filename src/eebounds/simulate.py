@@ -4,12 +4,13 @@ Trials are processed in fixed-size blocks; block b draws from an RNG seeded
 by (seed, b), so tallies are identical for any worker count. Each simulator
 does only the work its decision needs. BSC trials are classified by the
 syndrome of the error pattern (the XOR of one table entry per byte of the
-packed pattern), with the same coset kernel as the exact oracle in
-``finite``, run once per distinct syndrome of a block. An AWGN trial is decided from its
-two largest inner products with the codebook, computed in row slices of a
-block so that the (trials x M) products stay small. A cone-exit
-trial draws only its sufficient statistic: the noise along the signal and the
-chi-square energy of the rest.
+packed pattern) and looked up in the coset table that the exact oracle in
+``finite`` sums. For a code whose syndrome space exceeds the table's budget,
+the popcount kernel runs once per distinct syndrome of a block instead. An
+AWGN trial is decided from its two largest inner products with the codebook,
+computed in row slices of a block so that the (trials x M) products stay
+small. A cone-exit trial draws only its sufficient statistic: the noise along
+the signal and the chi-square energy of the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .finite import WeightDistribution, _decide, _distances, _pack, _span, _syndrome_columns
+from .finite import (
+    WeightDistribution,
+    _coset_table,
+    _decide,
+    _distances,
+    _margin_decoded,
+    _pack,
+    _span,
+    _syndrome_columns,
+    _tabulable,
+)
 from .spherical import AwgnChannel
 
 __all__ = [
@@ -231,13 +242,19 @@ def simulate_bsc(
     """Margin-decode BSC trials with the all-zero codeword transmitted
     (exact by linearity and channel symmetry). A trial is decoded when the two
     least weights d1, d2 of its error pattern's coset differ by max(2t, 1),
-    and correct when also wt(e) = d1; each block runs the coset kernel once
-    per distinct syndrome."""
+    and correct when also wt(e) = d1. Each block reads d1 and the decision of
+    its syndromes from the coset table, built once per call; a code whose
+    table exceeds the element budget runs the coset kernel once per distinct
+    syndrome of a block instead."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
     columns = _syndrome_columns(code)
     # Entry u of table g is the syndrome of the error bits u on coordinates 8g..8g+7.
     tables = [_span(columns[g : g + 8]) for g in range(0, code.n, 8)]
+    tabulated = _tabulable(code)
+    if tabulated:
+        d1, d2 = _coset_table(code)
+        decoded = _margin_decoded(d1, d2, t, code.n)
 
     def block(b: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
@@ -246,10 +263,13 @@ def simulate_bsc(
         syndromes = np.zeros((size, columns.shape[1]), dtype=np.uint64)
         for g, table in enumerate(tables):
             syndromes ^= table[packed[:, g]]
-        cosets, which = _unique_rows(syndromes)
-        dist = _distances(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
-        d1, decoded = _decide(dist, 2 * t)
-        return _tally(decoded[which], err.sum(axis=1) == d1[which])
+        if tabulated:
+            which, lead, ok = syndromes[:, 0], d1, decoded
+        else:
+            cosets, which = _unique_rows(syndromes)
+            dist = _distances(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
+            lead, ok = _decide(dist, 2 * t)
+        return _tally(ok[which], err.sum(axis=1) == lead[which])
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)
@@ -332,7 +352,7 @@ def estimate_exponent(points: Sequence[tuple[float, float]]) -> RegressionResult
     ps = np.array([q[1] for q in points], dtype=float)
     if np.any(ps <= 0.0):
         raise ValueError("all p_hat must be positive")
-    if np.unique(ns).size < 2:
+    if ns.min() == ns.max():
         raise ValueError("need at least two distinct n values")
     ys = -np.log(ps)
     slope, intercept = np.polyfit(ns, ys, 1)

@@ -433,16 +433,30 @@ class TestSolverFailure:
 
 
 class TestImport:
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def fresh(code):
+        """stdout of ``code`` run in a new interpreter that imports this eebounds."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(eebounds.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         ))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return out.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
         code = (
             "import sys, eebounds.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert self.fresh(code) == "[]"
+
+    def test_estimate_exponent_loads_no_numpy_ma(self):
+        # numpy.ma is a lazy import of np.unique that costs ~20 ms cold.
+        code = (
+            "import sys, eebounds.cli; "
+            "eebounds.simulate.estimate_exponent([(40, 0.1), (80, 0.02), (160, 0.003)]); "
+            "print('numpy.ma' in sys.modules)"
         )
-        assert out.stdout.strip() == "[]"
+        assert self.fresh(code) == "False"

@@ -8,6 +8,10 @@ from eebounds.binary import BscChannel, gallager_exponent
 from eebounds.finite import (
     MarginParams,
     WeightDistribution,
+    _coset_table,
+    _decide,
+    _distances,
+    _margin_decoded,
     awgn_union_bound,
     binary_union_bound,
     exact_margin_probability,
@@ -354,14 +358,54 @@ class TestExactOracle:
         assert pe == pytest.approx(2.0 * 0.3 * 0.7, abs=1e-15)
 
     def test_size_guard(self):
+        # The coset table's element budget: n - k <= 20 and k <= 20.
         with pytest.raises(ValueError):
-            exact_margin_probability(gen_linear_code(17, 4, 0), 0.05, 0)
+            exact_margin_probability(gen_linear_code(25, 4, 0), 0.05, 0)
         with pytest.raises(ValueError):
-            exact_margin_probability(gen_linear_code(16, 11, 0), 0.05, 0)
+            exact_margin_probability(gen_linear_code(22, 21, 0), 0.05, 0)
         with pytest.raises(ValueError):
             exact_margin_probability(HAMMING74, 1.5, 0)
         with pytest.raises(ValueError):
             exact_margin_probability(HAMMING74, 0.05, -1)
+
+
+# Shapes for the coset table: no parity bits, no information bits, one word
+# of each, and codes whose tables take several passes.
+TABLE_CODES = [
+    gen_linear_code(8, 0, 0),
+    gen_linear_code(8, 8, 0),
+    LinearCode(2, 1, ((1,),)),
+    HAMMING74,
+    gen_linear_code(14, 7, 0),
+    gen_linear_code(24, 12, 0),
+]
+
+
+class TestCosetTable:
+    """``_coset_table`` against the popcount kernel run on every syndrome."""
+
+    @pytest.mark.parametrize("code", TABLE_CODES, ids=lambda c: f"{c.n}-{c.k}")
+    def test_matches_kernel(self, code):
+        n, m = code.n, code.n - code.k
+        cosets = np.arange(1 << m, dtype=np.uint64)
+        dist = _distances(code, np.zeros_like(cosets), cosets[:, None])
+        d1, d2, prob = _coset_table(code, 0.1)
+        part = np.partition(dist, min(1, dist.shape[1] - 1), axis=1)
+        assert np.array_equal(d1, part[:, 0])
+        if code.k > 0:
+            assert np.array_equal(d2, part[:, 1])
+        for t in (0, 1, 7):
+            assert np.array_equal(_margin_decoded(d1, d2, t, n), _decide(dist, 2 * t)[1])
+        prob_w = 0.1 ** np.arange(n + 1) * 0.9 ** np.arange(n, -1, -1)
+        assert prob == pytest.approx(prob_w[dist].sum(axis=1), rel=1e-12, abs=0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(_coset_table(code), (d1, d2)))
+
+    def test_one_word_cosets_always_decode(self):
+        # k = 0: each coset is its own leader, so no margin erases it. A
+        # sentinel d2 of n + 1 would erase the all-ones word at t = 1.
+        code = gen_linear_code(8, 0, 0)
+        for p, t in ((0.03, 1), (1.0, 1), (0.03, 100)):
+            assert exact_margin_probability(code, p, t) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
 
 
 def reference_codewords(code):
@@ -401,7 +445,7 @@ REFERENCE_CODES = [
 
 class TestPurePythonReference:
     """Every received word decoded by sorting integer distances, independent
-    of the coset kernel that the oracle, margin_decode and the simulator share."""
+    of the coset table (the oracle) and the popcount kernel (margin_decode)."""
 
     @pytest.mark.parametrize("code", REFERENCE_CODES, ids=lambda c: f"{c.n}-{c.k}")
     def test_oracle_and_margin_decode(self, code):

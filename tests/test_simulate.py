@@ -184,6 +184,12 @@ class TestSimulateBsc:
         tally = simulate_bsc(code, p, t, 40_000, seed=1, workers=workers)
         assert (tally.correct, tally.undetected, tally.erasure) == expected
 
+    def test_pinned_24_12_tally_matches_exact_oracle(self):
+        code, p, t, trials, counts = PINNED_BSC_TALLIES[2]
+        assert (code.n, code.k) == (24, 12)
+        for count, q in zip(counts, exact_margin_probability(code, p, t)):
+            assert abs(count - trials * q) <= 5.0 * math.sqrt(trials * q * (1.0 - q))
+
     def test_deterministic_across_workers(self):
         one = simulate_bsc(HAMMING74, 0.05, 0, 50_000, seed=9, workers=1)
         four = simulate_bsc(HAMMING74, 0.05, 0, 50_000, seed=9, workers=4)
