@@ -10,7 +10,8 @@ log-binomial row (``_log2_factorials``), the one log2 binomial pmf term
 or of each row of a 2-D array (``_row_log_sum``). The root scan and the
 maximizer share one grid contract (``_grid``): f is elementwise, NaN on an array
 where a float would raise, its grid is one call on an array, non-finite grid
-values count as NaN, and refinement (brackets, golden probes) calls f on floats.
+values count as NaN, and grid values are final: refinement (bracket steps,
+golden probes) calls f on floats only at points strictly inside a cell.
 Everything here is a pure function of its inputs.
 """
 
@@ -102,7 +103,14 @@ def solve_bracketed(
     resolution, never below the root: ``spherical._elias_x`` maps
     ``elias_theta(pi/2, tau)`` back to pi/2 only from float pi/2 or above."""
     a, b = interval.lo, interval.hi
-    fa, fb = f(a), f(b)
+    return _illinois(f, a, b, f(a), f(b), cfg)
+
+
+def _illinois(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, cfg: SolverConfig
+) -> float:
+    """``solve_bracketed`` on [a, b] from the end values fa = f(a), fb = f(b):
+    f is called only strictly inside the bracket."""
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -155,34 +163,20 @@ def _scan_root(
     all_roots: bool = False,
 ) -> list[float]:
     """Roots of f on [lo, hi]: a sign scan over ``points`` grid points, each
-    sign change refined by ``solve_bracketed``.
+    sign change refined by Illinois steps from the grid's end values.
 
-    The grid follows ``_grid``, and the refinement calls f on floats; cells
-    touching a NaN grid value are skipped. The two paths may round differently:
-    a cell whose float end values raise is skipped too, and one whose float
-    end values share a sign gives the end nearer zero, a root to within
-    rounding. Stops at the first root unless ``all_roots``."""
+    The grid follows ``_grid``, and its values are final: cells touching a NaN
+    grid value are skipped, and the refinement calls f on floats only strictly
+    inside a cell, so a raise there propagates. Stops at the first root unless
+    ``all_roots``."""
     xs = np.linspace(lo, hi, points)
     vals = _grid(f, xs)
     v0, v1 = vals[:-1], vals[1:]
     cells = np.flatnonzero(~np.isnan(v0) & ~np.isnan(v1) & ((v0 == 0.0) | (v0 * v1 < 0.0)))
-    roots: list[float] = []
-    for i in cells:
-        a, b = float(xs[i]), float(xs[i + 1])
-        if v0[i] == 0.0:
-            roots.append(a)
-        else:
-            try:
-                roots.append(solve_bracketed(f, RealInterval(a, b), cfg))
-            except (ValueError, ZeroDivisionError):  # BracketError too
-                fa, fb = _guarded(f, a), _guarded(f, b)
-                if not (math.isfinite(fa) and math.isfinite(fb)):
-                    continue
-                if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
-                    raise  # raised inside the cell
-                roots.append(a if abs(fa) <= abs(fb) else b)
-        if roots and not all_roots:
-            break
+    roots = [
+        _illinois(f, float(xs[i]), float(xs[i + 1]), float(v0[i]), float(v1[i]), cfg)
+        for i in (cells if all_roots else cells[:1])
+    ]
     if (all_roots or not roots) and vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -196,8 +190,9 @@ def maximize_unimodal(
     """(argmax, max) of an elementwise f on the interval.
 
     A guard grid of ``_MAX_POINTS`` points, one ``_grid`` call, locates the
-    coarse peak; golden-section then refines inside the surrounding grid cell,
-    one float probe at a time. The grid makes the result robust when the caller
+    coarse peak; golden-section then refines inside the two grid cells around
+    it, one float probe at a time, and the grid's own value of the peak point
+    stands against the result. The grid makes the result robust when the caller
     cannot certify unimodality. NaN grid values and raising probes count as -inf.
     """
 
@@ -234,10 +229,9 @@ def maximize_unimodal(
             f1, f2 = g(x1), g(x2)
     xm = 0.5 * (a + b)
     fm = g(xm)
-    # The grid maximum, valued like a probe, can win for flat or spiky functions.
-    fk = g(float(xs[k]))
-    if fk > fm:
-        return float(xs[k]), float(fk)
+    # The grid maximum can win for flat or spiky functions.
+    if vals[k] > fm:
+        return float(xs[k]), float(vals[k])
     return float(xm), float(fm)
 
 

@@ -148,13 +148,17 @@ def weight_distribution(code: LinearCode) -> WeightDistribution:
 
 
 def margin_decode(code: LinearCode, y: Sequence[int], t: int) -> Optional[int]:
-    """Message index of the margin winner, or None for an erasure.
+    """Message index of the margin winner for the received word y (n entries,
+    each 0 or 1), or None for an erasure.
 
     At t = 0 exact distance ties are classified as erasure (no unique winner).
     """
     if t < 0:
         raise ValueError(f"margin must be nonnegative, got {t}")
-    yv = np.asarray(y, dtype=np.uint64).reshape(1, code.n)
+    yv = np.asarray(y).reshape(1, code.n)
+    if not np.isin(yv, (0, 1)).all():
+        raise ValueError(f"received word must hold only bits 0 and 1, got {yv[0].tolist()}")
+    yv = yv.astype(np.uint64)
     dist = _distances(code, _pack(yv[:, : code.k])[:, 0], _pack(yv[:, code.k :]))
     return int(np.argmin(dist[0])) if _decide(dist, 2 * t)[1][0] else None
 
@@ -248,6 +252,8 @@ def simulate_bsc(
     syndrome of a block instead."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
+    if t < 0:
+        raise ValueError(f"margin must be nonnegative, got {t}")
     columns = _syndrome_columns(code)
     # Entry u of table g is the syndrome of the error bits u on coordinates 8g..8g+7.
     tables = [_span(columns[g : g + 8]) for g in range(0, code.n, 8)]
@@ -269,7 +275,7 @@ def simulate_bsc(
             cosets, which = _unique_rows(syndromes)
             dist = _distances(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
             lead, ok = _decide(dist, 2 * t)
-        return _tally(ok[which], err.sum(axis=1) == lead[which])
+        return _tally(ok[which], np.bitwise_count(packed).sum(axis=1) == lead[which])
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)
@@ -284,6 +290,8 @@ def simulate_awgn(
     the inner product <y, x>, so the two least angles of a trial are those of
     its two largest inner products. Only those two and the sent point's are
     turned into angles; the tallies equal those of the full angle matrix."""
+    if tau < 0.0:
+        raise ValueError(f"margin must be nonnegative, got {tau}")
     pts = codebook.points
     norm_pts = math.sqrt(codebook.A * codebook.n)
     step = max(1, _DOTS_BUDGET // codebook.M)

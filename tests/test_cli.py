@@ -390,6 +390,15 @@ class TestSimulate:
         assert rc == 2 and text == ""
         assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
 
+    @pytest.mark.parametrize("argv, margin", [
+        (["--kind", "bsc", "--n", "7", "--k", "4", "--p", "0.05", "--t", "-2"], "-2"),
+        (["--kind", "awgn", "--n", "8", "--M", "4", "--snr", "2", "--tau", "-0.1"], "-0.1"),
+    ], ids=("bsc", "awgn"))
+    def test_negative_margin_is_error(self, tmp_path, capsys, argv, margin):
+        rc, text = run(tmp_path, "s14.json", "simulate", *argv, "--seed", "1")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"error: margin must be nonnegative, got {margin}\n"
+
 
 class TestValidate:
     def test_passes_and_reports(self, tmp_path):

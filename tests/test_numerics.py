@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eebounds.numerics as numerics
+import eebounds.spherical as spherical
 from eebounds.numerics import (
     BracketError,
     ConvergenceError,
@@ -20,6 +21,21 @@ from eebounds.numerics import (
     solve_bracketed,
 )
 from eebounds.spherical import AwgnChannel, DistanceProfile, elias_theta, f_exponent
+
+
+def _recording(fn):
+    """The elementwise fn, with the set of grid points and the list of
+    float arguments it is called on."""
+    grid, floats = set(), []
+
+    def f(x):
+        if isinstance(x, np.ndarray):
+            grid.update(x.tolist())
+        else:
+            floats.append(x)
+        return fn(x)
+
+    return f, grid, floats
 
 
 class TestSolveBracketed:
@@ -74,8 +90,21 @@ class TestSolveBracketed:
     def test_no_stall_in_neighbor_angle(self, monkeypatch):
         # Secant plus forced bisection took 49 calls here: the secant kept
         # landing on one side of the root, so the bisections did the work.
-        counts = self._residual_calls(monkeypatch, lambda: elias_theta(0.8, 0.04))
-        assert len(counts) == 1 and counts[0] <= 12
+        # The scan refines from its grid values: only steps call on floats.
+        floats = []
+        scan = spherical._scan_root
+
+        def counting(f, *args, **kwargs):
+            def g(x):
+                if not isinstance(x, np.ndarray):
+                    floats.append(x)
+                return f(x)
+
+            return scan(g, *args, **kwargs)
+
+        monkeypatch.setattr(spherical, "_scan_root", counting)
+        elias_theta(0.8, 0.04)
+        assert 0 < len(floats) <= 12
 
     def test_no_stall_in_entropy_inverse(self, monkeypatch):
         ys = np.linspace(0.001, 0.999, 999)
@@ -150,6 +179,20 @@ class TestMaximizeUnimodal:
         assert isinstance(calls[0], np.ndarray)
         assert all(isinstance(x, float) for x in calls[1:])
 
+    @pytest.mark.parametrize(
+        "fn, lo, hi",
+        [
+            (lambda x: -((x - 0.3) ** 2), -1.0, 1.0),
+            (lambda x: x, 0.0, 2.0),
+            (binary_entropy, 0.0, 1.0),
+        ],
+        ids=["parabola", "boundary", "entropy"],
+    )
+    def test_no_float_call_on_a_grid_point(self, fn, lo, hi):
+        f, grid, floats = _recording(fn)
+        maximize_unimodal(f, RealInterval(lo, hi))
+        assert floats and grid.isdisjoint(floats)
+
     def test_nan_grid_values_count_as_minus_inf(self):
         # np.argmax would pick the first NaN; the peak must win instead.
         f = lambda x: np.where(x < 0.2, np.nan, -((x - 0.7) ** 2))
@@ -203,16 +246,18 @@ class TestScanRoot:
         assert all(type(x) is float for x in calls[1:]) and len(calls) > 1
 
     def test_float_path_rounding_the_other_way(self):
-        # The array gives +1e-16 at the grid point 1, the float -1e-16: the
-        # floats do not bracket [0, 1], and the end nearer zero is the root.
+        # The array gives +1e-16 at the grid point 1, the float -1e-16. Grid
+        # values are final: the grid brackets [0, 1], and the float steps
+        # inside it close in on the hi end.
         def f(x):
             return x - 1.0 + (1e-16 if isinstance(x, np.ndarray) else -1e-16)
 
         assert _scan_root(f, 0.0, 2.0, 3, self.CFG) == [1.0]
 
     def test_float_path_raising_at_an_end(self):
-        # The floats raise on [3, 3.2], which holds both ends of the grid cell
-        # around pi, where the array is finite: that cell is skipped.
+        # The floats raise on [3, 3.2], which holds the whole grid cell around
+        # pi, where the array is finite. Grid values are final, so the cell is
+        # refined, and the first float step inside it raises.
         def f(x):
             if isinstance(x, np.ndarray):
                 return np.sin(x)
@@ -220,9 +265,9 @@ class TestScanRoot:
                 raise ValueError("outside the domain")
             return math.sin(x)
 
-        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=True)
-        assert roots == pytest.approx([2.0 * math.pi, 3.0 * math.pi], abs=1e-12)
-        assert _scan_root(f, 0.5, 10.0, 512, self.CFG) == pytest.approx([2.0 * math.pi])
+        for all_roots in (False, True):
+            with pytest.raises(ValueError, match="outside the domain"):
+                _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=all_roots)
 
     def test_raise_inside_a_cell_propagates(self):
         def f(x):
@@ -234,6 +279,13 @@ class TestScanRoot:
 
         with pytest.raises(ZeroDivisionError):
             _scan_root(f, 0.5, 10.0, 512, self.CFG)
+
+    @pytest.mark.parametrize("all_roots", [False, True])
+    def test_no_float_call_on_a_grid_point(self, all_roots):
+        f, grid, floats = _recording(np.sin)
+        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=all_roots)
+        assert len(roots) == (3 if all_roots else 1)
+        assert floats and grid.isdisjoint(floats)
 
     def test_grid_point_root(self):
         assert _scan_root(lambda x: x - 1.0, 0.0, 2.0, 3, self.CFG) == [1.0]

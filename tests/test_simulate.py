@@ -97,6 +97,11 @@ class TestMarginDecode:
         assert pu == pytest.approx(epu, abs=1e-12)
         assert pe == pytest.approx(epe, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [2, 0.5, -1])
+    def test_non_bit_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="only bits 0 and 1"):
+            margin_decode(HAMMING74, [bad, 0, 0, 0, 0, 0, 0], 0)
+
     def test_awgn_margin_decode(self):
         cb = SphericalCodebook.binary(LinearCode(2, 1, ((1,),)), 4.0)
         assert margin_decode_awgn(cb, cb.points[1] * 1.01, 0.0) == 1
@@ -214,6 +219,10 @@ class TestSimulateBsc:
         with pytest.raises(ValueError, match="trials must be positive"):
             simulate_bsc(HAMMING74, 0.05, 0, 0, seed=1)
 
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ValueError, match="margin must be nonnegative, got -3"):
+            simulate_bsc(HAMMING74, 0.05, -3, 1000, seed=1)
+
     def test_margin_increases_erasures(self):
         t0 = simulate_bsc(HAMMING74, 0.1, 0, 100_000, seed=4)
         t1 = simulate_bsc(HAMMING74, 0.1, 1, 100_000, seed=4)
@@ -269,6 +278,11 @@ class TestSimulateAwgn:
         cb = SphericalCodebook.random(16, 12, 4.0, 2)
         with pytest.raises(ValueError, match="trials must be positive"):
             simulate_awgn(cb, 0.05, 0, seed=3)
+
+    def test_negative_margin_rejected(self):
+        cb = SphericalCodebook.random(16, 12, 4.0, 2)
+        with pytest.raises(ValueError, match="margin must be nonnegative, got -0.1"):
+            simulate_awgn(cb, -0.1, 1000, seed=3)
 
 
 def cone_exit_probability(n, A, phi):
