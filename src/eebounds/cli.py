@@ -228,8 +228,10 @@ def cmd_finite_bound(args) -> int:
     else:
         rate = args.rate if args.units == "nats" else args.rate * LN2
         wd = finite.WeightDistribution.binomial_spherical(args.n, rate)
-        rho = args.rho if args.rho is not None else spherical.decoding_radius(rate, args.tau, ch)
-        lb = finite.awgn_union_bound(wd, ch, args.tau, rho)
+        # The erasure kind negates the margin, as in tradeoff_exponent.
+        t = args.tau if args.mode == "error" else -args.tau
+        rho = args.rho if args.rho is not None else spherical.decoding_radius(rate, t, ch)
+        lb = finite.awgn_union_bound(wd, ch, t, rho)
         obj = {
             "version": __version__,
             "channel": "awgn",
@@ -237,6 +239,7 @@ def cmd_finite_bound(args) -> int:
             "rate_nats": rate,
             "snr": ch.A,
             "tau": args.tau,
+            "mode": args.mode,
             "rho": rho,
             "ln_bound": lb,
             "exponent_nats": -lb / args.n,

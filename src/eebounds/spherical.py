@@ -64,6 +64,11 @@ __all__ = [
 _ROOT_CFG = SolverConfig(abs_tol=1e-14)
 # Largest neighbor-angle residual elias_theta accepts at its root.
 _ELIAS_RESIDUAL_TOL = 1e-10
+# Neighbor-angle grid points of the decoding-radius scan on (0, pi/2], and
+# its tolerance: theta to 1e-15 puts rho within about 1e-15 of the root,
+# where _ROOT_CFG's 1e-14 can leave it 8e-15 off.
+_RADIUS_POINTS = 96
+_RADIUS_CFG = SolverConfig(abs_tol=1e-15)
 # Gap between the top of the bounded-distance angle range and pi/2 - tau.
 _BD_EPS = 1e-4
 
@@ -193,10 +198,10 @@ def elias_theta(x: float, tau: float) -> float:
     The equation is linear in cos^2 x (cos 2x = 2 cos^2 x - 1), so its
     inverse is closed-form: cos^2 x = cot(theta) (1 + cos(theta + 2 tau)) /
     (2 cot(theta) + tan(theta/2 + tau)), which is cos(theta) at tau = 0.
-    ``decoding_radius`` and ``spherical_landmarks`` solve in theta through
-    that inverse and call this scan only at bracket ends and to check roots.
-    For tau > 0 the inverse tends to tau as theta -> 0, so there is no root
-    unless x > tau.
+    ``decoding_radius`` solves in theta through that inverse (``_elias_x``)
+    and never calls this scan; ``spherical_landmarks`` calls it once, for the
+    residual of its R* check. For tau > 0 the inverse tends to tau as theta
+    -> 0, so there is no root unless x > tau.
     """
     if not 0.0 < x <= math.pi / 2.0:
         raise ValueError(f"x must lie in (0, pi/2], got {x}")
@@ -229,9 +234,15 @@ def _elias_x(theta, tau: float):
     cos^2 x = cos(theta) (1 + cos(theta + 2 tau)) / (2 cos(theta) + sin(theta)
     tan(theta/2 + tau)), the cot form multiplied through by sin(theta).
     cos^2 x is clamped to [0, 1]: rounding leaves it just below 0 where
-    ``elias_theta`` returns a hair above pi/2, and off the principal branch
-    the clamped x fails the root checks of its callers. Elementwise on an
-    array of angles, NaN where the denominator is zero."""
+    ``elias_theta`` returns a hair above pi/2. Elementwise on an array of
+    angles, NaN where the denominator is zero.
+
+    Branch rule: x(pi/2) = pi/2 for every tau. For tau >= 0, x rises from tau
+    to pi/2, so ``elias_theta(x(theta))`` is theta on all of (0, pi/2]. For
+    tau < 0, x falls from |tau| to 0 on (0, |tau|), is clamped to 0 up to
+    2|tau|, then rises to pi/2; a radius below |tau| has its principal angle
+    on the first stretch. So theta is the angle ``elias_theta`` returns
+    exactly when theta < a or x(theta) >= a, a = max(-tau, 0)."""
     if isinstance(theta, np.ndarray):
         ct = np.cos(theta)
         den = 2.0 * ct + np.sin(theta) * np.tan(theta / 2.0 + tau)
@@ -256,23 +267,20 @@ def _radius_residual(theta, rho, R: float, tau: float):
     return R + xp.log(xp.sin(theta)) + 0.5 * xp.log(1.0 - t2)
 
 
-def _decoding_residual(rho: float, R: float, tau: float) -> float:
-    return _radius_residual(elias_theta(min(rho, math.pi / 2.0), tau), rho, R, tau)
-
-
 def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     """Decoding radius rho(R): the unique root of the self-consistency
     equation R + ln sin(theta) + 1/2 ln(1 - tan^2(theta/2 + tau) / tan^2 rho)
     = 0, theta = elias_theta(rho, tau), on [theta_s, 2 theta_s] (on
     [1e-3, theta_s] for tau < 0).
 
-    The bracket ends go to neighbor angles by two ``elias_theta`` calls, and
-    the equation is scanned in theta with rho = x(theta) from the closed-form
-    inverse (see ``elias_theta``), so no scan runs inside another. A root is
-    accepted only if its rho lies in the bracket and the equation in rho, with
-    theta from ``elias_theta``, holds there to 1e-10; this rejects roots on
-    the second branch of the theta equation, which occur at tau < 0. Raises
-    BracketError when no root, or no unique root, is accepted."""
+    The equation is one scan in theta, on a fixed grid over (0, pi/2], with
+    rho = x(theta) from the closed-form inverse ``_elias_x``; no
+    ``elias_theta`` call is made. A root is kept only if its rho lies in the
+    bracket (up to 1e-12 below its lower end counts, clamped to that end: at
+    tau = 0 the root is theta_s itself) and theta is the principal neighbor
+    angle of rho, the one ``elias_theta`` returns: theta < a or rho >= a, a =
+    max(-tau, 0) (see ``_elias_x``). Raises BracketError when no root, or no
+    unique root, is kept."""
     return _radius_and_angle(R, tau, ch)[0]
 
 
@@ -293,23 +301,15 @@ def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, flo
     if lo <= tau:
         raise BracketError(f"no neighbor angle at the bracket end {lo} <= tau {tau}")
 
-    th_lo = elias_theta(lo, tau)
-    # Endpoint can be an exact root (tau = 0 collapses to theta_s).
-    if abs(_guarded(lambda th: _radius_residual(th, lo, R, tau), th_lo)) < 1e-11:
-        return lo, th_lo
-    th_hi = elias_theta(hi, tau)
-
     def f(theta):
         return _radius_residual(theta, _elias_x(theta, tau), R, tau)
 
-    def f_rho(rho: float) -> float:
-        return _decoding_residual(rho, R, tau)
-
+    a = max(-tau, 0.0)
     roots, thetas = [], []
-    for theta in _scan_root(f, min(th_lo, th_hi), max(th_lo, th_hi), 48, _ROOT_CFG, all_roots=True):
+    for theta in _scan_root(f, 1e-9, math.pi / 2.0, _RADIUS_POINTS, _RADIUS_CFG, all_roots=True):
         rho = _elias_x(theta, tau)
-        if lo <= rho <= hi and abs(_guarded(f_rho, rho)) < 1e-10:
-            roots.append(rho)
+        if lo - 1e-12 <= rho <= hi and (theta < a or rho >= a):
+            roots.append(max(rho, lo))
             thetas.append(theta)
     if not roots:
         raise BracketError(

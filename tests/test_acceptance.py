@@ -39,7 +39,7 @@ from eebounds.simulate import (
 )
 from eebounds.spherical import (
     AwgnChannel,
-    _decoding_residual,
+    _radius_residual,
     DistanceProfile,
     big_g,
     decoding_radius,
@@ -177,7 +177,7 @@ def test_criterion_06_implicit_equation_health():
     for R in (0.1, 0.3, 0.5, 0.7):
         for tau in (0.0, 0.03):
             rho = decoding_radius(R, tau, ch4)
-            assert abs(_decoding_residual(rho, R, tau)) <= 1e-10
+            assert abs(_radius_residual(elias_theta(rho, tau), rho, R, tau)) <= 1e-10
     for x in np.linspace(0.2, 1.4, 15):
         th = elias_theta(float(x), 0.0)
         assert math.cos(th) == pytest.approx(math.cos(float(x)) ** 2, abs=1e-10)

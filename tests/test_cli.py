@@ -214,6 +214,33 @@ class TestFiniteBound:
         assert obj["rho"] == 1.0
         assert obj["exponent_nats"] > 0.0
 
+    AWGN = [
+        "finite-bound", "--channel", "awgn", "--snr", "4", "--tau", "0.02", "--n", "256",
+        "--rate", "0.3", "--units", "nats",
+    ]
+
+    def test_awgn_record_solves_radius(self, tmp_path):
+        rc, text = run(tmp_path, "fb4.json", *self.AWGN)
+        obj = json.loads(text)
+        assert rc == 0
+        assert obj["mode"] == "error"
+        assert obj["rho"] == spherical.decoding_radius(0.3, 0.02, spherical.AwgnChannel(4.0))
+        wd = finite.WeightDistribution.binomial_spherical(256, 0.3)
+        lb = finite.awgn_union_bound(wd, spherical.AwgnChannel(4.0), 0.02, obj["rho"])
+        assert obj["ln_bound"] == lb
+
+    def test_awgn_erasure_mode_negates_margin(self, tmp_path):
+        _, error_kind = run(tmp_path, "fb5.json", *self.AWGN)
+        rc, text = run(tmp_path, "fb6.json", *self.AWGN, "--mode", "erasure")
+        obj = json.loads(text)
+        assert rc == 0
+        assert obj["mode"] == "erasure" and obj["tau"] == 0.02
+        ch = spherical.AwgnChannel(4.0)
+        assert obj["rho"] == spherical.decoding_radius(0.3, -0.02, ch)
+        wd = finite.WeightDistribution.binomial_spherical(256, 0.3)
+        assert obj["ln_bound"] == finite.awgn_union_bound(wd, ch, -0.02, obj["rho"])
+        assert obj["rho"] < json.loads(error_kind)["rho"]
+
     def test_awgn_radius_below_capacity_angle_is_error(self, tmp_path, capsys):
         rc, text = run(
             tmp_path, "fb3.json",

@@ -27,7 +27,6 @@ from eebounds.spherical import (
 )
 import eebounds.spherical as spherical
 from eebounds.spherical import (
-    _decoding_residual,
     _elias_x,
     _phi0,
     _radius_residual,
@@ -413,11 +412,48 @@ class TestDecodingRadius:
                 got = decoding_radius(R, tau, ch)
             except BracketError:
                 continue
-            assert abs(_decoding_residual(got, R, tau)) < 1e-10
+            assert abs(_radius_residual(elias_theta(got, tau), got, R, tau)) < 1e-10
+
+    @pytest.mark.parametrize("tau", [0.1, 0.05, 0.02, 0.0, -0.02, -0.05, -0.1, -0.2])
+    def test_principal_branch_rule(self, tau):
+        # decoding_radius keeps a root theta only if elias_theta maps its
+        # radius x(theta) back to it: theta < a or x(theta) >= a, a =
+        # max(-tau, 0). For tau < 0, x falls from |tau| to 0 on (0, |tau|),
+        # is 0 up to 2|tau|, then rises to pi/2; where it is below |tau| again,
+        # elias_theta returns the angle on the first stretch instead.
+        a = max(-tau, 0.0)
+        rule = []
+        for th in np.linspace(1e-3, math.pi / 2.0, 801):
+            th = float(th)
+            x = _elias_x(th, tau)
+            if x == 0.0:
+                continue  # no neighbor angle: elias_theta needs x > 0
+            principal = abs(elias_theta(x, tau) - th) <= 1e-9
+            assert principal == (th < a or x >= a), (th, x)
+            rule.append(principal)
+        assert all(rule) == (tau >= 0.0)
+
+    def test_roots_solve_equation_in_rho(self):
+        # The runtime checks the one scan dropped, on a grid: each kept root
+        # is the neighbor angle of its radius, and the equation in rho holds.
+        kept = 0
+        for A in (0.5, 4.0, 64.0):
+            ch = AwgnChannel(A)
+            for tau in (0.0, 0.01, -0.01, 0.05, -0.05, 0.2, -0.2):
+                for R in np.linspace(0.0, ch.capacity, 13)[1:]:
+                    try:
+                        rho, theta = spherical._radius_and_angle(float(R), tau, ch)
+                    except BracketError:
+                        continue
+                    kept += 1
+                    th = elias_theta(rho, tau)
+                    assert abs(th - theta) <= 1e-12, (A, tau, R)
+                    assert abs(_radius_residual(th, rho, float(R), tau)) <= 1e-10, (A, tau, R)
+        assert kept >= 200
 
     def test_no_nested_scan(self, monkeypatch):
-        # Two elias_theta calls map the bracket ends; each root found in the
-        # bracket costs one more to check it. Every case here has at most one.
+        # decoding_radius scans the neighbor angle through the closed-form
+        # inverse and keeps roots by the branch rule: no elias_theta call.
         calls = []
         inner = spherical.elias_theta
 
@@ -427,21 +463,20 @@ class TestDecodingRadius:
 
         monkeypatch.setattr(spherical, "elias_theta", counted)
         for A, tau, R, _ in NESTED_SCAN_RADII:
-            calls.clear()
             try:
                 decoding_radius(R, tau, AwgnChannel(A))
             except BracketError:
                 pass
-            assert len(calls) <= 3, (A, tau, R, len(calls))
+        assert calls == []
         # A sphere-packing point of the trade-off bound takes its theta_star
-        # diagnostic from the decoding-radius solve: no fourth scan. The
-        # first call warms the memoized landmarks.
+        # diagnostic from the decoding-radius solve. The first call warms the
+        # memoized landmarks, which check their R* by one elias_theta.
         for kind in ("error", "erasure"):
             tradeoff_exponent(0.7, CH4, 0.02, kind)
             calls.clear()
             v = tradeoff_exponent(0.7, CH4, 0.02, kind)
             assert v.valid and v.regime == "sphere-packing", (kind, v)
-            assert len(calls) <= 3, (kind, len(calls))
+            assert calls == [], kind
             t = 0.02 if kind == "error" else -0.02
             assert v.diagnostics["theta_star"] == pytest.approx(
                 inner(v.diagnostics["rho"], t), abs=1e-12
@@ -511,6 +546,15 @@ ILLINOIS_REPINS = {
     ("theta_1", (1.0,)): 1.329670411494784,
 }
 
+# The pins that the one-scan decoding radius moved (theta refined to 1e-15 on
+# a fixed grid over (0, pi/2]), each by at most 1.0e-15 from its value above.
+RADIUS_REPINS = {
+    ("decoding_radius", (0.208, -0.03, 1.0)): 0.9170155955714397,
+    ("decoding_radius", (0.483, 0.03, 4.0)): 0.7012948137164156,
+    ("tradeoff_exponent", (0.295, 1.0, "error")): 0.009497692850183571,
+    ("tradeoff_exponent", (0.295, 1.0, "erasure")): 0.00054852635336455,
+}
+
 
 def _pinned(name, args):
     if name == "elias_theta":
@@ -534,7 +578,7 @@ class TestArrayScan:
     def test_pinned_values(self, name, args, value):
         spherical._expurgation_angle.cache_clear()
         spherical.spherical_landmarks.cache_clear()
-        expected = ILLINOIS_REPINS.get((name, args), value)
+        expected = RADIUS_REPINS.get((name, args), ILLINOIS_REPINS.get((name, args), value))
         assert abs(expected - value) <= 4e-15
         assert _pinned(name, args) == expected
 
