@@ -1,7 +1,7 @@
 """Analysis kernel shared by all bound modules.
 
 One copy of each shared piece: the value type of every bound on both channels
-(``BoundValue``), bracketed root finding and the sign scan that feeds it
+(``BoundValue``), bracketed root finding and the all-roots sign scan
 (``_scan_root``), the grid-then-golden maximizer (``maximize_unimodal``;
 minimize by negating), the binary entropy (elementwise on an array, like
 ``spherical.esp``) and its inverse, the log-factorial table behind every
@@ -100,8 +100,8 @@ def solve_bracketed(
     in a row has its stored f value halved. There is no bisection bound, and
     ``cfg.max_iter`` steps raise ConvergenceError. Returns an exact zero of f,
     else the ``hi`` end once the bracket is ``cfg.abs_tol`` wide or at float
-    resolution, never below the root: ``spherical._elias_x`` maps
-    ``elias_theta(pi/2, tau)`` back to pi/2 only from float pi/2 or above."""
+    resolution, never below the root: ``elias_theta(pi/2, tau)`` is the
+    float above pi/2, which ``spherical._elias_x`` maps back to pi/2."""
     a, b = interval.lo, interval.hi
     return _illinois(f, a, b, f(a), f(b), cfg)
 
@@ -155,29 +155,24 @@ def _grid(f: Callable, xs: np.ndarray) -> np.ndarray:
 
 
 def _scan_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    points: int,
-    cfg: SolverConfig,
-    all_roots: bool = False,
+    f: Callable[[float], float], lo: float, hi: float, points: int, cfg: SolverConfig
 ) -> list[float]:
-    """Roots of f on [lo, hi]: a sign scan over ``points`` grid points, each
-    sign change refined by Illinois steps from the grid's end values.
+    """All roots of f on [lo, hi] that a sign scan over ``points`` grid
+    points sees, each sign change refined by Illinois steps from the grid's
+    end values.
 
     The grid follows ``_grid``, and its values are final: cells touching a NaN
     grid value are skipped, and the refinement calls f on floats only strictly
-    inside a cell, so a raise there propagates. Stops at the first root unless
-    ``all_roots``."""
+    inside a cell, so a raise there propagates."""
     xs = np.linspace(lo, hi, points)
     vals = _grid(f, xs)
     v0, v1 = vals[:-1], vals[1:]
     cells = np.flatnonzero(~np.isnan(v0) & ~np.isnan(v1) & ((v0 == 0.0) | (v0 * v1 < 0.0)))
     roots = [
         _illinois(f, float(xs[i]), float(xs[i + 1]), float(v0[i]), float(v1[i]), cfg)
-        for i in (cells if all_roots else cells[:1])
+        for i in cells
     ]
-    if (all_roots or not roots) and vals[-1] == 0.0:
+    if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
 

@@ -54,6 +54,7 @@ __all__ = [
 
 _BLOCK = 1 << 14
 _DOTS_BUDGET = 1 << 18  # elements of one (rows x M) slice of AWGN inner products
+_DRAW_BUDGET = 1 << 16  # uniforms of one (rows x n) slice of BSC error draws
 _MAX_K = 26
 
 
@@ -249,7 +250,9 @@ def simulate_bsc(
     and correct when also wt(e) = d1. Each block reads d1 and the decision of
     its syndromes from the coset table, built once per call; a code whose
     table exceeds the element budget runs the coset kernel once per distinct
-    syndrome of a block instead."""
+    syndrome of a block instead. A block draws its error bits in row slices
+    of about ``_DRAW_BUDGET`` uniforms, packed as they come: the same stream
+    as one (block x n) draw, without holding it."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
     if t < 0:
@@ -261,11 +264,14 @@ def simulate_bsc(
     if tabulated:
         d1, d2 = _coset_table(code)
         decoded = _margin_decoded(d1, d2, t, code.n)
+    rows = max(1, _DRAW_BUDGET // code.n)
 
     def block(b: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
-        err = rng.random((size, code.n)) < p
-        packed = np.packbits(err, axis=1, bitorder="little")
+        packed = np.empty((size, -(-code.n // 8)), dtype=np.uint8)
+        for lo in range(0, size, rows):
+            err = rng.random((min(rows, size - lo), code.n)) < p
+            packed[lo : lo + len(err)] = np.packbits(err, axis=1, bitorder="little")
         syndromes = np.zeros((size, columns.shape[1]), dtype=np.uint64)
         for g, table in enumerate(tables):
             syndromes ^= table[packed[:, g]]

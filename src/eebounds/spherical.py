@@ -4,19 +4,20 @@ All angles are radians, all exponents nats per dimension. The module covers
 the classical lower bound on the reliability function, the trade-off bound
 for margin decoding (error and erasure flavors), the distance-profile bound
 it derives from, and the bounded-distance / error-detection exponents.
-Implicit angles come from the shared sign scan in ``numerics``, worst-angle
-minima from ``maximize_unimodal`` on the negated integrand; ``esp`` also
-takes an array of angles, for the quadrature in ``finite``, and so does each
-residual a scan takes, which gives NaN where its float form raises. The
-neighbor-angle equation of ``elias_theta`` has a closed-form inverse
-x(theta), so the decoding radius is one scan in theta and the boundary rate
-R* a formula, with no scan nested in another. Invalid bound values carry a
-``reason``. Both distance-profile exponents are one ``_union_exponent``: the
-worst angle against the noise tail ``_tail``, which raises ValueError below
-the capacity angle, where leaving the cone is the typical event. It raises
-ValueError too when no angle has a pair exponent. The worst angle is
-searched on a grid, so ``f_exponent``, ``_phi0`` and every profile's ``b``
-are elementwise too.
+The neighbor angle ``elias_theta`` and the expurgation angle are each one
+bracketed solve in ``numerics``, on a bracket that holds exactly one root;
+worst-angle minima come from ``maximize_unimodal`` on the negated
+integrand. ``esp`` also takes an array of angles, for the quadrature in
+``finite``, and so do the residuals of the worst-angle search and of the
+decoding-radius scan, which give NaN where their float form raises. The
+neighbor-angle equation has a closed-form inverse x(theta), so the decoding
+radius is one sign scan in theta and the boundary rate R* a formula, with no
+solve nested in another. Invalid bound values carry a ``reason``. Both
+distance-profile exponents are one ``_union_exponent``: the worst angle
+against the noise tail ``_tail``, which raises ValueError below the capacity
+angle, where leaving the cone is the typical event. It raises ValueError too
+when no angle has a pair exponent. The worst angle is searched on a grid, so
+``f_exponent``, ``_phi0`` and every profile's ``b`` are elementwise too.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .numerics import (
     _guarded,
     _scan_root,
     maximize_unimodal,
+    solve_bracketed,
 )
 
 __all__ = [
@@ -61,14 +63,12 @@ __all__ = [
     "rankin_rate",
 ]
 
-_ROOT_CFG = SolverConfig(abs_tol=1e-14)
-# Largest neighbor-angle residual elias_theta accepts at its root.
-_ELIAS_RESIDUAL_TOL = 1e-10
-# Neighbor-angle grid points of the decoding-radius scan on (0, pi/2], and
-# its tolerance: theta to 1e-15 puts rho within about 1e-15 of the root,
-# where _ROOT_CFG's 1e-14 can leave it 8e-15 off.
+# Tolerance of the three angle solves: neighbor angle, expurgation angle and
+# the decoding radius's theta, which to 1e-15 puts rho within about 1e-15 of
+# its root (1e-14 can leave it 8e-15 off).
+_CFG = SolverConfig(abs_tol=1e-15)
+# Neighbor-angle grid points of the decoding-radius scan on (0, pi/2].
 _RADIUS_POINTS = 96
-_RADIUS_CFG = SolverConfig(abs_tol=1e-15)
 # Gap between the top of the bounded-distance angle range and pi/2 - tau.
 _BD_EPS = 1e-4
 
@@ -191,67 +191,61 @@ def big_g(phi: float, tau: float, ch: AwgnChannel) -> float:
 
 
 def elias_theta(x: float, tau: float) -> float:
-    """Neighbor angle theta(x): the implicit covering-angle equation's root.
+    """Neighbor angle theta(x): the principal root of the covering-angle
+    equation cot(theta) (cos(theta + 2 tau) - cos 2x) = cos^2 x tan(theta/2
+    + tau). It is linear in cos^2 x: on (0, pi/2] it is C(theta) = cos^2 x,
+    C = ``_elias_c2``, times the positive 2 cot(theta) + tan(theta/2 + tau).
 
-    Solved on the cleared (pole-free) form cot(theta) * (cos(theta + 2 tau)
-    - cos 2x) - cos^2 x * tan(theta/2 + tau) = 0, scanned on (0, pi - 2 tau).
-    The equation is linear in cos^2 x (cos 2x = 2 cos^2 x - 1), so its
-    inverse is closed-form: cos^2 x = cot(theta) (1 + cos(theta + 2 tau)) /
-    (2 cot(theta) + tan(theta/2 + tau)), which is cos(theta) at tau = 0.
-    ``decoding_radius`` solves in theta through that inverse (``_elias_x``)
-    and never calls this scan; ``spherical_landmarks`` calls it once, for the
-    residual of its R* check. For tau > 0 the inverse tends to tau as theta
-    -> 0, so there is no root unless x > tau.
+    C is cos^2 tau at theta -> 0 and 0 at pi/2; for tau < 0 it exceeds 1 at
+    |tau| and is 1 at 2|tau|. It is monotone on each piece of the branch
+    rule (see ``_elias_x``), so with a = max(-tau, 0) one bracketed solve
+    finds the root: on (0, a) if x < a, else on [2a, pi/2 + 1e-9], whose top
+    end lets x = pi/2 return float pi/2. Both start at 1e-9 or above, so an
+    x within about 1e-9 of |tau|, whose root lies lower, raises BracketError.
+    For tau > 0 there is no root unless x > tau. ``decoding_radius`` never
+    calls this; ``spherical_landmarks`` calls it once, for the residual of
+    its R* check.
     """
     if not 0.0 < x <= math.pi / 2.0:
         raise ValueError(f"x must lie in (0, pi/2], got {x}")
     if 0.0 < tau and x <= tau:
         raise ValueError(f"x must exceed tau > 0 (domain x > tau), got x={x}, tau={tau}")
-    c2x = math.cos(2.0 * x)
+    a = max(-tau, 0.0)
+    if x < a:
+        lo, hi = 1e-9, a
+    else:
+        lo, hi = max(2.0 * a, 1e-9), min(math.pi / 2.0 + 1e-9, math.pi - 2.0 * tau - 1e-9)
     cx2 = math.cos(x) ** 2
+    return solve_bracketed(lambda th: _elias_c2(th, tau) - cx2, RealInterval(lo, hi), _CFG)
 
-    def resid(theta):
-        xp = np if isinstance(theta, np.ndarray) else math
-        return (
-            (xp.cos(theta) / xp.sin(theta)) * (xp.cos(theta + 2.0 * tau) - c2x)
-            - cx2 * xp.tan(theta / 2.0 + tau)
-        )
 
-    hi = math.pi - 2.0 * tau - 1e-9
-    roots = _scan_root(resid, 1e-9, hi, 160, _ROOT_CFG)
-    if not roots:
-        raise BracketError(f"no root of the neighbor-angle equation on (0, {hi})")
-    theta = roots[0]
-    if abs(resid(theta)) > _ELIAS_RESIDUAL_TOL:
-        raise BracketError(
-            f"neighbor-angle residual {resid(theta)} exceeds {_ELIAS_RESIDUAL_TOL}"
-        )
-    return theta
+def _elias_c2(theta, tau: float):
+    """cos^2 x of the x whose neighbor angle is theta: cos(theta) (1 +
+    cos(theta + 2 tau)) / (2 cos(theta) + sin(theta) tan(theta/2 + tau)).
+    Elementwise on an array of angles, NaN where the denominator is zero."""
+    xp = np if isinstance(theta, np.ndarray) else math
+    ct = xp.cos(theta)
+    den = 2.0 * ct + xp.sin(theta) * xp.tan(theta / 2.0 + tau)
+    if xp is np:
+        den = np.where(den == 0.0, np.nan, den)
+    return ct * (1.0 + xp.cos(theta + 2.0 * tau)) / den
 
 
 def _elias_x(theta, tau: float):
     """Inverse of ``elias_theta``: the x whose neighbor angle is theta, from
-    cos^2 x = cos(theta) (1 + cos(theta + 2 tau)) / (2 cos(theta) + sin(theta)
-    tan(theta/2 + tau)), the cot form multiplied through by sin(theta).
-    cos^2 x is clamped to [0, 1]: rounding leaves it just below 0 where
-    ``elias_theta`` returns a hair above pi/2. Elementwise on an array of
-    angles, NaN where the denominator is zero.
+    cos^2 x = ``_elias_c2(theta, tau)``, clamped to [0, 1]: rounding leaves
+    it just below 0 where ``elias_theta`` returns a hair above pi/2.
 
     Branch rule: x(pi/2) = pi/2 for every tau. For tau >= 0, x rises from tau
     to pi/2, so ``elias_theta(x(theta))`` is theta on all of (0, pi/2]. For
     tau < 0, x falls from |tau| to 0 on (0, |tau|), is clamped to 0 up to
     2|tau|, then rises to pi/2; a radius below |tau| has its principal angle
-    on the first stretch. So theta is the angle ``elias_theta`` returns
-    exactly when theta < a or x(theta) >= a, a = max(-tau, 0)."""
+    on the first stretch, where ``elias_theta`` brackets it. So theta is the
+    angle ``elias_theta`` returns exactly when theta < a or x(theta) >= a,
+    a = max(-tau, 0)."""
+    c = _elias_c2(theta, tau)
     if isinstance(theta, np.ndarray):
-        ct = np.cos(theta)
-        den = 2.0 * ct + np.sin(theta) * np.tan(theta / 2.0 + tau)
-        c = ct * (1.0 + np.cos(theta + 2.0 * tau)) / np.where(den == 0.0, np.nan, den)
         return np.arccos(np.sqrt(np.clip(c, 0.0, 1.0)))
-    ct = math.cos(theta)
-    c = ct * (1.0 + math.cos(theta + 2.0 * tau)) / (
-        2.0 * ct + math.sin(theta) * math.tan(theta / 2.0 + tau)
-    )
     return math.acos(math.sqrt(min(max(c, 0.0), 1.0)))
 
 
@@ -306,7 +300,7 @@ def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, flo
 
     a = max(-tau, 0.0)
     roots, thetas = [], []
-    for theta in _scan_root(f, 1e-9, math.pi / 2.0, _RADIUS_POINTS, _RADIUS_CFG, all_roots=True):
+    for theta in _scan_root(f, 1e-9, math.pi / 2.0, _RADIUS_POINTS, _CFG):
         rho = _elias_x(theta, tau)
         if lo - 1e-12 <= rho <= hi and (theta < a or rho >= a):
             roots.append(max(rho, lo))
@@ -324,19 +318,18 @@ def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, flo
 def _expurgation_angle(tau: float, ch: AwgnChannel) -> tuple[float, float]:
     """(theta_1, stationarity residual): the expurgation/straight-line
     boundary angle, memoized per (A, tau). It is all the expurgation regime
-    of ``tradeoff_exponent`` needs."""
+    of ``tradeoff_exponent`` needs. theta_1 solves tan(x) sin(x + 2 tau) =
+    4/A, whose log-derivative 2/sin(2x) + cot(x + 2 tau) is positive where
+    the product is (for tau < 0.55): one root on (0, pi/2), one solve."""
     A = ch.A
 
-    def d_expurg(x):
+    def d_expurg(x: float) -> float:
         # Stationarity of ln sin(x) - (A/4)(1 - cos(x + 2 tau)), the exact
         # saddle-simplified expurgation integrand.
-        xp = np if isinstance(x, np.ndarray) else math
-        return xp.cos(x) / xp.sin(x) - (A / 4.0) * xp.sin(x + 2.0 * tau)
+        return math.cos(x) / math.sin(x) - (A / 4.0) * math.sin(x + 2.0 * tau)
 
-    roots = _scan_root(d_expurg, 1e-6, math.pi / 2.0 - 1e-6, 1024, _ROOT_CFG)
-    if not roots:
-        raise BracketError("expurgation-angle equation has no root in (0, pi/2)")
-    return roots[0], d_expurg(roots[0])
+    theta_1 = solve_bracketed(d_expurg, RealInterval(1e-6, math.pi / 2.0 - 1e-6), _CFG)
+    return theta_1, d_expurg(theta_1)
 
 
 @lru_cache(maxsize=256)

@@ -69,8 +69,9 @@ class TestSolveBracketed:
         assert abs(binary_entropy(root) - 0.6) < 1e-12
 
     @staticmethod
-    def _residual_calls(monkeypatch, fn):
-        """Residual calls of each ``solve_bracketed`` solve made by fn()."""
+    def _residual_calls(monkeypatch, fn, module=numerics):
+        """Residual calls of each ``solve_bracketed`` solve that fn() makes
+        through ``module``."""
         counts = []
         solve = numerics.solve_bracketed
 
@@ -83,28 +84,16 @@ class TestSolveBracketed:
 
             return solve(g, interval, cfg)
 
-        monkeypatch.setattr(numerics, "solve_bracketed", counting)
+        monkeypatch.setattr(module, "solve_bracketed", counting)
         fn()
         return counts
 
     def test_no_stall_in_neighbor_angle(self, monkeypatch):
         # Secant plus forced bisection took 49 calls here: the secant kept
         # landing on one side of the root, so the bisections did the work.
-        # The scan refines from its grid values: only steps call on floats.
-        floats = []
-        scan = spherical._scan_root
-
-        def counting(f, *args, **kwargs):
-            def g(x):
-                if not isinstance(x, np.ndarray):
-                    floats.append(x)
-                return f(x)
-
-            return scan(g, *args, **kwargs)
-
-        monkeypatch.setattr(spherical, "_scan_root", counting)
-        elias_theta(0.8, 0.04)
-        assert 0 < len(floats) <= 12
+        # One bracketed solve, its two end values included.
+        counts = self._residual_calls(monkeypatch, lambda: elias_theta(0.8, 0.04), spherical)
+        assert len(counts) == 1 and 0 < counts[0] <= 12
 
     def test_no_stall_in_entropy_inverse(self, monkeypatch):
         ys = np.linspace(0.001, 0.999, 999)
@@ -217,9 +206,8 @@ class TestScanRoot:
     CFG = SolverConfig(abs_tol=1e-14, max_iter=400)
 
     def test_all_roots_of_sine(self):
-        roots = _scan_root(np.sin, 0.5, 10.0, 512, self.CFG, all_roots=True)
+        roots = _scan_root(np.sin, 0.5, 10.0, 512, self.CFG)
         assert roots == pytest.approx([math.pi, 2.0 * math.pi, 3.0 * math.pi], abs=1e-12)
-        assert _scan_root(np.sin, 0.5, 10.0, 512, self.CFG) == pytest.approx([math.pi])
 
     def test_raising_gap_is_skipped(self):
         # The array form of a function that raises on (6, 6.5) and (9, 9.5).
@@ -228,18 +216,17 @@ class TestScanRoot:
             v = np.where((6.0 < x) & (x < 6.5), np.inf, v)
             return np.where((9.0 < x) & (x < 9.5), np.nan, v)
 
-        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=True)
+        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG)
         assert roots == pytest.approx([math.pi], abs=1e-12)
 
-    @pytest.mark.parametrize("all_roots", [False, True])
-    def test_grid_is_one_array_call(self, all_roots):
+    def test_grid_is_one_array_call(self):
         calls = []
 
         def f(x):
             calls.append(x)
             return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
-        _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=all_roots)
+        _scan_root(f, 0.5, 10.0, 512, self.CFG)
         arrays = [x for x in calls if isinstance(x, np.ndarray)]
         assert len(arrays) == 1 and arrays[0].shape == (512,)
         assert isinstance(calls[0], np.ndarray)
@@ -265,9 +252,8 @@ class TestScanRoot:
                 raise ValueError("outside the domain")
             return math.sin(x)
 
-        for all_roots in (False, True):
-            with pytest.raises(ValueError, match="outside the domain"):
-                _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=all_roots)
+        with pytest.raises(ValueError, match="outside the domain"):
+            _scan_root(f, 0.5, 10.0, 512, self.CFG)
 
     def test_raise_inside_a_cell_propagates(self):
         def f(x):
@@ -280,17 +266,16 @@ class TestScanRoot:
         with pytest.raises(ZeroDivisionError):
             _scan_root(f, 0.5, 10.0, 512, self.CFG)
 
-    @pytest.mark.parametrize("all_roots", [False, True])
-    def test_no_float_call_on_a_grid_point(self, all_roots):
+    def test_no_float_call_on_a_grid_point(self):
         f, grid, floats = _recording(np.sin)
-        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG, all_roots=all_roots)
-        assert len(roots) == (3 if all_roots else 1)
+        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG)
+        assert len(roots) == 3
         assert floats and grid.isdisjoint(floats)
 
     def test_grid_point_root(self):
         assert _scan_root(lambda x: x - 1.0, 0.0, 2.0, 3, self.CFG) == [1.0]
         assert _scan_root(lambda x: x - 2.0, 0.0, 2.0, 3, self.CFG) == [2.0]
-        assert _scan_root(lambda x: x * x + 1.0, 0.0, 2.0, 9, self.CFG, all_roots=True) == []
+        assert _scan_root(lambda x: x * x + 1.0, 0.0, 2.0, 9, self.CFG) == []
 
 
 class TestEntropy:

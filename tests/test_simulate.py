@@ -189,6 +189,18 @@ class TestSimulateBsc:
         tally = simulate_bsc(code, p, t, 40_000, seed=1, workers=workers)
         assert (tally.correct, tally.undetected, tally.erasure) == expected
 
+    def test_error_draw_is_row_sliced(self):
+        # One 16k-trial block of a (130,3) code: a (block x n) float64 draw
+        # alone is 17 MB; row slices keep the whole call near 2.5 MB.
+        code = gen_linear_code(130, 3, 0)
+        tracemalloc.start()
+        try:
+            simulate_bsc(code, 0.35, 2, 2**14, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
     def test_pinned_24_12_tally_matches_exact_oracle(self):
         code, p, t, trials, counts = PINNED_BSC_TALLIES[2]
         assert (code.n, code.k) == (24, 12)

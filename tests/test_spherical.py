@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from eebounds.numerics import BracketError
+from eebounds.numerics import BracketError, SolverConfig, _scan_root
 from eebounds.spherical import (
     AwgnChannel,
     DistanceProfile,
@@ -27,6 +27,7 @@ from eebounds.spherical import (
 )
 import eebounds.spherical as spherical
 from eebounds.spherical import (
+    _elias_c2,
     _elias_x,
     _phi0,
     _radius_residual,
@@ -35,9 +36,9 @@ from eebounds.spherical import (
 CH4 = AwgnChannel(4.0)
 
 # (A, tau, R, rho) from the nested-scan solver (a 48-point scan in rho, each
-# point running the 160-point elias_theta scan) that decoding_radius used
-# before the closed-form inverse; rho is None where that solver raised
-# BracketError.
+# point running a 160-point sign scan for elias_theta, since replaced by one
+# bracketed solve) that decoding_radius used before the closed-form inverse;
+# rho is None where that solver raised BracketError.
 NESTED_SCAN_RADII = [
     (1.0, 0.0, 0.0347, 1.3088784076696507),
     (1.0, 0.0, 0.1386, 1.0563721465487612),
@@ -341,19 +342,56 @@ class TestEliasTheta:
         with pytest.raises(ValueError):
             elias_theta(0.0, 0.0)
 
+    def test_principal_root_below_small_negative_margin(self):
+        # x < |tau| has its principal angle on (0, |tau|), inside the first
+        # cell of the 160-point sign scan this solve replaced, which returned
+        # the non-principal 2.875 here.
+        th = elias_theta(1e-3, -0.005)
+        assert th == pytest.approx(0.0046277, abs=1e-7)
+        assert abs(_elias_x(th, -0.005) - 1e-3) <= 1e-12
+
+    def test_one_bracketed_solve_per_angle(self, monkeypatch):
+        # Both angles have a bracket holding exactly one root: no sign scan.
+        def no_scan(*args):
+            raise AssertionError("sign scan")
+
+        monkeypatch.setattr(spherical, "_scan_root", no_scan)
+        for x, tau in ((0.8, 0.04), (1e-3, -0.005), (0.5, -0.2), (math.pi / 2.0, 0.0)):
+            elias_theta(x, tau)
+        spherical._expurgation_angle.cache_clear()
+        for tau in (0.0, 0.03, -0.03):
+            spherical._expurgation_angle(tau, CH4)
+        spherical._expurgation_angle.cache_clear()
+
+    def test_expurgation_angle_is_the_only_root(self):
+        # tan(x) sin(x + 2 tau) = 4/A has one root on (0, pi/2): a dense
+        # all-roots scan of the stationarity residual finds exactly it.
+        cfg = SolverConfig(abs_tol=1e-15)
+        for A in np.geomspace(1e-2, 1e4, 9):
+            for tau in np.linspace(-0.78, 0.78, 13):
+                A, tau = float(A), float(tau)
+
+                def resid(x):
+                    return np.cos(x) / np.sin(x) - (A / 4.0) * np.sin(x + 2.0 * tau)
+
+                roots = _scan_root(resid, 1e-6, math.pi / 2.0 - 1e-6, 1 << 14, cfg)
+                assert len(roots) == 1, (A, tau, roots)
+                theta_1 = spherical._expurgation_angle.__wrapped__(tau, AwgnChannel(A))[0]
+                assert abs(theta_1 - roots[0]) <= 1e-14, (A, tau)
+
     @pytest.mark.parametrize("tau", [0.02, 0.05, 0.1])
     def test_no_root_up_to_margin(self, tau, monkeypatch):
         # For tau > 0 the inverse x(theta) tends to tau as theta -> 0, so
         # x <= tau has no root: a ValueError naming the domain, raised before
-        # the scan runs (a BracketError would mean the scan ran and failed).
+        # the solve runs (a BracketError would mean the solve ran and failed).
         assert _elias_x(1e-9, tau) == pytest.approx(tau, abs=1e-8)
-        scans = []
-        monkeypatch.setattr(spherical, "_scan_root", lambda *args: scans.append(args))
+        solves = []
+        monkeypatch.setattr(spherical, "solve_bracketed", lambda *args: solves.append(args))
         for x in np.linspace(0.0, tau, 26)[1:]:
             with pytest.raises(ValueError, match="x > tau") as err:
                 elias_theta(float(x), tau)
             assert not isinstance(err.value, BracketError)
-        assert scans == []
+        assert solves == []
 
     def test_closed_form_inverse_round_trip(self):
         # elias_theta has no root for x <= tau, so the grid starts above tau.
@@ -364,10 +402,19 @@ class TestEliasTheta:
         for x in np.linspace(0.1, 1.5, 15):
             assert _elias_x(float(x), 0.0) == pytest.approx(math.acos(math.sqrt(math.cos(x))))
 
-    @given(st.floats(min_value=0.2, max_value=1.5), st.floats(min_value=0.0, max_value=0.08))
-    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(min_value=1e-3, max_value=math.pi / 2.0),
+        st.floats(min_value=-0.2, max_value=0.2),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(1e-3, -0.005)
+    @example(0.15, -0.2)
     def test_residual_always_small(self, x, tau):
+        # The cleared form carries cot(theta), and near x = |tau| theta is
+        # about 4/3 |x - |tau||, so its rounding there grows like 1e-16 / theta.
+        assume(abs(x - abs(tau)) >= 1e-4 and (tau <= 0.0 or x > tau))
         th = elias_theta(x, tau)
+        assert abs(_elias_c2(th, tau) - math.cos(x) ** 2) <= 1e-14
         lhs = (math.cos(th) / math.sin(th)) * (math.cos(th + 2 * tau) - math.cos(2 * x))
         rhs = math.cos(x) ** 2 * math.tan(th / 2.0 + tau)
         assert lhs - rhs == pytest.approx(0.0, abs=1e-10)
@@ -414,7 +461,9 @@ class TestDecodingRadius:
                 continue
             assert abs(_radius_residual(elias_theta(got, tau), got, R, tau)) < 1e-10
 
-    @pytest.mark.parametrize("tau", [0.1, 0.05, 0.02, 0.0, -0.02, -0.05, -0.1, -0.2])
+    @pytest.mark.parametrize(
+        "tau", [0.1, 0.05, 0.02, 0.0, -0.001, -0.005, -0.02, -0.05, -0.1, -0.2]
+    )
     def test_principal_branch_rule(self, tau):
         # decoding_radius keeps a root theta only if elias_theta maps its
         # radius x(theta) back to it: theta < a or x(theta) >= a, a =
@@ -422,8 +471,12 @@ class TestDecodingRadius:
         # is 0 up to 2|tau|, then rises to pi/2; where it is below |tau| again,
         # elias_theta returns the angle on the first stretch instead.
         a = max(-tau, 0.0)
+        thetas = np.linspace(1e-3, math.pi / 2.0, 801)
+        if a > 0.0:
+            # Three angles on (0, a) too: at tau = -0.001 the grid has none.
+            thetas = np.concatenate([a * np.array([0.25, 0.5, 0.75]), thetas])
         rule = []
-        for th in np.linspace(1e-3, math.pi / 2.0, 801):
+        for th in thetas:
             th = float(th)
             x = _elias_x(th, tau)
             if x == 0.0:
@@ -555,6 +608,14 @@ RADIUS_REPINS = {
     ("tradeoff_exponent", (0.295, 1.0, "erasure")): 0.00054852635336455,
 }
 
+# The pin that the bracketed neighbor-angle solve (C(theta) = cos^2 x, theta
+# to 1e-15) moved, by 1.1e-16 from its Illinois value.
+BRACKET_REPINS = {
+    ("elias_theta", (0.5, 0.0)): 0.6917182407210458,
+}
+
+REPINS = {**ILLINOIS_REPINS, **RADIUS_REPINS, **BRACKET_REPINS}
+
 
 def _pinned(name, args):
     if name == "elias_theta":
@@ -571,14 +632,15 @@ def _pinned(name, args):
 
 
 class TestArrayScan:
-    """The sign scans evaluate each residual once on the whole grid; the
-    array path of a residual must give the float path's signs and NaNs."""
+    """The decoding-radius sign scan and the worst-angle search evaluate
+    their residual once on the whole grid; the array path of a residual must
+    give the float path's signs and NaNs."""
 
     @pytest.mark.parametrize("name, args, value", PINNED_PER_POINT_SCAN)
     def test_pinned_values(self, name, args, value):
         spherical._expurgation_angle.cache_clear()
         spherical.spherical_landmarks.cache_clear()
-        expected = RADIUS_REPINS.get((name, args), ILLINOIS_REPINS.get((name, args), value))
+        expected = REPINS.get((name, args), value)
         assert abs(expected - value) <= 4e-15
         assert _pinned(name, args) == expected
 
@@ -608,53 +670,39 @@ class TestArrayScan:
         assert (np.abs(a - s) <= tol).all()
 
     def _check_scan(self, f, xs):
-        """Compare the array and float paths of the residual a scan ran on
-        its grid xs, and return the residual's name."""
+        """Compare the array and float paths of the decoding-radius residual
+        a scan ran on its grid xs, and return the residual's name. It is
+        _radius_residual at rho = _elias_x(theta); each is checked on its
+        own, on the same rho."""
         env = {k: c.cell_contents for k, c in zip(f.__code__.co_freevars, f.__closure__)}
-        tau = env["tau"]
-        name = f.__qualname__.split(".")[0]
+        tau, R = env["tau"], env["R"]
         with np.errstate(all="ignore"):
-            vals = f(xs)
-            if name == "elias_theta":
-                scale = np.abs(np.cos(xs) / np.sin(xs)) * (
-                    np.abs(np.cos(xs + 2.0 * tau)) + abs(env["c2x"])
-                ) + env["cx2"] * np.abs(np.tan(xs / 2.0 + tau))
-                self._assert_same(vals, self._float_path(f, xs), scale)
-            elif name == "_expurgation_angle":
-                scale = np.abs(np.cos(xs) / np.sin(xs)) + env["A"] / 4.0 * np.abs(
-                    np.sin(xs + 2.0 * tau)
-                )
-                self._assert_same(vals, self._float_path(f, xs), scale)
-            else:
-                # The radius residual is _radius_residual at rho = _elias_x(theta);
-                # each is checked on its own, on the same rho.
-                ct, t = np.cos(xs), np.tan(xs / 2.0 + tau)
-                den = np.abs(2.0 * ct + np.sin(xs) * t)
-                num = np.abs(ct) * (1.0 + np.abs(np.cos(xs + 2.0 * tau)))
-                rho = self._float_path(lambda th: _elias_x(th, tau), xs)
-                # d rho / d cos^2 rho = -1 / sin(2 rho).
-                scale = (num + num / den * (2.0 * np.abs(ct) + np.abs(np.sin(xs) * t))) / den
-                self._assert_same(_elias_x(xs, tau), rho, scale / np.abs(np.sin(2.0 * rho)))
-                t2 = t**2 / np.tan(rho) ** 2
-                R = env["R"]
-                scale = (
-                    abs(R)
-                    + np.abs(np.log(np.abs(np.sin(xs))))
-                    + 0.5 * np.abs(np.log(np.abs(1.0 - t2)))
-                    + t2 / np.abs(1.0 - t2)
-                )
-                radius = self._float_path(lambda th, r: _radius_residual(th, r, R, tau), xs, rho)
-                self._assert_same(_radius_residual(xs, rho, R, tau), radius, scale)
-        return name
+            ct, t = np.cos(xs), np.tan(xs / 2.0 + tau)
+            den = np.abs(2.0 * ct + np.sin(xs) * t)
+            num = np.abs(ct) * (1.0 + np.abs(np.cos(xs + 2.0 * tau)))
+            rho = self._float_path(lambda th: _elias_x(th, tau), xs)
+            # d rho / d cos^2 rho = -1 / sin(2 rho).
+            scale = (num + num / den * (2.0 * np.abs(ct) + np.abs(np.sin(xs) * t))) / den
+            self._assert_same(_elias_x(xs, tau), rho, scale / np.abs(np.sin(2.0 * rho)))
+            t2 = t**2 / np.tan(rho) ** 2
+            scale = (
+                abs(R)
+                + np.abs(np.log(np.abs(np.sin(xs))))
+                + 0.5 * np.abs(np.log(np.abs(1.0 - t2)))
+                + t2 / np.abs(1.0 - t2)
+            )
+            radius = self._float_path(lambda th, r: _radius_residual(th, r, R, tau), xs, rho)
+            self._assert_same(_radius_residual(xs, rho, R, tau), radius, scale)
+        return f.__qualname__.split(".")[0]
 
     @pytest.mark.parametrize("A", [1.0, 4.0, 16.0])
     def test_residuals_match_float_path(self, A, monkeypatch):
         scans = []
         real = spherical._scan_root
 
-        def recorded(f, lo, hi, points, cfg, all_roots=False):
+        def recorded(f, lo, hi, points, cfg):
             scans.append((f, np.linspace(lo, hi, points)))
-            return real(f, lo, hi, points, cfg, all_roots)
+            return real(f, lo, hi, points, cfg)
 
         monkeypatch.setattr(spherical, "_scan_root", recorded)
         spherical._expurgation_angle.cache_clear()
@@ -669,7 +717,7 @@ class TestArrayScan:
                 except BracketError:
                     pass
         names = {self._check_scan(f, xs) for f, xs in scans}
-        assert names == {"elias_theta", "_radius_and_angle", "_expurgation_angle"}
+        assert names == {"_radius_and_angle"}
 
     @pytest.mark.parametrize("A", [0.5, 4.0, 64.0])
     def test_pair_exponent_matches_float_path(self, A):
