@@ -1,17 +1,18 @@
 """Analysis kernel shared by all bound modules.
 
 One copy of each shared piece: the value type of every bound on both channels
-(``BoundValue``), bracketed root finding and the all-roots sign scan
-(``_scan_root``), the grid-then-golden maximizer (``maximize_unimodal``;
-minimize by negating), the binary entropy (elementwise on an array, like
+(``BoundValue``), bracketed root finding (``solve_bracketed``; every root in
+the package is one such solve, on a bracket its caller knows to hold exactly
+one root), the grid-then-golden maximizer (``maximize_unimodal``; minimize by
+negating), the binary entropy (elementwise on an array, like
 ``spherical.esp``) and its inverse, the log-factorial table behind every
 log-binomial row (``_log2_factorials``), the one log2 binomial pmf term
 (``_log2_pmf``) and overflow-safe log-domain sums, of a sequence (``log_sum``)
-or of each row of a 2-D array (``_row_log_sum``). The root scan and the
-maximizer share one grid contract (``_grid``): f is elementwise, NaN on an array
-where a float would raise, its grid is one call on an array, non-finite grid
-values count as NaN, and grid values are final: refinement (bracket steps,
-golden probes) calls f on floats only at points strictly inside a cell.
+or of each row of a 2-D array (``_row_log_sum``). The maximizer's grid has
+the one grid contract in the package: f is elementwise, NaN on an array where
+a float would raise, its grid is one call on an array, non-finite grid values
+count as -inf, and grid values are final: the golden probes call f on floats
+only at points strictly inside a cell.
 Everything here is a pure function of its inputs.
 """
 
@@ -103,14 +104,7 @@ def solve_bracketed(
     resolution, never below the root: ``elias_theta(pi/2, tau)`` is the
     float above pi/2, which ``spherical._elias_x`` maps back to pi/2."""
     a, b = interval.lo, interval.hi
-    return _illinois(f, a, b, f(a), f(b), cfg)
-
-
-def _illinois(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, cfg: SolverConfig
-) -> float:
-    """``solve_bracketed`` on [a, b] from the end values fa = f(a), fb = f(b):
-    f is called only strictly inside the bracket."""
+    fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -147,36 +141,6 @@ def _guarded(f: Callable[[float], float], x: float, fill: float = math.nan) -> f
         return fill
 
 
-def _grid(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """f on the grid xs by one elementwise call, non-finite values as NaN."""
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f(xs), dtype=float)
-    return np.where(np.isfinite(vals), vals, np.nan)
-
-
-def _scan_root(
-    f: Callable[[float], float], lo: float, hi: float, points: int, cfg: SolverConfig
-) -> list[float]:
-    """All roots of f on [lo, hi] that a sign scan over ``points`` grid
-    points sees, each sign change refined by Illinois steps from the grid's
-    end values.
-
-    The grid follows ``_grid``, and its values are final: cells touching a NaN
-    grid value are skipped, and the refinement calls f on floats only strictly
-    inside a cell, so a raise there propagates."""
-    xs = np.linspace(lo, hi, points)
-    vals = _grid(f, xs)
-    v0, v1 = vals[:-1], vals[1:]
-    cells = np.flatnonzero(~np.isnan(v0) & ~np.isnan(v1) & ((v0 == 0.0) | (v0 * v1 < 0.0)))
-    roots = [
-        _illinois(f, float(xs[i]), float(xs[i + 1]), float(v0[i]), float(v1[i]), cfg)
-        for i in cells
-    ]
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
-
-
 def maximize_unimodal(
     f: Callable[[float], float],
     interval: RealInterval,
@@ -184,19 +148,21 @@ def maximize_unimodal(
 ) -> tuple[float, float]:
     """(argmax, max) of an elementwise f on the interval.
 
-    A guard grid of ``_MAX_POINTS`` points, one ``_grid`` call, locates the
-    coarse peak; golden-section then refines inside the two grid cells around
-    it, one float probe at a time, and the grid's own value of the peak point
-    stands against the result. The grid makes the result robust when the caller
-    cannot certify unimodality. NaN grid values and raising probes count as -inf.
+    A guard grid of ``_MAX_POINTS`` points, valued by one call of f on the
+    whole array, locates the coarse peak; golden-section then refines inside
+    the two grid cells around it, one float probe at a time, and the grid's own
+    value of the peak point stands against the result. The grid makes the
+    result robust when the caller cannot certify unimodality. Non-finite grid
+    values and raising probes count as -inf.
     """
 
     def g(x: float) -> float:
         return _guarded(f, x, -math.inf)
 
     xs = np.linspace(interval.lo, interval.hi, _MAX_POINTS)
-    vals = _grid(f, xs)
-    vals[np.isnan(vals)] = -math.inf
+    with np.errstate(all="ignore"):
+        vals = np.asarray(f(xs), dtype=float)
+    vals = np.where(np.isfinite(vals), vals, -math.inf)
     k = int(np.argmax(vals))
     a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
 

@@ -4,15 +4,16 @@ All angles are radians, all exponents nats per dimension. The module covers
 the classical lower bound on the reliability function, the trade-off bound
 for margin decoding (error and erasure flavors), the distance-profile bound
 it derives from, and the bounded-distance / error-detection exponents.
-The neighbor angle ``elias_theta`` and the expurgation angle are each one
-bracketed solve in ``numerics``, on a bracket that holds exactly one root;
-worst-angle minima come from ``maximize_unimodal`` on the negated
-integrand. ``esp`` also takes an array of angles, for the quadrature in
-``finite``, and so do the residuals of the worst-angle search and of the
-decoding-radius scan, which give NaN where their float form raises. The
-neighbor-angle equation has a closed-form inverse x(theta), so the decoding
-radius is one sign scan in theta and the boundary rate R* a formula, with no
-solve nested in another. Invalid bound values carry a ``reason``. Both
+The neighbor angle ``elias_theta``, the expurgation angle and the decoding
+radius are each one bracketed solve in ``numerics``, on a bracket that holds
+exactly one root; worst-angle minima come from ``maximize_unimodal`` on the
+negated integrand. ``esp`` also takes an array of angles, for the quadrature
+in ``finite``, and so does the residual of the worst-angle search, which
+gives NaN where its float form raises. The neighbor-angle equation has a
+closed-form inverse x(theta), so the decoding radius is one solve in theta,
+on the piece (2 max(-tau, 0), pi/2] of the branch rule where its residual
+increases, and the boundary rate R* a formula, with no solve nested in
+another. Invalid bound values carry a ``reason``. Both
 distance-profile exponents are one ``_union_exponent``: the worst angle
 against the noise tail ``_tail``, which raises ValueError below the capacity
 angle, where leaving the cone is the typical event. It raises ValueError too
@@ -35,7 +36,6 @@ from .numerics import (
     RealInterval,
     SolverConfig,
     _guarded,
-    _scan_root,
     maximize_unimodal,
     solve_bracketed,
 )
@@ -67,8 +67,6 @@ __all__ = [
 # the decoding radius's theta, which to 1e-15 puts rho within about 1e-15 of
 # its root (1e-14 can leave it 8e-15 off).
 _CFG = SolverConfig(abs_tol=1e-15)
-# Neighbor-angle grid points of the decoding-radius scan on (0, pi/2].
-_RADIUS_POINTS = 96
 # Gap between the top of the bounded-distance angle range and pi/2 - tau.
 _BD_EPS = 1e-4
 
@@ -219,19 +217,15 @@ def elias_theta(x: float, tau: float) -> float:
     return solve_bracketed(lambda th: _elias_c2(th, tau) - cx2, RealInterval(lo, hi), _CFG)
 
 
-def _elias_c2(theta, tau: float):
+def _elias_c2(theta: float, tau: float) -> float:
     """cos^2 x of the x whose neighbor angle is theta: cos(theta) (1 +
-    cos(theta + 2 tau)) / (2 cos(theta) + sin(theta) tan(theta/2 + tau)).
-    Elementwise on an array of angles, NaN where the denominator is zero."""
-    xp = np if isinstance(theta, np.ndarray) else math
-    ct = xp.cos(theta)
-    den = 2.0 * ct + xp.sin(theta) * xp.tan(theta / 2.0 + tau)
-    if xp is np:
-        den = np.where(den == 0.0, np.nan, den)
-    return ct * (1.0 + xp.cos(theta + 2.0 * tau)) / den
+    cos(theta + 2 tau)) / (2 cos(theta) + sin(theta) tan(theta/2 + tau))."""
+    ct = math.cos(theta)
+    den = 2.0 * ct + math.sin(theta) * math.tan(theta / 2.0 + tau)
+    return ct * (1.0 + math.cos(theta + 2.0 * tau)) / den
 
 
-def _elias_x(theta, tau: float):
+def _elias_x(theta: float, tau: float) -> float:
     """Inverse of ``elias_theta``: the x whose neighbor angle is theta, from
     cos^2 x = ``_elias_c2(theta, tau)``, clamped to [0, 1]: rounding leaves
     it just below 0 where ``elias_theta`` returns a hair above pi/2.
@@ -239,26 +233,22 @@ def _elias_x(theta, tau: float):
     Branch rule: x(pi/2) = pi/2 for every tau. For tau >= 0, x rises from tau
     to pi/2, so ``elias_theta(x(theta))`` is theta on all of (0, pi/2]. For
     tau < 0, x falls from |tau| to 0 on (0, |tau|), is clamped to 0 up to
-    2|tau|, then rises to pi/2; a radius below |tau| has its principal angle
-    on the first stretch, where ``elias_theta`` brackets it. So theta is the
-    angle ``elias_theta`` returns exactly when theta < a or x(theta) >= a,
-    a = max(-tau, 0)."""
-    c = _elias_c2(theta, tau)
-    if isinstance(theta, np.ndarray):
-        return np.arccos(np.sqrt(np.clip(c, 0.0, 1.0)))
-    return math.acos(math.sqrt(min(max(c, 0.0), 1.0)))
+    2|tau|, then rises to pi/2 on (2|tau|, pi/2], the piece the decoding
+    radius is solved on; a radius below |tau| has its principal angle on the
+    first stretch, where ``elias_theta`` brackets it. So theta is the angle
+    ``elias_theta`` returns exactly when theta < a or x(theta) >= a, a =
+    max(-tau, 0)."""
+    return math.acos(math.sqrt(min(max(_elias_c2(theta, tau), 0.0), 1.0)))
 
 
-def _radius_residual(theta, rho, R: float, tau: float):
+def _radius_residual(theta: float, rho: float, R: float, tau: float) -> float:
     """R + ln sin(theta) + 1/2 ln(1 - tan^2(theta/2 + tau) / tan^2 rho): the
     decoding-radius equation at radius rho and neighbor angle theta.
-    Elementwise on arrays, NaN or -inf where the float path raises (t2 >= 1
-    or sin(theta) <= 0)."""
-    xp = np if isinstance(theta, np.ndarray) else math
-    t2 = xp.tan(theta / 2.0 + tau) ** 2 / xp.tan(rho) ** 2
-    if xp is math and t2 >= 1.0:
+    ValueError where tan^2(theta/2 + tau) >= tan^2 rho."""
+    t2 = math.tan(theta / 2.0 + tau) ** 2 / math.tan(rho) ** 2
+    if t2 >= 1.0:
         raise ValueError("decoding radius inside the half-distance cone")
-    return R + xp.log(xp.sin(theta)) + 0.5 * xp.log(1.0 - t2)
+    return R + math.log(math.sin(theta)) + 0.5 * math.log(1.0 - t2)
 
 
 def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
@@ -267,19 +257,22 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     = 0, theta = elias_theta(rho, tau), on [theta_s, 2 theta_s] (on
     [1e-3, theta_s] for tau < 0).
 
-    The equation is one scan in theta, on a fixed grid over (0, pi/2], with
-    rho = x(theta) from the closed-form inverse ``_elias_x``; no
-    ``elias_theta`` call is made. A root is kept only if its rho lies in the
-    bracket (up to 1e-12 below its lower end counts, clamped to that end: at
-    tau = 0 the root is theta_s itself) and theta is the principal neighbor
-    angle of rho, the one ``elias_theta`` returns: theta < a or rho >= a, a =
-    max(-tau, 0) (see ``_elias_x``). Raises BracketError when no root, or no
-    unique root, is kept."""
+    The equation is one bracketed solve in theta, with rho = x(theta) from
+    the closed-form inverse ``_elias_x``; no ``elias_theta`` call is made.
+    With rho = x(theta) the residual does not depend on A, and it increases
+    strictly in theta on the piece (2a, pi/2] of the branch rule, a =
+    max(-tau, 0) (see ``_elias_x``), where it is finite and equals R at
+    pi/2. So the solve runs on [2a + 1e-6, pi/2] and finds the one root
+    there, if any. The root is kept only if its rho lies in the bracket (up
+    to 1e-12 below its lower end counts, clamped to that end: at tau = 0
+    the root is theta_s itself) and rho >= a, which makes theta the
+    principal neighbor angle of rho, the one ``elias_theta`` returns.
+    Raises BracketError otherwise."""
     return _radius_and_angle(R, tau, ch)[0]
 
 
 def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, float]:
-    """``decoding_radius`` and the neighbor angle theta it accepted."""
+    """``decoding_radius`` and the neighbor angle theta it solved for."""
     if R <= 0.0:
         raise ValueError(f"rate must be positive, got {R}")
     ts = theta_s(R)
@@ -295,23 +288,21 @@ def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, flo
     if lo <= tau:
         raise BracketError(f"no neighbor angle at the bracket end {lo} <= tau {tau}")
 
-    def f(theta):
+    def f(theta: float) -> float:
         return _radius_residual(theta, _elias_x(theta, tau), R, tau)
 
     a = max(-tau, 0.0)
-    roots, thetas = [], []
-    for theta in _scan_root(f, 1e-9, math.pi / 2.0, _RADIUS_POINTS, _CFG):
-        rho = _elias_x(theta, tau)
-        if lo - 1e-12 <= rho <= hi and (theta < a or rho >= a):
-            roots.append(max(rho, lo))
-            thetas.append(theta)
-    if not roots:
-        raise BracketError(
-            f"no sign change of the decoding-radius equation on [{lo}, {hi}]"
-        )
-    if len(roots) > 1 and max(roots) - min(roots) > 1e-8:
-        raise BracketError(f"decoding-radius root not unique on [{lo}, {hi}]: {roots}")
-    return roots[0], thetas[0]
+    start = 2.0 * a + 1e-6  # f rises on (2a, pi/2], which is empty for tau <= -pi/4
+    rho = math.nan
+    if start < math.pi / 2.0:
+        try:
+            theta = solve_bracketed(f, RealInterval(start, math.pi / 2.0), _CFG)
+            rho = _elias_x(theta, tau)
+        except BracketError:
+            pass  # no sign change on the piece: no root
+    if not (lo - 1e-12 <= rho <= hi and rho >= a):
+        raise BracketError(f"no sign change of the decoding-radius equation on [{lo}, {hi}]")
+    return max(rho, lo), theta
 
 
 @lru_cache(maxsize=256)

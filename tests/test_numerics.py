@@ -13,7 +13,6 @@ from eebounds.numerics import (
     SolverConfig,
     _log2_factorials,
     _log2_pmf,
-    _scan_root,
     binary_entropy,
     entropy_inverse,
     log_sum,
@@ -187,6 +186,10 @@ class TestMaximizeUnimodal:
         f = lambda x: np.where(x < 0.2, np.nan, -((x - 0.7) ** 2))
         x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
         assert abs(x - 0.7) < 1e-8 and abs(v) < 1e-12
+        # So do infinities: +inf is a pole or an overflow, not a peak.
+        g = lambda x: np.where(x > 0.9, np.inf, -((x - 0.7) ** 2))
+        x, v = maximize_unimodal(g, RealInterval(0.0, 1.0))
+        assert abs(x - 0.7) < 1e-8 and abs(v) < 1e-12
 
     def test_negated_profile_minimum(self):
         # Worst angle of the distance-profile union bound: packing profile at
@@ -200,82 +203,6 @@ class TestMaximizeUnimodal:
             lambda th: prof.b(th) - f_exponent(th, tau, ch, rho)[0], interval
         )
         assert -v == pytest.approx(0.45902214579540956, abs=1e-14)
-
-
-class TestScanRoot:
-    CFG = SolverConfig(abs_tol=1e-14, max_iter=400)
-
-    def test_all_roots_of_sine(self):
-        roots = _scan_root(np.sin, 0.5, 10.0, 512, self.CFG)
-        assert roots == pytest.approx([math.pi, 2.0 * math.pi, 3.0 * math.pi], abs=1e-12)
-
-    def test_raising_gap_is_skipped(self):
-        # The array form of a function that raises on (6, 6.5) and (9, 9.5).
-        def f(x):
-            v = np.sin(x)
-            v = np.where((6.0 < x) & (x < 6.5), np.inf, v)
-            return np.where((9.0 < x) & (x < 9.5), np.nan, v)
-
-        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG)
-        assert roots == pytest.approx([math.pi], abs=1e-12)
-
-    def test_grid_is_one_array_call(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
-
-        _scan_root(f, 0.5, 10.0, 512, self.CFG)
-        arrays = [x for x in calls if isinstance(x, np.ndarray)]
-        assert len(arrays) == 1 and arrays[0].shape == (512,)
-        assert isinstance(calls[0], np.ndarray)
-        assert all(type(x) is float for x in calls[1:]) and len(calls) > 1
-
-    def test_float_path_rounding_the_other_way(self):
-        # The array gives +1e-16 at the grid point 1, the float -1e-16. Grid
-        # values are final: the grid brackets [0, 1], and the float steps
-        # inside it close in on the hi end.
-        def f(x):
-            return x - 1.0 + (1e-16 if isinstance(x, np.ndarray) else -1e-16)
-
-        assert _scan_root(f, 0.0, 2.0, 3, self.CFG) == [1.0]
-
-    def test_float_path_raising_at_an_end(self):
-        # The floats raise on [3, 3.2], which holds the whole grid cell around
-        # pi, where the array is finite. Grid values are final, so the cell is
-        # refined, and the first float step inside it raises.
-        def f(x):
-            if isinstance(x, np.ndarray):
-                return np.sin(x)
-            if 3.0 <= x <= 3.2:
-                raise ValueError("outside the domain")
-            return math.sin(x)
-
-        with pytest.raises(ValueError, match="outside the domain"):
-            _scan_root(f, 0.5, 10.0, 512, self.CFG)
-
-    def test_raise_inside_a_cell_propagates(self):
-        def f(x):
-            if isinstance(x, np.ndarray):
-                return np.sin(x)
-            if abs(x - math.pi) < 1e-4:
-                raise ZeroDivisionError
-            return math.sin(x)
-
-        with pytest.raises(ZeroDivisionError):
-            _scan_root(f, 0.5, 10.0, 512, self.CFG)
-
-    def test_no_float_call_on_a_grid_point(self):
-        f, grid, floats = _recording(np.sin)
-        roots = _scan_root(f, 0.5, 10.0, 512, self.CFG)
-        assert len(roots) == 3
-        assert floats and grid.isdisjoint(floats)
-
-    def test_grid_point_root(self):
-        assert _scan_root(lambda x: x - 1.0, 0.0, 2.0, 3, self.CFG) == [1.0]
-        assert _scan_root(lambda x: x - 2.0, 0.0, 2.0, 3, self.CFG) == [2.0]
-        assert _scan_root(lambda x: x * x + 1.0, 0.0, 2.0, 9, self.CFG) == []
 
 
 class TestEntropy:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from eebounds.numerics import BracketError, SolverConfig, _scan_root
+from eebounds.numerics import BracketError, RealInterval
 from eebounds.spherical import (
     AwgnChannel,
     DistanceProfile,
@@ -36,8 +36,8 @@ from eebounds.spherical import (
 CH4 = AwgnChannel(4.0)
 
 # (A, tau, R, rho) from the nested-scan solver (a 48-point scan in rho, each
-# point running a 160-point sign scan for elias_theta, since replaced by one
-# bracketed solve) that decoding_radius used before the closed-form inverse;
+# point running a 160-point sign scan for elias_theta) that decoding_radius
+# used before the closed-form inverse made it one bracketed solve in theta;
 # rho is None where that solver raised BracketError.
 NESTED_SCAN_RADII = [
     (1.0, 0.0, 0.0347, 1.3088784076696507),
@@ -343,30 +343,46 @@ class TestEliasTheta:
             elias_theta(0.0, 0.0)
 
     def test_principal_root_below_small_negative_margin(self):
-        # x < |tau| has its principal angle on (0, |tau|), inside the first
-        # cell of the 160-point sign scan this solve replaced, which returned
-        # the non-principal 2.875 here.
+        # x < |tau| has its principal angle on (0, |tau|), the first piece of
+        # the branch rule, which a coarse grid over (0, pi/2] can miss: the
+        # 160-point sign scan elias_theta once ran returned the non-principal
+        # 2.875 here.
         th = elias_theta(1e-3, -0.005)
         assert th == pytest.approx(0.0046277, abs=1e-7)
         assert abs(_elias_x(th, -0.005) - 1e-3) <= 1e-12
 
     def test_one_bracketed_solve_per_angle(self, monkeypatch):
-        # Both angles have a bracket holding exactly one root: no sign scan.
-        def no_scan(*args):
-            raise AssertionError("sign scan")
+        # Each angle, the decoding radius's theta too, has a bracket holding
+        # exactly one root: one solve, no sign scan.
+        solves = []
+        real = spherical.solve_bracketed
 
-        monkeypatch.setattr(spherical, "_scan_root", no_scan)
+        def counted(f, interval, cfg):
+            solves.append(interval)
+            return real(f, interval, cfg)
+
+        monkeypatch.setattr(spherical, "solve_bracketed", counted)
         for x, tau in ((0.8, 0.04), (1e-3, -0.005), (0.5, -0.2), (math.pi / 2.0, 0.0)):
+            solves.clear()
             elias_theta(x, tau)
+            assert len(solves) == 1, (x, tau)
         spherical._expurgation_angle.cache_clear()
         for tau in (0.0, 0.03, -0.03):
+            solves.clear()
             spherical._expurgation_angle(tau, CH4)
+            assert len(solves) == 1, tau
         spherical._expurgation_angle.cache_clear()
+        for R, tau, A in ((0.3, 0.04, 4.0), (0.3, -0.04, 4.0), (0.6, 0.0, 4.0), (4.5, 0.0, 1e4)):
+            solves.clear()
+            decoding_radius(R, tau, AwgnChannel(A))
+            a = max(-tau, 0.0)
+            assert solves == [RealInterval(2.0 * a + 1e-6, math.pi / 2.0)], (R, tau, A)
 
     def test_expurgation_angle_is_the_only_root(self):
-        # tan(x) sin(x + 2 tau) = 4/A has one root on (0, pi/2): a dense
-        # all-roots scan of the stationarity residual finds exactly it.
-        cfg = SolverConfig(abs_tol=1e-15)
+        # tan(x) sin(x + 2 tau) = 4/A has one root on (0, pi/2): a dense grid
+        # of the stationarity residual changes sign exactly once, and the
+        # residual changes sign within 1e-14 of the solved angle.
+        xs = np.linspace(1e-6, math.pi / 2.0 - 1e-6, 1 << 14)
         for A in np.geomspace(1e-2, 1e4, 9):
             for tau in np.linspace(-0.78, 0.78, 13):
                 A, tau = float(A), float(tau)
@@ -374,10 +390,12 @@ class TestEliasTheta:
                 def resid(x):
                     return np.cos(x) / np.sin(x) - (A / 4.0) * np.sin(x + 2.0 * tau)
 
-                roots = _scan_root(resid, 1e-6, math.pi / 2.0 - 1e-6, 1 << 14, cfg)
-                assert len(roots) == 1, (A, tau, roots)
+                v = resid(xs)
+                changes = np.count_nonzero((v[:-1] == 0.0) | (v[:-1] * v[1:] < 0.0))
+                assert changes == 1, (A, tau, changes)
                 theta_1 = spherical._expurgation_angle.__wrapped__(tau, AwgnChannel(A))[0]
-                assert abs(theta_1 - roots[0]) <= 1e-14, (A, tau)
+                lo, hi = resid(np.array([theta_1 - 1e-14, theta_1 + 1e-14]))
+                assert lo * hi <= 0.0, (A, tau, lo, hi)
 
     @pytest.mark.parametrize("tau", [0.02, 0.05, 0.1])
     def test_no_root_up_to_margin(self, tau, monkeypatch):
@@ -447,6 +465,33 @@ class TestDecodingRadius:
         with pytest.raises(ValueError):
             decoding_radius(0.0, 0.04, CH4)
 
+    @pytest.mark.parametrize("A", [1.0, 4.0, 64.0, 1e4])
+    def test_zero_margin_root_is_theta_s_up_to_capacity(self, A):
+        # At tau = 0 the root is theta_s itself, at every SNR. A grid starting
+        # near theta = 0 lost it at high SNR: x(theta) is 0 there in floats.
+        ch = AwgnChannel(A)
+        for R in np.linspace(0.0, ch.capacity, 21)[1:]:
+            assert abs(decoding_radius(float(R), 0.0, ch) - theta_s(float(R))) <= 1e-12, R
+
+    @pytest.mark.parametrize("tau", [-0.785, -0.8, -1.5])
+    def test_empty_piece_has_no_root(self, tau):
+        # For tau <= -pi/4 the rising piece (2|tau|, pi/2] is empty.
+        with pytest.raises(BracketError, match="no sign change of the decoding-radius"):
+            decoding_radius(0.1, tau, CH4)
+
+    def test_residual_increases_on_the_solved_piece(self):
+        # The premise of the one solve: with rho = x(theta), the residual
+        # increases strictly in theta on (2a, pi/2], a = max(-tau, 0), up to
+        # R (here 0) at pi/2.
+        for tau in np.linspace(-0.5, 0.5, 101).tolist():
+            a = max(-tau, 0.0)
+            vals = [
+                _radius_residual(th, _elias_x(th, tau), 0.0, tau)
+                for th in np.linspace(2.0 * a + 1e-4, math.pi / 2.0, 2001).tolist()
+            ]
+            assert (np.diff(vals) > 0.0).all(), tau
+            assert abs(vals[-1]) <= 1e-15, tau
+
     def test_matches_nested_scan(self):
         # A raise of the nested scan may become a radius only where the
         # equation in rho holds there.
@@ -487,8 +532,9 @@ class TestDecodingRadius:
         assert all(rule) == (tau >= 0.0)
 
     def test_roots_solve_equation_in_rho(self):
-        # The runtime checks the one scan dropped, on a grid: each kept root
-        # is the neighbor angle of its radius, and the equation in rho holds.
+        # The runtime checks the closed-form inverse dropped, on a grid: each
+        # kept root is the neighbor angle of its radius, and the equation in
+        # rho holds.
         kept = 0
         for A in (0.5, 4.0, 64.0):
             ch = AwgnChannel(A)
@@ -505,8 +551,9 @@ class TestDecodingRadius:
         assert kept >= 200
 
     def test_no_nested_scan(self, monkeypatch):
-        # decoding_radius scans the neighbor angle through the closed-form
-        # inverse and keeps roots by the branch rule: no elias_theta call.
+        # decoding_radius solves for the neighbor angle through the closed-
+        # form inverse and keeps the root by the branch rule: no elias_theta
+        # call.
         calls = []
         inner = spherical.elias_theta
 
@@ -536,9 +583,9 @@ class TestDecodingRadius:
             )
 
 
-# (function, arguments, value) recorded at commit 6ab1abf, when the sign scan
-# still called each residual once per grid point; the array scan sees the
-# same brackets, so every value is bit-identical.
+# (function, arguments, value) recorded at commit 6ab1abf, when a sign scan
+# still called each residual once per grid point. The solvers since have
+# moved some of them, each within 4e-15 (the REPINS below).
 PINNED_PER_POINT_SCAN = [
     ("elias_theta", (0.5, 0.0), 0.6917182407210487),
     ("elias_theta", (0.8, 0.04), 1.019309947231298),
@@ -599,8 +646,8 @@ ILLINOIS_REPINS = {
     ("theta_1", (1.0,)): 1.329670411494784,
 }
 
-# The pins that the one-scan decoding radius moved (theta refined to 1e-15 on
-# a fixed grid over (0, pi/2]), each by at most 1.0e-15 from its value above.
+# The pins that the decoding radius's former 96-point scan in theta (refined
+# to 1e-15) moved, each by at most 1.0e-15 from its value above.
 RADIUS_REPINS = {
     ("decoding_radius", (0.208, -0.03, 1.0)): 0.9170155955714397,
     ("decoding_radius", (0.483, 0.03, 4.0)): 0.7012948137164156,
@@ -614,7 +661,18 @@ BRACKET_REPINS = {
     ("elias_theta", (0.5, 0.0)): 0.6917182407210458,
 }
 
-REPINS = {**ILLINOIS_REPINS, **RADIUS_REPINS, **BRACKET_REPINS}
+# The pins that the one bracketed solve of the decoding radius (theta on
+# [2a + 1e-6, pi/2], a = max(-tau, 0)) moved, each by at most 7.4e-16 from its
+# value above.
+SOLVE_REPINS = {
+    ("decoding_radius", (0.208, -0.03, 1.0)): 0.9170155955714391,
+    ("decoding_radius", (0.85, 0.03, 16.0)): 0.48117586270934654,
+    ("tradeoff_exponent", (0.173, 1.0, "error")): 0.06589948539238792,
+    ("tradeoff_exponent", (0.684, 4.0, "error")): 0.04056622140394506,
+    ("tradeoff_exponent", (1.204, 16.0, "error")): 0.14127200910447402,
+}
+
+REPINS = {**ILLINOIS_REPINS, **RADIUS_REPINS, **BRACKET_REPINS, **SOLVE_REPINS}
 
 
 def _pinned(name, args):
@@ -632,9 +690,10 @@ def _pinned(name, args):
 
 
 class TestArrayScan:
-    """The decoding-radius sign scan and the worst-angle search evaluate
-    their residual once on the whole grid; the array path of a residual must
-    give the float path's signs and NaNs."""
+    """The worst-angle search evaluates its residual once on the whole grid;
+    the array path of that residual must give the float path's signs and
+    NaNs. The pinned bound values date from the sign scans the class was
+    named for."""
 
     @pytest.mark.parametrize("name, args, value", PINNED_PER_POINT_SCAN)
     def test_pinned_values(self, name, args, value):
@@ -669,56 +728,6 @@ class TestArrayScan:
         tol = 1e-13 * np.abs(s) + 32 * np.finfo(float).eps * scale[~nan]
         assert (np.abs(a - s) <= tol).all()
 
-    def _check_scan(self, f, xs):
-        """Compare the array and float paths of the decoding-radius residual
-        a scan ran on its grid xs, and return the residual's name. It is
-        _radius_residual at rho = _elias_x(theta); each is checked on its
-        own, on the same rho."""
-        env = {k: c.cell_contents for k, c in zip(f.__code__.co_freevars, f.__closure__)}
-        tau, R = env["tau"], env["R"]
-        with np.errstate(all="ignore"):
-            ct, t = np.cos(xs), np.tan(xs / 2.0 + tau)
-            den = np.abs(2.0 * ct + np.sin(xs) * t)
-            num = np.abs(ct) * (1.0 + np.abs(np.cos(xs + 2.0 * tau)))
-            rho = self._float_path(lambda th: _elias_x(th, tau), xs)
-            # d rho / d cos^2 rho = -1 / sin(2 rho).
-            scale = (num + num / den * (2.0 * np.abs(ct) + np.abs(np.sin(xs) * t))) / den
-            self._assert_same(_elias_x(xs, tau), rho, scale / np.abs(np.sin(2.0 * rho)))
-            t2 = t**2 / np.tan(rho) ** 2
-            scale = (
-                abs(R)
-                + np.abs(np.log(np.abs(np.sin(xs))))
-                + 0.5 * np.abs(np.log(np.abs(1.0 - t2)))
-                + t2 / np.abs(1.0 - t2)
-            )
-            radius = self._float_path(lambda th, r: _radius_residual(th, r, R, tau), xs, rho)
-            self._assert_same(_radius_residual(xs, rho, R, tau), radius, scale)
-        return f.__qualname__.split(".")[0]
-
-    @pytest.mark.parametrize("A", [1.0, 4.0, 16.0])
-    def test_residuals_match_float_path(self, A, monkeypatch):
-        scans = []
-        real = spherical._scan_root
-
-        def recorded(f, lo, hi, points, cfg):
-            scans.append((f, np.linspace(lo, hi, points)))
-            return real(f, lo, hi, points, cfg)
-
-        monkeypatch.setattr(spherical, "_scan_root", recorded)
-        spherical._expurgation_angle.cache_clear()
-        spherical.spherical_landmarks.cache_clear()
-        ch = AwgnChannel(A)
-        for tau in (0.0, 0.03, 0.1):
-            for R in np.linspace(0.0, ch.capacity, 12)[1:-1]:
-                for kind in ("error", "erasure"):
-                    tradeoff_exponent(float(R), ch, tau, kind)
-                try:
-                    decoding_radius(float(R), -tau, ch)
-                except BracketError:
-                    pass
-        names = {self._check_scan(f, xs) for f, xs in scans}
-        assert names == {"_radius_and_angle"}
-
     @pytest.mark.parametrize("A", [0.5, 4.0, 64.0])
     def test_pair_exponent_matches_float_path(self, A):
         # The worst-angle search evaluates f_exponent (and _phi0 in it) on its
@@ -750,21 +759,6 @@ class TestArrayScan:
         self._assert_same(
             packing.b(theta), self._float_path(packing.b, theta), 0.3 + np.abs(np.log(np.sin(theta)))
         )
-
-    def test_nan_where_float_path_raises(self):
-        # Raises at t2 >= 1 (first) and at ln sin(theta) of sin(theta) < 0 (third).
-        theta = np.array([0.3, 0.3, -0.2, 1.0])
-        rho = np.array([0.1, 0.9, 0.9, 0.9])
-        with np.errstate(all="ignore"):
-            vals = _radius_residual(theta, rho, 0.1, 0.02)
-        for th, r, v in zip(theta, rho, vals):
-            try:
-                want = _radius_residual(float(th), float(r), 0.1, 0.02)
-            except ValueError:
-                assert math.isnan(v)
-            else:
-                assert v == pytest.approx(want, rel=1e-13)
-        assert np.isnan(vals).tolist() == [True, False, True, False]
 
 
 class TestLandmarks:
@@ -936,6 +930,22 @@ class TestTradeoffExponent:
         assert low.value == pytest.approx(16.0 * (1.0 - math.cos(theta_s(1.5) + 0.2)))
         high = tradeoff_exponent(2.0, ch, 0.1, "error")
         assert not high.valid and "rate boundary" in high.reason
+
+    def test_zero_margin_high_snr_is_shannon(self):
+        # At tau = 0 the trade-off bound is the classical one; at A = 1e4 and
+        # these rates the decoding radius is below 0.0125.
+        ch = AwgnChannel(1e4)
+        for R in (4.5, 4.6):
+            want = shannon_exponent(R, ch).value
+            for kind in ("error", "erasure"):
+                v = tradeoff_exponent(R, ch, 0.0, kind)
+                assert v.valid and v.regime == "sphere-packing", (R, kind, v)
+                assert v.value == pytest.approx(want, abs=1e-6), (R, kind)
+
+    def test_no_radius_root_keeps_its_message(self):
+        v = tradeoff_exponent(1.2, AwgnChannel(16.0), 0.2, "erasure")
+        assert not v.valid
+        assert v.reason.startswith("no sign change of the decoding-radius equation on [0.001,")
 
     def test_invalid_states_a_reason(self):
         assert "outside (0, capacity" in tradeoff_exponent(1.0, CH4, 0.04).reason
