@@ -8,8 +8,6 @@ from .numerics import (
     BoundValue,
     BracketError,
     ConvergenceError,
-    RealInterval,
-    SolverConfig,
     binary_entropy,
     entropy_inverse,
     log_sum,

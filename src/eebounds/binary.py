@@ -34,6 +34,8 @@ __all__ = [
     "typical_error_geometry",
 ]
 
+_GV_KNOTS = 2001  # knots of ``WeightProfile.gv_ensemble``
+
 
 @dataclass(frozen=True)
 class BscChannel:
@@ -188,7 +190,6 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
     rho0s = lm.rho0_plus if sign > 0 else lm.rho0_minus
     omega0 = lm.omega0_tau
 
-    valid = True
     if sign > 0:
         valid = R >= 1.0 - h(0.5 - tau) - 1e-15
     else:
@@ -204,13 +205,14 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
 
     if R <= Ra:
         arg = 0.5 + tau / dgv if dgv > 0 else math.inf
-        if not 0.0 <= arg <= 1.0:
-            return BinaryBoundValue(
-                0.0, "a", valid=False, reason=f"entropy argument {arg} outside [0, 1]"
-            )
-        value = -dgv * (h(arg) + 0.5 * math.log2(u)) + sign * nu * tau
         regime = "a"
         diag = {"rho_typ": (1.0 - dgv) * p + dgv / 2.0 + sign * tau, "omega_typ": dgv}
+        if not 0.0 <= arg <= 1.0:
+            return BinaryBoundValue(
+                0.0, regime, valid=False, diagnostics=diag,
+                reason=f"entropy argument {arg} outside [0, 1]",
+            )
+        value = -dgv * (h(arg) + 0.5 * math.log2(u)) + sign * nu * tau
     elif R <= Rb:
         value = _D(rho0s, p) + 1.0 - R - h(rho0s - 2.0 * sign * tau)
         regime = "b"
@@ -305,10 +307,11 @@ class WeightProfile:
         return float(np.interp(omega, self.omegas, self.alphas))
 
     @classmethod
-    def gv_ensemble(cls, R: float, grid: int = 2001) -> "WeightProfile":
-        """Binomial/GV profile alpha(omega) = h(omega) - (1 - R) on its support."""
+    def gv_ensemble(cls, R: float) -> "WeightProfile":
+        """Binomial/GV profile alpha(omega) = h(omega) - (1 - R) on its
+        support, at ``_GV_KNOTS`` evenly spaced knots."""
         dgv = delta_gv(R)
-        om = np.linspace(dgv, 1.0, grid)
+        om = np.linspace(dgv, 1.0, _GV_KNOTS)
         return cls(tuple(om.tolist()), tuple((h(om) - (1.0 - R)).tolist()))
 
     @classmethod
@@ -388,14 +391,9 @@ def _bounded_distance_hypothesis(R: float, ch: BscChannel, tau: float, n: int) -
 def typical_error_geometry(
     R: float, ch: BscChannel, tau: float
 ) -> tuple[float, float, str]:
-    """Typical (error weight, decoded-codeword weight) of the undetected-error
-    event, per regime of the trade-off bound."""
+    """Typical (error weight, decoded-codeword weight, regime) of the
+    undetected-error event: the ``rho_typ`` and ``omega_typ`` diagnostics of
+    the error member of ``tradeoff_bounds``."""
     m_plus = _tradeoff_one(R, ch, tau, +1)
-    p = ch.p
-    dgv = delta_gv(R)
-    if m_plus.regime == "a":
-        return (1.0 - dgv) * p + dgv / 2.0 + tau, dgv, "a"
-    if m_plus.regime == "b":
-        lm = landmarks(ch, tau)
-        return lm.rho0_plus, lm.omega0_tau, "b"
-    return dgv, 2.0 * dgv * (1.0 - dgv) + 2.0 * tau * (1.0 - 2.0 * dgv), "c"
+    d = m_plus.diagnostics
+    return d["rho_typ"], d["omega_typ"], m_plus.regime

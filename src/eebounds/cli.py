@@ -203,7 +203,7 @@ def cmd_landmarks(args) -> int:
         except (ValueError, ConvergenceError) as exc:  # structured root-finding failure
             _emit(_json_dump({**head, "error": str(exc), "snr": ch.A}), args.out)
             return 1
-        obj = {**head, "snr": ch.A, **dataclasses.asdict(lm), "residuals": lm.residuals or {}}
+        obj = {**head, "snr": ch.A, **dataclasses.asdict(lm)}
     _emit(_json_dump(obj), args.out)
     return 0
 
@@ -378,8 +378,7 @@ def _validation_checks():
     yield "Rankin rate identity", worst, 1e-9
 
     # Landmark residuals reported by the solver.
-    res = lms.residuals or {}
-    defect = max((abs(v) for v in res.values()), default=0.0)
+    defect = max(abs(v) for v in lms.residuals.values())
     yield "landmark residuals", defect, 1e-10
 
     # Triangle counts against brute force at n=6: every word z is counted by

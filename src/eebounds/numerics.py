@@ -12,7 +12,9 @@ or of each row of a 2-D array (``_row_log_sum``). The maximizer's grid has
 the one grid contract in the package: f is elementwise, NaN on an array where
 a float would raise, its grid is one call on an array, non-finite grid values
 count as -inf, and grid values are final: the golden probes call f on floats
-only at points strictly inside a cell.
+only at points strictly inside a cell. Both solvers take plain bounds lo < hi
+and run at one tolerance each, a module constant: a root to ``_ROOT_TOL``
+(1e-15), a maximum to ``_MAX_TOL`` (1e-12), at most ``_MAX_ITER`` (200) steps.
 Everything here is a pure function of its inputs.
 """
 
@@ -26,8 +28,6 @@ import numpy as np
 
 __all__ = [
     "BoundValue",
-    "RealInterval",
-    "SolverConfig",
     "BracketError",
     "ConvergenceError",
     "solve_bracketed",
@@ -39,6 +39,11 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_POINTS = 2001
+# Bracket width at which a root solve stops: the package's angle solves need
+# rho within about 1e-15 of its root (1e-14 can leave it 8e-15 off).
+_ROOT_TOL = 1e-15
+_MAX_TOL = 1e-12  # bracket width at which golden-section stops
+_MAX_ITER = 200  # step cap of either solver
 LN2 = math.log(2.0)
 
 
@@ -62,48 +67,25 @@ class BoundValue:
     reason: Optional[str] = None  # why the value is not valid
 
 
-@dataclass(frozen=True)
-class RealInterval:
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
+def _check_interval(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval endpoints must be finite, got [{lo}, {hi}]")
+    if not lo < hi:
+        raise ValueError(f"interval requires lo < hi, got [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    abs_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-def solve_bracketed(
-    f: Callable[[float], float],
-    interval: RealInterval,
-    cfg: SolverConfig = SolverConfig(),
-) -> float:
+def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on a sign-changing bracket by the Illinois rule (Dowell and
     Jarratt, BIT 11, 1971): one f call per step, at the regula falsi point or,
     when that is not strictly inside, the midpoint; an end kept a second step
     in a row has its stored f value halved. There is no bisection bound, and
-    ``cfg.max_iter`` steps raise ConvergenceError. Returns an exact zero of f,
-    else the ``hi`` end once the bracket is ``cfg.abs_tol`` wide or at float
+    ``_MAX_ITER`` steps raise ConvergenceError. Returns an exact zero of f,
+    else the ``hi`` end once the bracket is ``_ROOT_TOL`` wide or at float
     resolution, never below the root: ``elias_theta(pi/2, tau)`` is the
-    float above pi/2, which ``spherical._elias_x`` maps back to pi/2."""
-    a, b = interval.lo, interval.hi
+    float above pi/2, which ``spherical._elias_x`` maps back to pi/2.
+    ValueError unless lo < hi are both finite."""
+    _check_interval(lo, hi)
+    a, b = lo, hi
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -113,8 +95,8 @@ def solve_bracketed(
         raise BracketError(f"no sign change on [{a}, {b}]: f(lo)={fa}, f(hi)={fb}")
 
     kept = ""  # the end the last step kept
-    for _ in range(cfg.max_iter):
-        if (b - a) <= cfg.abs_tol or not a < 0.5 * (a + b) < b:
+    for _ in range(_MAX_ITER):
+        if (b - a) <= _ROOT_TOL or not a < 0.5 * (a + b) < b:
             return b
         x = (a * fb - b * fa) / (fb - fa)
         if not a < x < b:
@@ -129,7 +111,7 @@ def solve_bracketed(
             b, fb, fa = x, fx, (0.5 * fa if kept == "a" else fa)
             kept = "a"
     raise ConvergenceError(
-        f"max_iter={cfg.max_iter} exceeded, bracket [{a}, {b}] wider than {cfg.abs_tol}"
+        f"max_iter={_MAX_ITER} exceeded, bracket [{a}, {b}] wider than {_ROOT_TOL}"
     )
 
 
@@ -141,25 +123,24 @@ def _guarded(f: Callable[[float], float], x: float, fill: float = math.nan) -> f
         return fill
 
 
-def maximize_unimodal(
-    f: Callable[[float], float],
-    interval: RealInterval,
-    cfg: SolverConfig = SolverConfig(),
-) -> tuple[float, float]:
-    """(argmax, max) of an elementwise f on the interval.
+def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """(argmax, max) of an elementwise f on [lo, hi].
 
     A guard grid of ``_MAX_POINTS`` points, valued by one call of f on the
     whole array, locates the coarse peak; golden-section then refines inside
     the two grid cells around it, one float probe at a time, and the grid's own
     value of the peak point stands against the result. The grid makes the
     result robust when the caller cannot certify unimodality. Non-finite grid
-    values and raising probes count as -inf.
+    values and raising probes count as -inf. Golden-section stops once its
+    bracket is ``_MAX_TOL`` wide, or after ``_MAX_ITER`` steps. ValueError
+    unless lo < hi are both finite.
     """
+    _check_interval(lo, hi)
 
     def g(x: float) -> float:
         return _guarded(f, x, -math.inf)
 
-    xs = np.linspace(interval.lo, interval.hi, _MAX_POINTS)
+    xs = np.linspace(lo, hi, _MAX_POINTS)
     with np.errstate(all="ignore"):
         vals = np.asarray(f(xs), dtype=float)
     vals = np.where(np.isfinite(vals), vals, -math.inf)
@@ -170,8 +151,8 @@ def maximize_unimodal(
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = g(x1), g(x2)
-    for _ in range(cfg.max_iter):
-        if (b - a) <= cfg.abs_tol:
+    for _ in range(_MAX_ITER):
+        if (b - a) <= _MAX_TOL:
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
@@ -214,7 +195,7 @@ def binary_entropy(x):
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def entropy_inverse(y: float, cfg: SolverConfig = SolverConfig(abs_tol=1e-15)) -> float:
+def entropy_inverse(y: float) -> float:
     """The branch of h^{-1}(y) in [0, 1/2], h in bits."""
     if y < 0.0 or y > 1.0:
         raise ValueError(f"entropy_inverse argument must lie in [0, 1], got {y}")
@@ -222,7 +203,7 @@ def entropy_inverse(y: float, cfg: SolverConfig = SolverConfig(abs_tol=1e-15)) -
         return 0.0
     if y == 1.0:
         return 0.5
-    return solve_bracketed(lambda x: binary_entropy(x) - y, RealInterval(0.0, 0.5), cfg)
+    return solve_bracketed(lambda x: binary_entropy(x) - y, 0.0, 0.5)
 
 
 def _log2_factorials(n: int) -> np.ndarray:

@@ -6,19 +6,21 @@ for margin decoding (error and erasure flavors), the distance-profile bound
 it derives from, and the bounded-distance / error-detection exponents.
 The neighbor angle ``elias_theta``, the expurgation angle and the decoding
 radius are each one bracketed solve in ``numerics``, on a bracket that holds
-exactly one root; worst-angle minima come from ``maximize_unimodal`` on the
-negated integrand. ``esp`` also takes an array of angles, for the quadrature
-in ``finite``, and so does the residual of the worst-angle search, which
-gives NaN where its float form raises. The neighbor-angle equation has a
-closed-form inverse x(theta), so the decoding radius is one solve in theta,
-on the piece (2 max(-tau, 0), pi/2] of the branch rule where its residual
-increases, and the boundary rate R* a formula, with no solve nested in
-another. Invalid bound values carry a ``reason``. Both
-distance-profile exponents are one ``_union_exponent``: the worst angle
-against the noise tail ``_tail``, which raises ValueError below the capacity
-angle, where leaving the cone is the typical event. It raises ValueError too
-when no angle has a pair exponent. The worst angle is searched on a grid, so
-``f_exponent``, ``_phi0`` and every profile's ``b`` are elementwise too.
+exactly one root, to the solver's one tolerance of 1e-15 in angle (which puts
+the radius within about 1e-15 of its root); worst-angle minima come from
+``maximize_unimodal`` on the negated integrand. ``esp`` also takes an array
+of angles, for the quadrature in ``finite``, and so does the residual of the
+worst-angle search, which gives NaN where its float form raises. The
+neighbor-angle equation has a closed-form inverse x(theta), so the decoding
+radius is one solve in theta, on the piece (2 max(-tau, 0), pi/2] of the
+branch rule where its residual increases, and the boundary rate R* a
+formula, with no solve nested in another. Invalid bound values carry a
+``reason``. Both distance-profile exponents are one ``_union_exponent``: the
+worst angle against the noise tail ``_tail``, which raises ValueError below
+the capacity angle, where leaving the cone is the typical event. It raises
+ValueError too when no angle has a pair exponent. The worst angle is
+searched on a grid, so ``f_exponent``, ``_phi0`` and every profile's ``b``
+are elementwise too.
 """
 
 from __future__ import annotations
@@ -26,15 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .numerics import (
     BoundValue,
     BracketError,
-    RealInterval,
-    SolverConfig,
     _guarded,
     maximize_unimodal,
     solve_bracketed,
@@ -63,10 +63,6 @@ __all__ = [
     "rankin_rate",
 ]
 
-# Tolerance of the three angle solves: neighbor angle, expurgation angle and
-# the decoding radius's theta, which to 1e-15 puts rho within about 1e-15 of
-# its root (1e-14 can leave it 8e-15 off).
-_CFG = SolverConfig(abs_tol=1e-15)
 # Gap between the top of the bounded-distance angle range and pi/2 - tau.
 _BD_EPS = 1e-4
 
@@ -101,7 +97,7 @@ class SphericalLandmarks:
     theta_1: float
     theta_2: float
     R_star: float
-    residuals: Optional[dict] = None
+    residuals: dict  # stationarity residuals of theta_1 and R*
 
 
 def theta_s(R: float) -> float:
@@ -214,7 +210,7 @@ def elias_theta(x: float, tau: float) -> float:
     else:
         lo, hi = max(2.0 * a, 1e-9), min(math.pi / 2.0 + 1e-9, math.pi - 2.0 * tau - 1e-9)
     cx2 = math.cos(x) ** 2
-    return solve_bracketed(lambda th: _elias_c2(th, tau) - cx2, RealInterval(lo, hi), _CFG)
+    return solve_bracketed(lambda th: _elias_c2(th, tau) - cx2, lo, hi)
 
 
 def _elias_c2(theta: float, tau: float) -> float:
@@ -296,7 +292,7 @@ def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, flo
     rho = math.nan
     if start < math.pi / 2.0:
         try:
-            theta = solve_bracketed(f, RealInterval(start, math.pi / 2.0), _CFG)
+            theta = solve_bracketed(f, start, math.pi / 2.0)
             rho = _elias_x(theta, tau)
         except BracketError:
             pass  # no sign change on the piece: no root
@@ -319,7 +315,7 @@ def _expurgation_angle(tau: float, ch: AwgnChannel) -> tuple[float, float]:
         # saddle-simplified expurgation integrand.
         return math.cos(x) / math.sin(x) - (A / 4.0) * math.sin(x + 2.0 * tau)
 
-    theta_1 = solve_bracketed(d_expurg, RealInterval(1e-6, math.pi / 2.0 - 1e-6), _CFG)
+    theta_1 = solve_bracketed(d_expurg, 1e-6, math.pi / 2.0 - 1e-6)
     return theta_1, d_expurg(theta_1)
 
 
@@ -470,7 +466,7 @@ def _union_exponent(
     def integrand(th):
         return profile.b(th) - pair(th)
 
-    best = integrand(lo) if hi == lo else maximize_unimodal(integrand, RealInterval(lo, hi))[1]
+    best = integrand(lo) if hi == lo else maximize_unimodal(integrand, lo, hi)[1]
     if best == -math.inf:
         raise ValueError(f"no angle in [{lo}, {hi}] has a pairwise exponent at radius {rho}")
     return min(-best, tail)

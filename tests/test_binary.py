@@ -339,11 +339,41 @@ class TestTradeoffBounds:
 
 class TestTypicalGeometry:
     def test_matches_regime(self):
+        # Regime (c) has its typical error weight at the decoding radius
+        # dgv + 2 tau, where the bound D(dgv + 2 tau || p) is evaluated.
         rho, omega, regime = typical_error_geometry(0.4, CH, 0.03)
         assert regime == "c"
         dgv = delta_gv(0.4)
-        assert rho == pytest.approx(dgv, abs=1e-12)
+        assert rho == pytest.approx(dgv + 2 * 0.03, abs=1e-12)
         assert omega == pytest.approx(2 * dgv * (1 - dgv) + 2 * 0.03 * (1 - 2 * dgv), abs=1e-12)
+        value = tradeoff_bounds(0.4, CH, 0.03)[0].value
+        assert value == pytest.approx(entropy_family(rho, CH.p)[2], abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.03])
+    def test_is_the_error_bound_diagnostics(self, tau):
+        # One copy of the geometry: the error member's rho_typ, omega_typ and
+        # regime, in every regime.
+        regimes = set()
+        for R in np.linspace(0.01, 0.6, 60):
+            m_plus = tradeoff_bounds(float(R), CH, tau)[0]
+            d = m_plus.diagnostics
+            geometry = typical_error_geometry(float(R), CH, tau)
+            assert geometry == (d["rho_typ"], d["omega_typ"], m_plus.regime), R
+            regimes.add(m_plus.regime)
+        assert regimes == {"a", "b", "c"}
+
+    def test_invalid_regime_a_keeps_its_diagnostics(self):
+        # tau > dgv / 2 puts the entropy argument 1/2 + tau/dgv above 1.
+        m_plus, m_minus = tradeoff_bounds(0.02, CH, 0.3)
+        dgv = delta_gv(0.02)
+        for m, sign in ((m_plus, 1), (m_minus, -1)):
+            assert (m.regime, m.valid) == ("a", False)
+            assert m.diagnostics == {
+                "rho_typ": (1.0 - dgv) * CH.p + dgv / 2.0 + sign * 0.3, "omega_typ": dgv
+            }
+        assert typical_error_geometry(0.02, CH, 0.3)[:2] == (
+            m_plus.diagnostics["rho_typ"], dgv
+        )
 
     def test_case_b_weights(self):
         lm = landmarks(CH, 0.03)

@@ -9,8 +9,6 @@ import eebounds.spherical as spherical
 from eebounds.numerics import (
     BracketError,
     ConvergenceError,
-    RealInterval,
-    SolverConfig,
     _log2_factorials,
     _log2_pmf,
     binary_entropy,
@@ -40,90 +38,100 @@ def _recording(fn):
 class TestSolveBracketed:
     def test_cosine_fixed_point(self):
         # Dottie number, an independent reference value.
-        root = solve_bracketed(lambda x: math.cos(x) - x, RealInterval(0.0, 1.0))
+        root = solve_bracketed(lambda x: math.cos(x) - x, 0.0, 1.0)
         assert abs(root - 0.7390851332151607) < 1e-10
 
     def test_linear(self):
-        root = solve_bracketed(lambda x: 3.0 * x - 1.2, RealInterval(-5.0, 5.0))
+        root = solve_bracketed(lambda x: 3.0 * x - 1.2, -5.0, 5.0)
         assert abs(root - 0.4) < 1e-12
 
     def test_endpoint_roots(self):
-        assert solve_bracketed(lambda x: x, RealInterval(0.0, 1.0)) == 0.0
-        assert solve_bracketed(lambda x: x - 1.0, RealInterval(0.0, 1.0)) == 1.0
+        assert solve_bracketed(lambda x: x, 0.0, 1.0) == 0.0
+        assert solve_bracketed(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
-            solve_bracketed(lambda x: x * x + 1.0, RealInterval(-1.0, 1.0))
+            solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_steep_function(self):
         # Nearly flat then nearly vertical: regula falsi keeps one end here,
         # and only the Illinois halving moves it.
         f = lambda x: math.tanh(50.0 * (x - 0.123456789))
-        root = solve_bracketed(f, RealInterval(0.0, 1.0))
+        root = solve_bracketed(f, 0.0, 1.0)
         assert abs(root - 0.123456789) < 1e-10
 
     def test_tight_tolerance_terminates(self):
-        cfg = SolverConfig(abs_tol=1e-15, max_iter=200)
-        root = solve_bracketed(lambda x: binary_entropy(x) - 0.6, RealInterval(0.0, 0.5), cfg)
+        root = solve_bracketed(lambda x: binary_entropy(x) - 0.6, 0.0, 0.5)
         assert abs(binary_entropy(root) - 0.6) < 1e-12
 
     @staticmethod
     def _residual_calls(monkeypatch, fn, module=numerics):
-        """Residual calls of each ``solve_bracketed`` solve that fn() makes
-        through ``module``."""
-        counts = []
+        """Residual calls and (lo, hi) bracket of each ``solve_bracketed``
+        solve that fn() makes through ``module``."""
+        counts, brackets = [], []
         solve = numerics.solve_bracketed
 
-        def counting(f, interval, cfg=SolverConfig()):
+        def counting(f, lo, hi):
             counts.append(0)
+            brackets.append((lo, hi))
 
             def g(x):
                 counts[-1] += 1
                 return f(x)
 
-            return solve(g, interval, cfg)
+            return solve(g, lo, hi)
 
         monkeypatch.setattr(module, "solve_bracketed", counting)
         fn()
-        return counts
+        return counts, brackets
 
     def test_no_stall_in_neighbor_angle(self, monkeypatch):
         # Secant plus forced bisection took 49 calls here: the secant kept
         # landing on one side of the root, so the bisections did the work.
-        # One bracketed solve, its two end values included.
-        counts = self._residual_calls(monkeypatch, lambda: elias_theta(0.8, 0.04), spherical)
+        # One bracketed solve, its two end values included, on [2a, pi/2 +
+        # 1e-9] with a = max(-tau, 0) = 0, so on [1e-9, pi/2 + 1e-9].
+        counts, brackets = self._residual_calls(
+            monkeypatch, lambda: elias_theta(0.8, 0.04), spherical
+        )
         assert len(counts) == 1 and 0 < counts[0] <= 12
+        assert brackets == [(1e-9, math.pi / 2.0 + 1e-9)]
 
     def test_no_stall_in_entropy_inverse(self, monkeypatch):
         ys = np.linspace(0.001, 0.999, 999)
-        counts = self._residual_calls(monkeypatch, lambda: [entropy_inverse(float(y)) for y in ys])
+        counts, brackets = self._residual_calls(
+            monkeypatch, lambda: [entropy_inverse(float(y)) for y in ys]
+        )
         assert len(counts) == len(ys) and np.mean(counts) <= 14.0  # 20.9 before
+        assert set(brackets) == {(0.0, 0.5)}
 
-    def test_max_iter_caps_the_steps(self):
-        cfg = SolverConfig(max_iter=2)
-        with pytest.raises(ConvergenceError):
-            solve_bracketed(lambda x: math.cos(x) - x, RealInterval(0.0, 1.0), cfg)
+    def test_max_iter_caps_the_steps(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match="max_iter=2 exceeded"):
+            solve_bracketed(lambda x: math.cos(x) - x, 0.0, 1.0)
 
     def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            RealInterval(1.0, 1.0)
-        with pytest.raises(ValueError):
-            RealInterval(0.0, math.inf)
+        # Checked before f is called: f here would raise TypeError.
+        f = lambda x: None
+        for solver in (solve_bracketed, maximize_unimodal):
+            with pytest.raises(ValueError, match=r"requires lo < hi, got \[1.0, 1.0\]"):
+                solver(f, 1.0, 1.0)
+            with pytest.raises(ValueError, match=r"must be finite, got \[0.0, inf\]"):
+                solver(f, 0.0, math.inf)
 
 
 class TestMaximizeUnimodal:
     def test_parabola(self):
-        x, v = maximize_unimodal(lambda x: -((x - 0.3) ** 2) + 2.0, RealInterval(-1.0, 1.0))
+        x, v = maximize_unimodal(lambda x: -((x - 0.3) ** 2) + 2.0, -1.0, 1.0)
         assert abs(x - 0.3) < 1e-8
         assert abs(v - 2.0) < 1e-12
 
     def test_entropy_peak(self):
-        x, v = maximize_unimodal(binary_entropy, RealInterval(0.0, 1.0))
+        x, v = maximize_unimodal(binary_entropy, 0.0, 1.0)
         assert abs(x - 0.5) < 1e-8
         assert abs(v - 1.0) < 1e-12
 
     def test_boundary_maximum(self):
-        x, v = maximize_unimodal(lambda x: x, RealInterval(0.0, 2.0))
+        x, v = maximize_unimodal(lambda x: x, 0.0, 2.0)
         assert abs(x - 2.0) < 1e-8
         assert abs(v - 2.0) < 1e-8
 
@@ -139,18 +147,18 @@ class TestMaximizeUnimodal:
         def g(x):
             return -np.sqrt(x - 0.5) if isinstance(x, np.ndarray) else -math.sqrt(x - 0.5)
 
-        x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
+        x, v = maximize_unimodal(f, 0.0, 1.0)
         assert abs(x - 0.7) < 1e-8
         assert abs(v) < 1e-12
         # The peak sits on the edge of the raising region: the golden probes
         # that land past it count as -inf.
-        x, v = maximize_unimodal(g, RealInterval(0.0, 1.0))
+        x, v = maximize_unimodal(g, 0.0, 1.0)
         assert x == pytest.approx(0.5, abs=1e-8)
         assert v == pytest.approx(0.0, abs=1e-5)
 
     def test_flat_plateau(self):
         f = lambda x: np.minimum(1.0, 3.0 - 10.0 * np.abs(x - 0.5))
-        x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
+        x, v = maximize_unimodal(f, 0.0, 1.0)
         assert v == 1.0
         assert abs(x - 0.5) <= 0.2
 
@@ -161,7 +169,7 @@ class TestMaximizeUnimodal:
             calls.append(x)
             return -((x - 0.3) ** 2)
 
-        maximize_unimodal(f, RealInterval(-1.0, 1.0))
+        maximize_unimodal(f, -1.0, 1.0)
         arrays = [x for x in calls if isinstance(x, np.ndarray)]
         assert len(arrays) == 1 and arrays[0].shape == (2001,)
         assert isinstance(calls[0], np.ndarray)
@@ -178,17 +186,17 @@ class TestMaximizeUnimodal:
     )
     def test_no_float_call_on_a_grid_point(self, fn, lo, hi):
         f, grid, floats = _recording(fn)
-        maximize_unimodal(f, RealInterval(lo, hi))
+        maximize_unimodal(f, lo, hi)
         assert floats and grid.isdisjoint(floats)
 
     def test_nan_grid_values_count_as_minus_inf(self):
         # np.argmax would pick the first NaN; the peak must win instead.
         f = lambda x: np.where(x < 0.2, np.nan, -((x - 0.7) ** 2))
-        x, v = maximize_unimodal(f, RealInterval(0.0, 1.0))
+        x, v = maximize_unimodal(f, 0.0, 1.0)
         assert abs(x - 0.7) < 1e-8 and abs(v) < 1e-12
         # So do infinities: +inf is a pole or an overflow, not a peak.
         g = lambda x: np.where(x > 0.9, np.inf, -((x - 0.7) ** 2))
-        x, v = maximize_unimodal(g, RealInterval(0.0, 1.0))
+        x, v = maximize_unimodal(g, 0.0, 1.0)
         assert abs(x - 0.7) < 1e-8 and abs(v) < 1e-12
 
     def test_negated_profile_minimum(self):
@@ -198,9 +206,9 @@ class TestMaximizeUnimodal:
         # call replaces in profile_exponent.
         R, tau, rho, ch = 0.2, 0.02, 0.9788282935939788, AwgnChannel(4.0)
         prof = DistanceProfile.packing(R)
-        interval = RealInterval(prof.theta_min, min(prof.theta_max, 2.0 * (rho - tau) - 1e-9))
+        hi = min(prof.theta_max, 2.0 * (rho - tau) - 1e-9)
         _, v = maximize_unimodal(
-            lambda th: prof.b(th) - f_exponent(th, tau, ch, rho)[0], interval
+            lambda th: prof.b(th) - f_exponent(th, tau, ch, rho)[0], prof.theta_min, hi
         )
         assert -v == pytest.approx(0.45902214579540956, abs=1e-14)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from eebounds.numerics import BracketError, RealInterval
+from eebounds.numerics import BracketError
 from eebounds.spherical import (
     AwgnChannel,
     DistanceProfile,
@@ -357,9 +357,9 @@ class TestEliasTheta:
         solves = []
         real = spherical.solve_bracketed
 
-        def counted(f, interval, cfg):
-            solves.append(interval)
-            return real(f, interval, cfg)
+        def counted(f, lo, hi):
+            solves.append((lo, hi))
+            return real(f, lo, hi)
 
         monkeypatch.setattr(spherical, "solve_bracketed", counted)
         for x, tau in ((0.8, 0.04), (1e-3, -0.005), (0.5, -0.2), (math.pi / 2.0, 0.0)):
@@ -376,7 +376,7 @@ class TestEliasTheta:
             solves.clear()
             decoding_radius(R, tau, AwgnChannel(A))
             a = max(-tau, 0.0)
-            assert solves == [RealInterval(2.0 * a + 1e-6, math.pi / 2.0)], (R, tau, A)
+            assert solves == [(2.0 * a + 1e-6, math.pi / 2.0)], (R, tau, A)
 
     def test_expurgation_angle_is_the_only_root(self):
         # tan(x) sin(x + 2 tau) = 4/A has one root on (0, pi/2): a dense grid
@@ -624,7 +624,7 @@ PINNED_PER_POINT_SCAN = [
 ]
 
 # The pins above that the Illinois step rule of solve_bracketed moved, each by
-# at most 4.0e-15 (its abs_tol is 1e-14): (function, arguments) -> value.
+# at most 4.0e-15 (its tolerance was then 1e-14): (function, arguments) -> value.
 ILLINOIS_REPINS = {
     ("elias_theta", (0.5, 0.0)): 0.6917182407210459,
     ("elias_theta", (0.8, 0.04)): 1.019309947231302,
