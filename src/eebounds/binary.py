@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _GV_KNOTS = 2001  # knots of ``WeightProfile.gv_ensemble``
+_CHECK_N = 128  # length of the dominance check of ``bounded_distance_exponent``
 
 
 @dataclass(frozen=True)
@@ -344,14 +345,12 @@ def specific_code_bound(profile: WeightProfile, R: float, ch: BscChannel) -> flo
     return max(-float(np.max(bhatta)), gallager_exponent(R, ch).value - kappa)
 
 
-def bounded_distance_exponent(
-    R: float, ch: BscChannel, tau: float, check_n: int = 128
-) -> BinaryBoundValue:
+def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BinaryBoundValue:
     """Exponent of bounded-distance margin decoding: regime "a" at rates up
     to the split 1 - h(p + tau (1 - p)), "b" above it. A negative exponent is
-    returned with valid=False. ``diagnostics["hypothesis_ok"]`` is a length-
-    ``check_n`` check that the single-term dominance hypothesis behind the
-    bound holds.
+    returned with valid=False. ``diagnostics["hypothesis_ok"]`` is a check at
+    length ``_CHECK_N`` (128) that the single-term dominance hypothesis
+    behind the bound holds.
     """
     if not 0.0 <= tau <= 0.5:
         raise ValueError(f"tau must lie in [0, 1/2], got {tau}")
@@ -364,7 +363,7 @@ def bounded_distance_exponent(
     else:
         value = 1.0 - R - h(tau) - tau * math.log2(1.0 - p)
         regime = "b"
-    diag = {"hypothesis_ok": _bounded_distance_hypothesis(R, ch, tau, check_n)}
+    diag = {"hypothesis_ok": _bounded_distance_hypothesis(R, ch, tau, _CHECK_N)}
     reason = f"negative exponent {value}" if value < 0.0 else None
     return BinaryBoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
 

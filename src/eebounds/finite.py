@@ -51,6 +51,12 @@ class WeightDistribution:
 
     @classmethod
     def from_counts(cls, counts) -> "WeightDistribution":
+        """From the counts A_0..A_n, a zero marking an absent weight.
+        ValueError for a negative or non-finite count, which would otherwise
+        read as absent and silently lower a bound."""
+        bad = [c for c in counts if not 0 <= c < math.inf]
+        if bad:
+            raise ValueError(f"weight counts must be finite and nonnegative, got {bad[0]}")
         arr = [math.log2(c) if c > 0 else -math.inf for c in counts]
         return cls(len(counts) - 1, tuple(arr))
 
@@ -78,11 +84,11 @@ class WeightDistribution:
 
 @dataclass(frozen=True)
 class MarginParams:
-    """Margin decoder parameters: integer Hamming margin t, optional
-    decoding-radius override r (default d +/- 2t)."""
+    """Margin decoder parameters: the integer Hamming margin t. The union
+    bound's decoding radius follows from it, d + 2t for the error bound and
+    d - 2t for the erasure bound (d the minimum distance)."""
 
     t: int = 0
-    r: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.t < 0:
@@ -112,7 +118,9 @@ def binary_union_bound(
     probability: codeword competition inside radius r plus the noise tail.
 
     mode="error" bounds the undetected-error probability, mode="erasure" the
-    error-or-erasure probability (margin sign flipped).
+    error-or-erasure probability (margin sign flipped). The radius is r = d +
+    2t (d - 2t for erasure), clipped to [-1, n]; a code with no nonzero
+    codeword has r = n and no tail.
 
     Weight w contributes A_w times a sum over i errors on its support; the
     sum over the j errors off it is a binomial(n - w, p) CDF. The weights are
@@ -129,13 +137,7 @@ def binary_union_bound(
     lp, lq = math.log2(p), math.log2(1.0 - p)
     d = wd.min_distance
 
-    if m.r is not None:
-        r = m.r
-    elif d is None:
-        r = n  # no competing codeword: only the (empty) tail remains
-    else:
-        r = d + sign * 2 * t
-    r = max(min(r, n), -1)
+    r = n if d is None else max(min(d + sign * 2 * t, n), -1)
 
     lf = _log2_factorials(n)
     # Weights w >= 1 that are present and admit i in [lo, hi].

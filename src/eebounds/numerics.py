@@ -3,18 +3,18 @@
 One copy of each shared piece: the value type of every bound on both channels
 (``BoundValue``), bracketed root finding (``solve_bracketed``; every root in
 the package is one such solve, on a bracket its caller knows to hold exactly
-one root), the grid-then-golden maximizer (``maximize_unimodal``; minimize by
+one root), the zooming-grid maximizer (``maximize_unimodal``; minimize by
 negating), the binary entropy (elementwise on an array, like
 ``spherical.esp``) and its inverse, the log-factorial table behind every
 log-binomial row (``_log2_factorials``), the one log2 binomial pmf term
 (``_log2_pmf``) and overflow-safe log-domain sums, of a sequence (``log_sum``)
-or of each row of a 2-D array (``_row_log_sum``). The maximizer's grid has
-the one grid contract in the package: f is elementwise, NaN on an array where
-a float would raise, its grid is one call on an array, non-finite grid values
-count as -inf, and grid values are final: the golden probes call f on floats
-only at points strictly inside a cell. Both solvers take plain bounds lo < hi
-and run at one tolerance each, a module constant: a root to ``_ROOT_TOL``
-(1e-15), a maximum to ``_MAX_TOL`` (1e-12), at most ``_MAX_ITER`` (200) steps.
+or of each row of a 2-D array (``_row_log_sum``). The maximizer has the one
+grid contract in the package: f is elementwise on arrays, and non-finite
+values count as -inf. It calls f only on arrays, once per round: a guard grid
+first, then a small grid over the two cells around the best point, until
+they are ``_MAX_TOL`` wide. Both solvers take plain bounds lo < hi and run at
+one tolerance each, a module constant: a root to ``_ROOT_TOL`` (1e-15), a
+maximum to ``_MAX_TOL`` (1e-12), at most ``_MAX_ITER`` (200) steps or rounds.
 Everything here is a pure function of its inputs.
 """
 
@@ -37,13 +37,13 @@ __all__ = [
     "log_sum",
 ]
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_POINTS = 2001
+_MAX_POINTS = 2001  # guard grid of the maximizer's first round
+_ZOOM_POINTS = 65  # points of each later round, over two cells of the last
 # Bracket width at which a root solve stops: the package's angle solves need
 # rho within about 1e-15 of its root (1e-14 can leave it 8e-15 off).
 _ROOT_TOL = 1e-15
-_MAX_TOL = 1e-12  # bracket width at which golden-section stops
-_MAX_ITER = 200  # step cap of either solver
+_MAX_TOL = 1e-12  # width of the two cells at which the maximizer stops
+_MAX_ITER = 200  # step (or round) cap of either solver
 LN2 = math.log(2.0)
 
 
@@ -115,66 +115,38 @@ def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
     )
 
 
-def _guarded(f: Callable[[float], float], x: float, fill: float = math.nan) -> float:
-    """f(x), or ``fill`` where f raises ValueError (BracketError too) or ZeroDivisionError."""
-    try:
-        return f(x)
-    except (ValueError, ZeroDivisionError):
-        return fill
-
-
-def maximize_unimodal(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+def maximize_unimodal(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
+) -> tuple[float, float]:
     """(argmax, max) of an elementwise f on [lo, hi].
 
-    A guard grid of ``_MAX_POINTS`` points, valued by one call of f on the
-    whole array, locates the coarse peak; golden-section then refines inside
-    the two grid cells around it, one float probe at a time, and the grid's own
-    value of the peak point stands against the result. The grid makes the
-    result robust when the caller cannot certify unimodality. Non-finite grid
-    values and raising probes count as -inf. Golden-section stops once its
-    bracket is ``_MAX_TOL`` wide, or after ``_MAX_ITER`` steps. ValueError
-    unless lo < hi are both finite.
+    f is only ever called on a 1-D float array and must return an array of
+    the same shape; non-finite values count as -inf (NaN marks a point
+    outside f's domain, +inf a pole or an overflow, neither a peak). The
+    first round values a guard grid of ``_MAX_POINTS`` points in one call,
+    which keeps the result robust when the caller cannot certify
+    unimodality. Each later round values ``_ZOOM_POINTS`` evenly spaced
+    points over the two cells around the round's best point, in one call,
+    until those two cells are ``_MAX_TOL`` wide or ``_MAX_ITER`` rounds have
+    run. The result is the best point seen in any round, so it is never
+    below the guard grid's maximum; where every value is non-finite it is
+    (lo, -inf). ValueError unless lo < hi are both finite.
     """
     _check_interval(lo, hi)
-
-    def g(x: float) -> float:
-        return _guarded(f, x, -math.inf)
-
     xs = np.linspace(lo, hi, _MAX_POINTS)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f(xs), dtype=float)
-    vals = np.where(np.isfinite(vals), vals, -math.inf)
-    k = int(np.argmax(vals))
-    a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
-
-    # Golden-section on [a, b].
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = g(x1), g(x2)
+    best_x, best_v = lo, -math.inf
     for _ in range(_MAX_ITER):
-        if (b - a) <= _MAX_TOL:
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(xs), dtype=float)
+        vals = np.where(np.isfinite(vals), vals, -math.inf)
+        k = int(np.argmax(vals))
+        if vals[k] > best_v:
+            best_x, best_v = xs[k], vals[k]
+        a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
+        if b - a <= _MAX_TOL:
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = g(x2)
-        elif f1 > f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = g(x1)
-        else:
-            # Exact tie: a flat plateau around the peak. Shrink both ends so
-            # the bracket stays centered instead of drifting to one edge.
-            a, b = x1, x2
-            x1 = b - _INV_GOLDEN * (b - a)
-            x2 = a + _INV_GOLDEN * (b - a)
-            f1, f2 = g(x1), g(x2)
-    xm = 0.5 * (a + b)
-    fm = g(xm)
-    # The grid maximum can win for flat or spiky functions.
-    if vals[k] > fm:
-        return float(xs[k]), float(vals[k])
-    return float(xm), float(fm)
+        xs = np.linspace(a, b, _ZOOM_POINTS)
+    return float(best_x), float(best_v)
 
 
 def binary_entropy(x):

@@ -62,6 +62,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, trials={trials}], got {successes}")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     z2 = z * z
@@ -80,6 +82,11 @@ class TrialTally:
     seed: int
 
     def __post_init__(self) -> None:
+        if min(self.correct, self.undetected, self.erasure) < 0:
+            raise ValueError(
+                f"tally classes must be nonnegative, got correct={self.correct}, "
+                f"undetected={self.undetected}, erasure={self.erasure}"
+            )
         if self.correct + self.undetected + self.erasure != self.trials:
             raise ValueError("tally classes must sum to the trial count")
 

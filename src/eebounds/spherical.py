@@ -8,19 +8,20 @@ The neighbor angle ``elias_theta``, the expurgation angle and the decoding
 radius are each one bracketed solve in ``numerics``, on a bracket that holds
 exactly one root, to the solver's one tolerance of 1e-15 in angle (which puts
 the radius within about 1e-15 of its root); worst-angle minima come from
-``maximize_unimodal`` on the negated integrand. ``esp`` also takes an array
-of angles, for the quadrature in ``finite``, and so does the residual of the
-worst-angle search, which gives NaN where its float form raises. The
-neighbor-angle equation has a closed-form inverse x(theta), so the decoding
-radius is one solve in theta, on the piece (2 max(-tau, 0), pi/2] of the
-branch rule where its residual increases, and the boundary rate R* a
-formula, with no solve nested in another. Invalid bound values carry a
-``reason``. Both distance-profile exponents are one ``_union_exponent``: the
-worst angle against the noise tail ``_tail``, which raises ValueError below
-the capacity angle, where leaving the cone is the typical event. It raises
-ValueError too when no angle has a pair exponent. The worst angle is
-searched on a grid, so ``f_exponent``, ``_phi0`` and every profile's ``b``
-are elementwise too.
+``maximize_unimodal`` on the negated integrand. The neighbor-angle equation
+has a closed-form inverse x(theta), so the decoding radius is one solve in
+theta, on the piece (2 max(-tau, 0), pi/2] of the branch rule where its
+residual increases, and the boundary rate R* a formula, with no solve nested
+in another. Invalid bound values carry a ``reason``. Both distance-profile
+exponents are one ``_union_exponent``: the worst angle against the noise
+tail ``_tail``, which raises ValueError below the capacity angle, where
+leaving the cone is the typical event. It raises ValueError too when no
+angle has a pair exponent. The worst angle is searched on arrays only, so
+the pair exponent (``f_exponent``, ``_phi0``) and every profile's ``b`` are
+NumPy-elementwise, with NaN outside their domain; a scalar gives a NumPy
+scalar. ``esp`` and ``g_aux`` also keep a float path, for the scalar bounds
+that call them in their loops, and take arrays for the quadrature in
+``finite``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .numerics import (
     BoundValue,
     BracketError,
-    _guarded,
     maximize_unimodal,
     solve_bracketed,
 )
@@ -333,7 +333,10 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
     te, tc = shannon_angles(ch)
     theta_1, resid_t1 = _expurgation_angle(tau, ch)
     x_1 = _elias_x(theta_1, tau)
-    r_star = -_guarded(lambda th: _radius_residual(th, x_1, 0.0, tau), theta_1)
+    try:
+        r_star = -_radius_residual(theta_1, x_1, 0.0, tau)
+    except (ValueError, ZeroDivisionError):
+        r_star = math.nan
     if not 1e-4 <= r_star <= ch.capacity - 1e-9:
         raise BracketError("no root for the straight-line/sphere-packing rate boundary")
     rho = decoding_radius(r_star, tau, ch)
@@ -351,32 +354,33 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
 
 def _phi0(theta, tau: float, ch: AwgnChannel):
     """Interior saddle angle of the pairwise-error integrand, in (0, pi/2];
-    elementwise on an array of angles."""
-    xp = np if isinstance(theta, np.ndarray) else math
+    NumPy-elementwise: an array of angles gives an array, a scalar a NumPy
+    scalar."""
     A = ch.A
     psi = theta + 2.0 * tau
-    s2 = (4.0 + A * xp.sin(psi) ** 2) / (2.0 * (2.0 + A + A * xp.cos(psi)))
-    return xp.asin(xp.sqrt(np.clip(s2, 0.0, 1.0) if xp is np else min(max(s2, 0.0), 1.0)))
+    # Numerator and denominator are both at least 4: only rounding past 1 is
+    # cut. np.square, not ** 2, which on a NumPy scalar is pow() and can be an
+    # ulp off the array's square.
+    s2 = (4.0 + A * np.square(np.sin(psi))) / (2.0 * (2.0 + A + A * np.cos(psi)))
+    return np.asin(np.sqrt(np.minimum(s2, 1.0)))
 
 
 def f_exponent(theta, tau: float, ch: AwgnChannel, rho) -> tuple:
     """(-1/n ln of the pairwise error probability, active saddle angle) for
-    two codewords at angle theta under margin tau, errors capped at radius rho;
-    elementwise on arrays (rho > 0), NaN where the float path raises: a mask for
-    the rho range, and a saddle at or below theta/2 + tau makes 1 - t2 <= 0."""
-    xp = np if isinstance(theta, np.ndarray) or isinstance(rho, np.ndarray) else math
+    two codewords at angle theta under margin tau, errors capped at radius rho
+    > 0. NumPy-elementwise in theta and rho: arrays give arrays, scalars NumPy
+    scalars, each the same bits as the matching array entry. The exponent is
+    NaN outside its domain theta/2 + tau < rho < pi/2, and is not finite
+    where the saddle lies at or below theta/2 + tau, which makes 1 - t2 <= 0;
+    no warning is raised for either."""
     half = theta / 2.0 + tau
-    if xp is math and not half < rho < math.pi / 2.0:
-        raise ValueError(f"require theta/2 + tau < rho < pi/2, got {half} vs {rho}")
-    phi0 = _phi0(theta, tau, ch)
-    if xp is math and phi0 <= half:
-        raise ValueError(f"saddle {phi0} at or below integration start {half}")
-    phi = np.where(phi0 < rho, phi0, rho) if xp is np else (phi0 if phi0 < rho else rho)
-    t2 = xp.tan(half) ** 2 / xp.tan(phi) ** 2
-    value = -0.5 * xp.log(1.0 - t2) + esp(phi, ch)
-    if xp is np:
+    with np.errstate(all="ignore"):
+        phi0 = _phi0(theta, tau, ch)
+        phi = np.where(phi0 < rho, phi0, rho)
+        t2 = np.square(np.tan(half)) / np.square(np.tan(phi))
+        value = -0.5 * np.log(1.0 - t2) + esp(phi, ch)
         value = np.where((half < rho) & (rho < math.pi / 2.0), value, np.nan)
-    return value, phi
+    return value[()], phi[()]
 
 
 def tradeoff_exponent(
@@ -433,7 +437,8 @@ def tradeoff_exponent(
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Exponential distance profile b(theta), elementwise, with declared angular support."""
+    """Exponential distance profile b(theta) with declared angular support.
+    b is only called on arrays of angles and must be NumPy-elementwise."""
 
     b: Callable
     theta_min: float
@@ -443,7 +448,7 @@ class DistanceProfile:
     def packing(cls, R: float) -> "DistanceProfile":
         """Profile R + ln sin theta of the uniform-measure packing of rate R."""
         tmin = theta_s(R)
-        b = lambda t: R + (np.log(np.sin(t)) if isinstance(t, np.ndarray) else math.log(math.sin(t)))
+        b = lambda t: R + np.log(np.sin(t))
         return cls(b, tmin, math.pi - tmin)
 
     @classmethod
@@ -455,8 +460,10 @@ def _union_exponent(
     profile: DistanceProfile, pair, hi: float, rho: float, ch: AwgnChannel
 ) -> float:
     """The smaller of pair(theta) - b(theta) at its worst angle theta in
-    [theta_min, hi] and the noise tail at radius rho. Raises ValueError when
-    no angle in the range has a pairwise exponent, rather than return the
+    [theta_min, hi] and the noise tail at radius rho. pair and b are called
+    on arrays only, a one-point array when the range is a single angle, and
+    a non-finite difference means no pairwise exponent there. Raises
+    ValueError when no angle in the range has one, rather than return the
     tail alone."""
     lo = profile.theta_min
     if hi < lo:
@@ -466,8 +473,11 @@ def _union_exponent(
     def integrand(th):
         return profile.b(th) - pair(th)
 
-    best = integrand(lo) if hi == lo else maximize_unimodal(integrand, lo, hi)[1]
-    if best == -math.inf:
+    if hi == lo:
+        best = float(integrand(np.array([lo]))[0])
+    else:
+        best = maximize_unimodal(integrand, lo, hi)[1]
+    if not math.isfinite(best):
         raise ValueError(f"no angle in [{lo}, {hi}] has a pairwise exponent at radius {rho}")
     return min(-best, tail)
 

@@ -467,12 +467,13 @@ class TestBoundedDistance:
 
     def test_dominance_hypothesis_flag(self):
         # Zero margin: the double sum has a single term, trivially maximal.
-        ok = bounded_distance_exponent(0.3, CH, 0.0, check_n=64).diagnostics["hypothesis_ok"]
-        assert ok
+        assert binary_module._bounded_distance_hypothesis(0.3, CH, 0.0, 64)
         # At tau=0.05 the off-support term with ell=t exceeds ell=0 (the
         # per-term ratio (n-w)p/(1-p) > 1), so the flag must report failure.
-        ok = bounded_distance_exponent(0.3, CH, 0.05, check_n=96).diagnostics["hypothesis_ok"]
-        assert not ok
+        assert not binary_module._bounded_distance_hypothesis(0.3, CH, 0.05, 96)
+        # The bound reports the check at its own length, 128.
+        assert bounded_distance_exponent(0.3, CH, 0.0).diagnostics["hypothesis_ok"]
+        assert not bounded_distance_exponent(0.3, CH, 0.05).diagnostics["hypothesis_ok"]
 
     def test_dominance_tie_is_not_a_failure(self, monkeypatch):
         # At n = 32, t = 1, w = 13 the (12, 1) term equals the (12, 0) term
@@ -480,8 +481,7 @@ class TestBoundedDistance:
         # break the hypothesis, whichever way the two terms round: raising
         # every ell >= 1 term by a relative 1e-14 leaves the flag set.
         def flag():
-            out = bounded_distance_exponent(0.02, BscChannel(0.05), 0.03, check_n=32)
-            return out.diagnostics["hypothesis_ok"]
+            return binary_module._bounded_distance_hypothesis(0.02, BscChannel(0.05), 0.03, 32)
 
         assert flag() is True
         pmf = binary_module._log2_pmf

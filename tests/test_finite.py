@@ -134,50 +134,38 @@ class TestBinaryUnionBound:
         bound = binary_union_bound(wd, 0.05, MarginParams(0), "error")
         assert math.log2(pu) <= bound <= math.log2(10.0 * pu)
 
-    def test_zero_codeword_only_gives_tail(self):
-        wd = WeightDistribution.from_counts([1] + [0] * 9)
-        n, p = 9, 0.1
-        bound = binary_union_bound(wd, p, MarginParams(0, r=3), "error")
-        tail = sum(math.comb(n, e) * p**e * (1 - p) ** (n - e) for e in range(4, n + 1))
-        assert 2.0**bound == pytest.approx(tail, rel=1e-12)
-
     @pytest.mark.parametrize("p", [0.05, 0.2])
     @pytest.mark.parametrize("t", [0, 1, 2, 3])
     @pytest.mark.parametrize("mode", ["error", "erasure"])
     @pytest.mark.parametrize("spectrum", DIRECT_SUM_SPECTRA, ids=lambda c: c[0])
     def test_matches_direct_summation(self, spectrum, mode, t, p):
         # Independent linear-domain evaluation of the same finite sum, over
-        # (e, i) as the bound is defined, at the default radius and at an
-        # override.
+        # (e, i) as the bound is defined, at the radius d + 2t (d - 2t for
+        # erasure), or n for a code with no nonzero codeword.
         counts = spectrum[1]
         n = len(counts) - 1
         wd = WeightDistribution.from_counts(counts)
         sign = 1 if mode == "error" else -1
         d = next((w for w in range(1, n + 1) if counts[w] > 0), None)
-        for r_override in (None, n // 3):
-            if r_override is not None:
-                r = r_override
-            else:
-                r = n if d is None else d + sign * 2 * t
-            r = max(min(r, n), -1)
-            total = 0.0
-            for w in range(1, n + 1):
-                if counts[w] == 0:
-                    continue
-                lo = max(math.ceil(w / 2) + sign * t, 0)
-                for e in range(lo, r + 1):
-                    inner = sum(
-                        math.comb(w, i) * math.comb(n - w, e - i)
-                        for i in range(lo, min(e, w) + 1)
-                        if 0 <= e - i <= n - w
-                    )
-                    total += counts[w] * inner * p**e * (1 - p) ** (n - e)
-            total += sum(math.comb(n, e) * p**e * (1 - p) ** (n - e) for e in range(r + 1, n + 1))
-            bound = binary_union_bound(wd, p, MarginParams(t, r_override), mode)
-            if total == 0.0:
-                assert bound == -math.inf
-            else:
-                assert 2.0**bound == pytest.approx(total, rel=1e-12)
+        r = n if d is None else max(min(d + sign * 2 * t, n), -1)
+        total = 0.0
+        for w in range(1, n + 1):
+            if counts[w] == 0:
+                continue
+            lo = max(math.ceil(w / 2) + sign * t, 0)
+            for e in range(lo, r + 1):
+                inner = sum(
+                    math.comb(w, i) * math.comb(n - w, e - i)
+                    for i in range(lo, min(e, w) + 1)
+                    if 0 <= e - i <= n - w
+                )
+                total += counts[w] * inner * p**e * (1 - p) ** (n - e)
+        total += sum(math.comb(n, e) * p**e * (1 - p) ** (n - e) for e in range(r + 1, n + 1))
+        bound = binary_union_bound(wd, p, MarginParams(t), mode)
+        if total == 0.0:
+            assert bound == -math.inf
+        else:
+            assert 2.0**bound == pytest.approx(total, rel=1e-12)
 
     def test_monotone_in_counts_and_p(self):
         code = gen_linear_code(12, 5, 1)
@@ -223,6 +211,13 @@ class TestBinaryUnionBound:
             binary_union_bound(wd, 0.6, MarginParams(0))
         with pytest.raises(ValueError):
             MarginParams(-1)
+
+    @pytest.mark.parametrize("counts", [[1, -3, 0, 2], [1, math.nan, 0, 2], [1, math.inf, 0, 2]])
+    def test_malformed_counts_rejected(self, counts):
+        # Read as absent weights they would lower the bound: log2 -6.108 for
+        # the negative count at p = 0.05, t = 0.
+        with pytest.raises(ValueError, match="weight counts must be finite and nonnegative"):
+            WeightDistribution.from_counts(counts)
 
 
 class TestAwgnUnionBound:

@@ -21,18 +21,16 @@ from eebounds.spherical import AwgnChannel, DistanceProfile, elias_theta, f_expo
 
 
 def _recording(fn):
-    """The elementwise fn, with the set of grid points and the list of
-    float arguments it is called on."""
-    grid, floats = set(), []
+    """The elementwise fn, with the lists of the arguments it is called on
+    and of the values it returns."""
+    args, vals = [], []
 
     def f(x):
-        if isinstance(x, np.ndarray):
-            grid.update(x.tolist())
-        else:
-            floats.append(x)
-        return fn(x)
+        args.append(x)
+        vals.append(fn(x))
+        return vals[-1]
 
-    return f, grid, floats
+    return f, args, vals
 
 
 class TestSolveBracketed:
@@ -136,22 +134,14 @@ class TestMaximizeUnimodal:
         assert abs(v - 2.0) < 1e-8
 
     def test_raising_region_is_skipped(self):
-        # Elementwise functions: NaN on an array where a float raises.
-        def f(x):
-            if isinstance(x, np.ndarray):
-                return np.where(x < 0.5, np.nan, -((x - 0.7) ** 2))
-            if x < 0.5:
-                raise ValueError("outside the domain")
-            return -((x - 0.7) ** 2)
-
-        def g(x):
-            return -np.sqrt(x - 0.5) if isinstance(x, np.ndarray) else -math.sqrt(x - 0.5)
-
+        # Elementwise functions: NaN outside the domain, x < 0.5.
+        f = lambda x: np.where(x < 0.5, np.nan, -((x - 0.7) ** 2))
+        g = lambda x: -np.sqrt(x - 0.5)
         x, v = maximize_unimodal(f, 0.0, 1.0)
         assert abs(x - 0.7) < 1e-8
         assert abs(v) < 1e-12
-        # The peak sits on the edge of the raising region: the golden probes
-        # that land past it count as -inf.
+        # The peak sits on the edge of the domain: each zoom round straddles
+        # it, and its points past the edge count as -inf.
         x, v = maximize_unimodal(g, 0.0, 1.0)
         assert x == pytest.approx(0.5, abs=1e-8)
         assert v == pytest.approx(0.0, abs=1e-5)
@@ -163,17 +153,16 @@ class TestMaximizeUnimodal:
         assert abs(x - 0.5) <= 0.2
 
     def test_grid_is_one_array_call(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return -((x - 0.3) ** 2)
-
+        f, calls, _ = _recording(lambda x: -((x - 0.3) ** 2))
         maximize_unimodal(f, -1.0, 1.0)
-        arrays = [x for x in calls if isinstance(x, np.ndarray)]
-        assert len(arrays) == 1 and arrays[0].shape == (2001,)
-        assert isinstance(calls[0], np.ndarray)
-        assert all(isinstance(x, float) for x in calls[1:])
+        assert calls[0].shape == (2001,)
+        # Each zoom round is one call on the two cells around the last
+        # round's best point; 32-fold per round, 2e-3 wide to 1e-12 in 7.
+        assert [x.shape for x in calls[1:]] == [(numerics._ZOOM_POINTS,)] * 7
+        for prev, x in zip(calls, calls[1:]):
+            step = prev[1] - prev[0]
+            assert prev[0] <= x[0] < x[-1] <= prev[-1]
+            assert x[-1] - x[0] == pytest.approx(2.0 * step, rel=1e-6)
 
     @pytest.mark.parametrize(
         "fn, lo, hi",
@@ -185,9 +174,32 @@ class TestMaximizeUnimodal:
         ids=["parabola", "boundary", "entropy"],
     )
     def test_no_float_call_on_a_grid_point(self, fn, lo, hi):
-        f, grid, floats = _recording(fn)
+        # There is no float call at all: every call is on an array.
+        f, calls, _ = _recording(fn)
         maximize_unimodal(f, lo, hi)
-        assert floats and grid.isdisjoint(floats)
+        assert len(calls) > 1
+        assert all(type(x) is np.ndarray and x.ndim == 1 for x in calls)
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi",
+        [
+            (lambda x: np.cos(50.0 * x) - 0.1 * x, 0.0, 2.0),
+            (lambda x: np.exp(-(((x - 0.5) / 1e-4) ** 2)), 0.0, 1.0),
+            (lambda x: np.where(x > 0.9, np.inf, np.sin(7.0 * x)), 0.0, 1.0),
+            (lambda x: -np.abs(x - 1.0 / 3.0), -1.0, 0.77),
+        ],
+        ids=["multimodal", "needle", "pole", "kink"],
+    )
+    def test_never_below_the_guard_grid(self, fn, lo, hi):
+        # The result is the best finite value of any round, so a peak that
+        # only the guard grid sees (the needle is narrower than its cells)
+        # is kept, and no later round can lower it; nor can the midpoint of
+        # the last round's cells, which is not where a kinked peak is best.
+        f, _, vals = _recording(fn)
+        _, v = maximize_unimodal(f, lo, hi)
+        finite = [np.where(np.isfinite(r), r, -np.inf).max() for r in vals]
+        assert v >= finite[0]
+        assert v == max(finite)
 
     def test_nan_grid_values_count_as_minus_inf(self):
         # np.argmax would pick the first NaN; the peak must win instead.

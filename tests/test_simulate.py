@@ -139,6 +139,11 @@ class TestTallies:
         with pytest.raises(ValueError):
             TrialTally(10, 5, 3, 1, seed=0)
 
+    def test_negative_class_rejected(self):
+        # The classes sum to the trial count, but one is negative.
+        with pytest.raises(ValueError, match="must be nonnegative.*undetected=-2"):
+            TrialTally(10, 12, -2, 0, 1)
+
     def test_wilson_basic(self):
         lo, hi = wilson_interval(50, 1000)
         assert 0.0 <= lo <= 0.05 <= hi <= 1.0
@@ -146,6 +151,11 @@ class TestTallies:
         assert lo99 <= lo and hi99 >= hi
         with pytest.raises(ValueError):
             wilson_interval(1, 0)
+
+    @pytest.mark.parametrize("successes", [12, -1])
+    def test_wilson_successes_out_of_range(self, successes):
+        with pytest.raises(ValueError, match=r"successes must lie in \[0, trials=10\]"):
+            wilson_interval(successes, 10)
 
 
 # (code, p, t, trials, (correct, undetected, erasure)) at seed=1, recorded with

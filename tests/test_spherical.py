@@ -690,10 +690,8 @@ def _pinned(name, args):
 
 
 class TestArrayScan:
-    """The worst-angle search evaluates its residual once on the whole grid;
-    the array path of that residual must give the float path's signs and
-    NaNs. The pinned bound values date from the sign scans the class was
-    named for."""
+    """Pinned values of the angle solves and the trade-off bound; they date
+    from the sign scans the class was named for."""
 
     @pytest.mark.parametrize("name, args, value", PINNED_PER_POINT_SCAN)
     def test_pinned_values(self, name, args, value):
@@ -702,63 +700,6 @@ class TestArrayScan:
         expected = REPINS.get((name, args), value)
         assert abs(expected - value) <= 4e-15
         assert _pinned(name, args) == expected
-
-    @staticmethod
-    def _float_path(f, *args):
-        def guarded(*x):
-            try:
-                return f(*x)
-            except (ValueError, ZeroDivisionError):
-                return math.nan
-
-        return np.array([guarded(*map(float, x)) for x in zip(*args)])
-
-    @staticmethod
-    def _assert_same(array_vals, float_vals, scale):
-        """Same NaN positions, and values within 1e-13 relative plus 32 ulp
-        of ``scale``, the size of the terms a value is computed from: np and
-        math may each be a few ulp off, which near a root, where the terms
-        cancel, is far more than 1e-13 of the value. Wherever the float
-        value exceeds that tolerance, the signs agree too."""
-        assert isinstance(array_vals, np.ndarray)
-        array_vals = np.where(np.isfinite(array_vals), array_vals, np.nan)
-        nan = np.isnan(float_vals)
-        assert (np.isnan(array_vals) == nan).all()
-        a, s = array_vals[~nan], float_vals[~nan]
-        tol = 1e-13 * np.abs(s) + 32 * np.finfo(float).eps * scale[~nan]
-        assert (np.abs(a - s) <= tol).all()
-
-    @pytest.mark.parametrize("A", [0.5, 4.0, 64.0])
-    def test_pair_exponent_matches_float_path(self, A):
-        # The worst-angle search evaluates f_exponent (and _phi0 in it) on its
-        # whole grid. theta runs to 2 pi, so that theta/2 + tau passes rho,
-        # pi/2 and pi, and the saddle falls below it; rho runs past pi/2, as
-        # an array too, as in bounded_distance_exponent_s.
-        ch = AwgnChannel(A)
-        theta = np.linspace(-0.5, 2.0 * math.pi, 1201)
-        for tau in (-0.05, 0.0, 0.03, 0.1):
-            phi0 = _phi0(theta, tau, ch)
-            floats = self._float_path(lambda t: _phi0(t, tau, ch), theta)
-            self._assert_same(phi0, floats, np.ones_like(theta))
-            rhos = [0.3, 0.9, 1.3, math.pi / 2.0, 2.0, np.linspace(2.0, 0.05, theta.size)]
-            for rho in rhos:
-                with np.errstate(all="ignore"):
-                    vals, phi = f_exponent(theta, tau, ch, rho)
-                    t2 = np.tan(theta / 2.0 + tau) ** 2 / np.tan(phi) ** 2
-                    scale = (
-                        0.5 * np.abs(np.log(np.abs(1.0 - t2)))
-                        + t2 / np.abs(1.0 - t2)
-                        + A / 2.0
-                        + np.abs(np.log(g_aux(phi, ch) * np.sin(phi)))
-                    )
-                rho_pts = np.broadcast_to(rho, theta.shape)
-                floats = self._float_path(lambda t, r: f_exponent(t, tau, ch, r)[0], theta, rho_pts)
-                self._assert_same(vals, floats, scale)
-        packing = DistanceProfile.packing(0.3)
-        theta = np.linspace(packing.theta_min, packing.theta_max, 101)
-        self._assert_same(
-            packing.b(theta), self._float_path(packing.b, theta), 0.3 + np.abs(np.log(np.sin(theta)))
-        )
 
 
 class TestLandmarks:
@@ -843,8 +784,33 @@ class TestFExponent:
         assert val == pytest.approx(est, abs=2e-3)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            f_exponent(1.0, 0.1, CH4, 0.5)
+        # theta/2 + tau = 0.6 >= rho: NaN, without a warning.
+        val, _ = f_exponent(1.0, 0.1, CH4, 0.5)
+        assert math.isnan(val)
+
+    @pytest.mark.parametrize("A", [0.5, 4.0, 64.0])
+    def test_scalars_match_array_entries(self, A):
+        # One NumPy path: a scalar call gives the bits of the matching array
+        # entry, NaN outside theta/2 + tau < rho < pi/2. theta runs to 2 pi,
+        # so that theta/2 + tau passes rho, pi/2 and pi, and the saddle falls
+        # below it; rho runs past pi/2, as an array too, as in
+        # bounded_distance_exponent_s.
+        ch = AwgnChannel(A)
+        theta = np.linspace(-0.5, 2.0 * math.pi, 301)
+        for tau in (-0.05, 0.0, 0.03, 0.1):
+            phi0 = _phi0(theta, tau, ch)
+            scalars = [_phi0(float(t), tau, ch) for t in theta]
+            assert all(type(x) is np.float64 for x in scalars)
+            assert np.array_equal(scalars, phi0)
+            for rho in (0.3, 0.9, 1.3, math.pi / 2.0, 2.0, np.linspace(2.0, 0.05, theta.size)):
+                vals, phi = f_exponent(theta, tau, ch, rho)
+                rhos = np.broadcast_to(rho, theta.shape)
+                pairs = [f_exponent(float(t), tau, ch, float(r)) for t, r in zip(theta, rhos)]
+                assert all(type(v) is np.float64 and type(p) is np.float64 for v, p in pairs)
+                assert np.array_equal([v for v, _ in pairs], vals, equal_nan=True)
+                assert np.array_equal([p for _, p in pairs], phi)
+                half = theta / 2.0 + tau
+                assert np.isnan(vals[~((half < rhos) & (rhos < math.pi / 2.0))]).all()
 
 
 class TestTradeoffExponent:
@@ -1041,6 +1007,27 @@ class TestProfileExponent:
         assert out == pytest.approx(
             min(f_exponent(theta0, tau, CH4, rho)[0], esp(rho, CH4)), abs=1e-9
         )
+
+    def test_single_angle_is_one_array_call(self, monkeypatch):
+        # No float evaluation path is left: the single angle is valued as a
+        # one-point array, through the profile and the pair exponent alike.
+        args = []
+
+        def b(th):
+            args.append(th)
+            return 0.0 * th
+
+        def pair(th, *rest):
+            args.append(th)
+            return f_exponent(th, *rest)
+
+        monkeypatch.setattr(spherical, "f_exponent", pair)
+        out = profile_exponent(DistanceProfile(b, 0.9, 0.9), 0.3, CH4, 0.02, 1.1)
+        assert len(args) == 2 and all(type(a) is np.ndarray for a in args)
+        assert out == min(f_exponent(0.9, 0.02, CH4, 1.1)[0], esp(1.1, CH4))
+        # Out of its domain the angle has no pair exponent.
+        with pytest.raises(ValueError, match=r"no angle in \[0.9, 0.9\] has a pairwise exponent"):
+            profile_exponent(DistanceProfile(b, 0.9, 0.9), 0.3, CH4, 0.02, math.pi / 2.0)
 
     def test_worse_profile_never_increases(self):
         R, tau = 0.3, 0.04
