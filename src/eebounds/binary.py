@@ -348,22 +348,28 @@ def specific_code_bound(profile: WeightProfile, R: float, ch: BscChannel) -> flo
 def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BinaryBoundValue:
     """Exponent of bounded-distance margin decoding: regime "a" at rates up
     to the split 1 - h(p + tau (1 - p)), "b" above it. A negative exponent is
-    returned with valid=False. ``diagnostics["hypothesis_ok"]`` is a check at
-    length ``_CHECK_N`` (128) that the single-term dominance hypothesis
-    behind the bound holds.
+    returned with valid=False, and so is regime "a" where delta_gv(R) < tau,
+    which leaves no error weight delta_gv - tau. ``diagnostics["hypothesis_ok"]``
+    is a check at length ``_CHECK_N`` (128) that the single-term dominance
+    hypothesis behind the bound holds.
     """
     if not 0.0 <= tau <= 0.5:
         raise ValueError(f"tau must lie in [0, 1/2], got {tau}")
     p = ch.p
+    diag = {"hypothesis_ok": _bounded_distance_hypothesis(R, ch, tau, _CHECK_N)}
     split = 1.0 - h(min(p + tau * (1.0 - p), 1.0))
     if R <= split:
         dgv = delta_gv(R)
+        if dgv < tau:
+            return BinaryBoundValue(
+                0.0, "a", valid=False, diagnostics=diag,
+                reason=f"GV distance {dgv} below the margin tau {tau}",
+            )
         value = _T(dgv - tau, p) - dgv * h(min(tau / dgv, 1.0)) if dgv > 0 else 0.0
         regime = "a"
     else:
         value = 1.0 - R - h(tau) - tau * math.log2(1.0 - p)
         regime = "b"
-    diag = {"hypothesis_ok": _bounded_distance_hypothesis(R, ch, tau, _CHECK_N)}
     reason = f"negative exponent {value}" if value < 0.0 else None
     return BinaryBoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
 

@@ -11,13 +11,14 @@ the radius within about 1e-15 of its root); worst-angle minima come from
 ``maximize_unimodal`` on the negated integrand. The neighbor-angle equation
 has a closed-form inverse x(theta), so the decoding radius is one solve in
 theta, on the piece (2 max(-tau, 0), pi/2] of the branch rule where its
-residual increases, and the boundary rate R* a formula, with no solve nested
-in another. Invalid bound values carry a ``reason``. Both distance-profile
-exponents are one ``_union_exponent``: the worst angle against the noise
-tail ``_tail``, which raises ValueError below the capacity angle, where
-leaving the cone is the typical event. It raises ValueError too when no
-angle has a pair exponent. The worst angle is searched on arrays only, so
-the pair exponent (``f_exponent``, ``_phi0``) and every profile's ``b`` are
+residual increases, kept by one acceptance rule. The boundary rate R* is a
+formula that rule checks with no solve; at or above capacity, the straight
+regime runs to capacity. Invalid bound values carry a ``reason``. Both
+distance-profile exponents are one ``_union_exponent``: the worst angle
+against the noise tail ``_tail``, which raises ValueError below the capacity
+angle, where leaving the cone is the typical event, and when no angle has a
+pair exponent. The worst angle is searched on arrays only, so the pair
+exponent (``f_exponent``, ``_phi0``) and every profile's ``b`` are
 NumPy-elementwise, with NaN outside their domain; a scalar gives a NumPy
 scalar. ``esp`` and ``g_aux`` also keep a float path, for the scalar bounds
 that call them in their loops, and take arrays for the quadrature in
@@ -197,8 +198,8 @@ def elias_theta(x: float, tau: float) -> float:
     end lets x = pi/2 return float pi/2. Both start at 1e-9 or above, so an
     x within about 1e-9 of |tau|, whose root lies lower, raises BracketError.
     For tau > 0 there is no root unless x > tau. ``decoding_radius`` never
-    calls this; ``spherical_landmarks`` calls it once, for the residual of
-    its R* check.
+    calls this; ``spherical_landmarks`` calls it once, on x_1, for the
+    residual of R*.
     """
     if not 0.0 < x <= math.pi / 2.0:
         raise ValueError(f"x must lie in (0, pi/2], got {x}")
@@ -250,8 +251,7 @@ def _radius_residual(theta: float, rho: float, R: float, tau: float) -> float:
 def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     """Decoding radius rho(R): the unique root of the self-consistency
     equation R + ln sin(theta) + 1/2 ln(1 - tan^2(theta/2 + tau) / tan^2 rho)
-    = 0, theta = elias_theta(rho, tau), on [theta_s, 2 theta_s] (on
-    [1e-3, theta_s] for tau < 0).
+    = 0, theta = elias_theta(rho, tau), in the bracket of ``_kept_radius``.
 
     The equation is one bracketed solve in theta, with rho = x(theta) from
     the closed-form inverse ``_elias_x``; no ``elias_theta`` call is made.
@@ -259,11 +259,8 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     strictly in theta on the piece (2a, pi/2] of the branch rule, a =
     max(-tau, 0) (see ``_elias_x``), where it is finite and equals R at
     pi/2. So the solve runs on [2a + 1e-6, pi/2] and finds the one root
-    there, if any. The root is kept only if its rho lies in the bracket (up
-    to 1e-12 below its lower end counts, clamped to that end: at tau = 0
-    the root is theta_s itself) and rho >= a, which makes theta the
-    principal neighbor angle of rho, the one ``elias_theta`` returns.
-    Raises BracketError otherwise."""
+    there, if any, which ``_kept_radius`` keeps or rejects with
+    BracketError."""
     return _radius_and_angle(R, tau, ch)[0]
 
 
@@ -271,34 +268,35 @@ def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, flo
     """``decoding_radius`` and the neighbor angle theta it solved for."""
     if R <= 0.0:
         raise ValueError(f"rate must be positive, got {R}")
-    ts = theta_s(R)
-    if tau >= 0.0:
-        lo = ts
-        hi = min(2.0 * ts, math.pi / 2.0 - 1e-9)
-    else:
-        # Negative margin (erasure flavor) shrinks the radius below theta_s.
-        lo = 1e-3
-        hi = ts
-    if hi <= lo:
-        raise BracketError(f"degenerate decoding-radius bracket [{lo}, {hi}]")
-    if lo <= tau:
-        raise BracketError(f"no neighbor angle at the bracket end {lo} <= tau {tau}")
 
     def f(theta: float) -> float:
         return _radius_residual(theta, _elias_x(theta, tau), R, tau)
 
+    try:  # f rises on (2a, pi/2], a = max(-tau, 0)
+        theta = solve_bracketed(f, 2.0 * max(-tau, 0.0) + 1e-6, math.pi / 2.0)
+    except ValueError:  # no sign change, or tau <= -pi/4 empties the piece: no root
+        theta = math.nan
+    return _kept_radius(theta, R, tau), theta
+
+
+def _kept_radius(theta: float, R: float, tau: float) -> float:
+    """The decoding radius x(theta) at rate R for a root theta of its
+    equation, kept if theta >= 2a + 1e-6 (the rising piece) and x(theta) >=
+    a, a = max(-tau, 0), which make theta the angle ``elias_theta`` returns,
+    and x(theta) lies in the bracket (1e-12 below it counts, clamped: at tau
+    = 0 the root is theta_s). BracketError otherwise or on an empty bracket."""
+    ts = theta_s(R)
+    # A negative margin (erasure flavor) shrinks the radius below theta_s.
+    lo, hi = (ts, min(2.0 * ts, math.pi / 2.0 - 1e-9)) if tau >= 0.0 else (1e-3, ts)
+    if hi <= lo:
+        raise BracketError(f"degenerate decoding-radius bracket [{lo}, {hi}]")
+    if lo <= tau:
+        raise BracketError(f"no neighbor angle at the bracket end {lo} <= tau {tau}")
     a = max(-tau, 0.0)
-    start = 2.0 * a + 1e-6  # f rises on (2a, pi/2], which is empty for tau <= -pi/4
-    rho = math.nan
-    if start < math.pi / 2.0:
-        try:
-            theta = solve_bracketed(f, start, math.pi / 2.0)
-            rho = _elias_x(theta, tau)
-        except BracketError:
-            pass  # no sign change on the piece: no root
+    rho = _elias_x(theta, tau) if theta >= 2.0 * a + 1e-6 else math.nan
     if not (lo - 1e-12 <= rho <= hi and rho >= a):
         raise BracketError(f"no sign change of the decoding-radius equation on [{lo}, {hi}]")
-    return max(rho, lo), theta
+    return max(rho, lo)
 
 
 @lru_cache(maxsize=256)
@@ -326,21 +324,23 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
     R* is where the neighbor angle of the decoding radius reaches theta_1.
     In closed form, with x_1 = x(theta_1) from the inverse of the neighbor-
     angle equation (see ``elias_theta``), R* = -ln sin(theta_1) - 1/2 ln(1 -
-    tan^2(theta_1/2 + tau) / tan^2 x_1). It is kept only if it lies in
-    [1e-4, C - 1e-9] and ``decoding_radius(R*)`` reproduces x_1 within 1e-8;
-    otherwise BracketError. ``residuals`` holds the stationarity residual at
-    theta_1 and elias_theta(rho(R*)) - theta_1."""
+    tan^2(theta_1/2 + tau) / tan^2 x_1). Below capacity C, (theta_1, x_1)
+    must pass the radius acceptance rule ``_kept_radius``; at or above C no
+    rate solves a radius, theta_2 lies below every theta_s(R), and the
+    straight regime runs to C. BracketError unless R* is finite, >= 1e-4
+    and passes. ``residuals``: stationarity at theta_1, elias_theta(x_1) -
+    theta_1."""
     te, tc = shannon_angles(ch)
     theta_1, resid_t1 = _expurgation_angle(tau, ch)
     x_1 = _elias_x(theta_1, tau)
     try:
         r_star = -_radius_residual(theta_1, x_1, 0.0, tau)
+        if r_star < ch.capacity:
+            _kept_radius(theta_1, r_star, tau)
+        resid_r = elias_theta(x_1, tau) - theta_1
     except (ValueError, ZeroDivisionError):
         r_star = math.nan
-    if not 1e-4 <= r_star <= ch.capacity - 1e-9:
-        raise BracketError("no root for the straight-line/sphere-packing rate boundary")
-    rho = decoding_radius(r_star, tau, ch)
-    if abs(rho - x_1) > 1e-8:
+    if not 1e-4 <= r_star < math.inf:
         raise BracketError("no root for the straight-line/sphere-packing rate boundary")
     return SphericalLandmarks(
         theta_e=te,
@@ -348,7 +348,7 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
         theta_1=theta_1,
         theta_2=theta_s(r_star),
         R_star=r_star,
-        residuals={"theta_1": resid_t1, "R_star": elias_theta(rho, tau) - theta_1},
+        residuals={"theta_1": resid_t1, "R_star": resid_r},
     )
 
 

@@ -34,7 +34,11 @@ def entropy_vec(x):
 def tradeoff_grid_oracle(R, p, tau, sign, n_omega=400, n_ij=300):
     """Exponent of the asymptotic union bound by brute grid minimization over
     (codeword weight, on-support errors, off-support errors), plus the tail
-    beyond the decoding radius. Independent of the closed-form regimes."""
+    beyond the decoding radius. Independent of the closed-form regimes.
+
+    One array pass over all weights: T is affine, so the objective at (w, i,
+    j) is a(w, i) + b(w, j) + c(w), and the constraint i + j <= r keeps a
+    prefix of each weight's j grid, whose minimum is a running minimum of b."""
     dgv = delta_gv(R)
     r = dgv + sign * 2.0 * tau
     lp, lq = math.log2(p), math.log2(1.0 - p)
@@ -42,21 +46,21 @@ def tradeoff_grid_oracle(R, p, tau, sign, n_omega=400, n_ij=300):
     def T(x):
         return -x * lp - (1.0 - x) * lq
 
-    best = math.inf
-    for w in np.linspace(dgv, 1.0, n_omega):
-        w = float(w)
-        i_lo = max(w / 2.0 + sign * tau, 0.0)
-        i_hi = min(w, r)
-        if i_lo > i_hi or w <= 0.0:
-            continue
-        i = np.linspace(i_lo, i_hi, n_ij)[:, None]
-        j = np.linspace(0.0, 1.0 - w, n_ij)[None, :]
-        cnt = w * entropy_vec(i / w)
-        if w < 1.0:
-            cnt = cnt + (1.0 - w) * entropy_vec(j / (1.0 - w))
-        val = T(i + j) - cnt - h(w) + (1.0 - R)
-        val = np.where(i + j <= r + 1e-12, val, np.inf)
-        best = min(best, float(np.min(val)))
+    w = np.linspace(dgv, 1.0, n_omega)
+    i_lo = np.maximum(w / 2.0 + sign * tau, 0.0)
+    i_hi = np.minimum(w, r)
+    keep = (i_lo <= i_hi) & (w > 0.0)
+    w = w[keep, None]
+    i = np.linspace(i_lo[keep], i_hi[keep], n_ij, axis=1)
+    t = np.linspace(0.0, 1.0, n_ij)  # the j grid of weight w is (1 - w) t
+    a = T(i) - T(0.0) - w * entropy_vec(i / w)
+    b = T((1.0 - w) * t) - (1.0 - w) * entropy_vec(t)
+    c = (1.0 - R) - entropy_vec(w)
+    # The prefix holds j = 0 at least, since i <= r; at w = 1 every j is 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.searchsorted(t, (r + 1e-12 - i) / (1.0 - w), side="right")
+    b_min = np.take_along_axis(np.minimum.accumulate(b, axis=1), k - 1, axis=1)
+    best = float(np.min(a + b_min + c, initial=math.inf))
     if r < 1.0:
         if r < p:
             return 0.0
@@ -535,3 +539,13 @@ class TestBoundedDistance:
         ok = bounded_distance_exponent(0.3, CH, 0.05)
         assert ok.valid and ok.regime == "a" and ok.reason is None
         assert ok.value > 0.0
+
+    @pytest.mark.parametrize("R, p, tau", [(0.03, 0.3, 0.45), (0.01, 0.2, 0.47)])
+    def test_gv_distance_below_margin_is_invalid(self, R, p, tau):
+        # Regime "a" at delta_gv(R) < tau has no error weight delta_gv - tau:
+        # valid=False with a reason, inside the documented tau in [0, 1/2].
+        b = bounded_distance_exponent(R, BscChannel(p), tau)
+        assert delta_gv(R) < tau
+        assert not b.valid and b.regime == "a" and b.value == 0.0
+        assert b.reason.startswith("GV distance")
+        assert isinstance(b.diagnostics["hypothesis_ok"], bool)

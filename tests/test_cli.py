@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -169,18 +170,31 @@ class TestLandmarks:
         assert all(abs(v) <= 1e-10 for v in obj["residuals"].values())
 
     def test_spherical_failure_record(self, tmp_path):
-        # R* lies above capacity at A = 64, tau = 0.1: an error record, exit 1.
+        # At A = 5, tau = 0.4, R* = 0.871 lies below capacity 0.896, but its
+        # radius x_1 lies outside the radius bracket: an error record, exit 1.
         rc, text = run(
-            tmp_path, "lm3.json", "landmarks", "--channel", "awgn", "--snr", "64", "--tau", "0.1"
+            tmp_path, "lm3.json", "landmarks", "--channel", "awgn", "--snr", "5", "--tau", "0.4"
         )
         assert rc == 1
         assert json.loads(text) == {
             "channel": "awgn",
             "error": "no root for the straight-line/sphere-packing rate boundary",
-            "snr": 64.0,
-            "tau": 0.1,
+            "snr": 5.0,
+            "tau": 0.4,
             "version": __version__,
         }
+
+    def test_spherical_boundary_past_capacity(self, tmp_path):
+        # At A = 64, tau = 0.1, R* lies above capacity: the landmarks still
+        # print, and the straight regime runs to capacity.
+        rc, text = run(
+            tmp_path, "lm5.json", "landmarks", "--channel", "awgn", "--snr", "64", "--tau", "0.1"
+        )
+        obj = json.loads(text)
+        assert rc == 0
+        assert obj["R_star"] == pytest.approx(2.33798, abs=1e-5)
+        assert obj["R_star"] > 0.5 * math.log1p(64.0)
+        assert all(abs(v) <= 1e-10 for v in obj["residuals"].values())
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # Only solver failures become an error record; a bug is not one.

@@ -570,7 +570,7 @@ class TestDecodingRadius:
         assert calls == []
         # A sphere-packing point of the trade-off bound takes its theta_star
         # diagnostic from the decoding-radius solve. The first call warms the
-        # memoized landmarks, which check their R* by one elias_theta.
+        # memoized landmarks, whose R* residual takes one elias_theta.
         for kind in ("error", "erasure"):
             tradeoff_exponent(0.7, CH4, 0.02, kind)
             calls.clear()
@@ -738,6 +738,45 @@ class TestLandmarks:
         assert 0.0 < lm.theta_2 < lm.theta_1 < math.pi / 2.0
         assert 0.0 < lm.R_star < CH4.capacity
 
+    def test_no_radius_solve(self, monkeypatch):
+        # R* is a closed form, checked by the radius acceptance rule without a
+        # radius solve, below capacity and above it alike.
+        def solve(*args):
+            raise AssertionError("radius solve")
+
+        monkeypatch.setattr(spherical, "decoding_radius", solve)
+        monkeypatch.setattr(spherical, "_radius_and_angle", solve)
+        spherical.spherical_landmarks.cache_clear()
+        for A, tau in ((4.0, 0.04), (4.0, -0.04), (64.0, 0.1)):
+            spherical_landmarks(tau, AwgnChannel(A))
+        with pytest.raises(BracketError, match="rate boundary"):
+            spherical_landmarks(0.4, AwgnChannel(5.0))
+        spherical.spherical_landmarks.cache_clear()
+
+    def test_rule_agrees_with_the_radius_solve(self):
+        # Below capacity the landmarks keep R* exactly when the radius solve
+        # at R* reproduces x_1 = x(theta_1), the check they made before.
+        verdicts = set()
+        for A in np.logspace(-1.0, 3.0, 9):
+            ch = AwgnChannel(float(A))
+            for tau in (0.0, 0.01, -0.01, 0.1, -0.1, 0.2, -0.2, 0.4, -0.4):
+                theta_1 = spherical._expurgation_angle(tau, ch)[0]
+                x_1 = _elias_x(theta_1, tau)
+                r_star = -_radius_residual(theta_1, x_1, 0.0, tau)
+                if not 1e-4 <= r_star < ch.capacity:
+                    continue
+                try:
+                    solved = abs(decoding_radius(r_star, tau, ch) - x_1) <= 1e-8
+                except BracketError:
+                    solved = False
+                try:
+                    kept = spherical_landmarks(tau, ch).R_star == r_star
+                except BracketError:
+                    kept = False
+                assert kept == solved, (A, tau)
+                verdicts.add(kept)
+        assert verdicts == {True, False}
+
 
 class TestFExponent:
     def test_zero_margin_full_radius(self):
@@ -886,16 +925,37 @@ class TestTradeoffExponent:
             assert out.value >= shifted - 1e-12
 
     def test_failure_stays_in_its_regime(self):
-        # At A=64, tau=0.1 the closed-form R* = 2.34 lies above capacity, so
-        # the landmarks fail; the expurgation regime needs only theta_1.
-        ch = AwgnChannel(64.0)
+        # Erasure kind at A=32, tau=0.2: R* = 0.712 lies below capacity, but
+        # its radius x_1 fails the acceptance rule, so the landmarks fail. The
+        # expurgation regime needs only theta_1 and stays valid below
+        # R(theta_1); above it every rate says why it is invalid.
+        ch = AwgnChannel(32.0)
         with pytest.raises(BracketError, match="rate boundary"):
-            spherical_landmarks(0.1, ch)
-        low = tradeoff_exponent(1.5, ch, 0.1, "error")
-        assert low.valid and low.regime == "expurgation" and low.reason is None
-        assert low.value == pytest.approx(16.0 * (1.0 - math.cos(theta_s(1.5) + 0.2)))
-        high = tradeoff_exponent(2.0, ch, 0.1, "error")
-        assert not high.valid and "rate boundary" in high.reason
+            spherical_landmarks(-0.2, ch)
+        r1 = rate_of_angle(spherical._expurgation_angle(-0.2, ch)[0])
+        assert r1 == pytest.approx(0.5887, abs=1e-4)
+        for R in np.linspace(0.05, ch.capacity, 25):
+            v = tradeoff_exponent(float(R), ch, 0.2, "erasure")
+            if R < r1:
+                assert v.valid and v.regime == "expurgation" and v.reason is None
+                assert v.value == pytest.approx(8.0 * (1.0 - math.cos(theta_s(R) - 0.4)))
+            else:
+                assert not v.valid
+                assert v.reason == "no root for the straight-line/sphere-packing rate boundary"
+
+    @pytest.mark.parametrize(
+        "A, tau", [(32.0, 0.1), (64.0, 0.1), (64.0, 0.08), (100.0, 0.1), (16.0, 0.2)]
+    )
+    def test_straight_regime_runs_to_capacity(self, A, tau):
+        # The closed-form R* lies above capacity: theta_2 lies below every
+        # theta_s(R), and the error kind is straight from R(theta_1) to C.
+        ch = AwgnChannel(A)
+        lm = spherical_landmarks(tau, ch)
+        assert lm.R_star > ch.capacity and lm.theta_2 < theta_s(ch.capacity)
+        r1 = rate_of_angle(lm.theta_1)
+        for R in np.linspace(r1, ch.capacity, 9)[1:]:
+            v = tradeoff_exponent(float(R), ch, tau, "error")
+            assert v.valid and v.regime == "straight", (R, v)
 
     def test_zero_margin_high_snr_is_shannon(self):
         # At tau = 0 the trade-off bound is the classical one; at A = 1e4 and
@@ -981,6 +1041,12 @@ class TestProfileExponent:
     @pytest.mark.parametrize("A, tau, rates", [
         (4.0, 0.02, (0.2, 0.35, 0.6)),
         (16.0, 0.05, (0.5, 1.06, 1.3)),
+        # R* above capacity: straight from R(theta_1) to C.
+        (32.0, 0.1, (1.45, 1.7)),
+        (64.0, 0.1, (1.9, 2.08)),
+        (64.0, 0.08, (1.8, 2.05)),
+        (100.0, 0.1, (2.15, 2.3)),
+        (16.0, 0.2, (1.2, 1.4)),
     ])
     def test_max_over_radius_oracle(self, A, tau, rates):
         # The trade-off bound is the packing-profile union bound at its best
@@ -988,10 +1054,15 @@ class TestProfileExponent:
         # exactly; in the sphere-packing regime the 400-point radius grid
         # falls short by up to its resolution; an invalid bound has no radius
         # with a positive exponent. The erasure kind negates the margin.
+        # Past capacity the error kind alone is checked: it must be straight.
         ch = AwgnChannel(A)
+        past_capacity = spherical_landmarks(tau, ch).R_star >= ch.capacity
+        kinds = (("error", tau),) if past_capacity else (("error", tau), ("erasure", -tau))
         for R in rates:
-            for kind, t in (("error", tau), ("erasure", -tau)):
+            for kind, t in kinds:
                 bound = tradeoff_exponent(R, ch, tau, kind)
+                if past_capacity:
+                    assert bound.valid and bound.regime == "straight", (R, bound)
                 oracle = self._max_over_radius(R, ch, t)
                 if not bound.valid:
                     assert oracle < 0.0
