@@ -6,6 +6,14 @@ error/erasure bounds, the improved trade-off pair M+/M-, bounds for a
 specific weight profile and for bounded-distance decoding. Every value is a
 closed form or an exact maximum over a finite set of weights; nothing here
 runs an optimizer, and only ``delta_gv`` solves an equation.
+
+A rate curve holds the channel and margin fixed, so what does not depend on
+the rate is memoized: ``delta_gv`` per R, and ``landmarks`` and
+``_breakpoints`` (capacity, validity floors, regime splits, regime-(b)
+constants) per (p, tau). A rate point computes only its rate's terms; no
+bound value is cached.
+The erasure member M- is invalid wherever its decoding radius delta_gv(R) -
+2 tau lies below p, in every regime.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +121,10 @@ def delta_gv(R: float) -> float:
     return entropy_inverse(1.0 - R)
 
 
+@lru_cache(maxsize=256)
 def landmarks(ch: BscChannel, tau: float = 0.0) -> BinaryLandmarks:
-    """Saddle weights and rate breakpoints of the binary bounds."""
+    """Saddle weights and rate breakpoints of the binary bounds, memoized per
+    (p, tau): every bound of every rate at one channel and margin reads them."""
     if not 0.0 <= tau < 0.5:
         raise ValueError(f"tau must lie in [0, 1/2), got {tau}")
     p, u = ch.p, ch.u
@@ -135,19 +146,61 @@ def landmarks(ch: BscChannel, tau: float = 0.0) -> BinaryLandmarks:
     )
 
 
+class _Member(NamedTuple):
+    """Rate-independent constants of M+ (sign +1) or M- (sign -1) at (p, tau)."""
+
+    floor: float  # lowest valid rate
+    R_a: float  # (a)/(b) split
+    R_b: float  # (b)/(c) split 1 - h_b
+    b0: float  # regime (b) is b0 - R - h_b, b0 = D(rho0s || p) + 1
+    h_b: float  # h(rho0s - 2 sign tau)
+
+
+class _Constants(NamedTuple):
+    capacity: float
+    e0_b: float  # E0 in regime (b) is e0_b - R, e0_b = D(rho0 || p) + R_c
+    plus: _Member
+    minus: _Member
+
+
+@lru_cache(maxsize=256)
+def _breakpoints(ch: BscChannel, tau: float) -> _Constants:
+    """The terms of E0 and of the trade-off pair that do not depend on the
+    rate, memoized per (p, tau) like ``landmarks``. M+ is valid from 1 - h(1/2
+    - tau); M- at every rate (floor -inf) if tau <= p/2, else at none (floor
+    +inf). R_a = 1 - h(omega0_tau). The (b)/(c) split is where the interior
+    saddle rho0s leaves the feasible range [dgv/2 + tau, dgv + 2 tau], i.e.
+    at dgv = rho0s - 2*sign*tau."""
+    lm = landmarks(ch, tau)
+    p = ch.p
+    R_a = 1.0 - h(lm.omega0_tau)
+    members = []
+    for sign, rho0s, floor in (
+        (1, lm.rho0_plus, 1.0 - h(0.5 - tau) - 1e-15),
+        (-1, lm.rho0_minus, -math.inf if tau <= p / 2.0 + 1e-15 else math.inf),
+    ):
+        # Both weights lie in [0, 1]; near tau = 1/2 rounding can put them
+        # a hair below 0.
+        rho0s = min(max(rho0s, 0.0), 1.0)
+        h_b = h(min(max(rho0s - 2.0 * sign * tau, 0.0), 1.0))
+        members.append(_Member(floor, R_a, 1.0 - h_b, _D(rho0s, p) + 1.0, h_b))
+    return _Constants(ch.capacity, _D(lm.rho0, p) + lm.R_c, *members)
+
+
 def gallager_exponent(R: float, ch: BscChannel) -> BinaryBoundValue:
     """Classical random-coding / expurgated lower bound E0(R, p), in bits."""
     lm = landmarks(ch, 0.0)
-    if R > ch.capacity + 1e-12:
-        reason = f"rate {R} above capacity {ch.capacity}"
+    capacity, e0_b = _breakpoints(ch, 0.0)[:2]
+    if R > capacity + 1e-12:
+        reason = f"rate {R} above capacity {capacity}"
         return BinaryBoundValue(0.0, "c", valid=False, reason=reason)
-    R = min(R, ch.capacity)
+    R = min(R, capacity)
     dgv = delta_gv(R)
     if R <= lm.R_e:
         value = -dgv * math.log2(2.0 * math.sqrt(ch.u))
         regime = "a"
     elif R <= lm.R_c:
-        value = _D(lm.rho0, ch.p) + lm.R_c - R
+        value = e0_b - R
         regime = "b"
     else:
         value = _D(dgv, ch.p)
@@ -186,58 +239,51 @@ def bz_bounds(
 
 def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoundValue:
     """M+ (sign=+1, undetected error) or M- (sign=-1, erasure)."""
-    p, u, nu = ch.p, ch.u, ch.nu
+    p = ch.p
     lm = landmarks(ch, tau)
+    k = _breakpoints(ch, tau)
+    m = k.plus if sign > 0 else k.minus
     rho0s = lm.rho0_plus if sign > 0 else lm.rho0_minus
-    omega0 = lm.omega0_tau
-
-    if sign > 0:
-        valid = R >= 1.0 - h(0.5 - tau) - 1e-15
-    else:
-        valid = tau <= p / 2.0 + 1e-15
-
     dgv = delta_gv(R)
-    # Regime boundaries: the (b)/(c) split is where the interior saddle
-    # rho0 leaves the feasible range [dgv/2 + tau, dgv + 2 tau], i.e. at
-    # dgv = rho0 - 2*sign*tau.
-    Ra = 1.0 - h(omega0)
-    inner = rho0s - 2.0 * sign * tau
-    Rb = 1.0 - h(inner) if 0.0 <= inner <= 1.0 else 1.0
+    # Regime (c)'s error weight; for M- it is the decoding radius dgv - 2 tau.
+    rho = dgv + 2.0 * sign * tau
 
-    if R <= Ra:
-        arg = 0.5 + tau / dgv if dgv > 0 else math.inf
+    if R <= m.R_a:
         regime = "a"
         diag = {"rho_typ": (1.0 - dgv) * p + dgv / 2.0 + sign * tau, "omega_typ": dgv}
+        arg = 0.5 + tau / dgv if dgv > 0 else math.inf
         if not 0.0 <= arg <= 1.0:
             return BinaryBoundValue(
                 0.0, regime, valid=False, diagnostics=diag,
                 reason=f"entropy argument {arg} outside [0, 1]",
             )
-        value = -dgv * (h(arg) + 0.5 * math.log2(u)) + sign * nu * tau
-    elif R <= Rb:
-        value = _D(rho0s, p) + 1.0 - R - h(rho0s - 2.0 * sign * tau)
+    elif R <= m.R_b:
         regime = "b"
-        diag = {"rho_typ": rho0s, "omega_typ": omega0}
+        diag = {"rho_typ": rho0s, "omega_typ": lm.omega0_tau}
     else:
-        rho = dgv + 2.0 * sign * tau
         regime = "c"
         diag = {
             "rho_typ": rho,
             "omega_typ": 2.0 * rho * (1.0 - rho) - 2.0 * sign * tau * (1.0 - 2.0 * rho),
         }
-        if sign < 0 and rho < p - 1e-15:
-            # Decoding radius below the typical noise weight (possibly even
-            # negative): the tail term has no exponential decay, so the bound
-            # degenerates.
-            return BinaryBoundValue(
-                0.0, regime, valid=False, diagnostics=diag,
-                reason=f"decoding radius {rho} below the crossover probability {p}",
-            )
+    if sign < 0 and rho < p - 1e-15:
+        # Decoding radius below the typical noise weight (possibly even
+        # negative): the tail term has no exponential decay, so no
+        # error-or-erasure exponent is positive, whatever the regime.
+        return BinaryBoundValue(
+            0.0, regime, valid=False, diagnostics=diag,
+            reason=f"decoding radius {rho} below the crossover probability {p}",
+        )
+    if regime == "a":
+        value = -dgv * (h(arg) + 0.5 * math.log2(ch.u)) + sign * ch.nu * tau
+    elif regime == "b":
+        value = m.b0 - R - m.h_b
+    else:
         value = _D(rho, p)
     if value < 0.0 and value > -1e-12:
         value = 0.0
     reason = None
-    if not valid:
+    if R < m.floor:
         reason = f"rate {R} below 1 - h(1/2 - tau)" if sign > 0 else f"tau {tau} above p/2"
     elif value < 0.0:
         reason = f"negative exponent {value}"

@@ -195,8 +195,8 @@ def elias_theta(x: float, tau: float) -> float:
     |tau| and is 1 at 2|tau|. It is monotone on each piece of the branch
     rule (see ``_elias_x``), so with a = max(-tau, 0) one bracketed solve
     finds the root: on (0, a) if x < a, else on [2a, pi/2 + 1e-9], whose top
-    end lets x = pi/2 return float pi/2. Both start at 1e-9 or above, so an
-    x within about 1e-9 of |tau|, whose root lies lower, raises BracketError.
+    end lets x = pi/2 return float pi/2. Both start at 1e-9, or at |x -
+    |tau|| / 2 when that is smaller, since the root lies near (4/3)|x - |tau||.
     For tau > 0 there is no root unless x > tau. ``decoding_radius`` never
     calls this; ``spherical_landmarks`` calls it once, on x_1, for the
     residual of R*.
@@ -206,10 +206,11 @@ def elias_theta(x: float, tau: float) -> float:
     if 0.0 < tau and x <= tau:
         raise ValueError(f"x must exceed tau > 0 (domain x > tau), got x={x}, tau={tau}")
     a = max(-tau, 0.0)
+    eps = min(1e-9, abs(x - abs(tau)) / 2.0)
     if x < a:
-        lo, hi = 1e-9, a
+        lo, hi = eps, a
     else:
-        lo, hi = max(2.0 * a, 1e-9), min(math.pi / 2.0 + 1e-9, math.pi - 2.0 * tau - 1e-9)
+        lo, hi = max(2.0 * a, eps), min(math.pi / 2.0 + 1e-9, math.pi - 2.0 * tau - 1e-9)
     cx2 = math.cos(x) ** 2
     return solve_bracketed(lambda th: _elias_c2(th, tau) - cx2, lo, hi)
 

@@ -130,6 +130,65 @@ class TestChannelAndLandmarks:
         assert len(solves) == len(rates)
         delta_gv.cache_clear()
 
+    def test_memo_is_invisible(self, monkeypatch):
+        # Every bound on a (p, tau, R) grid equals its value with the
+        # per-(channel, tau) constants recomputed on each call.
+        grid = [
+            (BscChannel(p), tau, float(R))
+            for p in (0.02, 0.07, 0.2, 0.45)
+            for tau in (0.0, 0.01, 0.03, 0.1)
+            for R in np.linspace(0.0, 1.0, 41)
+        ]
+
+        def bounds():
+            return [
+                (gallager_exponent(R, ch), *bz_bounds(R, ch, tau), *tradeoff_bounds(R, ch, tau))
+                for ch, tau, R in grid
+            ]
+
+        landmarks.cache_clear()
+        binary_module._breakpoints.cache_clear()
+        memoized = bounds()
+        for ch, tau, _ in grid[::41]:
+            assert landmarks.__wrapped__(ch, tau) == landmarks(ch, tau)
+        monkeypatch.setattr(binary_module, "landmarks", landmarks.__wrapped__)
+        monkeypatch.setattr(
+            binary_module, "_breakpoints", binary_module._breakpoints.__wrapped__
+        )
+        assert bounds() == memoized
+
+    def test_channel_constants_computed_once_per_curve(self, monkeypatch):
+        # The capacity h(p), the M+ floor h(1/2 - tau), and the regime splits
+        # h(omega0), h(omega0_tau) and h(rho0 -/+ 2 tau) enter the first rate
+        # point of a curve only; later points evaluate h at their own rate.
+        args = []
+
+        def counted(x):
+            args.append(x)
+            return h(x)
+
+        monkeypatch.setattr(binary_module, "h", counted)
+        landmarks.cache_clear()
+        binary_module._breakpoints.cache_clear()
+        tau = 0.03
+        per_point = []
+        for R in np.linspace(0.01, 0.6, 60):
+            args.clear()
+            gallager_exponent(float(R), CH)
+            bz_bounds(float(R), CH, tau)
+            tradeoff_bounds(float(R), CH, tau)
+            per_point.append(list(args))
+        lm = landmarks(CH, tau)
+        constants = {
+            CH.p, 0.5 - tau, landmarks(CH).omega0, lm.omega0_tau,
+            lm.rho0_plus - 2 * tau, lm.rho0_minus + 2 * tau,
+        }
+        assert constants <= set(per_point[0])
+        assert all(constants.isdisjoint(point) for point in per_point[1:])
+        assert max(len(point) for point in per_point[1:]) <= 6
+        landmarks.cache_clear()
+        binary_module._breakpoints.cache_clear()
+
 
 class TestEntropyFamily:
     def test_divergence_zero_on_diagonal(self):
@@ -329,6 +388,26 @@ class TestTradeoffBounds:
                 vals += tradeoff_bounds(R, ch, tau)
                 assert all(v.valid == (v.reason is None) for v in vals)
         assert "above capacity" in gallager_exponent(CH.capacity + 0.01, CH).reason
+
+    @pytest.mark.parametrize("R, regime", [(0.0, "a"), (0.0045, "b"), (0.0072, "b")])
+    def test_erasure_radius_below_crossover_is_invalid(self, R, regime):
+        # At p = 0.45, tau = 0.1 the decoding radius delta_gv(R) - 2 tau is at
+        # most 0.3 < p. M- once reported 0.0284 in regime (b) at R = 0.0045,
+        # where E0 is 3.2e-4, and 0.0257 at capacity 0.00722. The radius check
+        # applies in every regime and keeps the regime's diagnostics.
+        ch = BscChannel(0.45)
+        lm = landmarks(ch, 0.1)
+        dgv = delta_gv(R)
+        m_minus = tradeoff_bounds(R, ch, 0.1)[1]
+        assert (m_minus.value, m_minus.regime, m_minus.valid) == (0.0, regime, False)
+        assert m_minus.reason == (
+            f"decoding radius {dgv - 0.2} below the crossover probability 0.45"
+        )
+        assert m_minus.diagnostics == (
+            {"rho_typ": (1.0 - dgv) * 0.45 + dgv / 2.0 - 0.1, "omega_typ": dgv}
+            if regime == "a" else {"rho_typ": lm.rho0_minus, "omega_typ": lm.omega0_tau}
+        )
+        assert gallager_exponent(R, ch).valid
 
     @given(
         st.floats(min_value=0.02, max_value=0.45),

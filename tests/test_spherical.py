@@ -351,6 +351,19 @@ class TestEliasTheta:
         assert th == pytest.approx(0.0046277, abs=1e-7)
         assert abs(_elias_x(th, -0.005) - 1e-3) <= 1e-12
 
+    @pytest.mark.parametrize("tau", [0.2, -0.2, 0.05, -0.05])
+    @pytest.mark.parametrize("gap", [1e-15, 1e-12, 1e-10, 1e-9])
+    def test_root_next_to_margin(self, tau, gap):
+        # x within 1e-9 of |tau| (above tau > 0, below |tau| for tau < 0) has
+        # its root near 4/3 |x - |tau||, below 1e-9, where both brackets once
+        # started: such an x raised BracketError.
+        x = abs(tau) + (gap if tau > 0.0 else -gap)
+        th = elias_theta(x, tau)
+        assert 0.0 < th < 2e-9
+        assert abs(_elias_c2(th, tau) - math.cos(x) ** 2) <= 2.3e-16
+        if gap >= 1e-12:
+            assert abs(th / (4.0 / 3.0 * abs(x - abs(tau))) - 1.0) < 1e-2
+
     def test_one_bracketed_solve_per_angle(self, monkeypatch):
         # Each angle, the decoding radius's theta too, has a bracket holding
         # exactly one root: one solve, no sign scan.
