@@ -13,7 +13,9 @@ the rate is memoized: ``delta_gv`` per R, and ``landmarks`` and
 constants) per (p, tau). A rate point computes only its rate's terms; no
 bound value is cached.
 The erasure member M- is invalid wherever its decoding radius delta_gv(R) -
-2 tau lies below p, in every regime.
+2 tau lies below p, in every regime. The bounded-distance exponent is the
+union bound over the decoding ball's largest term, which has a closed form on
+each side of its split.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import BoundValue, _log2_factorials, _log2_pmf, binary_entropy as h, entropy_inverse
+from .numerics import BoundValue, binary_entropy as h, entropy_inverse
 
 __all__ = [
     "BscChannel",
@@ -44,7 +46,6 @@ __all__ = [
 ]
 
 _GV_KNOTS = 2001  # knots of ``WeightProfile.gv_ensemble``
-_CHECK_N = 128  # length of the dominance check of ``bounded_distance_exponent``
 
 
 @dataclass(frozen=True)
@@ -392,51 +393,39 @@ def specific_code_bound(profile: WeightProfile, R: float, ch: BscChannel) -> flo
 
 
 def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BinaryBoundValue:
-    """Exponent of bounded-distance margin decoding: regime "a" at rates up
-    to the split 1 - h(p + tau (1 - p)), "b" above it. A negative exponent is
-    returned with valid=False, and so is regime "a" where delta_gv(R) < tau,
-    which leaves no error weight delta_gv - tau. ``diagnostics["hypothesis_ok"]``
-    is a check at length ``_CHECK_N`` (128) that the single-term dominance
-    hypothesis behind the bound holds.
+    """Exponent of bounded-distance decoding at radius tau: the union bound
+    over codeword weights of the decoding ball's largest term. In fractions
+    of n, the codeword has weight omega, a of its ones stay unflipped and b
+    of its zeros are flipped, a + b <= tau. Above the split R = 1 - h(omega*),
+    omega* = p + tau (1 - 2p), the term peaks at weight omega* with a = tau q,
+    b = tau p, and the value is the ball-volume exponent 1 - R - h(tau)
+    (regime "b"). At and below it, omega = delta_gv(R), a + b = tau and b is
+    the positive root of A b^2 + B b - C with A = q^2 - p^2, B = q^2 (omega -
+    tau) + p^2 (1 - omega + tau) and C = p^2 tau (1 - omega), taken as 2C /
+    (B + sqrt(B^2 + 4AC)) so that nothing cancels (regime "a"). ``diagnostics``
+    holds the maximizing type {"omega", "a", "b"}. A negative exponent is
+    returned with valid=False.
     """
     if not 0.0 <= tau <= 0.5:
         raise ValueError(f"tau must lie in [0, 1/2], got {tau}")
-    p = ch.p
-    diag = {"hypothesis_ok": _bounded_distance_hypothesis(R, ch, tau, _CHECK_N)}
-    split = 1.0 - h(min(p + tau * (1.0 - p), 1.0))
-    if R <= split:
-        dgv = delta_gv(R)
-        if dgv < tau:
-            return BinaryBoundValue(
-                0.0, "a", valid=False, diagnostics=diag,
-                reason=f"GV distance {dgv} below the margin tau {tau}",
-            )
-        value = _T(dgv - tau, p) - dgv * h(min(tau / dgv, 1.0)) if dgv > 0 else 0.0
+    p, q = ch.p, 1.0 - ch.p
+    omega = p + tau * (1.0 - 2.0 * p)
+    if R <= 1.0 - h(omega):
         regime = "a"
+        # delta_gv >= omega* >= tau, so a = tau - b <= omega and b <= 1 - omega.
+        omega = delta_gv(R)
+        B = q * q * (omega - tau) + p * p * (1.0 - omega + tau)
+        C = p * p * tau * (1.0 - omega)
+        b = 2.0 * C / (B + math.sqrt(B * B + 4.0 * (q * q - p * p) * C))
+        a = tau - b
+        value = _T(omega - a + b, p) - omega * h(a / omega) - (1.0 - omega) * h(b / (1.0 - omega))
     else:
-        value = 1.0 - R - h(tau) - tau * math.log2(1.0 - p)
         regime = "b"
+        a, b = tau * q, tau * p
+        value = 1.0 - R - h(tau)
+    diag = {"omega": omega, "a": a, "b": b}
     reason = f"negative exponent {value}" if value < 0.0 else None
     return BinaryBoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
-
-
-def _bounded_distance_hypothesis(R: float, ch: BscChannel, tau: float, n: int) -> bool:
-    """Check on a length-n grid that for every w >= d the double sum over
-    (i, l) is dominated by its (i, l) = (w - t, 0) term."""
-    p = ch.p
-    t = int(round(tau * n))
-    d = max(1, int(math.floor(delta_gv(R) * n)))
-    lp, lq = math.log2(p), math.log2(1.0 - p)
-    lf = _log2_factorials(n)
-    for w in range(d, n + 1):
-        # Terms over i >= max(ceil(w/2), w - t) (rows) and ell <= t (columns);
-        # another beats the first only by more than a relative 1e-12: rounding breaks no tie.
-        i = np.arange(max(math.ceil(w / 2), w - t), w + 1)[:, None]
-        ell = np.arange(min(t, n - w) + 1)
-        lt = _log2_pmf(lf, w, i, lp, lq) + _log2_pmf(lf, n - w, ell, lp, lq)
-        if lt.max() - lt[0, 0] > 1e-12 * abs(lt[0, 0]):
-            return False
-    return True
 
 
 def typical_error_geometry(

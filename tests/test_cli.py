@@ -467,6 +467,28 @@ class TestValidate:
         assert failed == [f"FAIL  {check}"]
         assert text.endswith("\n1 FAILED\n")
 
+    def test_defect_floor(self, tmp_path, monkeypatch):
+        # The oracle's total probability is one up to its summation order: a
+        # few ulps more leave the report as it is, and a defect above the
+        # 1e-14 floor is printed with its digits.
+        rc, base = run(tmp_path, "v4.txt", "validate")
+        assert rc == 0
+        assert "PASS  oracle total probability: defect<1e-14 tol=1e-12\n" in base
+        oracle = finite.exact_margin_probability
+
+        def shifted(shift):
+            def patched(*args):
+                pc, pu, pe = oracle(*args)
+                return pc + shift, pu, pe
+            return patched
+
+        monkeypatch.setattr(finite, "exact_margin_probability", shifted(4e-16))
+        assert run(tmp_path, "v5.txt", "validate") == (0, base)
+        monkeypatch.setattr(finite, "exact_margin_probability", shifted(1e-13))
+        rc, text = run(tmp_path, "v6.txt", "validate")
+        assert rc == 0
+        assert "PASS  oracle total probability: defect=1.0" in text
+
     def test_no_perturbation_flag(self, tmp_path):
         rc, text = run(tmp_path, "v3.txt", "validate", "--perturb-g", "1e-3")
         assert rc == 2 and text == ""
