@@ -403,11 +403,15 @@ def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BinaryBou
     the positive root of A b^2 + B b - C with A = q^2 - p^2, B = q^2 (omega -
     tau) + p^2 (1 - omega + tau) and C = p^2 tau (1 - omega), taken as 2C /
     (B + sqrt(B^2 + 4AC)) so that nothing cancels (regime "a"). ``diagnostics``
-    holds the maximizing type {"omega", "a", "b"}. A negative exponent is
-    returned with valid=False.
+    holds the maximizing type {"omega", "a", "b"}. A negative exponent or a
+    rate outside [0, 1] is returned with valid=False.
     """
     if not 0.0 <= tau <= 0.5:
         raise ValueError(f"tau must lie in [0, 1/2], got {tau}")
+    if not 0.0 <= R <= 1.0:
+        return BinaryBoundValue(
+            0.0, "a" if R < 0.0 else "b", valid=False, reason=f"rate {R} outside [0, 1]"
+        )
     p, q = ch.p, 1.0 - ch.p
     omega = p + tau * (1.0 - 2.0 * p)
     if R <= 1.0 - h(omega):

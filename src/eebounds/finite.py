@@ -371,5 +371,6 @@ def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, floa
     prob_w = p ** np.arange(n + 1) * (1.0 - p) ** np.arange(n, -1, -1)
     leader = prob_w[d1]
     # Rounding can leave a coset's sum a few ulps below its leader's term.
-    p_und = np.maximum(coset - leader, 0.0) @ decoded
-    return float(leader @ decoded), float(p_und), float(coset @ ~decoded)
+    p_und = np.maximum(coset - leader, 0.0)[decoded].sum()
+    # Pairwise sums, not BLAS dots: over 2^20 cosets a dot gives P_correct = 1 + 1.6e-13.
+    return float(leader[decoded].sum()), float(p_und), float(coset[~decoded].sum())

@@ -11,6 +11,15 @@ AWGN trial is decided from its two largest inner products with the codebook,
 computed in row slices of a block so that the (trials x M) products stay
 small. A cone-exit trial draws only its sufficient statistic: the noise along
 the signal and the chi-square energy of the rest.
+
+Threads: ``workers`` is the number of threads a simulation keeps busy, and
+blocks are spread over them. The AWGN inner products are GEMMs of at most
+2^18 multiply-adds (32 trials against at most 2^13 / n codebook points each,
+for n <= 2^13). That is the size up to which OpenBLAS runs a GEMM on the
+calling thread (SMP_THRESHOLD_MIN x GEMM_MULTITHREAD_THRESHOLD in its
+gemm.c). A larger product would wake OpenBLAS's own thread pool, which
+competes with the workers and then spins for about 0.2 s after each call,
+slowing whatever runs next.
 """
 
 from __future__ import annotations
@@ -54,6 +63,8 @@ __all__ = [
 
 _BLOCK = 1 << 14
 _DOTS_BUDGET = 1 << 18  # elements of one (rows x M) slice of AWGN inner products
+_GEMM_MADDS = 1 << 18  # multiply-adds of one AWGN inner-product GEMM (OpenBLAS: caller thread)
+_GEMM_ROWS = 32  # trials of one inner-product GEMM
 _DRAW_BUDGET = 1 << 16  # uniforms of one (rows x n) slice of BSC error draws
 _MAX_K = 26
 
@@ -230,6 +241,34 @@ def _run_blocks(fn, trials: int, workers: int) -> np.ndarray:
     return np.sum(parts, axis=0)
 
 
+def _pieces(size: int, step: int) -> list[tuple[int, int]]:
+    """[0, size) as its whole steps and the rest, each nonempty."""
+    whole = size - size % step
+    return [(lo, hi) for lo, hi in ((0, whole), (whole, size)) if hi > lo]
+
+
+def _inner_products(y: np.ndarray, columns: np.ndarray, out: np.ndarray) -> None:
+    """out = y @ columns, with the codebook as a C-ordered (n, M) array, in
+    GEMMs of ``_GEMM_ROWS`` rows of y against chunks of ``width`` columns (a
+    one-row rest is a matrix-vector product of at most 2^13 entries, also on
+    the calling thread). Each piece (whole row groups or the rest, against
+    whole chunks or the rest) is one broadcast matmul, (groups, 1, rows, n) @
+    (chunks, n, cols) -> (groups, chunks, rows, cols), written through a view
+    of ``out``, so numpy loops over the GEMMs without copying."""
+    n, M = columns.shape
+    width = min(M, max(1, _GEMM_MADDS // (_GEMM_ROWS * n)))
+    for r0, r1 in _pieces(len(y), _GEMM_ROWS):
+        rows = min(_GEMM_ROWS, r1 - r0)
+        for c0, c1 in _pieces(M, width):
+            cols = min(width, c1 - c0)
+            dest = out[r0:r1, c0:c1].reshape(-1, rows, (c1 - c0) // cols, cols)
+            np.matmul(
+                y[r0:r1].reshape(-1, 1, rows, n),
+                columns[:, c0:c1].reshape(n, -1, cols).transpose(1, 0, 2),
+                out=dest.transpose(0, 2, 1, 3),
+            )
+
+
 def _tally(decoded: np.ndarray, correct: np.ndarray) -> np.ndarray:
     """(correct, undetected, erasure) counts of one block of trials."""
     c, d = np.count_nonzero(decoded & correct), np.count_nonzero(decoded)
@@ -302,10 +341,14 @@ def simulate_awgn(
     The angle arccos(clip(<y, x> / (|y| |x|))) is a nonincreasing function of
     the inner product <y, x>, so the two least angles of a trial are those of
     its two largest inner products. Only those two and the sent point's are
-    turned into angles; the tallies equal those of the full angle matrix."""
+    turned into angles; the tallies equal those of the full angle matrix.
+    The inner products are caller-thread GEMMs (see the module docstring)."""
     if tau < 0.0:
         raise ValueError(f"margin must be nonnegative, got {tau}")
     pts = codebook.points
+    # GEMMs on chunks of this copy run as fast as one whole product; on
+    # chunks of the transposed view pts.T they ran about 30% slower.
+    columns = np.ascontiguousarray(pts.T)
     norm_pts = math.sqrt(codebook.A * codebook.n)
     step = max(1, _DOTS_BUDGET // codebook.M)
 
@@ -318,7 +361,8 @@ def simulate_awgn(
         top = np.empty((size, 3 if codebook.M > 1 else 2))
         for lo in range(0, size, step):
             part = slice(lo, lo + step)
-            dots = y[part] @ pts.T
+            dots = np.empty((min(step, size - lo), codebook.M))
+            _inner_products(y[part], columns, dots)
             rows = np.arange(len(dots))
             best = dots.argmax(axis=1)
             top[part, 0] = dots[rows, sent[part]]

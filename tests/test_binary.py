@@ -658,3 +658,10 @@ class TestBoundedDistance:
         assert not b.valid and b.regime == "b"
         assert b.value == pytest.approx(1.0 - R - h(tau), abs=1e-15) and b.value < -0.007
         assert b.reason.startswith("negative exponent")
+
+    @pytest.mark.parametrize("R, regime", [(-0.1, "a"), (1.5, "b")])
+    def test_rate_outside_unit_interval_is_invalid(self, R, regime):
+        # R < 0 once raised from delta_gv; R > 1 once read "negative exponent".
+        b = bounded_distance_exponent(R, CH, 0.05)
+        assert not b.valid and b.regime == regime
+        assert b.reason == f"rate {R} outside [0, 1]"

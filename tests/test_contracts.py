@@ -102,12 +102,17 @@ class TestBinary:
             assert_nonincreasing(p1, p2)
 
     @contract
-    @given(rate, crossover, st.floats(0.0, 0.5))
-    # Regime "a" with delta_gv(R) < tau once raised "x must lie in [0, 1]".
+    @given(st.one_of(rate, st.floats(-1.0, 2.0)), crossover, st.floats(0.0, 0.5))
+    # Regime "a" with delta_gv(R) < tau once raised "x must lie in [0, 1]";
+    # R < 0 once raised from delta_gv.
     @example(0.03, 0.3, 0.45)
     @example(0.01, 0.2, 0.47)
+    @example(-0.1, 0.07, 0.05)
+    @example(1.5, 0.07, 0.05)
     def test_bounded_distance_exponent(self, R, p, tau):
-        assert_contract(bounded_distance_exponent(R, BscChannel(p), tau))
+        v = bounded_distance_exponent(R, BscChannel(p), tau)
+        assert_contract(v)
+        assert 0.0 <= R <= 1.0 or not v.valid, v
 
     @contract
     @given(crossover, rate, rate, st.floats(0.0, 0.5), st.floats(0.0, 0.5))

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import eebounds
 from eebounds.finite import exact_margin_probability
 from eebounds.simulate import (
     LinearCode,
@@ -252,37 +256,79 @@ class TestSimulateBsc:
         assert t1.undetected < t0.undetected
 
 
-# (name, codebook, tau, (correct, undetected, erasure)) at seed=1 and 40,000 trials,
-# recorded from the full (trials, M) angle matrix; deciding from the two
-# largest inner products must reproduce them exactly. The codebook with a
-# repeated point ties whenever that point wins, so the strict tie rule erases.
+# (name, codebook, tau, trials, (correct, undetected, erasure)) at seed=1. The
+# 40,000-trial rows were recorded from the full (trials, M) angle matrix;
+# deciding from the two largest inner products must reproduce them exactly.
+# The codebook with a repeated point ties whenever that point wins, so the
+# strict tie rule erases. The rows after them were recorded from one (rows x M)
+# product per row slice, which the caller-thread GEMMs must reproduce: trials
+# that are not a multiple of the 32-row group, codebooks split into column
+# chunks (BPSK [24,12], M=1100) and wide n.
 _M1 = SphericalCodebook.random(1, 8, 4.0, 5)
 _M2 = SphericalCodebook.random(2, 6, 1.0, 7)
 _REPEATED = SphericalCodebook(3, 6, 1.0, _M2.points[[0, 0, 1]])
 _BPSK84 = SphericalCodebook.binary(gen_linear_code(8, 4, 0), 1.0)
+_BPSK24 = SphericalCodebook.binary(gen_linear_code(24, 12, 0), 1.0)
 PINNED_AWGN_TALLIES = [
-    ("M256-n32", SphericalCodebook.random(256, 32, 1.0, 100), 0.05, (37193, 61, 2746)),
-    ("M1", _M1, 0.0, (40000, 0, 0)),
-    ("M1", _M1, 0.05, (40000, 0, 0)),
-    ("M2", _M2, 0.0, (37574, 2426, 0)),
-    ("M2", _M2, 0.05, (36567, 1676, 1757)),
-    ("repeated", _REPEATED, 0.0, (12652, 1621, 25727)),
-    ("repeated", _REPEATED, 0.05, (12311, 1109, 26580)),
-    ("bpsk-8-4", _BPSK84, 0.0, (31967, 8033, 0)),
-    ("bpsk-8-4", _BPSK84, 0.05, (28250, 4240, 7510)),
+    ("M256-n32", SphericalCodebook.random(256, 32, 1.0, 100), 0.05, 40_000, (37193, 61, 2746)),
+    ("M1", _M1, 0.0, 40_000, (40000, 0, 0)),
+    ("M1", _M1, 0.05, 40_000, (40000, 0, 0)),
+    ("M2", _M2, 0.0, 40_000, (37574, 2426, 0)),
+    ("M2", _M2, 0.05, 40_000, (36567, 1676, 1757)),
+    ("repeated", _REPEATED, 0.0, 40_000, (12652, 1621, 25727)),
+    ("repeated", _REPEATED, 0.05, 40_000, (12311, 1109, 26580)),
+    ("bpsk-8-4", _BPSK84, 0.0, 40_000, (31967, 8033, 0)),
+    ("bpsk-8-4", _BPSK84, 0.05, 40_000, (28250, 4240, 7510)),
+    ("M256-n32-odd", SphericalCodebook.random(256, 32, 1.0, 100), 0.05, 2 * 2**14 + 77,
+     (30557, 51, 2237)),
+    ("M37-n11", SphericalCodebook.random(37, 11, 4.0, 3), 0.02, 40_001, (39731, 86, 184)),
+    ("bpsk-24-12", _BPSK24, 0.02, 20_000, (11953, 2529, 5518)),
+    ("M48-n600", SphericalCodebook.random(48, 600, 0.05, 4), 0.02, 20_000, (19554, 1, 445)),
+    ("M1100-n256", SphericalCodebook.random(1100, 256, 0.1, 8), 0.01, 3_001, (2722, 51, 228)),
 ]
+
+# One simulate_awgn call, then idle time: OpenBLAS threads that a large GEMM
+# wakes keep spinning after the call returns. The first sleep lets the threads
+# that OpenBLAS starts at import settle first.
+ONE_CORE = """
+import time
+from eebounds.simulate import SphericalCodebook, simulate_awgn
+book = SphericalCodebook.random(256, 32, 1.0, 100)
+time.sleep(0.3)
+cpu, wall = time.process_time(), time.perf_counter()
+simulate_awgn(book, 0.05, 4 * 2**14, seed=1, workers=1)
+wall = time.perf_counter() - wall
+time.sleep(0.2)
+print((time.process_time() - cpu) / wall)
+"""
+OPENBLAS = "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
 
 
 class TestSimulateAwgn:
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize(
-        "name,codebook,tau,expected",
+        "name,codebook,tau,trials,expected",
         PINNED_AWGN_TALLIES,
-        ids=[f"{name}-tau{tau}" for name, _, tau, _ in PINNED_AWGN_TALLIES],
+        ids=[f"{name}-tau{tau}" for name, _, tau, *_ in PINNED_AWGN_TALLIES],
     )
-    def test_pinned_tallies(self, name, codebook, tau, expected, workers):
-        tally = simulate_awgn(codebook, tau, 40_000, seed=1, workers=workers)
+    def test_pinned_tallies(self, name, codebook, tau, trials, expected, workers):
+        tally = simulate_awgn(codebook, tau, trials, seed=1, workers=workers)
         assert (tally.correct, tally.undetected, tally.erasure) == expected
+
+    @pytest.mark.skipif(not OPENBLAS, reason="numpy's BLAS is not OpenBLAS")
+    def test_one_worker_keeps_one_core(self):
+        # A product past OpenBLAS's single-thread GEMM size (2^18 multiply-adds)
+        # wakes its thread pool, which then spins: about 3x the call's time.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(eebounds.__file__)))
+        thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", ONE_CORE], env=env, capture_output=True, text=True, check=True
+        )
+        assert float(out.stdout) <= 1.3
 
     def test_deterministic_across_workers(self):
         cb = SphericalCodebook.random(16, 12, 4.0, 2)
