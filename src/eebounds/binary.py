@@ -12,10 +12,11 @@ the rate is memoized: ``delta_gv`` per R, and ``landmarks`` and
 ``_breakpoints`` (capacity, validity floors, regime splits, regime-(b)
 constants) per (p, tau). A rate point computes only its rate's terms; no
 bound value is cached.
-The erasure member M- is invalid wherever its decoding radius delta_gv(R) -
-2 tau lies below p, in every regime. The bounded-distance exponent is the
-union bound over the decoding ball's largest term, which has a closed form on
-each side of its split.
+Each member of the pair is invalid wherever its radius delta_gv(R) +- 2 tau
+(+ for M+, - for the erasure member M-) lies below p, in every regime: at
+tau = 0, M+ is then invalid above capacity, as E0 is. The bounded-distance
+exponent is the union bound over the decoding ball's largest term, which has
+a closed form on each side of its split.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "BinaryBoundValue",
     "BinaryLandmarks",
     "WeightProfile",
+    "delta_gv",
     "entropy_family",
     "gallager_exponent",
     "landmarks",
@@ -267,10 +269,10 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
             "rho_typ": rho,
             "omega_typ": 2.0 * rho * (1.0 - rho) - 2.0 * sign * tau * (1.0 - 2.0 * rho),
         }
-    if sign < 0 and rho < p - 1e-15:
-        # Decoding radius below the typical noise weight (possibly even
-        # negative): the tail term has no exponential decay, so no
-        # error-or-erasure exponent is positive, whatever the regime.
+    if rho < p - 1e-15:
+        # Radius dgv +- 2 tau below the typical noise weight (for M- possibly
+        # even negative): the tail P(wt(e) > rho n) tends to 1, so neither
+        # member has a positive exponent, whatever the regime.
         return BinaryBoundValue(
             0.0, regime, valid=False, diagnostics=diag,
             reason=f"decoding radius {rho} below the crossover probability {p}",

@@ -109,6 +109,7 @@ def triangle_count(n: int, k: int, i: int, j: int) -> int:
 
 
 _ROW_BUDGET = 1 << 14  # elements of one (weights x terms) block of the union bounds
+_QUAD_POINTS = 2048  # midpoint-rule nodes per weight of ``awgn_union_bound``
 
 
 def binary_union_bound(
@@ -180,23 +181,20 @@ def awgn_union_bound(
     ch: AwgnChannel,
     tau: float,
     rho: float,
-    quad_points: int = 2048,
 ) -> float:
     """ln of the finite-n tangential-sphere style union bound for a binary
     spherical code with the given Hamming spectrum.
 
-    Weight w contributes A_w times a ``quad_points``-node midpoint rule over
+    Weight w contributes A_w times a ``_QUAD_POINTS``-node midpoint rule over
     the cone angles from its cone start theta_w / 2 + tau to rho. The
-    integrands are evaluated in blocks of ``_ROW_BUDGET // quad_points``
-    weights (at least one) by ``quad_points`` nodes, so memory stays bounded
-    at any n, and each row is summed by a row-wise log-sum-exp. The tail
-    beyond rho is ``spherical._tail``: ValueError below the capacity angle.
+    integrands are evaluated in blocks of ``_ROW_BUDGET // _QUAD_POINTS``
+    weights by ``_QUAD_POINTS`` nodes, so memory stays bounded at any n, and
+    each row is summed by a row-wise log-sum-exp. The tail beyond rho is
+    ``spherical._tail``: ValueError below the capacity angle.
     """
     n = hamming_wd.n
     if not 0.0 < rho < math.pi / 2.0:
         raise ValueError(f"decoding radius must lie in (0, pi/2), got {rho}")
-    if quad_points < 1:
-        raise ValueError(f"quad_points must be at least 1, got {quad_points}")
     if n < 2:
         raise ValueError(f"dimension n must be at least 2, got {n}")
     tail = -n * _tail(rho, ch)
@@ -217,14 +215,14 @@ def awgn_union_bound(
         math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi) - math.log(n - 1)
     )
     tan_half = np.array([math.tan(h) for h in half])
-    log_step = np.array([math.log((rho - h) / quad_points) for h in half])
-    nodes = np.arange(quad_points) + 0.5
+    log_step = np.array([math.log((rho - h) / _QUAD_POINTS) for h in half])
+    nodes = np.arange(_QUAD_POINTS) + 0.5
     pieces = np.empty(len(half))
-    rows = max(1, _ROW_BUDGET // quad_points)
+    rows = _ROW_BUDGET // _QUAD_POINTS
     for s in range(0, len(half), rows):
         b = slice(s, s + rows)
         h = half[b, None]
-        phis = h + nodes * (rho - h) / quad_points
+        phis = h + nodes * (rho - h) / _QUAD_POINTS
         tan_ratio = tan_half[b, None] / np.tan(phis)
         sin_x = np.sqrt(np.maximum(1.0 - tan_ratio**2, 0.0))
         with np.errstate(divide="ignore"):
@@ -266,16 +264,22 @@ def _distances(code, info: np.ndarray, par: np.ndarray) -> np.ndarray:
     """Distances (B, 2^k) from words with info bits ``info`` (B,) and packed
     parity bits ``par`` (B, W) to every codeword of the systematic ``code``, in
     message order: popcount(info ^ u) + popcount(par ^ su[u]), su[u] being the
-    parity bits of u. Chunks hold 2^_BUDGET_BITS elements (or one row)."""
-    su = _span(_syndrome_columns(code)[: code.k])
-    msgs = np.arange(len(su), dtype=np.uint64)
-    out = np.empty((len(info), len(su)), dtype=np.uint16)
-    step = max(1, (1 << _BUDGET_BITS) >> code.k)
-    for lo in range(0, len(info), step):
-        block = out[lo : lo + step]
-        np.bitwise_count(info[lo : lo + step, None] ^ msgs, out=block)
-        for w in range(su.shape[1]):
-            block += np.bitwise_count(par[lo : lo + step, w, None] ^ su[:, w])
+    parity bits of u. The messages are walked 2^min(k, _BUDGET_BITS) at a
+    time: each high-bit pattern is XORed into the (B,) words first, then the
+    low-bit span. Chunks hold 2^_BUDGET_BITS elements (or one row)."""
+    rows = _syndrome_columns(code)[: code.k]
+    low = min(code.k, _BUDGET_BITS)
+    low_par, low_msgs = _span(rows[:low]), np.arange(1 << low, dtype=np.uint64)
+    out = np.empty((len(info), 1 << code.k), dtype=np.uint16)
+    step = max(1, (1 << _BUDGET_BITS) >> low)
+    for high, high_par in enumerate(_span(rows[low:])):
+        cols = slice(high << low, (high + 1) << low)
+        info_h, par_h = info ^ np.uint64(high << low), par ^ high_par
+        for lo in range(0, len(info), step):
+            block = out[lo : lo + step, cols]
+            np.bitwise_count(info_h[lo : lo + step, None] ^ low_msgs, out=block)
+            for w in range(low_par.shape[1]):
+                block += np.bitwise_count(par_h[lo : lo + step, w, None] ^ low_par[:, w])
     return out
 
 
@@ -370,7 +374,9 @@ def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, floa
     decoded = _margin_decoded(d1, d2, t, n)
     prob_w = p ** np.arange(n + 1) * (1.0 - p) ** np.arange(n, -1, -1)
     leader = prob_w[d1]
-    # Rounding can leave a coset's sum a few ulps below its leader's term.
-    p_und = np.maximum(coset - leader, 0.0)[decoded].sum()
+    # Rounding can leave a coset's sum a few ulps off its leader's term: below
+    # it anywhere, above it in the one-word cosets of k = 0, where no other
+    # word can be decoded.
+    p_und = np.maximum(coset - leader, 0.0)[decoded].sum() if k else 0.0
     # Pairwise sums, not BLAS dots: over 2^20 cosets a dot gives P_correct = 1 + 1.6e-13.
     return float(leader[decoded].sum()), float(p_und), float(coset[~decoded].sum())

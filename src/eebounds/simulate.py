@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .finite import (
+    _BUDGET_BITS,
     WeightDistribution,
     _coset_table,
     _decide,
@@ -155,9 +156,10 @@ def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact weight distribution: wt(u) + wt(parity bits of u) over all 2^k
-    messages u, in chunks of 2^20 messages (low bits) per high-bit pattern."""
+    messages u, in chunks of 2^_BUDGET_BITS messages (low bits) per high-bit
+    pattern."""
     rows = _syndrome_columns(code)[: code.k]
-    low = min(code.k, 20)
+    low = min(code.k, _BUDGET_BITS)
     low_par, low_wt = _span(rows[:low]), np.bitwise_count(np.arange(1 << low, dtype=np.uint64))
     counts = np.zeros(code.n + 1, dtype=np.int64)
     for high, high_par in enumerate(_span(rows[low:])):

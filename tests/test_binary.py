@@ -332,11 +332,26 @@ class TestTradeoffBounds:
             (0.0, 0.6024600176564384, False, 0.3785517843134128, True),
             (1e-9, 0.6024421432964512, False, 0.3785339099534256, True),
             (0.5, 0.08143950761276142, True, 0.0, False),
-            (1.0 - 1e-9, 0.001160692848732714, True, 0.0, False),
-            (1.0, 0.0011606928552427287, True, 0.0, False),
+            # M+'s radius delta_gv(R) + 2 tau is about 0.06 here, below p = 0.07.
+            (1.0 - 1e-9, 0.0, False, 0.0, False),
+            (1.0, 0.0, False, 0.0, False),
         ]:
             m_plus, m_minus = tradeoff_bounds(R, CH, 0.03)
             assert (m_plus.value, m_plus.valid, m_minus.value, m_minus.valid) == (vp, okp, vm, okm)
+        assert tradeoff_bounds(1.0, CH, 0.03)[0].reason.startswith("decoding radius 0.06 below")
+
+    @pytest.mark.parametrize("p", [0.02, 0.07, 0.15, 0.3, 0.455])
+    def test_zero_margin_plus_is_e0(self, p):
+        # At tau = 0 M+ is E0 on all of [0, 1]: the same value where both are
+        # valid, and invalid together above capacity, where the radius
+        # delta_gv(R) falls below p. M+ once stayed valid there (0.0532 at
+        # p = 0.07, R = 0.9).
+        ch = BscChannel(p)
+        for R in np.linspace(0.0, 1.0, 401):
+            m_plus, e0 = tradeoff_bounds(float(R), ch, 0.0)[0], gallager_exponent(float(R), ch)
+            assert m_plus.valid == e0.valid, (R, m_plus, e0)
+            if e0.valid:
+                assert m_plus.value == pytest.approx(e0.value, rel=1e-12, abs=1e-15)
 
     def test_reference_gap(self):
         m_plus, _ = tradeoff_bounds(0.4, CH, 0.03)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eebounds import finite
 from eebounds.binary import BscChannel, gallager_exponent
 from eebounds.finite import (
     MarginParams,
@@ -263,10 +264,6 @@ class TestAwgnUnionBound:
             awgn_union_bound(wd, self.CH, 0.0, 0.3)
 
     def test_input_validation(self):
-        wd = WeightDistribution.binomial_spherical(64, 0.3)
-        for q in (0, -3):
-            with pytest.raises(ValueError, match="quad_points"):
-                awgn_union_bound(wd, self.CH, 0.0, 1.0, quad_points=q)
         with pytest.raises(ValueError, match="dimension n"):
             awgn_union_bound(WeightDistribution.from_counts([1, 1]), self.CH, 0.0, 1.0)
         # Weight 1 of n = 64 starts its cone at acos(1 - 2/64)/2 ~ 0.125.
@@ -314,10 +311,13 @@ class TestAwgnUnionBound:
     @pytest.mark.parametrize("tau", [-0.02, 0.0, 0.05])
     @pytest.mark.parametrize("rate", [0.2, 0.45])
     @pytest.mark.parametrize("n", [2, 64, 256, 1024])
-    def test_matches_per_weight_loop(self, n, rate, tau, quad_points):
+    def test_matches_per_weight_loop(self, n, rate, tau, quad_points, monkeypatch):
+        # 2048 is the bound's node count. One or three nodes put thousands of
+        # weights in one row block, a shape the default never reaches.
+        monkeypatch.setattr(finite, "_QUAD_POINTS", quad_points)
         wd = WeightDistribution.binomial_spherical(n, rate)
         rho = 1.3
-        bound = awgn_union_bound(wd, self.CH, tau, rho, quad_points)
+        bound = awgn_union_bound(wd, self.CH, tau, rho)
         ref = self._per_weight_reference(wd, self.CH, tau, rho, quad_points)
         assert bound == pytest.approx(ref, rel=1e-12)
 
@@ -397,10 +397,13 @@ class TestCosetTable:
 
     def test_one_word_cosets_always_decode(self):
         # k = 0: each coset is its own leader, so no margin erases it. A
-        # sentinel d2 of n + 1 would erase the all-ones word at t = 1.
-        code = gen_linear_code(8, 0, 0)
-        for p, t in ((0.03, 1), (1.0, 1), (0.03, 100)):
-            assert exact_margin_probability(code, p, t) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
+        # sentinel d2 of n + 1 would erase the all-ones word at t = 1. No
+        # other word exists, so P_u is exactly 0 (it was once a few ulps).
+        n8 = gen_linear_code(8, 0, 0)
+        for code, p, t in ((n8, 0.03, 0), (n8, 0.03, 1), (n8, 1.0, 1), (n8, 0.03, 100),
+                           (LinearCode(20, 0, ()), 0.1, 0)):
+            pc, pu, pe = exact_margin_probability(code, p, t)
+            assert (pc, pe) == pytest.approx((1.0, 0.0), abs=1e-15) and pu == 0.0
 
 
 def reference_codewords(code):
@@ -464,3 +467,30 @@ class TestPurePythonReference:
         for c in reference_codewords(code):
             counts[bin(c).count("1")] += 1
         assert weight_distribution(code) == WeightDistribution.from_counts(counts)
+
+
+class TestDistanceKernel:
+    """``_distances`` past its element budget, where it walks the messages
+    2^_BUDGET_BITS at a time."""
+
+    def test_matches_codewords_past_budget(self):
+        code = gen_linear_code(25, 22, 0)
+        rows = [(1 << i) | sum(b << (22 + j) for j, b in enumerate(code.parity[i])) for i in range(22)]
+        rng = np.random.default_rng(5)
+        msgs = [0, 1, (1 << 20) - 1, 1 << 20, (1 << 21) + 5, (1 << 22) - 1, *rng.integers(0, 1 << 22, 8)]
+        for y in rng.integers(0, 1 << 25, 3):
+            y = int(y)
+            bits = np.array([[(y >> j) & 1 for j in range(25)]], dtype=np.uint64)
+            dist = _distances(code, np.array([y & ((1 << 22) - 1)], dtype=np.uint64), finite._pack(bits[:, 22:]))
+            for u in msgs:
+                c = 0
+                for i in range(22):
+                    if int(u) >> i & 1:
+                        c ^= rows[i]
+                assert dist[0, u] == bin(y ^ c).count("1")
+
+    def test_peak_memory_bounded(self):
+        # The whole 2^k message span once peaked at 108 MB for k = 22.
+        for k, limit in ((20, 28.0), (22, 48.0)):
+            code = gen_linear_code(k + 6, k, 0)
+            assert _peak_mb(lambda: margin_decode(code, [0] * (k + 6), 0)) < limit
