@@ -12,9 +12,10 @@ with n, and sum each row by a row-wise log-sum-exp.
 Exact binary decoding by cosets reads each coset's two least weights from one
 syndrome table, ``_coset_table``, built by one pass per parity bit over the
 2^(n-k) syndromes; the oracle and the BSC simulator use it when it fits the
-element budget. The popcount kernel ``_distances`` decodes single words
-(``margin_decode``) and, in the simulator, the syndromes of codes whose table
-would not fit.
+element budget. Single words (``margin_decode``) and the syndromes of codes
+whose table would not fit are decoded by ``_nearest`` from one streamed
+popcount walk, ``_walk``, whose blocks ``weight_distribution`` also counts.
+One rule, ``_decided``, decides every (d1, d2) pair of both channels.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def _pack(bits) -> np.ndarray:
     rows, m = np.shape(bits)
     padded = np.zeros((rows, max(1, -(-m // 64)) * 64), dtype=np.uint64)
     padded[:, :m] = bits
-    shifted = padded.reshape(rows, -1, 64) << np.arange(64, dtype=np.uint64)
+    shifted = padded.reshape(rows, padded.shape[1] // 64, 64) << np.arange(64, dtype=np.uint64)
     return shifted.sum(axis=2, dtype=np.uint64)
 
 
@@ -260,36 +261,51 @@ def _syndrome_columns(code) -> np.ndarray:
     return _pack(np.vstack([parity, np.eye(code.n - code.k, dtype=np.uint64)]))
 
 
-def _distances(code, info: np.ndarray, par: np.ndarray) -> np.ndarray:
-    """Distances (B, 2^k) from words with info bits ``info`` (B,) and packed
-    parity bits ``par`` (B, W) to every codeword of the systematic ``code``, in
-    message order: popcount(info ^ u) + popcount(par ^ su[u]), su[u] being the
-    parity bits of u. The messages are walked 2^min(k, _BUDGET_BITS) at a
-    time: each high-bit pattern is XORed into the (B,) words first, then the
-    low-bit span. Chunks hold 2^_BUDGET_BITS elements (or one row)."""
+def _walk(code, info: np.ndarray, par: np.ndarray):
+    """Distances popcount(info ^ u) + popcount(par ^ su[u]) from words with
+    info bits ``info`` (B,) and packed parity bits ``par`` (B, W) to each
+    message u of the systematic ``code``, su[u] being the parity bits of u,
+    as (rows, first, block) triples: block[i, j] is for word rows.start + i
+    and message first + j. Each high-bit message pattern is XORed into the
+    words, then the span of the low min(k, _BUDGET_BITS) bits. A block holds
+    at most 2^_BUDGET_BITS elements (or one row) and is reused by the next."""
     rows = _syndrome_columns(code)[: code.k]
     low = min(code.k, _BUDGET_BITS)
     low_par, low_msgs = _span(rows[:low]), np.arange(1 << low, dtype=np.uint64)
-    out = np.empty((len(info), 1 << code.k), dtype=np.uint16)
     step = max(1, (1 << _BUDGET_BITS) >> low)
+    buf = np.empty((min(step, len(info)), 1 << low), dtype=np.uint16)
     for high, high_par in enumerate(_span(rows[low:])):
-        cols = slice(high << low, (high + 1) << low)
         info_h, par_h = info ^ np.uint64(high << low), par ^ high_par
         for lo in range(0, len(info), step):
-            block = out[lo : lo + step, cols]
+            block = buf[: min(step, len(info) - lo)]
             np.bitwise_count(info_h[lo : lo + step, None] ^ low_msgs, out=block)
             for w in range(low_par.shape[1]):
                 block += np.bitwise_count(par_h[lo : lo + step, w, None] ^ low_par[:, w])
-    return out
+            yield slice(lo, lo + step), high << low, block
 
 
-def _decide(dist: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the least distance, and whether the runner-up is farther by at
-    least ``margin`` and strictly, so ties erase. A lone codeword always wins."""
-    if dist.shape[1] == 1:
-        return dist[:, 0], np.ones(len(dist), dtype=bool)
-    part = np.partition(dist, 1, axis=1)
-    return part[:, 0], (part[:, 1] - part[:, 0] >= margin) & (part[:, 1] > part[:, 0])
+def _nearest(code, info: np.ndarray, par: np.ndarray):
+    """Per word of ``_walk``: the least distance d1 to a codeword, the
+    runner-up d2 (a tie gives d2 = d1) and the first message at d1, reduced
+    block by block. With one codeword (k = 0) d2 is 2^16 - 1."""
+    d1, d2 = np.full((2, len(info)), 0xFFFF, dtype=np.uint16)
+    first = np.zeros(len(info), dtype=np.intp)
+    for rows, start, block in _walk(code, info, par):
+        arg = block.argmin(axis=1)
+        at = np.arange(len(block)), arg
+        b1, a1 = block[at], d1[rows]
+        block[at] = 0xFFFF
+        first[rows] = np.where(b1 < a1, arg + start, first[rows])
+        d2[rows] = np.minimum(np.minimum(d2[rows], block.min(axis=1)), np.maximum(a1, b1))
+        d1[rows] = np.minimum(a1, b1)
+    return d1, d2, first
+
+
+def _decided(d1, d2, margin, lone: bool) -> np.ndarray:
+    """The margin rule on (least, runner-up) distance pairs: decoded when the
+    runner-up is farther by at least ``margin``, and strictly, so ties erase.
+    The one word of a ``lone`` code has no runner-up and always wins."""
+    return (d2 - d1 >= margin) & (d2 > d1) | lone
 
 
 def _tabulable(code) -> bool:
@@ -302,9 +318,8 @@ def _coset_table(code, p: Optional[float] = None):
     """The two least weights (d1, d2) of every coset of the systematic
     ``code``, counted with multiplicity (a tie gives d2 = d1), as uint8 arrays
     (``_tabulable`` codes have n <= 40) indexed by the syndrome (parity
-    position j -> bit j). A one-word coset (k = 0) has d2 = 2n + 1, which
-    clears every margin ``_margin_decoded`` applies. With ``p`` the third
-    array is each coset's probability on the BSC.
+    position j -> bit j). A one-word coset (k = 0) has d2 = 2n + 1. With
+    ``p`` the third array is each coset's probability on the BSC.
 
     A coset's weights are wt(u) + popcount(s ^ su[u]) over the messages u,
     su[u] being the parity bits of u: a min-plus XOR convolution that splits
@@ -347,13 +362,6 @@ def _coset_table(code, p: Optional[float] = None):
     return (d[0], d[1]) if p is None else (d[0], d[1], prob)
 
 
-def _margin_decoded(d1: np.ndarray, d2: np.ndarray, t: int, n: int) -> np.ndarray:
-    """Whether each coset is decoded at margin t: d2 - d1 >= max(2t, 1). No
-    two weights of a coset are more than n apart, so a margin above n is
-    taken as n + 1, which only one-word cosets clear."""
-    return d2 - d1 >= min(max(2 * t, 1), n + 1)
-
-
 def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, float]:
     """Exact (P_correct, P_undetected, P_erasure) of margin decoding on the BSC
     with the all-zero codeword sent, summed over the 2^(n-k) cosets of the
@@ -371,7 +379,7 @@ def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, floa
     if t < 0:
         raise ValueError(f"margin must be nonnegative, got {t}")
     d1, d2, coset = _coset_table(code, p)
-    decoded = _margin_decoded(d1, d2, t, n)
+    decoded = _decided(d1, d2, 2 * t, k == 0)
     prob_w = p ** np.arange(n + 1) * (1.0 - p) ** np.arange(n, -1, -1)
     leader = prob_w[d1]
     # Rounding can leave a coset's sum a few ulps off its leader's term: below

@@ -5,12 +5,12 @@ by (seed, b), so tallies are identical for any worker count. Each simulator
 does only the work its decision needs. BSC trials are classified by the
 syndrome of the error pattern (the XOR of one table entry per byte of the
 packed pattern) and looked up in the coset table that the exact oracle in
-``finite`` sums. For a code whose syndrome space exceeds the table's budget,
-the popcount kernel runs once per distinct syndrome of a block instead. An
-AWGN trial is decided from its two largest inner products with the codebook,
-computed in row slices of a block so that the (trials x M) products stay
-small. A cone-exit trial draws only its sufficient statistic: the noise along
-the signal and the chi-square energy of the rest.
+``finite`` sums; past the table's budget, each distinct syndrome of a block
+is decoded by the streamed popcount walk instead. An AWGN trial is decided
+from its two largest inner products with the codebook, computed in row
+slices of a block so that the (trials x M) products stay small. A cone-exit
+trial draws only its sufficient statistic: the noise along the signal and
+the chi-square energy of the rest.
 
 Threads: ``workers`` is the number of threads a simulation keeps busy, and
 blocks are spread over them. The AWGN inner products are GEMMs of at most
@@ -33,16 +33,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .finite import (
-    _BUDGET_BITS,
     WeightDistribution,
     _coset_table,
-    _decide,
-    _distances,
-    _margin_decoded,
+    _decided,
+    _nearest,
     _pack,
     _span,
     _syndrome_columns,
     _tabulable,
+    _walk,
 )
 from .spherical import AwgnChannel
 
@@ -140,11 +139,9 @@ class LinearCode:
         return g
 
     def codewords(self) -> np.ndarray:
-        """All 2^k codewords as a (2^k, n) bit matrix, message order."""
-        msgs = ((np.arange(1 << self.k, dtype=np.int64)[:, None] >> np.arange(self.k)) & 1).astype(
-            np.uint8
-        )
-        return (msgs @ self.generator) % 2
+        """All 2^k codewords as a (2^k, n) bit matrix, message order (the generator rows' span)."""
+        words = _span(_pack(self.generator)).astype("<u8", copy=False)
+        return np.unpackbits(words.view(np.uint8), axis=1, count=self.n, bitorder="little")
 
 
 def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
@@ -155,16 +152,9 @@ def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
 
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact weight distribution: wt(u) + wt(parity bits of u) over all 2^k
-    messages u, in chunks of 2^_BUDGET_BITS messages (low bits) per high-bit
-    pattern."""
-    rows = _syndrome_columns(code)[: code.k]
-    low = min(code.k, _BUDGET_BITS)
-    low_par, low_wt = _span(rows[:low]), np.bitwise_count(np.arange(1 << low, dtype=np.uint64))
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for high, high_par in enumerate(_span(rows[low:])):
-        wts = np.bitwise_count(low_par ^ high_par).sum(axis=1, dtype=np.int64) + low_wt
-        counts += np.bincount(wts + high.bit_count(), minlength=code.n + 1)
+    """Exact weight distribution: the histogram of the walk's distances from the zero word."""
+    blocks = _walk(code, np.zeros(1, dtype=np.uint64), _pack(np.zeros((1, code.n - code.k))))
+    counts = sum(np.bincount(block[0], minlength=code.n + 1) for _, _, block in blocks)
     return WeightDistribution.from_counts(counts.tolist())
 
 
@@ -180,8 +170,8 @@ def margin_decode(code: LinearCode, y: Sequence[int], t: int) -> Optional[int]:
     if not np.isin(yv, (0, 1)).all():
         raise ValueError(f"received word must hold only bits 0 and 1, got {yv[0].tolist()}")
     yv = yv.astype(np.uint64)
-    dist = _distances(code, _pack(yv[:, : code.k])[:, 0], _pack(yv[:, code.k :]))
-    return int(np.argmin(dist[0])) if _decide(dist, 2 * t)[1][0] else None
+    d1, d2, first = _nearest(code, _pack(yv[:, : code.k])[:, 0], _pack(yv[:, code.k :]))
+    return int(first[0]) if _decided(d1, d2, 2 * t, code.k == 0)[0] else None
 
 
 def margin_decode_awgn(
@@ -196,7 +186,8 @@ def margin_decode_awgn(
         return None
     cosang = (codebook.points @ yv) / (ny * math.sqrt(codebook.A * codebook.n))
     ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return int(np.argmin(ang)) if _decide(ang[None], 2.0 * tau)[1][0] else None
+    two = np.partition(ang, 1) if codebook.M > 1 else ang[[0, 0]]  # least, runner-up
+    return int(np.argmin(ang)) if _decided(two[0], two[1], 2.0 * tau, codebook.M == 1) else None
 
 
 @dataclass(frozen=True)
@@ -211,7 +202,7 @@ class SphericalCodebook:
     def __post_init__(self) -> None:
         if self.points.shape != (self.M, self.n):
             raise ValueError("points must be an (M, n) array")
-        energy = (self.points**2).sum(axis=1)
+        energy = np.einsum("ij,ij->i", self.points, self.points)
         if not np.allclose(energy, self.A * self.n, rtol=1e-9):
             raise ValueError("codebook points must have squared norm A*n")
 
@@ -226,8 +217,8 @@ class SphericalCodebook:
     @classmethod
     def binary(cls, code: LinearCode, A: float) -> "SphericalCodebook":
         """BPSK image of a binary code: bits 0/1 -> +/- sqrt(A)."""
-        pts = (1.0 - 2.0 * code.codewords().astype(np.float64)) * math.sqrt(A)
-        return cls(1 << code.k, code.n, A, pts)
+        s = math.sqrt(A)
+        return cls(1 << code.k, code.n, A, np.where(code.codewords(), -s, s))
 
 
 def _run_blocks(fn, trials: int, workers: int) -> np.ndarray:
@@ -311,7 +302,7 @@ def simulate_bsc(
     tabulated = _tabulable(code)
     if tabulated:
         d1, d2 = _coset_table(code)
-        decoded = _margin_decoded(d1, d2, t, code.n)
+        decoded = _decided(d1, d2, 2 * t, code.k == 0)
     rows = max(1, _DRAW_BUDGET // code.n)
 
     def block(b: int, size: int) -> np.ndarray:
@@ -327,8 +318,8 @@ def simulate_bsc(
             which, lead, ok = syndromes[:, 0], d1, decoded
         else:
             cosets, which = _unique_rows(syndromes)
-            dist = _distances(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
-            lead, ok = _decide(dist, 2 * t)
+            lead, d2, _ = _nearest(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
+            ok = _decided(lead, d2, 2 * t, code.k == 0)
         return _tally(ok[which], np.bitwise_count(packed).sum(axis=1) == lead[which])
 
     c, u, e = _run_blocks(block, trials, workers)
@@ -373,8 +364,9 @@ def simulate_awgn(
                 dots[rows, best] = -np.inf
                 top[part, 2] = dots.max(axis=1)
         ang = np.arccos(np.clip(top / scale, -1.0, 1.0))
-        a1, decoded = _decide(ang[:, 1:], 2.0 * tau)
-        return _tally(decoded, ang[:, 0] == a1)
+        # The last column is the runner-up, or the best again when M = 1.
+        decoded = _decided(ang[:, 1], ang[:, -1], 2.0 * tau, codebook.M == 1)
+        return _tally(decoded, ang[:, 0] == ang[:, 1])
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)

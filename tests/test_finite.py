@@ -10,9 +10,9 @@ from eebounds.finite import (
     MarginParams,
     WeightDistribution,
     _coset_table,
-    _decide,
-    _distances,
-    _margin_decoded,
+    _decided,
+    _nearest,
+    _walk,
     awgn_union_bound,
     binary_union_bound,
     exact_margin_probability,
@@ -20,7 +20,14 @@ from eebounds.finite import (
 )
 from eebounds.numerics import LN2, log_sum
 from eebounds.spherical import AwgnChannel, esp, f_exponent
-from eebounds.simulate import LinearCode, gen_linear_code, margin_decode, weight_distribution
+from eebounds.simulate import (
+    LinearCode,
+    SphericalCodebook,
+    gen_linear_code,
+    margin_decode,
+    simulate_bsc,
+    weight_distribution,
+)
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
 
@@ -377,22 +384,26 @@ TABLE_CODES = [
 
 
 class TestCosetTable:
-    """``_coset_table`` against the popcount kernel run on every syndrome."""
+    """``_coset_table`` against the popcount walk and its reduction run on
+    every syndrome."""
 
     @pytest.mark.parametrize("code", TABLE_CODES, ids=lambda c: f"{c.n}-{c.k}")
     def test_matches_kernel(self, code):
-        n, m = code.n, code.n - code.k
-        cosets = np.arange(1 << m, dtype=np.uint64)
-        dist = _distances(code, np.zeros_like(cosets), cosets[:, None])
+        n, m, lone = code.n, code.n - code.k, code.k == 0
+        info = np.zeros(1 << m, dtype=np.uint64)
+        cosets = np.arange(1 << m, dtype=np.uint64)[:, None]
+        near1, near2, _ = _nearest(code, info, cosets)
         d1, d2, prob = _coset_table(code, 0.1)
-        part = np.partition(dist, min(1, dist.shape[1] - 1), axis=1)
-        assert np.array_equal(d1, part[:, 0])
-        if code.k > 0:
-            assert np.array_equal(d2, part[:, 1])
+        assert np.array_equal(d1, near1)
+        if not lone:
+            assert np.array_equal(d2, near2)
         for t in (0, 1, 7):
-            assert np.array_equal(_margin_decoded(d1, d2, t, n), _decide(dist, 2 * t)[1])
+            assert np.array_equal(_decided(d1, d2, 2 * t, lone), _decided(near1, near2, 2 * t, lone))
         prob_w = 0.1 ** np.arange(n + 1) * 0.9 ** np.arange(n, -1, -1)
-        assert prob == pytest.approx(prob_w[dist].sum(axis=1), rel=1e-12, abs=0.0)
+        walked = np.zeros(1 << m)
+        for rows, _, block in _walk(code, info, cosets):
+            walked[rows] += prob_w[block].sum(axis=1)
+        assert prob == pytest.approx(walked, rel=1e-12, abs=0.0)
         assert all(np.array_equal(a, b) for a, b in zip(_coset_table(code), (d1, d2)))
 
     def test_one_word_cosets_always_decode(self):
@@ -469,28 +480,64 @@ class TestPurePythonReference:
         assert weight_distribution(code) == WeightDistribution.from_counts(counts)
 
 
-class TestDistanceKernel:
-    """``_distances`` past its element budget, where it walks the messages
-    2^_BUDGET_BITS at a time."""
+class TestNearest:
+    """``_nearest`` past the element budget, where the walk splits the 2^22
+    messages at the 2^20 chunk boundary, against codewords built as integers."""
 
-    def test_matches_codewords_past_budget(self):
-        code = gen_linear_code(25, 22, 0)
-        rows = [(1 << i) | sum(b << (22 + j) for j, b in enumerate(code.parity[i])) for i in range(22)]
+    def test_matches_integer_codewords_past_budget(self):
+        n, k = 30, 22
+        code = gen_linear_code(n, k, 0)
+        # Message u's codeword is the XOR of the generator rows set in u.
+        cws = np.zeros(1, dtype=np.uint64)
+        for i, row in enumerate(code.parity):
+            g = (1 << i) | sum(b << (k + j) for j, b in enumerate(row))
+            cws = np.concatenate([cws, cws ^ np.uint64(g)])
+        # Nearest at distance 1 in the third chunk and runner-up only in the
+        # fourth; a tie at distance 2 between the first and the fourth chunk;
+        # the last codeword with one error; random words.
         rng = np.random.default_rng(5)
-        msgs = [0, 1, (1 << 20) - 1, 1 << 20, (1 << 21) + 5, (1 << 22) - 1, *rng.integers(0, 1 << 22, 8)]
-        for y in rng.integers(0, 1 << 25, 3):
-            y = int(y)
-            bits = np.array([[(y >> j) & 1 for j in range(25)]], dtype=np.uint64)
-            dist = _distances(code, np.array([y & ((1 << 22) - 1)], dtype=np.uint64), finite._pack(bits[:, 22:]))
-            for u in msgs:
-                c = 0
-                for i in range(22):
-                    if int(u) >> i & 1:
-                        c ^= rows[i]
-                assert dist[0, u] == bin(y ^ c).count("1")
+        ys = [1029825122, 124264387, int(cws[-1]) ^ 8, *rng.integers(0, 1 << n, 5)]
+        ys = np.array(ys, dtype=np.uint64)
+        want = []
+        for y in ys:
+            dist = np.bitwise_count(cws ^ y)
+            want.append((*np.partition(dist, 1)[:2].tolist(), int(dist.argmin())))
+        d1, d2, first = _nearest(code, ys & np.uint64((1 << k) - 1), (ys >> np.uint64(k))[:, None])
+        assert list(zip(d1.tolist(), d2.tolist(), first.tolist())) == want
+        decided = _decided(d1, d2, 0, False)
+        assert not decided.all()  # a tie: an erasure
+        assert (decided & (first >= 1 << 20)).any()  # a winner past the chunk boundary
 
-    def test_peak_memory_bounded(self):
-        # The whole 2^k message span once peaked at 108 MB for k = 22.
-        for k, limit in ((20, 28.0), (22, 48.0)):
-            code = gen_linear_code(k + 6, k, 0)
-            assert _peak_mb(lambda: margin_decode(code, [0] * (k + 6), 0)) < limit
+
+def _refuses(f):
+    with pytest.raises(ValueError):
+        f()
+
+
+_K20, _K22 = gen_linear_code(26, 20, 0), gen_linear_code(28, 22, 0)
+_N45K21, _N26K18 = gen_linear_code(45, 21, 0), gen_linear_code(26, 18, 0)
+# (entry point, call, tracemalloc peak bound in MB) for each entry point that
+# takes a code, at a size past the element budget of 2^_BUDGET_BITS elements.
+# Each bound lies below what a whole message span or distance matrix takes:
+# 108 MB for margin_decode at k = 22, 40.5 MB for codewords() and 106 MB for
+# its BPSK image at (26,18), about 1.1 GB for the (syndromes x 2^21) distances
+# of the (45,21) simulation.
+MEMORY_BOUNDS = [
+    ("margin_decode-k20", lambda: margin_decode(_K20, [0] * 26, 0), 28.0),
+    ("margin_decode-k22", lambda: margin_decode(_K22, [0] * 28, 0), 48.0),
+    ("weight_distribution-k22", lambda: weight_distribution(_K22), 32.0),
+    ("simulate_bsc-45-21", lambda: simulate_bsc(_N45K21, 0.05, 1, 300, seed=6), 32.0),
+    ("codewords-26-18", lambda: _N26K18.codewords(), 12.0),
+    ("binary_codebook-26-18", lambda: SphericalCodebook.binary(_N26K18, 1.0), 64.0),
+    # Past the coset table's budget: ValueError before any table is built.
+    ("exact_margin_probability-45-21",
+     lambda: _refuses(lambda: exact_margin_probability(_N45K21, 0.05, 1)), 1.0),
+]
+
+
+class TestMemoryContract:
+    @pytest.mark.parametrize(
+        "call,limit", [m[1:] for m in MEMORY_BOUNDS], ids=[m[0] for m in MEMORY_BOUNDS]
+    )
+    def test_peak_within_bound(self, call, limit):
+        assert _peak_mb(call) < limit

@@ -45,7 +45,7 @@ class TestLinearCode:
         assert (cws[1] == HAMMING74.generator[0]).all()
 
     def test_codewords_distinct(self):
-        for code in (HAMMING74, gen_linear_code(70, 3, 0)):
+        for code in (HAMMING74, gen_linear_code(70, 3, 0), LinearCode(8, 0, ())):
             assert len(np.unique(code.codewords(), axis=0)) == 1 << code.k
 
     def test_gen_deterministic(self):
@@ -111,6 +111,9 @@ class TestMarginDecode:
         assert margin_decode_awgn(cb, cb.points[1] * 1.01, 0.0) == 1
         # Orthogonal received vector sits at equal angles: erasure.
         assert margin_decode_awgn(cb, [1.0, -1.0], 0.0) is None
+        # A lone point has no runner-up: it wins at any margin, even antipodal.
+        for tau in (0.0, 0.05, 3.0):
+            assert margin_decode_awgn(_M1, -_M1.points[0], tau) == 0
         with pytest.raises(ValueError):
             margin_decode_awgn(cb, [1.0, 0.0], -0.1)
 
@@ -164,11 +167,15 @@ class TestTallies:
 
 # (code, p, t, trials, (correct, undetected, erasure)) at seed=1, recorded with
 # the dense all-codeword decoder; the coset decoder must reproduce them exactly.
+# The one-word (24,0) code lies past the coset table's budget: its lone
+# codeword decodes every trial correctly, at any margin.
 PINNED_BSC_TALLIES = [
     (HAMMING74, 0.05, 0, 50_000, (47800, 2200, 0)),
     (gen_linear_code(16, 10, 3), 0.05, 1, 32_768, (14392, 106, 18270)),
     (gen_linear_code(24, 12, 0), 0.05, 1, 32_768, (26853, 84, 5831)),
     (gen_linear_code(40, 8, 1), 0.1, 1, 32_768, (32375, 12, 381)),
+    (LinearCode(24, 0, ()), 0.05, 0, 40_000, (40000, 0, 0)),
+    (LinearCode(24, 0, ()), 0.05, 100, 40_000, (40000, 0, 0)),
 ]
 
 
