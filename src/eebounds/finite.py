@@ -5,10 +5,14 @@ union bound dominates the exact margin-decoding oracle for every code, and
 its normalized exponent converges to the asymptotic trade-off bounds. The
 binary bound is one log-domain sum per weight, its inner sum being a
 binomial CDF read from a prefix log-sum-exp; the AWGN bound is one
-midpoint-rule integral per weight. Both bounds evaluate all weights at once
-as 2-D arrays, one row per weight, in blocks of at most ``_ROW_BUDGET``
-elements (128 KB of float64 per intermediate), so their memory does not grow
-with n, and sum each row by a row-wise log-sum-exp.
+midpoint-rule integral per weight, its integrand written in t = tan phi so
+that a node takes one tangent and no float64 sine or cosine, which cost
+about five tangents each (a call takes about 4, 13 and 55 ms at n = 64, 256
+and 1024 on a shared 2-core machine, 0.45 of the rule written with ``esp``
+at each node). Both bounds evaluate all weights at once as 2-D arrays, one
+row per weight, in blocks of at most ``_ROW_BUDGET`` elements (128 KB of
+float64 per intermediate), so their memory does not grow with n, and sum
+each row by a row-wise log-sum-exp.
 Exact binary decoding by cosets reads each coset's two least weights from one
 syndrome table, ``_coset_table``, built by one pass per parity bit over the
 2^(n-k) syndromes; the oracle and the BSC simulator use it when it fits the
@@ -27,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .numerics import LN2, _log2_factorials, _log2_pmf, _row_log_sum, log_sum
-from .spherical import AwgnChannel, _tail, esp
+from .spherical import AwgnChannel, _g_cos, _tail
 
 __all__ = [
     "WeightDistribution",
@@ -187,11 +191,32 @@ def awgn_union_bound(
     spherical code with the given Hamming spectrum.
 
     Weight w contributes A_w times a ``_QUAD_POINTS``-node midpoint rule over
-    the cone angles from its cone start theta_w / 2 + tau to rho. The
-    integrands are evaluated in blocks of ``_ROW_BUDGET // _QUAD_POINTS``
-    weights by ``_QUAD_POINTS`` nodes, so memory stays bounded at any n, and
-    each row is summed by a row-wise log-sum-exp. The tail beyond rho is
-    ``spherical._tail``: ValueError below the capacity angle.
+    the cone angles phi from its cone start h = theta_w / 2 + tau to rho, of
+    the cap area times the cone-exit density,
+
+        P (tan phi / tan h) (1 - tan^2 h / tan^2 phi)^((n-1)/2) e^{-n esp(phi)},
+
+    P the normalized cap-area prefactor. Each node takes one tangent,
+    t = tan phi, and no sine or cosine: with c = cos phi = (1 + t^2)^(-1/2),
+    sin phi = t c and 1 - c^2 sec^2 h = c^2 (t^2 - tan^2 h), so
+
+        1 - tan^2 h / t^2 = (1 - c^2 sec^2 h) / (t c)^2,
+        esp(phi) = A/2 - (sqrt(A)/2) g c - ln(g t c),   g = g_aux(phi),
+
+    and the log of the integrand is
+
+        (n-1)/2 ln[(1 - c^2 sec^2 h) g^2] + ln(g c t^2) + n (sqrt(A)/2) g c
+            + ln P - ln tan h - n A/2,
+
+    the powers of t c cancelling but one. A node costs one tan, two square
+    roots and two logs; a float64 sin or cos costs about five tans. At the
+    cone start rounding can push 1 - c^2 sec^2 h to or below 0, which the
+    log reads as -inf. The integrands are evaluated in blocks of
+    ``_ROW_BUDGET // _QUAD_POINTS`` weights by ``_QUAD_POINTS`` nodes, so
+    memory stays bounded at any n, and each row is summed by a row-wise
+    log-sum-exp; the per-weight constants are added to the row sums. The
+    tail beyond rho is ``spherical._tail``: ValueError below the capacity
+    angle.
     """
     n = hamming_wd.n
     if not 0.0 < rho < math.pi / 2.0:
@@ -215,21 +240,31 @@ def awgn_union_bound(
     log_cap_pref = (
         math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi) - math.log(n - 1)
     )
+    A = ch.A
     tan_half = np.array([math.tan(h) for h in half])
-    log_step = np.array([math.log((rho - h) / _QUAD_POINTS) for h in half])
-    nodes = np.arange(_QUAD_POINTS) + 0.5
+    sec2_half = 1.0 + tan_half * tan_half
+    # Per weight: ln(A_w P / tan h) - n A / 2 and the log of the node spacing.
+    const = law * LN2 + (log_cap_pref - n * A / 2.0) - np.log(tan_half)
+    const += np.log((rho - half) / _QUAD_POINTS)
+    coef_gc = n * math.sqrt(A) / 2.0
+    frac = (np.arange(_QUAD_POINTS) + 0.5) / _QUAD_POINTS
     pieces = np.empty(len(half))
     rows = _ROW_BUDGET // _QUAD_POINTS
     for s in range(0, len(half), rows):
         b = slice(s, s + rows)
         h = half[b, None]
-        phis = h + nodes * (rho - h) / _QUAD_POINTS
-        tan_ratio = tan_half[b, None] / np.tan(phis)
-        sin_x = np.sqrt(np.maximum(1.0 - tan_ratio**2, 0.0))
+        t = np.tan(h + frac * (rho - h))
+        t2 = t * t
+        c2 = 1.0 / (1.0 + t2)
+        c = np.sqrt(c2)
+        g = _g_cos(c, A)
+        gc = g * c
         with np.errstate(divide="ignore"):
-            log_omega = log_cap_pref + (n - 1) * np.log(sin_x) - np.log(tan_ratio)
-        integrand = log_omega - n * esp(phis, ch)
-        pieces[b] = law[b] * LN2 + (_row_log_sum(integrand, math.e) + log_step[b])
+            integrand = np.log(np.maximum(1.0 - c2 * sec2_half[b, None], 0.0) * (g * g))
+        integrand *= (n - 1) / 2.0
+        integrand += np.log(gc * t2)
+        integrand += coef_gc * gc
+        pieces[b] = const[b] + _row_log_sum(integrand, math.e)
     return log_sum(np.append(pieces, tail), base=math.e)
 
 

@@ -208,7 +208,10 @@ def _row_log_sum(rows: np.ndarray, base: float = 2.0) -> np.ndarray:
     m = rows.max(axis=1)
     finite = np.isfinite(m)
     shift = np.where(finite, m, 0.0)
-    lb = math.log(base)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = shift + np.log(np.sum(np.exp((rows - shift[:, None]) * lb), axis=1)) / lb
+        if base == math.e:  # ln e = 1: skip the two scalings, which change no bit
+            out = shift + np.log(np.sum(np.exp(rows - shift[:, None]), axis=1))
+        else:
+            lb = math.log(base)
+            out = shift + np.log(np.sum(np.exp((rows - shift[:, None]) * lb), axis=1)) / lb
     return np.where(finite, out, m)

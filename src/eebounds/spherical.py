@@ -116,13 +116,18 @@ def rate_of_angle(theta: float) -> float:
     return -math.log(s)
 
 
+def _g_cos(c, A: float):
+    """g_aux from c = cos(phi): (sqrt(A) c + sqrt(A c^2 + 4)) / 2; elementwise
+    on an array, a float for a scalar."""
+    sqrt = np.sqrt if isinstance(c, np.ndarray) else math.sqrt
+    return 0.5 * (math.sqrt(A) * c + sqrt(A * c * c + 4.0))
+
+
 def g_aux(phi, ch: AwgnChannel):
     """Saddle factor g(phi) of the sphere-packing exponent; elementwise on an
     array of angles, a float for a scalar."""
     xp = np if isinstance(phi, np.ndarray) else math
-    A = ch.A
-    c = xp.cos(phi)
-    return 0.5 * (math.sqrt(A) * c + xp.sqrt(A * c * c + 4.0))
+    return _g_cos(xp.cos(phi), ch.A)
 
 
 def esp(phi, ch: AwgnChannel):
@@ -134,9 +139,10 @@ def esp(phi, ch: AwgnChannel):
     if not 0.0 < lo <= hi < math.pi:
         raise ValueError(f"angle must lie in (0, pi), got {hi if lo > 0.0 else lo}")
     A = ch.A
-    g = g_aux(phi, ch)
+    c = xp.cos(phi)
+    g = _g_cos(c, A)
     # g > 0 and sin(phi) > 0 on (0, pi), so the log argument is positive.
-    return A / 2.0 - (math.sqrt(A) / 2.0) * g * xp.cos(phi) - xp.log(g * xp.sin(phi))
+    return A / 2.0 - (math.sqrt(A) / 2.0) * g * c - xp.log(g * xp.sin(phi))
 
 
 def _tail(rho: float, ch: AwgnChannel) -> float:

@@ -328,6 +328,21 @@ class TestAwgnUnionBound:
         ref = self._per_weight_reference(wd, self.CH, tau, rho, quad_points)
         assert bound == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("tau", [-0.02, 0.05])
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    @pytest.mark.parametrize(
+        "A, rho",
+        [(1.0, 1.3), (64.0, 1.3)] + [(A, math.pi / 2.0 - 1e-3) for A in (1.0, 4.0, 64.0)],
+    )
+    def test_matches_per_weight_loop_across_channels(self, A, rho, n, tau):
+        # The check above at SNRs 1 and 64, and at a radius next to pi/2,
+        # where tan(phi) reaches about 1000 at the last nodes.
+        wd = WeightDistribution.binomial_spherical(n, 0.45)
+        ch = AwgnChannel(A)
+        bound = awgn_union_bound(wd, ch, tau, rho)
+        ref = self._per_weight_reference(wd, ch, tau, rho, finite._QUAD_POINTS)
+        assert bound == pytest.approx(ref, rel=1e-12)
+
     def test_peak_memory_bounded(self):
         wd = WeightDistribution.binomial_spherical(4096, 0.275)
         assert _peak_mb(lambda: awgn_union_bound(wd, self.CH, 0.02, 1.2)) < 2.0
