@@ -13,13 +13,14 @@ at each node). Both bounds evaluate all weights at once as 2-D arrays, one
 row per weight, in blocks of at most ``_ROW_BUDGET`` elements (128 KB of
 float64 per intermediate), so their memory does not grow with n, and sum
 each row by a row-wise log-sum-exp.
-Exact binary decoding by cosets reads each coset's two least weights from one
-syndrome table, ``_coset_table``, built by one pass per parity bit over the
-2^(n-k) syndromes; the oracle and the BSC simulator use it when it fits the
-element budget. Single words (``margin_decode``) and the syndromes of codes
-whose table would not fit are decoded by ``_nearest`` from one streamed
-popcount walk, ``_walk``, whose blocks ``weight_distribution`` also counts.
-One rule, ``_decided``, decides every (d1, d2) pair of both channels.
+Exact binary decoding takes received words in one packed format, ``_words``:
+info bits, then parity bits par, in the coset of syndrome par ^ su[info].
+Each coset's two least weights come from one syndrome table, ``_coset_table``,
+built by one pass per parity bit; the oracle and the BSC simulator use it
+when it fits the element budget. Single words and the words of larger codes
+are decoded by ``_nearest`` from one streamed popcount walk, ``_walk``, whose
+blocks ``weight_distribution`` also counts. One rule, ``_decided``, decides
+every (d1, d2) pair of both channels.
 """
 
 from __future__ import annotations
@@ -273,12 +274,11 @@ _BUDGET_BITS = 20  # log2 of the element budget of one intermediate array
 
 def _pack(bits) -> np.ndarray:
     """Pack a (B, m) 0/1 matrix into (B, max(1, ceil(m/64))) uint64 words;
-    column j goes to bit j % 64 of word j // 64."""
+    column j goes to bit j % 64 of word j // 64. B may be 0."""
     rows, m = np.shape(bits)
-    padded = np.zeros((rows, max(1, -(-m // 64)) * 64), dtype=np.uint64)
+    padded = np.zeros((rows, 64 * max(1, -(-m // 64))), dtype=np.uint8)
     padded[:, :m] = bits
-    shifted = padded.reshape(rows, padded.shape[1] // 64, 64) << np.arange(64, dtype=np.uint64)
-    return shifted.sum(axis=2, dtype=np.uint64)
+    return np.packbits(padded, bitorder="little").view("<u8").reshape(rows, padded.shape[1] // 64)
 
 
 def _span(rows: np.ndarray) -> np.ndarray:
@@ -290,21 +290,27 @@ def _span(rows: np.ndarray) -> np.ndarray:
 
 
 def _syndrome_columns(code) -> np.ndarray:
-    """Packed syndrome of each coordinate of a systematic code, (n, W): the k
-    parity rows, then unit vectors for the n - k parity positions."""
-    parity = np.asarray(code.parity, dtype=np.uint64).reshape(code.k, code.n - code.k)
-    return _pack(np.vstack([parity, np.eye(code.n - code.k, dtype=np.uint64)]))
+    """Packed syndrome of each info coordinate of a systematic code, (k, W):
+    its parity rows. A parity coordinate's syndrome is its own bit."""
+    return _pack(np.reshape(code.parity, (code.k, code.n - code.k)))
 
 
-def _walk(code, info: np.ndarray, par: np.ndarray):
-    """Distances popcount(info ^ u) + popcount(par ^ su[u]) from words with
-    info bits ``info`` (B,) and packed parity bits ``par`` (B, W) to each
-    message u of the systematic ``code``, su[u] being the parity bits of u,
-    as (rows, first, block) triples: block[i, j] is for word rows.start + i
-    and message first + j. Each high-bit message pattern is XORed into the
-    words, then the span of the low min(k, _BUDGET_BITS) bits. A block holds
-    at most 2^_BUDGET_BITS elements (or one row) and is reused by the next."""
-    rows = _syndrome_columns(code)[: code.k]
+def _words(code, bits) -> np.ndarray:
+    """(B, 1 + W) received words of the systematic ``code`` from a (B, n) 0/1
+    array: the k <= 64 info bits in column 0, then the packed parity bits."""
+    return np.hstack([_pack(bits[:, : code.k]), _pack(bits[:, code.k :])])
+
+
+def _walk(code, words: np.ndarray):
+    """Distances popcount(info ^ u) + popcount(par ^ su[u]) from received
+    ``words`` (``_words``) to each message u of the systematic ``code``, su[u]
+    being the parity bits of u, as (rows, first, block) triples: block[i, j]
+    is for word rows.start + i and message first + j. Each high-bit message
+    pattern is XORed into the words, then the span of the low min(k,
+    _BUDGET_BITS) bits. A block holds at most 2^_BUDGET_BITS elements (or
+    one row) and is reused by the next."""
+    info, par = words[:, 0], words[:, 1:]
+    rows = _syndrome_columns(code)
     low = min(code.k, _BUDGET_BITS)
     low_par, low_msgs = _span(rows[:low]), np.arange(1 << low, dtype=np.uint64)
     step = max(1, (1 << _BUDGET_BITS) >> low)
@@ -319,13 +325,13 @@ def _walk(code, info: np.ndarray, par: np.ndarray):
             yield slice(lo, lo + step), high << low, block
 
 
-def _nearest(code, info: np.ndarray, par: np.ndarray):
-    """Per word of ``_walk``: the least distance d1 to a codeword, the
-    runner-up d2 (a tie gives d2 = d1) and the first message at d1, reduced
-    block by block. With one codeword (k = 0) d2 is 2^16 - 1."""
-    d1, d2 = np.full((2, len(info)), 0xFFFF, dtype=np.uint16)
-    first = np.zeros(len(info), dtype=np.intp)
-    for rows, start, block in _walk(code, info, par):
+def _nearest(code, words: np.ndarray):
+    """Per received word of ``_walk``: the least distance d1 to a codeword,
+    the runner-up d2 (a tie gives d2 = d1) and the first message at d1,
+    reduced block by block. With one codeword (k = 0) d2 is 2^16 - 1."""
+    d1, d2 = np.full((2, len(words)), 0xFFFF, dtype=np.uint16)
+    first = np.zeros(len(words), dtype=np.intp)
+    for rows, start, block in _walk(code, words):
         arg = block.argmin(axis=1)
         at = np.arange(len(block)), arg
         b1, a1 = block[at], d1[rows]
@@ -363,7 +369,7 @@ def _coset_table(code, p: Optional[float] = None):
     partner s ^ 2^i one weight up; the probabilities start from
     sum p^wt(u) (1-p)^(k-wt(u)) per info syndrome and mix the same way."""
     n, k, m = code.n, code.k, code.n - code.k
-    su = _span(_syndrome_columns(code)[:k])[:, 0].astype(np.intp)
+    su = _span(_syndrome_columns(code))[:, 0].astype(np.intp)
     wt = np.bitwise_count(np.arange(1 << k))
     # Sorted (su, wt) keys list each syndrome's messages lightest first: its
     # first entry holds d1 and its second, if any, d2.

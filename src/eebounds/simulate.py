@@ -2,15 +2,14 @@
 
 Trials are processed in fixed-size blocks; block b draws from an RNG seeded
 by (seed, b), so tallies are identical for any worker count. Each simulator
-does only the work its decision needs. BSC trials are classified by the
-syndrome of the error pattern (the XOR of one table entry per byte of the
-packed pattern) and looked up in the coset table that the exact oracle in
-``finite`` sums; past the table's budget, each distinct syndrome of a block
-is decoded by the streamed popcount walk instead. An AWGN trial is decided
-from its two largest inner products with the codebook, computed in row
-slices of a block so that the (trials x M) products stay small. A cone-exit
-trial draws only its sufficient statistic: the noise along the signal and
-the chi-square energy of the rest.
+does only the work its decision needs. A BSC trial's error pattern is packed
+as a received word, and its syndrome par ^ su[info] is looked up in the
+coset table that the exact oracle in ``finite`` sums; past the table's
+budget, each distinct word of a block is decoded by the streamed popcount
+walk instead. An AWGN trial is decided from its two largest inner products
+with the codebook, computed in row slices of a block so that each (rows x M)
+product stays small. A cone-exit trial draws only its sufficient statistic:
+the noise along the signal and the chi-square energy of the rest.
 
 Threads: ``workers`` is the number of threads a simulation keeps busy, and
 blocks are spread over them. The AWGN inner products are GEMMs of at most
@@ -42,6 +41,7 @@ from .finite import (
     _syndrome_columns,
     _tabulable,
     _walk,
+    _words,
 )
 from .spherical import AwgnChannel
 
@@ -153,7 +153,7 @@ def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact weight distribution: the histogram of the walk's distances from the zero word."""
-    blocks = _walk(code, np.zeros(1, dtype=np.uint64), _pack(np.zeros((1, code.n - code.k))))
+    blocks = _walk(code, _words(code, np.zeros((1, code.n))))
     counts = sum(np.bincount(block[0], minlength=code.n + 1) for _, _, block in blocks)
     return WeightDistribution.from_counts(counts.tolist())
 
@@ -167,10 +167,9 @@ def margin_decode(code: LinearCode, y: Sequence[int], t: int) -> Optional[int]:
     if t < 0:
         raise ValueError(f"margin must be nonnegative, got {t}")
     yv = np.asarray(y).reshape(1, code.n)
-    if not np.isin(yv, (0, 1)).all():
+    if not ((yv == 0) | (yv == 1)).all():
         raise ValueError(f"received word must hold only bits 0 and 1, got {yv[0].tolist()}")
-    yv = yv.astype(np.uint64)
-    d1, d2, first = _nearest(code, _pack(yv[:, : code.k])[:, 0], _pack(yv[:, code.k :]))
+    d1, d2, first = _nearest(code, _words(code, yv))
     return int(first[0]) if _decided(d1, d2, 2 * t, code.k == 0)[0] else None
 
 
@@ -284,43 +283,37 @@ def simulate_bsc(
     code: LinearCode, p: float, t: int, trials: int, seed: int, workers: int = 1
 ) -> TrialTally:
     """Margin-decode BSC trials with the all-zero codeword transmitted
-    (exact by linearity and channel symmetry). A trial is decoded when the two
-    least weights d1, d2 of its error pattern's coset differ by max(2t, 1),
-    and correct when also wt(e) = d1. Each block reads d1 and the decision of
-    its syndromes from the coset table, built once per call; a code whose
-    table exceeds the element budget runs the coset kernel once per distinct
-    syndrome of a block instead. A block draws its error bits in row slices
-    of about ``_DRAW_BUDGET`` uniforms, packed as they come: the same stream
-    as one (block x n) draw, without holding it."""
+    (exact by linearity and channel symmetry): the error pattern is the
+    received word. A trial is decoded when the two least weights d1, d2 of
+    its coset differ by max(2t, 1), and correct when also wt(e) = d1. Each
+    block reads d1 and the decision at each word's syndrome par ^ su[info]
+    from the coset table, built once per call; past the table's element
+    budget, the coset kernel runs once per distinct word of a block. A block
+    draws its error bits in row slices of about ``_DRAW_BUDGET`` uniforms,
+    packed as they come: the same stream as one (block x n) draw."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
     if t < 0:
         raise ValueError(f"margin must be nonnegative, got {t}")
-    columns = _syndrome_columns(code)
-    # Entry u of table g is the syndrome of the error bits u on coordinates 8g..8g+7.
-    tables = [_span(columns[g : g + 8]) for g in range(0, code.n, 8)]
-    tabulated = _tabulable(code)
-    if tabulated:
+    if tabulated := _tabulable(code):
+        su = _span(_syndrome_columns(code))[:, 0]
         d1, d2 = _coset_table(code)
         decoded = _decided(d1, d2, 2 * t, code.k == 0)
     rows = max(1, _DRAW_BUDGET // code.n)
 
     def block(b: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
-        packed = np.empty((size, -(-code.n // 8)), dtype=np.uint8)
-        for lo in range(0, size, rows):
-            err = rng.random((min(rows, size - lo), code.n)) < p
-            packed[lo : lo + len(err)] = np.packbits(err, axis=1, bitorder="little")
-        syndromes = np.zeros((size, columns.shape[1]), dtype=np.uint64)
-        for g, table in enumerate(tables):
-            syndromes ^= table[packed[:, g]]
+        draws = (rng.random((min(rows, size - lo), code.n)) < p for lo in range(0, size, rows))
+        words = np.vstack([_words(code, err) for err in draws])
         if tabulated:
-            which, lead, ok = syndromes[:, 0], d1, decoded
+            which, lead, ok = words[:, 1] ^ su[words[:, 0]], d1, decoded
         else:
-            cosets, which = _unique_rows(syndromes)
-            lead, d2, _ = _nearest(code, np.zeros(len(cosets), dtype=np.uint64), cosets)
+            distinct, which = _unique_rows(words)
+            lead, d2, _ = _nearest(code, distinct)
             ok = _decided(lead, d2, 2 * t, code.k == 0)
-        return _tally(ok[which], np.bitwise_count(packed).sum(axis=1) == lead[which])
+        # Column by column: a row-wise sum over the few columns costs ten times more.
+        weight = sum(map(np.bitwise_count, words.T), np.zeros(size, dtype=np.uint16))
+        return _tally(ok[which], weight == lead[which])
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)

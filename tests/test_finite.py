@@ -405,9 +405,10 @@ class TestCosetTable:
     @pytest.mark.parametrize("code", TABLE_CODES, ids=lambda c: f"{c.n}-{c.k}")
     def test_matches_kernel(self, code):
         n, m, lone = code.n, code.n - code.k, code.k == 0
-        info = np.zeros(1 << m, dtype=np.uint64)
-        cosets = np.arange(1 << m, dtype=np.uint64)[:, None]
-        near1, near2, _ = _nearest(code, info, cosets)
+        # The received word with no info bits and parity bits s lies in coset s.
+        cosets = np.zeros((1 << m, 2), dtype=np.uint64)
+        cosets[:, 1] = np.arange(1 << m)
+        near1, near2, _ = _nearest(code, cosets)
         d1, d2, prob = _coset_table(code, 0.1)
         assert np.array_equal(d1, near1)
         if not lone:
@@ -416,7 +417,7 @@ class TestCosetTable:
             assert np.array_equal(_decided(d1, d2, 2 * t, lone), _decided(near1, near2, 2 * t, lone))
         prob_w = 0.1 ** np.arange(n + 1) * 0.9 ** np.arange(n, -1, -1)
         walked = np.zeros(1 << m)
-        for rows, _, block in _walk(code, info, cosets):
+        for rows, _, block in _walk(code, cosets):
             walked[rows] += prob_w[block].sum(axis=1)
         assert prob == pytest.approx(walked, rel=1e-12, abs=0.0)
         assert all(np.array_equal(a, b) for a, b in zip(_coset_table(code), (d1, d2)))
@@ -430,6 +431,25 @@ class TestCosetTable:
                            (LinearCode(20, 0, ()), 0.1, 0)):
             pc, pu, pe = exact_margin_probability(code, p, t)
             assert (pc, pe) == pytest.approx((1.0, 0.0), abs=1e-15) and pu == 0.0
+
+
+class TestPack:
+    """``_pack`` against bits placed one by one into Python ints."""
+
+    @pytest.mark.parametrize("dtype", (bool, np.uint8, np.uint64))
+    @pytest.mark.parametrize("rows", (0, 1, 3))
+    @pytest.mark.parametrize("m", (0, 1, 63, 64, 65, 130))
+    def test_matches_bitwise_reference(self, m, rows, dtype):
+        bits = np.random.default_rng(m).integers(0, 2, size=(rows, m)).astype(dtype)
+        if rows:
+            bits[0] = 1  # every bit of a word set, the top one included
+        words = max(1, -(-m // 64))
+        want = np.zeros((rows, words), dtype=np.uint64)
+        for i, row in enumerate(bits.tolist()):
+            value = sum(int(b) << j for j, b in enumerate(row))
+            want[i] = [value >> (64 * w) & (2**64 - 1) for w in range(words)]
+        got = finite._pack(bits)
+        assert got.shape == (rows, words) and np.array_equal(got, want)
 
 
 def reference_codewords(code):
@@ -517,7 +537,8 @@ class TestNearest:
         for y in ys:
             dist = np.bitwise_count(cws ^ y)
             want.append((*np.partition(dist, 1)[:2].tolist(), int(dist.argmin())))
-        d1, d2, first = _nearest(code, ys & np.uint64((1 << k) - 1), (ys >> np.uint64(k))[:, None])
+        words = np.column_stack([ys & np.uint64((1 << k) - 1), ys >> np.uint64(k)])
+        d1, d2, first = _nearest(code, words)
         assert list(zip(d1.tolist(), d2.tolist(), first.tolist())) == want
         decided = _decided(d1, d2, 0, False)
         assert not decided.all()  # a tie: an erasure
@@ -535,7 +556,7 @@ _N45K21, _N26K18 = gen_linear_code(45, 21, 0), gen_linear_code(26, 18, 0)
 # takes a code, at a size past the element budget of 2^_BUDGET_BITS elements.
 # Each bound lies below what a whole message span or distance matrix takes:
 # 108 MB for margin_decode at k = 22, 40.5 MB for codewords() and 106 MB for
-# its BPSK image at (26,18), about 1.1 GB for the (syndromes x 2^21) distances
+# its BPSK image at (26,18), about 1.1 GB for the (words x 2^21) distances
 # of the (45,21) simulation.
 MEMORY_BOUNDS = [
     ("margin_decode-k20", lambda: margin_decode(_K20, [0] * 26, 0), 28.0),

@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 import eebounds
+from eebounds import simulate
 from eebounds.finite import exact_margin_probability
 from eebounds.simulate import (
     LinearCode,
@@ -101,7 +102,7 @@ class TestMarginDecode:
         assert pu == pytest.approx(epu, abs=1e-12)
         assert pe == pytest.approx(epe, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [2, 0.5, -1])
+    @pytest.mark.parametrize("bad", [2, 0.5, -1, math.nan])
     def test_non_bit_entry_rejected(self, bad):
         with pytest.raises(ValueError, match="only bits 0 and 1"):
             margin_decode(HAMMING74, [bad, 0, 0, 0, 0, 0, 0], 0)
@@ -179,9 +180,10 @@ PINNED_BSC_TALLIES = [
 ]
 
 
-# Codes with n - k > 64, whose syndromes span two uint64 words, at seed=1 and
-# 40,000 trials, recorded with np.unique row deduplication; the lexsort
-# deduplication must reproduce them exactly. At p = 0.02 most syndromes repeat.
+# Codes with n - k > 64, whose parity bits span two uint64 words, at seed=1
+# and 40,000 trials. Past the coset table, each block decodes its distinct
+# packed received words (info word, then the parity words) once; that
+# deduplication must reproduce them exactly. At p = 0.02 most words repeat.
 PINNED_TWO_WORD_TALLIES = [
     (gen_linear_code(100, 4, 0), 0.3, 1, (38716, 294, 990)),
     (gen_linear_code(130, 3, 0), 0.35, 2, (35646, 319, 4035)),
@@ -209,6 +211,20 @@ class TestSimulateBsc:
     def test_pinned_two_word_syndromes(self, code, p, t, expected, workers):
         tally = simulate_bsc(code, p, t, 40_000, seed=1, workers=workers)
         assert (tally.correct, tally.undetected, tally.erasure) == expected
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("t", (0, 1))
+    @pytest.mark.parametrize(
+        "code",
+        [gen_linear_code(24, 12, 0), gen_linear_code(16, 10, 3), gen_linear_code(14, 7, 0)],
+        ids=lambda c: f"{c.n}-{c.k}",
+    )
+    def test_table_and_walk_agree(self, code, t, workers, monkeypatch):
+        # Two blocks, the second partial: coset table lookups against the
+        # walk over each block's distinct words, on the same draws.
+        table = simulate_bsc(code, 0.05, t, 20_000, seed=3, workers=workers)
+        monkeypatch.setattr(simulate, "_tabulable", lambda code: False)
+        assert simulate_bsc(code, 0.05, t, 20_000, seed=3, workers=workers) == table
 
     def test_error_draw_is_row_sliced(self):
         # One 16k-trial block of a (130,3) code: a (block x n) float64 draw
