@@ -15,9 +15,11 @@ float64 per intermediate), so their memory does not grow with n, and sum
 each row by a row-wise log-sum-exp.
 Exact binary decoding takes received words in one packed format, ``_words``:
 info bits, then parity bits par, in the coset of syndrome par ^ su[info].
-Each coset's two least weights come from one syndrome table, ``_coset_table``,
-built by one pass per parity bit; the oracle and the BSC simulator use it
-when it fits the element budget. Single words and the words of larger codes
+Each coset's two least weights come from one syndrome table, ``_cosets``,
+built by one pass per parity bit once per code and kept for the last few
+codes; the oracle and the BSC simulator use it when it fits the element
+budget, and a call of the oracle only mixes the coset probabilities at its
+p (``_coset_table``). Single words and the words of larger codes
 are decoded by ``_nearest`` from one streamed popcount walk, ``_walk``, whose
 blocks ``weight_distribution`` also counts. One rule, ``_decided``, decides
 every (d1, d2) pair of both channels.
@@ -25,6 +27,7 @@ every (d1, d2) pair of both channels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -270,6 +273,7 @@ def awgn_union_bound(
 
 
 _BUDGET_BITS = 20  # log2 of the element budget of one intermediate array
+_MEMO_CODES = 4  # codes whose p-free coset tables ``_cosets`` keeps
 
 
 def _pack(bits) -> np.ndarray:
@@ -350,46 +354,38 @@ def _decided(d1, d2, margin, lone: bool) -> np.ndarray:
 
 
 def _tabulable(code) -> bool:
-    """Whether ``_coset_table`` fits the element budget: 2^(n-k) syndromes
-    and 2^k messages."""
+    """Whether the coset table (``_cosets``) fits the element budget:
+    2^(n-k) syndromes and 2^k messages."""
     return max(code.n - code.k, code.k) <= _BUDGET_BITS
 
 
-def _coset_table(code, p: Optional[float] = None):
-    """The two least weights (d1, d2) of every coset of the systematic
-    ``code``, counted with multiplicity (a tie gives d2 = d1), as uint8 arrays
-    (``_tabulable`` codes have n <= 40) indexed by the syndrome (parity
-    position j -> bit j). A one-word coset (k = 0) has d2 = 2n + 1. With
-    ``p`` the third array is each coset's probability on the BSC.
+@functools.lru_cache(maxsize=_MEMO_CODES)
+def _cosets(code):
+    """The p-free part of the coset table of a ``LinearCode`` (hashable by
+    value), built once per code and kept for the last ``_MEMO_CODES`` codes,
+    every array read-only: su[u] (uint32, the parity bits of message u), the
+    two least weights d1, d2 of each coset (uint8, n <= 40; a tie gives d2 =
+    d1, a one-word coset of k = 0 has d2 = 2n + 1) indexed by the syndrome
+    (parity position j -> bit j), and the runs of equal (syndrome, weight)
+    keys of the messages: syndromes, weights and counts.
 
-    A coset's weights are wt(u) + popcount(s ^ su[u]) over the messages u,
-    su[u] being the parity bits of u: a min-plus XOR convolution that splits
-    by coordinate. It starts from the two least wt(u) per info syndrome su[u]
-    and takes one pass per parity bit i, merging each syndrome s with its
-    partner s ^ 2^i one weight up; the probabilities start from
-    sum p^wt(u) (1-p)^(k-wt(u)) per info syndrome and mix the same way."""
-    n, k, m = code.n, code.k, code.n - code.k
-    su = _span(_syndrome_columns(code))[:, 0].astype(np.intp)
-    wt = np.bitwise_count(np.arange(1 << k))
+    A coset's weights are wt(u) + popcount(s ^ su[u]) over the messages u: a
+    min-plus XOR convolution that splits by coordinate. It starts from the
+    two least wt(u) per info syndrome su[u] and takes one pass per parity
+    bit i, merging each syndrome s with its partner s ^ 2^i one weight up."""
+    k, m = code.k, code.n - code.k
+    su = _span(_syndrome_columns(code))[:, 0].astype(np.uint32)
     # Sorted (su, wt) keys list each syndrome's messages lightest first: its
-    # first entry holds d1 and its second, if any, d2.
+    # first entry holds d1 and its second, if any, d2. Keys stay below 2^25.
     shift = k.bit_length()
-    key = np.sort(su << shift | wt)
+    key = np.sort(su << shift | np.bitwise_count(np.arange(1 << k, dtype=np.uint32)))
     s, w = key >> shift, key & ((1 << shift) - 1)
     first = np.ones(len(key), dtype=bool)
     np.not_equal(s[1:], s[:-1], out=first[1:])
     second = np.zeros_like(first)
     np.greater(first[:-1], first[1:], out=second[1:])
-    d = np.full((2, 1 << m), 2 * n + 1, dtype=np.uint8)  # rows d1, d2
+    d = np.full((2, 1 << m), 2 * code.n + 1, dtype=np.uint8)  # rows d1, d2
     d[0, s[first]], d[1, s[second]] = w[first], w[second]
-    if p is not None:
-        # Runs of equal keys sum as count * term: at most k + 1 terms per syndrome.
-        edge = np.ones(len(key) + 1, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
-        run = np.flatnonzero(edge)
-        pw = p ** np.arange(k + 1) * (1.0 - p) ** np.arange(k, -1, -1)
-        terms = np.diff(run) * pw[w[run[:-1]]]
-        prob = np.bincount(s[run[:-1]], weights=terms, minlength=1 << m)
     for i in range(m):
         # Axis 2 of the (2, -1, 2, 2^i) view is bit i; reversing it pairs s with s ^ 2^i.
         a = d.reshape(2, -1, 2, 1 << i)
@@ -397,19 +393,38 @@ def _coset_table(code, p: Optional[float] = None):
         low = np.minimum(a, b)  # d1, and min(d2, partner's d2 + 1)
         np.minimum(low[1], np.maximum(a[0], b[0]), out=low[1])
         d = low.reshape(2, -1)
-        if p is not None:
-            f = prob.reshape(-1, 2, 1 << i)
-            prob = ((1.0 - p) * f + p * f[:, ::-1]).reshape(-1)
-    return (d[0], d[1]) if p is None else (d[0], d[1], prob)
+    # Runs of equal keys: at most k + 1 per syndrome.
+    edge = np.ones(len(key) + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+    run = np.flatnonzero(edge)
+    memo = su, d[0], d[1], s[run[:-1]], w[run[:-1]].astype(np.uint8), np.diff(run).astype(np.uint32)
+    for a in memo:
+        a.flags.writeable = False
+    return memo
+
+
+def _coset_table(code, p: float):
+    """(d1, d2) from ``_cosets`` and each coset's probability on the BSC,
+    the part that depends on p: count * p^wt (1-p)^(k-wt) summed over the
+    runs of each info syndrome, then mixed by one pass per parity bit."""
+    k, m = code.k, code.n - code.k
+    _, d1, d2, s, w, count = _cosets(code)
+    pw = p ** np.arange(k + 1) * (1.0 - p) ** np.arange(k, -1, -1)
+    prob = np.bincount(s, weights=count * pw[w], minlength=1 << m)
+    for i in range(m):
+        f = prob.reshape(-1, 2, 1 << i)
+        prob = ((1.0 - p) * f + p * f[:, ::-1]).reshape(-1)
+    return d1, d2, prob
 
 
 def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, float]:
     """Exact (P_correct, P_undetected, P_erasure) of margin decoding on the BSC
     with the all-zero codeword sent, summed over the 2^(n-k) cosets of the
     syndrome table: a coset is decoded when its two least weights differ by
-    max(2t, 1), and then only its leader decodes correctly. Requires
-    n - k <= _BUDGET_BITS, k <= _BUDGET_BITS and a systematic ``code``
-    exposing ``n``, ``k`` and ``parity``."""
+    max(2t, 1), and then only its leader decodes correctly. ``code`` is a
+    ``LinearCode`` (hashable: its p-free table is kept by ``_cosets``, so a
+    sweep over p and t builds it once) with n - k <= _BUDGET_BITS and k <=
+    _BUDGET_BITS."""
     n, k = code.n, code.k
     if not _tabulable(code):
         raise ValueError(

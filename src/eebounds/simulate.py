@@ -33,12 +33,11 @@ import numpy as np
 
 from .finite import (
     WeightDistribution,
-    _coset_table,
+    _cosets,
     _decided,
     _nearest,
     _pack,
     _span,
-    _syndrome_columns,
     _tabulable,
     _walk,
     _words,
@@ -287,7 +286,8 @@ def simulate_bsc(
     received word. A trial is decoded when the two least weights d1, d2 of
     its coset differ by max(2t, 1), and correct when also wt(e) = d1. Each
     block reads d1 and the decision at each word's syndrome par ^ su[info]
-    from the coset table, built once per call; past the table's element
+    from the coset table, built once per code and shared with the exact
+    oracle (``finite._cosets``); past the table's element
     budget, the coset kernel runs once per distinct word of a block. A block
     draws its error bits in row slices of about ``_DRAW_BUDGET`` uniforms,
     packed as they come: the same stream as one (block x n) draw."""
@@ -296,8 +296,7 @@ def simulate_bsc(
     if t < 0:
         raise ValueError(f"margin must be nonnegative, got {t}")
     if tabulated := _tabulable(code):
-        su = _span(_syndrome_columns(code))[:, 0]
-        d1, d2 = _coset_table(code)
+        su, d1, d2, *_ = _cosets(code)
         decoded = _decided(d1, d2, 2 * t, code.k == 0)
     rows = max(1, _DRAW_BUDGET // code.n)
 
@@ -326,9 +325,11 @@ def simulate_awgn(
 
     The angle arccos(clip(<y, x> / (|y| |x|))) is a nonincreasing function of
     the inner product <y, x>, so the two least angles of a trial are those of
-    its two largest inner products. Only those two and the sent point's are
-    turned into angles; the tallies equal those of the full angle matrix.
-    The inner products are caller-thread GEMMs (see the module docstring)."""
+    its two largest inner products, and only those two are turned into
+    angles. A decoded trial is correct when its best point is the sent one
+    (a sent point tying the best elsewhere leaves an equal runner-up: an
+    erasure), so the tallies equal those of the full angle matrix. The
+    inner products are caller-thread GEMMs (see the module docstring)."""
     if tau < 0.0:
         raise ValueError(f"margin must be nonnegative, got {tau}")
     pts = codebook.points
@@ -344,24 +345,25 @@ def simulate_awgn(
         y = rng.standard_normal((size, codebook.n))
         y += pts[sent]  # in place: no third (size, n) array per block
         scale = np.linalg.norm(y, axis=1, keepdims=True) * norm_pts
-        # Columns: sent, best, then the runner-up when there is one.
-        top = np.empty((size, 3 if codebook.M > 1 else 2))
+        # Columns: best, then the runner-up when there is one.
+        top = np.empty((size, 2 if codebook.M > 1 else 1))
+        hit = np.empty(size, dtype=bool)
         for lo in range(0, size, step):
             part = slice(lo, lo + step)
             dots = np.empty((min(step, size - lo), codebook.M))
             _inner_products(y[part], columns, dots)
             rows = np.arange(len(dots))
             best = dots.argmax(axis=1)
-            top[part, 0] = dots[rows, sent[part]]
-            top[part, 1] = dots[rows, best]
+            hit[part] = best == sent[part]
+            top[part, 0] = dots[rows, best]
             if codebook.M > 1:
                 dots[rows, best] = -np.inf
                 # An argmax read costs about a third of a row-wise max here.
-                top[part, 2] = dots[rows, dots.argmax(axis=1)]
+                top[part, 1] = dots[rows, dots.argmax(axis=1)]
         ang = np.arccos(np.clip(top / scale, -1.0, 1.0))
         # The last column is the runner-up, or the best again when M = 1.
-        decoded = _decided(ang[:, 1], ang[:, -1], 2.0 * tau, codebook.M == 1)
-        return _tally(decoded, ang[:, 0] == ang[:, 1])
+        decoded = _decided(ang[:, 0], ang[:, -1], 2.0 * tau, codebook.M == 1)
+        return _tally(decoded, hit)
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)

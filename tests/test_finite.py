@@ -10,6 +10,7 @@ from eebounds.finite import (
     MarginParams,
     WeightDistribution,
     _coset_table,
+    _cosets,
     _decided,
     _nearest,
     _walk,
@@ -420,7 +421,6 @@ class TestCosetTable:
         for rows, _, block in _walk(code, cosets):
             walked[rows] += prob_w[block].sum(axis=1)
         assert prob == pytest.approx(walked, rel=1e-12, abs=0.0)
-        assert all(np.array_equal(a, b) for a, b in zip(_coset_table(code), (d1, d2)))
 
     def test_one_word_cosets_always_decode(self):
         # k = 0: each coset is its own leader, so no margin erases it. A
@@ -431,6 +431,52 @@ class TestCosetTable:
                            (LinearCode(20, 0, ()), 0.1, 0)):
             pc, pu, pe = exact_margin_probability(code, p, t)
             assert (pc, pe) == pytest.approx((1.0, 0.0), abs=1e-15) and pu == 0.0
+
+
+class TestCosetMemo:
+    """``_cosets`` builds a code's p-free table once; the oracle and the BSC
+    simulator read it, and a warm call gives the cold call's values."""
+
+    SWEEP = [(p, t) for p in (0.0, 0.01, 0.07, 0.13, 0.5, 1.0) for t in (0, 1, 3)]
+
+    @pytest.mark.parametrize("code", TABLE_CODES, ids=lambda c: f"{c.n}-{c.k}")
+    def test_warm_calls_match_cold_calls(self, code):
+        cold = []
+        for p, t in self.SWEEP:
+            _cosets.cache_clear()
+            cold.append(exact_margin_probability(code, p, t))
+        warm = [exact_margin_probability(code, p, t) for p, t in self.SWEEP]
+        assert warm == cold  # bit for bit
+        assert _cosets.cache_info().hits == len(self.SWEEP)
+
+    @pytest.mark.parametrize("code", TABLE_CODES, ids=lambda c: f"{c.n}-{c.k}")
+    def test_memo_is_read_only(self, code):
+        for a in _cosets(code):
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_simulator_reuses_the_oracle_table(self):
+        _cosets.cache_clear()
+        exact_margin_probability(gen_linear_code(24, 12, 0), 0.05, 1)
+        # An equal code built anew: the memo is keyed by value.
+        simulate_bsc(gen_linear_code(24, 12, 0), 0.05, 1, 1000, seed=3)
+        info = _cosets.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_memo_entry_is_compact(self):
+        # A (40,20) entry: su (4 MiB of uint32), d1 and d2 (1 MiB each) and
+        # at most 2^20 runs of a uint32 syndrome, a uint8 weight and a uint32
+        # count (9 MiB). int64 arrays would hold about twice as much.
+        code = gen_linear_code(40, 20, 0)
+        _cosets.cache_clear()
+        tracemalloc.start()
+        try:
+            exact_margin_probability(code, 0.05, 1)
+            held = tracemalloc.get_traced_memory()[0] / 2**20
+        finally:
+            tracemalloc.stop()
+            _cosets.cache_clear()
+        assert held < 16.0
 
 
 class TestPack:
