@@ -3,16 +3,17 @@
 These are the numerical ground truth for the asymptotic modules: the binary
 union bound dominates the exact margin-decoding oracle for every code, and
 its normalized exponent converges to the asymptotic trade-off bounds. The
-binary bound is one log-domain sum per weight, its inner sum being a
-binomial CDF read from a prefix log-sum-exp; the AWGN bound is one
-midpoint-rule integral per weight, its integrand written in t = tan phi so
-that a node takes one tangent and no float64 sine or cosine, which cost
-about five tangents each (a call takes about 4, 13 and 55 ms at n = 64, 256
-and 1024 on a shared 2-core machine, 0.45 of the rule written with ``esp``
-at each node). Both bounds evaluate all weights at once as 2-D arrays, one
-row per weight, in blocks of at most ``_ROW_BUDGET`` elements (128 KB of
-float64 per intermediate), so their memory does not grow with n, and sum
-each row by a row-wise log-sum-exp.
+binary bound is one sum per weight, its inner sum being a binomial CDF
+read from a prefix sum, both in the linear domain with one power-of-two
+scale per row; the AWGN bound is one midpoint-rule integral per weight, its
+integrand written in t = tan phi so that a node takes one tangent and no
+float64 sine or cosine, which cost about five tangents each (a call takes
+about 4, 13 and 55 ms at n = 64, 256 and 1024 on a shared 2-core machine,
+0.45 of the rule written with ``esp`` at each node). Both bounds evaluate
+all weights at once as 2-D arrays, one row per weight, in blocks of at most
+``_ROW_BUDGET`` elements (128 KB of float64 per intermediate), so their
+memory does not grow with n; the AWGN bound sums each row by a row-wise
+log-sum-exp.
 Exact binary decoding takes received words in one packed format, ``_words``:
 info bits, then parity bits par, in the coset of syndrome par ^ su[info].
 Each coset's two least weights come from one syndrome table, ``_cosets``,
@@ -134,9 +135,20 @@ def binary_union_bound(
 
     Weight w contributes A_w times a sum over i errors on its support; the
     sum over the j errors off it is a binomial(n - w, p) CDF. The weights are
-    evaluated in blocks of rows of at most ``_ROW_BUDGET`` elements: one
-    prefix log-sum-exp along each row gives the CDFs, and each row's i-terms
-    are gathered from its CDF and reduced by a row-wise log-sum-exp.
+    evaluated in blocks of rows of at most ``_ROW_BUDGET`` elements, in the
+    linear domain with one scale per row: each row's pmf is taken relative
+    to its maximum 2^top and summed by a prefix sum into its CDF, its i-terms
+    relative to their maximum 2^lead, and the row's sum of i-term times CDF
+    is one log2 away from the piece.
+
+    The scaling loses nothing that shows. The i = lo term reads CDF(last),
+    the row's largest CDF entry and at least 2^top; its i-term is the row's
+    largest, 2^lead, when lo lies at or past the binomial(w, p) mode, as it
+    does in error mode and at t = 0. So what underflow takes from a CDF entry
+    or an i-term is below 2^-1074 of CDF(last) or of 2^lead, and from every
+    term that reads it, below 2^-1074 of the i = lo term. An erasure margin
+    t > 0 can put lo up to t steps below the mode, which widens that factor
+    by the pmf's ratio over those steps.
     """
     if mode not in ("error", "erasure"):
         raise ValueError(f"mode must be 'error' or 'erasure', got {mode}")
@@ -145,17 +157,18 @@ def binary_union_bound(
     n, t = wd.n, m.t
     sign = 1 if mode == "error" else -1
     lp, lq = math.log2(p), math.log2(1.0 - p)
-    d = wd.min_distance
+    counts = np.fromiter(wd.log2_counts, float, n + 1)
+    present = counts[1:] > -math.inf
+    d = int(present.argmax()) + 1  # the minimum distance, if any weight is present
 
-    r = n if d is None else max(min(d + sign * 2 * t, n), -1)
+    r = max(min(d + sign * 2 * t, n), -1) if present.any() else n
 
     lf = _log2_factorials(n)
     # Weights w >= 1 that are present and admit i in [lo, hi].
-    counts = np.asarray(wd.log2_counts)
     w = np.arange(1, n + 1)
     lo = np.maximum((w + 1) // 2 + sign * t, 0)
     hi = np.minimum(r, w)
-    keep = (counts[1:] > -math.inf) & (lo <= hi)
+    keep = present & (lo <= hi)
     w, lo, hi = w[keep], lo[keep], hi[keep]
     off = n - w
     last = np.minimum(r - lo, off)  # largest CDF argument a row reads
@@ -165,19 +178,23 @@ def binary_union_bound(
     for s in range(0, len(w), rows):
         b = slice(s, s + rows)
         mb, wb = off[b, None], w[b, None]
-        # Binomial(n - w, p) CDFs at j = 0..last. Past a row's last, j is
-        # clipped to keep the indices valid; those prefix sums are never read.
+        # Binomial(n - w, p) CDFs at j = 0..last, over 2^top. Past a row's
+        # last, j is clipped to keep the indices valid; those prefix sums are
+        # never read, and the repeated entries leave the row maximum as it is.
         jc = np.minimum(np.arange(int(last[b].max()) + 1), last[b, None])
         log_pmf = _log2_pmf(lf, mb, jc, lp, lq)
-        log_cdf = np.logaddexp2.accumulate(log_pmf, axis=1)
-        # i errors on the codeword's support, i = lo..hi, and the CDF at
-        # min(r - i, n - w); -inf past each row's hi.
+        top = log_pmf.max(axis=1)
+        cdf = np.cumsum(np.exp2(log_pmf - top[:, None]), axis=1)
+        # i errors on the codeword's support, i = lo..hi, over 2^lead, and
+        # the CDF at min(r - i, n - w); 0 past each row's hi.
         i = lo[b, None] + np.arange(int((hi - lo)[b].max()) + 1)
         ic = np.minimum(i, hi[b, None])
-        terms = _log2_pmf(lf, wb, ic, lp, lq)
-        terms += np.take_along_axis(log_cdf, np.minimum(r - ic, mb), axis=1)
-        terms[i > hi[b, None]] = -math.inf
-        pieces[b] = counts[w[b]] + _row_log_sum(terms)
+        log_w = _log2_pmf(lf, wb, ic, lp, lq)
+        log_w[i > hi[b, None]] = -math.inf
+        lead = log_w.max(axis=1)
+        terms = np.exp2(log_w - lead[:, None])
+        terms *= np.take_along_axis(cdf, np.minimum(r - ic, mb), axis=1)
+        pieces[b] = counts[w[b]] + lead + top + np.log2(terms.sum(axis=1))
     # Tail: error weight beyond the decoding radius.
     if r < n:
         es = np.arange(r + 1, n + 1)

@@ -6,7 +6,8 @@ the package is one such solve, on a bracket its caller knows to hold exactly
 one root), the zooming-grid maximizer (``maximize_unimodal``; minimize by
 negating), the binary entropy (elementwise on an array, like
 ``spherical.esp``) and its inverse, the log-factorial table behind every
-log-binomial row (``_log2_factorials``), the one log2 binomial pmf term
+log-binomial row (``_log2_factorials``, built once per n and kept, read-only,
+for the last ``_MEMO_FACTORIALS`` lengths), the one log2 binomial pmf term
 (``_log2_pmf``) and overflow-safe log-domain sums, of a sequence (``log_sum``)
 or of each row of a 2-D array (``_row_log_sum``). The maximizer has the one
 grid contract in the package: f is elementwise on arrays, and non-finite
@@ -20,6 +21,7 @@ Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -44,6 +46,7 @@ _ZOOM_POINTS = 65  # points of each later round, over two cells of the last
 _ROOT_TOL = 1e-15
 _MAX_TOL = 1e-12  # width of the two cells at which the maximizer stops
 _MAX_ITER = 200  # step (or round) cap of either solver
+_MEMO_FACTORIALS = 8  # lengths n whose ``_log2_factorials`` tables are kept
 LN2 = math.log(2.0)
 
 
@@ -178,10 +181,15 @@ def entropy_inverse(y: float) -> float:
     return solve_bracketed(lambda x: binary_entropy(x) - y, 0.0, 0.5)
 
 
+@functools.lru_cache(maxsize=_MEMO_FACTORIALS)
 def _log2_factorials(n: int) -> np.ndarray:
-    """log2 k! for k = 0..n. Row m of log2 binomials is
+    """log2 k! for k = 0..n, read-only and kept for the last
+    ``_MEMO_FACTORIALS`` lengths (8 (n + 1) bytes each; rebuilding one takes
+    about 0.5 ms at n = 2048). Row m of log2 binomials is
     ``lf[m] - lf[:m + 1] - lf[m::-1]``."""
-    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1) / LN2
+    lf = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1) / LN2
+    lf.flags.writeable = False
+    return lf
 
 
 def _log2_pmf(lf: np.ndarray, m, j, lp: float, lq: float):

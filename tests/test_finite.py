@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,62 @@ PINNED_GV_BOUNDS = {
     (4096, "erasure", 0): -463.13733819557484,
     (4096, "erasure", 2): -456.6086109861701,
 }
+
+
+# Spectra near p = 1/2 at n >= 1500, where CDF entries lie more than 1074
+# bits below their row's maximum: GV ensembles (low rate gives the widest
+# rows), and erasure spectra of a few small weights, whose lo lies below the
+# binomial(w, p) mode at t = 7. At n = 2048 the small weights' rows read CDFs
+# far below 2^-1074 (the tail dominates their total); at n = 48 they show.
+NEAR_HALF_CASES = [
+    (f"gv{n}-R{rate}-p{p}-{mode}-t{t}", n, ("gv", rate), p, mode, t)
+    for n in (2048, 4096)
+    for rate in (0.05, 0.3)
+    for p in (0.45, 0.4999)
+    for mode in ("error", "erasure")
+    for t in (0, 7)
+] + [
+    (f"small{n}-w{'-'.join(map(str, weights))}-p{p}", n, ("counts", weights), p, "erasure", 7)
+    for n in (48, 2048)
+    for weights in ((20, 23, 26, 40), (24, 29, 31, 44))
+    for p in (0.3, 0.45, 0.4999)
+]
+
+
+def _near_half_spectrum(n, spec):
+    if spec[0] == "gv":
+        return WeightDistribution.gv_ensemble(n, spec[1])
+    counts = [1] + [0] * n
+    for k, w in enumerate(spec[1]):
+        counts[w] = 5**k
+    return WeightDistribution.from_counts(counts)
+
+
+def _log_domain_union_bound(wd, p, t, mode):
+    """The binary union bound one weight at a time in the log domain: each
+    binomial(n - w, p) CDF by a prefix log-sum-exp, which loses no entry to
+    underflow however far below its row's maximum it lies."""
+    n = wd.n
+    sign = 1 if mode == "error" else -1
+    lp, lq = math.log2(p), math.log2(1.0 - p)
+    lf = np.array([math.lgamma(k + 1) for k in range(n + 1)]) / LN2
+
+    def log_pmf(m, j):
+        return lf[m] - lf[j] - lf[m - j] + j * lp + (m - j) * lq
+
+    d = wd.min_distance
+    r = n if d is None else max(min(d + sign * 2 * t, n), -1)
+    pieces = []
+    for w in range(1, n + 1):
+        lo, hi = max((w + 1) // 2 + sign * t, 0), min(r, w)
+        if wd.log2_counts[w] == -math.inf or lo > hi:
+            continue
+        log_cdf = np.logaddexp2.accumulate(log_pmf(n - w, np.arange(min(r - lo, n - w) + 1)))
+        i = np.arange(lo, hi + 1)
+        pieces.append(wd.log2_counts[w] + log_sum(log_pmf(w, i) + log_cdf[np.minimum(r - i, n - w)]))
+    if r < n:
+        pieces.append(log_sum(log_pmf(n, np.arange(r + 1, n + 1))))
+    return log_sum(pieces)
 
 
 def _peak_mb(f):
@@ -211,6 +268,18 @@ class TestBinaryUnionBound:
         wd = WeightDistribution.gv_ensemble(4096, 0.3)
         for mode in ("error", "erasure"):
             assert _peak_mb(lambda: binary_union_bound(wd, 0.07, MarginParams(2), mode)) < 2.0
+
+    @pytest.mark.parametrize("case", NEAR_HALF_CASES, ids=lambda c: c[0])
+    def test_matches_log_domain_reference_near_half(self, case):
+        # Each linear-domain row is rescaled by its maximum. Without that, a
+        # row whose pmf lies wholly below 2^-1074 sums to 0, and its log2
+        # warns; such rows are too small to move these totals.
+        _, n, spec, p, mode, t = case
+        wd = _near_half_spectrum(n, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = binary_union_bound(wd, p, MarginParams(t), mode)
+        assert bound == pytest.approx(_log_domain_union_bound(wd, p, t, mode), rel=1e-12, abs=1e-15)
 
     def test_mode_validation(self):
         wd = weight_distribution(HAMMING74)

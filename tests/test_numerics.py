@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import eebounds.numerics as numerics
 import eebounds.spherical as spherical
 from eebounds.numerics import (
+    LN2,
     BracketError,
     ConvergenceError,
     _log2_factorials,
@@ -270,6 +271,15 @@ class TestLogCombinatorics:
             for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} | set(range(0, n + 1, 97))):
                 exact = math.log2(math.comb(n, k))
                 assert lf[n] - lf[k] - lf[n - k] == pytest.approx(exact, abs=1e-9)
+
+    def test_log2_factorials_memo(self):
+        _log2_factorials.cache_clear()
+        lf = _log2_factorials(1500)
+        with pytest.raises(ValueError):
+            lf[3] = 0.0
+        assert _log2_factorials(1500) is lf
+        assert _log2_factorials.cache_info().hits == 1
+        assert lf.tolist() == [math.lgamma(k + 1) / LN2 for k in range(1501)]
 
     @pytest.mark.parametrize("p", [0.07, 0.3, 0.5])
     def test_log2_pmf_exact(self, p):
