@@ -5,14 +5,17 @@ union bound dominates the exact margin-decoding oracle for every code, and
 its normalized exponent converges to the asymptotic trade-off bounds. The
 binary bound is one sum per weight, its inner sum being a binomial CDF
 read from a prefix sum, both in the linear domain with one power-of-two
-scale per row; the AWGN bound is one midpoint-rule integral per weight, its
+scale per row, and each pmf row read as windows of padded tables
+(``numerics._log2_pmf_rows``), not element by element; the AWGN bound is
+one midpoint-rule integral per weight, its
 integrand written in t = tan phi so that a node takes one tangent and no
 float64 sine or cosine, which cost about five tangents each (a call takes
 about 4, 13 and 55 ms at n = 64, 256 and 1024 on a shared 2-core machine,
 0.45 of the rule written with ``esp`` at each node). Both bounds evaluate
 all weights at once as 2-D arrays, one row per weight, in blocks of at most
-``_ROW_BUDGET`` elements (128 KB of float64 per intermediate), so their
-memory does not grow with n; the AWGN bound sums each row by a row-wise
+``_ROW_BUDGET`` elements (128 KB of float64 per intermediate, under twice
+that for the binary bound's zero-padded CDF buffer), so their memory does
+not grow with n; the AWGN bound sums each row by a row-wise
 log-sum-exp.
 Exact binary decoding takes received words in one packed format, ``_words``:
 info bits, then parity bits par, in the coset of syndrome par ^ su[info].
@@ -30,12 +33,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import LN2, _log2_factorials, _log2_pmf, _row_log_sum, log_sum
+from .numerics import LN2, _log2_factorials, _log2_pmf_rows, _row_log_sum, log_sum
 from .spherical import AwgnChannel, _g_cos, _tail
 
 __all__ = [
@@ -72,7 +77,11 @@ class WeightDistribution:
 
     @classmethod
     def gv_ensemble(cls, n: int, rate_bits: float) -> "WeightDistribution":
-        """Expected spectrum floor(C(n,w) 2^{-n(1-R)}) of the rate-R ensemble."""
+        """Expected spectrum floor(C(n,w) 2^{-n(1-R)}) of the rate-R ensemble.
+        ValueError unless 0 <= R <= 1 bits: past 1 the counts exceed C(n, w),
+        below 0 they vanish and the bound reads a zero error probability."""
+        if not 0.0 <= rate_bits <= 1.0:
+            raise ValueError(f"rate must lie in [0, 1] bits, got {rate_bits}")
         lf = _log2_factorials(n)
         la = (lf[n] - lf - lf[::-1]) - n * (1.0 - rate_bits)
         la[la < 0.0] = -math.inf  # floor() kills expected counts below one
@@ -81,7 +90,10 @@ class WeightDistribution:
 
     @classmethod
     def binomial_spherical(cls, n: int, rate_nats: float) -> "WeightDistribution":
-        """Binomial Hamming spectrum of a rate-R (nats) binary spherical code."""
+        """Binomial Hamming spectrum of a rate-R (nats) binary spherical code.
+        ValueError unless 0 <= R <= ln 2 nats."""
+        if not 0.0 <= rate_nats <= LN2:
+            raise ValueError(f"rate must lie in [0, ln 2] nats, got {rate_nats}")
         return cls.gv_ensemble(n, rate_nats / LN2)
 
     @property
@@ -101,6 +113,9 @@ class MarginParams:
     t: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.t, numbers.Integral):
+            raise ValueError(f"margin must be an integer, got {self.t!r}")
+        object.__setattr__(self, "t", int(self.t))  # numpy integers wrap around
         if self.t < 0:
             raise ValueError(f"margin must be nonnegative, got {self.t}")
 
@@ -137,18 +152,25 @@ def binary_union_bound(
     sum over the j errors off it is a binomial(n - w, p) CDF. The weights are
     evaluated in blocks of rows of at most ``_ROW_BUDGET`` elements, in the
     linear domain with one scale per row: each row's pmf is taken relative
-    to its maximum 2^top and summed by a prefix sum into its CDF, its i-terms
-    relative to their maximum 2^lead, and the row's sum of i-term times CDF
-    is one log2 away from the piece.
+    to its value 2^top at its mode, or at the largest j the row reads if that
+    comes first, and summed by a prefix sum into its CDF; its i-terms are
+    taken relative to their maximum 2^lead, and the row's sum of i-term
+    times CDF is one log2 away from the piece. Every pmf row, the tail's
+    too, comes from ``numerics._log2_pmf_rows``: window reads of tables that
+    are +inf past n, so an i-term past w reads exactly 0. The CDF rows are
+    written reversed into a buffer whose columns past the CDF are 0, so the
+    CDF at r - i, for i = lo.., is one window of that buffer per row, which
+    reads 0 where i > r; the buffer's zero margin is less than the i-term
+    width, so it holds under twice ``_ROW_BUDGET`` elements.
 
-    The scaling loses nothing that shows. The i = lo term reads CDF(last),
-    the row's largest CDF entry and at least 2^top; its i-term is the row's
-    largest, 2^lead, when lo lies at or past the binomial(w, p) mode, as it
-    does in error mode and at t = 0. So what underflow takes from a CDF entry
-    or an i-term is below 2^-1074 of CDF(last) or of 2^lead, and from every
-    term that reads it, below 2^-1074 of the i = lo term. An erasure margin
-    t > 0 can put lo up to t steps below the mode, which widens that factor
-    by the pmf's ratio over those steps.
+    The scaling loses nothing that shows. The i = lo term reads CDF(r - lo),
+    the largest CDF entry the row reads and at least 2^top; its i-term is
+    the row's largest, 2^lead, when lo lies at or past the binomial(w, p)
+    mode, as it does in error mode and at t = 0. So what underflow takes
+    from a CDF entry or an i-term is below 2^-1074 of CDF(r - lo) or of
+    2^lead, and from every term that reads it, below 2^-1074 of the i = lo
+    term. An erasure margin t > 0 can put lo up to t steps below the mode,
+    which widens that factor by the pmf's ratio over those steps.
     """
     if mode not in ("error", "erasure"):
         raise ValueError(f"mode must be 'error' or 'erasure', got {mode}")
@@ -156,14 +178,13 @@ def binary_union_bound(
         raise ValueError(f"crossover must lie in (0, 1/2), got {p}")
     n, t = wd.n, m.t
     sign = 1 if mode == "error" else -1
-    lp, lq = math.log2(p), math.log2(1.0 - p)
     counts = np.fromiter(wd.log2_counts, float, n + 1)
     present = counts[1:] > -math.inf
     d = int(present.argmax()) + 1  # the minimum distance, if any weight is present
 
     r = max(min(d + sign * 2 * t, n), -1) if present.any() else n
 
-    lf = _log2_factorials(n)
+    pmf_rows = _log2_pmf_rows(n, p)
     # Weights w >= 1 that are present and admit i in [lo, hi].
     w = np.arange(1, n + 1)
     lo = np.maximum((w + 1) // 2 + sign * t, 0)
@@ -171,34 +192,37 @@ def binary_union_bound(
     keep = present & (lo <= hi)
     w, lo, hi = w[keep], lo[keep], hi[keep]
     off = n - w
-    last = np.minimum(r - lo, off)  # largest CDF argument a row reads
-    width = int(max(last.max(initial=0), (hi - lo).max(initial=0))) + 1
+    # Where each CDF row takes its scale: its mode floor((n - w + 1) p), or
+    # r - lo, its last read entry, if that comes first.
+    top_j = np.minimum(((off + 1) * p).astype(int), r - lo)
+    width = int((r - lo).max(initial=0)) + 1  # hi <= r: the widest row is a CDF
     rows = max(1, _ROW_BUDGET // width)
     pieces = np.empty(len(w))
     for s in range(0, len(w), rows):
         b = slice(s, s + rows)
-        mb, wb = off[b, None], w[b, None]
-        # Binomial(n - w, p) CDFs at j = 0..last, over 2^top. Past a row's
-        # last, j is clipped to keep the indices valid; those prefix sums are
-        # never read, and the repeated entries leave the row maximum as it is.
-        jc = np.minimum(np.arange(int(last[b].max()) + 1), last[b, None])
-        log_pmf = _log2_pmf(lf, mb, jc, lp, lq)
-        top = log_pmf.max(axis=1)
-        cdf = np.cumsum(np.exp2(log_pmf - top[:, None]), axis=1)
-        # i errors on the codeword's support, i = lo..hi, over 2^lead, and
-        # the CDF at min(r - i, n - w); 0 past each row's hi.
-        i = lo[b, None] + np.arange(int((hi - lo)[b].max()) + 1)
-        ic = np.minimum(i, hi[b, None])
-        log_w = _log2_pmf(lf, wb, ic, lp, lq)
-        log_w[i > hi[b, None]] = -math.inf
-        lead = log_w.max(axis=1)
-        terms = np.exp2(log_w - lead[:, None])
-        terms *= np.take_along_axis(cdf, np.minimum(r - ic, mb), axis=1)
+        at = np.arange(len(w[b]))
+        # Binomial(n - w, p) CDFs at j = 0..kc - 1, over 2^top, reversed into
+        # buf[:, :kc]; 0 past the pmf's last entry, j = n - w. A row never
+        # reads its CDF past r - lo, so the overflow there goes unseen.
+        kc = r - int(lo[b].min()) + 1
+        ki = int((hi - lo)[b].max()) + 1
+        log_pmf = pmf_rows(off[b], 0, kc)
+        top = log_pmf[at, top_j[b]]
+        log_pmf -= top[:, None]
+        buf = np.zeros((len(at), kc + max(ki - 1 - r + int(lo[b].max()), 0)))
+        with np.errstate(over="ignore"):
+            np.cumsum(np.exp2(log_pmf, out=log_pmf), axis=1, out=buf[:, kc - 1 :: -1])
+        # i errors on the codeword's support, i = lo..lo + ki - 1, over
+        # 2^lead, times the CDF at r - i: buf from column kc - 1 - (r - lo).
+        terms = pmf_rows(w[b], lo[b], ki)
+        lead = terms.max(axis=1)
+        terms -= lead[:, None]
+        np.exp2(terms, out=terms)
+        terms *= sliding_window_view(buf, ki, axis=1)[at, kc - 1 - r + lo[b]]
         pieces[b] = counts[w[b]] + lead + top + np.log2(terms.sum(axis=1))
     # Tail: error weight beyond the decoding radius.
     if r < n:
-        es = np.arange(r + 1, n + 1)
-        pieces = np.append(pieces, log_sum(_log2_pmf(lf, n, es, lp, lq)))
+        pieces = np.append(pieces, log_sum(pmf_rows(np.array([n]), r + 1, n - r)))
     return log_sum(pieces)
 
 

@@ -7,9 +7,11 @@ one root), the zooming-grid maximizer (``maximize_unimodal``; minimize by
 negating), the binary entropy (elementwise on an array, like
 ``spherical.esp``) and its inverse, the log-factorial table behind every
 log-binomial row (``_log2_factorials``, built once per n and kept, read-only,
-for the last ``_MEMO_FACTORIALS`` lengths), the one log2 binomial pmf term
-(``_log2_pmf``) and overflow-safe log-domain sums, of a sequence (``log_sum``)
-or of each row of a 2-D array (``_row_log_sum``). The maximizer has the one
+for the last ``_MEMO_FACTORIALS`` lengths), the one builder of log2 binomial
+pmf rows (``_log2_pmf_rows``: each row a few window reads of tables padded
+with +inf past n, so an entry past m is exactly -inf) and overflow-safe
+log-domain sums, of a sequence (``log_sum``) or of each row of a 2-D array
+(``_row_log_sum``). The maximizer has the one
 grid contract in the package: f is elementwise on arrays, and non-finite
 values count as -inf. It calls f only on arrays, once per round: a guard grid
 first, then a small grid over the two cells around the best point, until
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "BoundValue",
@@ -192,10 +195,41 @@ def _log2_factorials(n: int) -> np.ndarray:
     return lf
 
 
-def _log2_pmf(lf: np.ndarray, m, j, lp: float, lq: float):
-    """log2 of the binomial(m, p) pmf at j, from ``lf = _log2_factorials(N)``
-    (N >= m), lp = log2 p and lq = log2(1 - p); elementwise on index arrays."""
-    return lf[m] - lf[j] - lf[m - j] + j * lp + (m - j) * lq
+def _log2_pmf_rows(n: int, p: float) -> Callable[[np.ndarray, object, int], np.ndarray]:
+    """Row builder of log2 binomial(m, p) pmfs, m <= n: ``rows(m, j0, width)``
+    is the (len(m), width) array of log2 C(m, j) p^j (1 - p)^(m - j) at j =
+    j0, ..., j0 + width - 1, for a 1-D integer array m, j0 a scalar or one
+    per row with 0 <= j0 <= m + 1, and 0 <= width <= n + 1. An entry with
+    j > m is exactly -inf.
+
+    An entry is lf[m] - lf[j] - lf[m - j] + j lp + (m - j) lq, summed in that
+    order (lf the log2 factorials, lp = log2 p, lq = log2(1 - p)): the large
+    factorials cancel before the small terms are added. Past the per-row
+    lf[m], each part is a contiguous run of a table: lf[j] and j lp from
+    index j0, lf[m - j] and (m - j) lq from index n - m + j0 of the reversed
+    tables. Each run is one row of a ``sliding_window_view``, read as a
+    slice, and a scalar j0 shares its lf and j lp runs with every row. The
+    factorial tables are +inf past index n, so j > m reads -inf with no clip
+    or mask."""
+    lf = _log2_factorials(n)
+    lp, lq = math.log2(p), math.log2(1.0 - p)
+    k = np.arange(2 * n + 2)
+    tables = np.full((4, 2 * n + 2), math.inf)
+    tables[0, : n + 1] = lf
+    tables[1, : n + 1] = lf[::-1]
+    np.multiply(k, lp, out=tables[2])
+    np.multiply(n - k, lq, out=tables[3])
+    fact, fact_rev, j_lp, rest_lq = sliding_window_view(tables, n + 1, axis=1)
+
+    def rows(m: np.ndarray, j0, width: int) -> np.ndarray:
+        rev = n - m + j0
+        out = lf[m][:, None] - fact[j0, :width]
+        out -= fact_rev[rev, :width]
+        out += j_lp[j0, :width]
+        out += rest_lq[rev, :width]
+        return out
+
+    return rows
 
 
 def log_sum(values: Sequence[float], base: float = 2.0) -> float:

@@ -255,6 +255,22 @@ class TestFiniteBound:
         assert obj["ln_bound"] == finite.awgn_union_bound(wd, ch, -0.02, obj["rho"])
         assert obj["rho"] < json.loads(error_kind)["rho"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--channel", "bsc", "--p", "0.07", "--rate", "1.5"],
+            ["--channel", "bsc", "--p", "0.07", "--rate", "-0.5"],
+            ["--channel", "bsc", "--p", "0.07", "--rate", "0.7", "--units", "nats"],
+            ["--channel", "awgn", "--snr", "4", "--rate", "1.5", "--rho", "1.0"],
+            ["--channel", "awgn", "--snr", "4", "--rate", "-0.1", "--units", "nats", "--rho", "1.0"],
+        ],
+        ids=["bsc-above", "bsc-below", "bsc-nats", "awgn-bits", "awgn-nats"],
+    )
+    def test_rate_outside_unit_interval_is_error(self, tmp_path, capsys, argv):
+        rc, text = run(tmp_path, "fb7.json", "finite-bound", "--n", "64", *argv)
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: rate must lie in [0, ")
+
     def test_awgn_radius_below_capacity_angle_is_error(self, tmp_path, capsys):
         rc, text = run(
             tmp_path, "fb3.json",

@@ -123,6 +123,67 @@ def _log_domain_union_bound(wd, p, t, mode):
     return log_sum(pieces)
 
 
+def _three_gather_union_bound(wd, p, t, mode):
+    """The binary union bound with every pmf entry gathered element by
+    element, the reference for the window reads of the row builder: each
+    entry gathers the log-factorial table at m, j and m - j, the CDF rows are
+    clipped at their last read entry and the i-terms past hi masked to -inf,
+    then the same row-scaled linear-domain sums."""
+    n = wd.n
+    sign = 1 if mode == "error" else -1
+    lp, lq = math.log2(p), math.log2(1.0 - p)
+    lf = np.array([math.lgamma(k + 1) for k in range(n + 1)]) / LN2
+
+    def log_pmf(m, j):
+        return lf[m] - lf[j] - lf[m - j] + j * lp + (m - j) * lq
+
+    counts = np.array(wd.log2_counts)
+    present = counts[1:] > -math.inf
+    r = max(min(int(present.argmax()) + 1 + sign * 2 * t, n), -1) if present.any() else n
+    w = np.arange(1, n + 1)
+    lo = np.maximum((w + 1) // 2 + sign * t, 0)
+    hi = np.minimum(r, w)
+    keep = present & (lo <= hi)
+    w, lo, hi = w[keep], lo[keep], hi[keep]
+    off = n - w
+    last = np.minimum(r - lo, off)
+    rows = max(1, 2**14 // (int(max(last.max(initial=0), (hi - lo).max(initial=0))) + 1))
+    pieces = []
+    for s in range(0, len(w), rows):
+        b = slice(s, s + rows)
+        jc = np.minimum(np.arange(int(last[b].max()) + 1), last[b, None])
+        lpmf = log_pmf(off[b, None], jc)
+        top = lpmf.max(axis=1)
+        cdf = np.cumsum(np.exp2(lpmf - top[:, None]), axis=1)
+        i = lo[b, None] + np.arange(int((hi - lo)[b].max()) + 1)
+        ic = np.minimum(i, hi[b, None])
+        lw = log_pmf(w[b, None], ic)
+        lw[i > hi[b, None]] = -math.inf
+        lead = lw.max(axis=1)
+        terms = np.exp2(lw - lead[:, None])
+        terms *= np.take_along_axis(cdf, np.minimum(r - ic, off[b, None]), axis=1)
+        pieces.extend(counts[w[b]] + lead + top + np.log2(terms.sum(axis=1)))
+    if r < n:
+        pieces.append(log_sum(log_pmf(n, np.arange(r + 1, n + 1))))
+    return log_sum(pieces)
+
+
+def _assert_close_to_three_gather(got, want, case):
+    if want == -math.inf:
+        assert got == -math.inf, case
+    else:
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (case, got, want)
+
+
+# Spectra whose rows read the pmf tables' padding: weights at n - 1 and n
+# have n - w < r - lo, so their CDF rows run past their last pmf entry.
+PADDED_ROW_SPECTRA = [
+    (n, weights)
+    for n in (8, 9, 64, 1023)
+    for weights in ((n - 1, n), (n - 1,), (n,), (n // 2 + 3, n - 1, n))
+]
+
+
 def _peak_mb(f):
     tracemalloc.start()
     try:
@@ -251,6 +312,20 @@ class TestBinaryUnionBound:
         assert wd.log2_counts[1] == -math.inf
         assert wd.min_distance is not None and wd.min_distance > 1
 
+    @pytest.mark.parametrize("rate", [1.5, -0.5, 1.0 + 1e-12, -1e-300, math.nan])
+    def test_gv_ensemble_rejects_rate_outside_unit_interval(self, rate):
+        # At 1.5 the counts exceed C(n, w) (log2 bound 33.57 at n = 64); at
+        # -0.5 every count is floored away and the bound reads -inf.
+        with pytest.raises(ValueError, match=r"rate must lie in \[0, 1\] bits"):
+            WeightDistribution.gv_ensemble(64, rate)
+        with pytest.raises(ValueError, match=r"rate must lie in \[0, ln 2\] nats"):
+            WeightDistribution.binomial_spherical(64, rate * LN2)
+
+    def test_rate_interval_ends_accepted(self):
+        assert WeightDistribution.gv_ensemble(64, 0.0).min_distance is None
+        assert WeightDistribution.gv_ensemble(64, 1.0).min_distance == 1
+        assert WeightDistribution.binomial_spherical(64, LN2) == WeightDistribution.gv_ensemble(64, 1.0)
+
     def test_gv_exponent_near_asymptote(self):
         n, p, R = 1024, 0.07, 0.3
         wd = WeightDistribution.gv_ensemble(n, R)
@@ -281,6 +356,33 @@ class TestBinaryUnionBound:
             bound = binary_union_bound(wd, p, MarginParams(t), mode)
         assert bound == pytest.approx(_log_domain_union_bound(wd, p, t, mode), rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("rate", [0.05, 0.3, 0.5])
+    @pytest.mark.parametrize("n", [64, 256, 512, 1024, 2048, 4096])
+    def test_matches_three_gather_formula(self, n, rate):
+        wd = WeightDistribution.gv_ensemble(n, rate)
+        for p in (0.01, 0.07, 0.2, 0.45):
+            for mode in ("error", "erasure"):
+                for t in (0, 2, 7):
+                    want = _three_gather_union_bound(wd, p, t, mode)
+                    got = binary_union_bound(wd, p, MarginParams(t), mode)
+                    _assert_close_to_three_gather(got, want, (p, mode, t))
+
+    @pytest.mark.parametrize("spec", PADDED_ROW_SPECTRA, ids=lambda s: f"n{s[0]}-w{'-'.join(map(str, s[1]))}")
+    def test_padded_rows_match_three_gather_formula(self, spec):
+        n, weights = spec
+        counts = [1] + [0] * n
+        for k, w in enumerate(weights):
+            counts[w] = 3**k
+        wd = WeightDistribution.from_counts(counts)
+        for p in (0.07, 0.3, 0.45):
+            for mode in ("error", "erasure"):
+                for t in (1, 7):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        got = binary_union_bound(wd, p, MarginParams(t), mode)
+                    want = _three_gather_union_bound(wd, p, t, mode)
+                    _assert_close_to_three_gather(got, want, (p, mode, t))
+
     def test_mode_validation(self):
         wd = weight_distribution(HAMMING74)
         with pytest.raises(ValueError):
@@ -289,6 +391,21 @@ class TestBinaryUnionBound:
             binary_union_bound(wd, 0.6, MarginParams(0))
         with pytest.raises(ValueError):
             MarginParams(-1)
+
+    @pytest.mark.parametrize("t", [1.5, 2.0, "1", None])
+    def test_margin_must_be_an_integer(self, t):
+        # A float margin would otherwise fail later, as an array index in the bound.
+        with pytest.raises(ValueError, match="margin must be an integer"):
+            MarginParams(t)
+
+    def test_numpy_integer_margin(self):
+        wd = WeightDistribution.gv_ensemble(256, 0.3)
+        for t in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert type(MarginParams(t).t) is int
+            for mode in ("error", "erasure"):
+                assert binary_union_bound(wd, 0.07, MarginParams(t), mode) == binary_union_bound(
+                    wd, 0.07, MarginParams(2), mode
+                )
 
     @pytest.mark.parametrize("counts", [[1, -3, 0, 2], [1, math.nan, 0, 2], [1, math.inf, 0, 2]])
     def test_malformed_counts_rejected(self, counts):

@@ -11,7 +11,7 @@ from eebounds.numerics import (
     BracketError,
     ConvergenceError,
     _log2_factorials,
-    _log2_pmf,
+    _log2_pmf_rows,
     binary_entropy,
     entropy_inverse,
     log_sum,
@@ -281,19 +281,40 @@ class TestLogCombinatorics:
         assert _log2_factorials.cache_info().hits == 1
         assert lf.tolist() == [math.lgamma(k + 1) / LN2 for k in range(1501)]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p", [0.07, 0.3, 0.5])
     def test_log2_pmf_exact(self, p):
-        lf = _log2_factorials(300)
+        n = 300
+        rows = _log2_pmf_rows(n, p)
+        lf = _log2_factorials(n).tolist()
         lp, lq = math.log2(p), math.log2(1.0 - p)
-        for m in (0, 1, 7, 40, 300):
-            j = np.arange(m + 1)
-            got = _log2_pmf(lf, m, j, lp, lq)
-            for k in range(m + 1):
-                exact = math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
-                if exact > 1e-300:  # a normal float
-                    assert 2.0 ** got[k] == pytest.approx(exact, rel=1e-9)
-            assert float(_log2_pmf(lf, m, m // 2, lp, lq)) == got[m // 2]
-            assert math.log2(np.sum(np.exp2(got))) == pytest.approx(0.0, abs=1e-12)
+        ms = np.array([0, 1, 7, 40, 300])
+        for j0, width in ((0, n + 1), (1, 9), (5, 300), (0, 41)):
+            for m in ms:
+                if j0 > m + 1:
+                    continue
+                got = rows(np.array([m]), j0, width)[0]
+                assert got.shape == (width,)
+                for k, v in enumerate(got.tolist()):
+                    j = j0 + k
+                    if j > m:
+                        assert v == -math.inf  # padding, not an underflow
+                        continue
+                    # The three-gather sum, in its order, bit for bit.
+                    assert v == lf[m] - lf[j] - lf[m - j] + j * lp + (m - j) * lq
+                    exact = math.comb(m, j) * p**j * (1.0 - p) ** (m - j)
+                    if exact > 1e-300:  # a normal float
+                        assert 2.0**v == pytest.approx(exact, rel=1e-9)
+        # One j0 per row reads each row's own run; a scalar j0 shares one.
+        starts = np.array([0, 1, 3, 40, 2])
+        per_row = rows(ms, starts, 12)
+        shared = rows(ms, 1, 12)
+        for r, (m, j0) in enumerate(zip(ms, starts)):
+            assert per_row[r].tolist() == rows(ms[r : r + 1], int(j0), 12)[0].tolist()
+            assert shared[r].tolist() == rows(ms[r : r + 1], 1, 12)[0].tolist()
+        for m in ms:
+            full = rows(np.array([m]), 0, m + 1)[0]
+            assert math.log2(np.sum(np.exp2(full))) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_sum_matches_direct(self):
         vals = [-3.0, -1.5, -10.0, 0.25]
