@@ -44,7 +44,6 @@ __all__ = [
     "nontrivial_rate_threshold",
     "specific_code_bound",
     "bounded_distance_exponent",
-    "typical_error_geometry",
 ]
 
 _GV_KNOTS = 2001  # knots of ``WeightProfile.gv_ensemble``
@@ -350,12 +349,6 @@ class WeightProfile:
     def support(self) -> tuple[float, float]:
         return self.omegas[0], self.omegas[-1]
 
-    def __call__(self, omega: float) -> float:
-        lo, hi = self.support
-        if omega < lo or omega > hi:
-            return -math.inf
-        return float(np.interp(omega, self.omegas, self.alphas))
-
     @classmethod
     def gv_ensemble(cls, R: float) -> "WeightProfile":
         """Binomial/GV profile alpha(omega) = h(omega) - (1 - R) on its
@@ -363,11 +356,6 @@ class WeightProfile:
         dgv = delta_gv(R)
         om = np.linspace(dgv, 1.0, _GV_KNOTS)
         return cls(tuple(om.tolist()), tuple((h(om) - (1.0 - R)).tolist()))
-
-    @classmethod
-    def single_weight(cls, omega: float, alpha: float = 0.0) -> "WeightProfile":
-        eps = 1e-12
-        return cls((omega - eps, omega, omega + eps), (alpha, alpha, alpha))
 
 
 def specific_code_bound(profile: WeightProfile, R: float, ch: BscChannel) -> float:
@@ -432,14 +420,3 @@ def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BinaryBou
     diag = {"omega": omega, "a": a, "b": b}
     reason = f"negative exponent {value}" if value < 0.0 else None
     return BinaryBoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
-
-
-def typical_error_geometry(
-    R: float, ch: BscChannel, tau: float
-) -> tuple[float, float, str]:
-    """Typical (error weight, decoded-codeword weight, regime) of the
-    undetected-error event: the ``rho_typ`` and ``omega_typ`` diagnostics of
-    the error member of ``tradeoff_bounds``."""
-    m_plus = _tradeoff_one(R, ch, tau, +1)
-    d = m_plus.diagnostics
-    return d["rho_typ"], d["omega_typ"], m_plus.regime

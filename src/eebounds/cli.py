@@ -40,22 +40,31 @@ _NATIVE_UNITS = {"bsc": "bits", "awgn": "nats"}
 # rounding noise, and its digits would pin the summation order of a check.
 _DEFECT_FLOOR = 1e-14
 
+
+def _integer(value) -> int:
+    """int(value) for an integer key of a simulate config, which must not
+    truncate: 7 and 7.0 pass, 7.9 raises ValueError, as do NaN and inf."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
+
+
 # Simulate parameters: (conversion, default). A flag beats the config file,
 # and the config file beats the default. A config "n" may be one number.
 _SIM_PARAMS = {
     "kind": (str, None),
-    "seed": (int, None),
-    "trials": (int, 100000),
-    "workers": (int, 1),
-    "n": (lambda ns: [int(n) for n in (ns if isinstance(ns, list) else [ns])], None),
-    "k": (int, None),
-    "M": (int, None),
+    "seed": (_integer, None),
+    "trials": (_integer, 100000),
+    "workers": (_integer, 1),
+    "n": (lambda ns: [_integer(n) for n in (ns if isinstance(ns, list) else [ns])], None),
+    "k": (_integer, None),
+    "M": (_integer, None),
     "p": (float, None),
     "snr": (float, None),
     "tau": (float, 0.0),
-    "t": (int, 0),
+    "t": (_integer, 0),
     "phi": (float, None),
-    "code_seed": (int, 0),
+    "code_seed": (_integer, 0),
 }
 # The parameters each simulation kind cannot do without; bsc and awgn take one n.
 _SIM_NEEDS = {
@@ -269,7 +278,10 @@ def cmd_simulate(args) -> int:
     for name, (convert, default) in _SIM_PARAMS.items():
         flag = getattr(args, name)
         value = flag if flag is not None else cfg.get(name, default)
-        v[name] = None if value is None else convert(value)
+        try:
+            v[name] = None if value is None else convert(value)
+        except ValueError as exc:
+            raise UsageError(f"{name}: {exc}") from None
     kind, trials, seed, workers = v["kind"], v["trials"], v["seed"], v["workers"]
     if seed is None:
         raise UsageError("a seed is required for simulation (use --seed)")

@@ -23,17 +23,18 @@ Each coset's two least weights come from one syndrome table, ``_cosets``,
 built by one pass per parity bit once per code and kept for the last few
 codes; the oracle and the BSC simulator use it when it fits the element
 budget, and a call of the oracle only mixes the coset probabilities at its
-p (``_coset_table``). Single words and the words of larger codes
-are decoded by ``_nearest`` from one streamed popcount walk, ``_walk``, whose
-blocks ``weight_distribution`` also counts. One rule, ``_decided``, decides
-every (d1, d2) pair of both channels.
+p (``_coset_table``). The words of larger codes are decoded by
+``_nearest`` from one streamed popcount walk, ``_walk``, whose blocks
+``weight_distribution`` also counts. One rule, ``_decided``, decides every
+(d1, d2) pair of both channels, and one check, ``_margin``, admits every
+Hamming margin t.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,6 +105,18 @@ class WeightDistribution:
         return None
 
 
+def _margin(t) -> int:
+    """The Hamming margin t as an int: ValueError unless t is a nonnegative
+    integer. A numpy integer becomes an int, so 2t cannot wrap around."""
+    try:
+        t = operator.index(t)  # about 0.1 us; an isinstance check on numbers.Integral, 0.6
+    except TypeError:
+        raise ValueError(f"margin must be an integer, got {t!r}") from None
+    if t < 0:
+        raise ValueError(f"margin must be nonnegative, got {t}")
+    return t
+
+
 @dataclass(frozen=True)
 class MarginParams:
     """Margin decoder parameters: the integer Hamming margin t. The union
@@ -113,11 +126,7 @@ class MarginParams:
     t: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.t, numbers.Integral):
-            raise ValueError(f"margin must be an integer, got {self.t!r}")
-        object.__setattr__(self, "t", int(self.t))  # numpy integers wrap around
-        if self.t < 0:
-            raise ValueError(f"margin must be nonnegative, got {self.t}")
+        object.__setattr__(self, "t", _margin(self.t))
 
 
 def triangle_count(n: int, k: int, i: int, j: int) -> int:
@@ -246,9 +255,10 @@ def awgn_union_bound(
     sin phi = t c and 1 - c^2 sec^2 h = c^2 (t^2 - tan^2 h), so
 
         1 - tan^2 h / t^2 = (1 - c^2 sec^2 h) / (t c)^2,
-        esp(phi) = A/2 - (sqrt(A)/2) g c - ln(g t c),   g = g_aux(phi),
+        esp(phi) = A/2 - (sqrt(A)/2) g c - ln(g t c),
 
-    and the log of the integrand is
+    g = (sqrt(A) c + sqrt(A c^2 + 4)) / 2 being the saddle factor
+    (``spherical._g_cos``), and the log of the integrand is
 
         (n-1)/2 ln[(1 - c^2 sec^2 h) g^2] + ln(g c t^2) + n (sqrt(A)/2) g c
             + ln P - ln tan h - n A/2,
@@ -349,11 +359,12 @@ def _words(code, bits) -> np.ndarray:
 def _walk(code, words: np.ndarray):
     """Distances popcount(info ^ u) + popcount(par ^ su[u]) from received
     ``words`` (``_words``) to each message u of the systematic ``code``, su[u]
-    being the parity bits of u, as (rows, first, block) triples: block[i, j]
-    is for word rows.start + i and message first + j. Each high-bit message
-    pattern is XORed into the words, then the span of the low min(k,
-    _BUDGET_BITS) bits. A block holds at most 2^_BUDGET_BITS elements (or
-    one row) and is reused by the next."""
+    being the parity bits of u, as (rows, block) pairs: block[i] holds the
+    distances from word rows.start + i to one chunk of the messages. The
+    readers take minima and histograms, which need no message index. Each
+    high-bit message pattern is XORed into the words, then the span of the
+    low min(k, _BUDGET_BITS) bits. A block holds at most 2^_BUDGET_BITS
+    elements (or one row) and is reused by the next."""
     info, par = words[:, 0], words[:, 1:]
     rows = _syndrome_columns(code)
     low = min(code.k, _BUDGET_BITS)
@@ -367,24 +378,21 @@ def _walk(code, words: np.ndarray):
             np.bitwise_count(info_h[lo : lo + step, None] ^ low_msgs, out=block)
             for w in range(low_par.shape[1]):
                 block += np.bitwise_count(par_h[lo : lo + step, w, None] ^ low_par[:, w])
-            yield slice(lo, lo + step), high << low, block
+            yield slice(lo, lo + step), block
 
 
 def _nearest(code, words: np.ndarray):
-    """Per received word of ``_walk``: the least distance d1 to a codeword,
-    the runner-up d2 (a tie gives d2 = d1) and the first message at d1,
-    reduced block by block. With one codeword (k = 0) d2 is 2^16 - 1."""
+    """Per received word of ``_walk``: the least distance d1 to a codeword
+    and the runner-up d2 (a tie gives d2 = d1), reduced block by block. With
+    one codeword (k = 0) d2 is 2^16 - 1."""
     d1, d2 = np.full((2, len(words)), 0xFFFF, dtype=np.uint16)
-    first = np.zeros(len(words), dtype=np.intp)
-    for rows, start, block in _walk(code, words):
-        arg = block.argmin(axis=1)
-        at = np.arange(len(block)), arg
+    for rows, block in _walk(code, words):
+        at = np.arange(len(block)), block.argmin(axis=1)
         b1, a1 = block[at], d1[rows]
         block[at] = 0xFFFF
-        first[rows] = np.where(b1 < a1, arg + start, first[rows])
         d2[rows] = np.minimum(np.minimum(d2[rows], block.min(axis=1)), np.maximum(a1, b1))
         d1[rows] = np.minimum(a1, b1)
-    return d1, d2, first
+    return d1, d2
 
 
 def _decided(d1, d2, margin, lone: bool) -> np.ndarray:
@@ -473,8 +481,7 @@ def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, floa
         )
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
-    if t < 0:
-        raise ValueError(f"margin must be nonnegative, got {t}")
+    t = _margin(t)
     d1, d2, coset = _coset_table(code, p)
     decoded = _decided(d1, d2, 2 * t, k == 0)
     prob_w = p ** np.arange(n + 1) * (1.0 - p) ** np.arange(n, -1, -1)

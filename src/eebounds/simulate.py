@@ -8,8 +8,9 @@ coset table that the exact oracle in ``finite`` sums; past the table's
 budget, each distinct word of a block is decoded by the streamed popcount
 walk instead. An AWGN trial is decided from its two largest inner products
 with the codebook, computed in row slices of a block so that each (rows x M)
-product stays small. A cone-exit trial draws only its sufficient statistic:
-the noise along the signal and the chi-square energy of the rest.
+product stays small; this is the package's only AWGN decision. A cone-exit
+trial draws only its sufficient statistic: the noise along the signal and
+the chi-square energy of the rest.
 
 Threads: ``workers`` is the number of threads a simulation keeps busy, and
 blocks are spread over them. The AWGN inner products are GEMMs of at most
@@ -27,7 +28,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .finite import (
     WeightDistribution,
     _cosets,
     _decided,
+    _margin,
     _nearest,
     _pack,
     _span,
@@ -51,8 +53,6 @@ __all__ = [
     "RegressionResult",
     "gen_linear_code",
     "weight_distribution",
-    "margin_decode",
-    "margin_decode_awgn",
     "simulate_bsc",
     "simulate_awgn",
     "simulate_cone_exit",
@@ -153,39 +153,8 @@ def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
 def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact weight distribution: the histogram of the walk's distances from the zero word."""
     blocks = _walk(code, _words(code, np.zeros((1, code.n))))
-    counts = sum(np.bincount(block[0], minlength=code.n + 1) for _, _, block in blocks)
+    counts = sum(np.bincount(block[0], minlength=code.n + 1) for _, block in blocks)
     return WeightDistribution.from_counts(counts.tolist())
-
-
-def margin_decode(code: LinearCode, y: Sequence[int], t: int) -> Optional[int]:
-    """Message index of the margin winner for the received word y (n entries,
-    each 0 or 1), or None for an erasure.
-
-    At t = 0 exact distance ties are classified as erasure (no unique winner).
-    """
-    if t < 0:
-        raise ValueError(f"margin must be nonnegative, got {t}")
-    yv = np.asarray(y).reshape(1, code.n)
-    if not ((yv == 0) | (yv == 1)).all():
-        raise ValueError(f"received word must hold only bits 0 and 1, got {yv[0].tolist()}")
-    d1, d2, first = _nearest(code, _words(code, yv))
-    return int(first[0]) if _decided(d1, d2, 2 * t, code.k == 0)[0] else None
-
-
-def margin_decode_awgn(
-    codebook: "SphericalCodebook", y: Sequence[float], tau: float
-) -> Optional[int]:
-    """Index of the margin winner under angular distance, or None."""
-    if tau < 0.0:
-        raise ValueError(f"margin must be nonnegative, got {tau}")
-    yv = np.asarray(y, dtype=np.float64)
-    ny = np.linalg.norm(yv)
-    if ny == 0.0:
-        return None
-    cosang = (codebook.points @ yv) / (ny * math.sqrt(codebook.A * codebook.n))
-    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    two = np.partition(ang, 1) if codebook.M > 1 else ang[[0, 0]]  # least, runner-up
-    return int(np.argmin(ang)) if _decided(two[0], two[1], 2.0 * tau, codebook.M == 1) else None
 
 
 @dataclass(frozen=True)
@@ -293,8 +262,7 @@ def simulate_bsc(
     packed as they come: the same stream as one (block x n) draw."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
-    if t < 0:
-        raise ValueError(f"margin must be nonnegative, got {t}")
+    t = _margin(t)
     if tabulated := _tabulable(code):
         su, d1, d2, *_ = _cosets(code)
         decoded = _decided(d1, d2, 2 * t, code.k == 0)
@@ -308,7 +276,7 @@ def simulate_bsc(
             which, lead, ok = words[:, 1] ^ su[words[:, 0]], d1, decoded
         else:
             distinct, which = _unique_rows(words)
-            lead, d2, _ = _nearest(code, distinct)
+            lead, d2 = _nearest(code, distinct)
             ok = _decided(lead, d2, 2 * t, code.k == 0)
         # Column by column: a row-wise sum over the few columns costs ten times more.
         weight = sum(map(np.bitwise_count, words.T), np.zeros(size, dtype=np.uint16))
@@ -330,7 +298,7 @@ def simulate_awgn(
     (a sent point tying the best elsewhere leaves an equal runner-up: an
     erasure), so the tallies equal those of the full angle matrix. The
     inner products are caller-thread GEMMs (see the module docstring)."""
-    if tau < 0.0:
+    if not tau >= 0.0:  # NaN too
         raise ValueError(f"margin must be nonnegative, got {tau}")
     pts = codebook.points
     # GEMMs on chunks of this copy run as fast as one whole product; on

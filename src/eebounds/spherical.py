@@ -20,9 +20,9 @@ angle, where leaving the cone is the typical event, and when no angle has a
 pair exponent. The worst angle is searched on arrays only, so the pair
 exponent (``f_exponent``, ``_phi0``) and every profile's ``b`` are
 NumPy-elementwise, with NaN outside their domain; a scalar gives a NumPy
-scalar. ``esp`` and ``g_aux`` also keep a float path, for the scalar bounds
-that call them in their loops, and take arrays for the quadrature in
-``finite``.
+scalar. ``esp`` also keeps a float path, for the scalar bounds that call it
+in their loops; its saddle factor ``_g_cos`` takes arrays for the quadrature
+in ``finite`` too.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "SphericalLandmarks",
     "DistanceProfile",
     "theta_s",
-    "rate_of_angle",
-    "g_aux",
     "esp",
     "shannon_exponent",
     "shannon_angles",
@@ -108,26 +106,12 @@ def theta_s(R: float) -> float:
     return math.asin(math.exp(-R))
 
 
-def rate_of_angle(theta: float) -> float:
-    """Inverse of theta_s: -ln sin theta."""
-    s = math.sin(theta)
-    if s <= 0.0:
-        raise ValueError(f"angle must have positive sine, got {theta}")
-    return -math.log(s)
-
-
 def _g_cos(c, A: float):
-    """g_aux from c = cos(phi): (sqrt(A) c + sqrt(A c^2 + 4)) / 2; elementwise
-    on an array, a float for a scalar."""
+    """Saddle factor g of the sphere-packing exponent from c = cos(phi):
+    (sqrt(A) c + sqrt(A c^2 + 4)) / 2; elementwise on an array, a float for a
+    scalar."""
     sqrt = np.sqrt if isinstance(c, np.ndarray) else math.sqrt
     return 0.5 * (math.sqrt(A) * c + sqrt(A * c * c + 4.0))
-
-
-def g_aux(phi, ch: AwgnChannel):
-    """Saddle factor g(phi) of the sphere-packing exponent; elementwise on an
-    array of angles, a float for a scalar."""
-    xp = np if isinstance(phi, np.ndarray) else math
-    return _g_cos(xp.cos(phi), ch.A)
 
 
 def esp(phi, ch: AwgnChannel):

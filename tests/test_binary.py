@@ -19,7 +19,6 @@ from eebounds.binary import (
     specific_code_bound,
     tradeoff_bounds,
     tradeoff_case_b_alternative,
-    typical_error_geometry,
 )
 from eebounds.numerics import LN2, binary_entropy as h, entropy_inverse
 
@@ -467,29 +466,19 @@ class TestTradeoffBounds:
 
 
 class TestTypicalGeometry:
+    """The typical error and codeword weights of the undetected-error event:
+    the ``rho_typ`` and ``omega_typ`` diagnostics of the error member."""
+
     def test_matches_regime(self):
         # Regime (c) has its typical error weight at the decoding radius
         # dgv + 2 tau, where the bound D(dgv + 2 tau || p) is evaluated.
-        rho, omega, regime = typical_error_geometry(0.4, CH, 0.03)
-        assert regime == "c"
+        m_plus = tradeoff_bounds(0.4, CH, 0.03)[0]
+        rho, omega = m_plus.diagnostics["rho_typ"], m_plus.diagnostics["omega_typ"]
+        assert m_plus.regime == "c"
         dgv = delta_gv(0.4)
         assert rho == pytest.approx(dgv + 2 * 0.03, abs=1e-12)
         assert omega == pytest.approx(2 * dgv * (1 - dgv) + 2 * 0.03 * (1 - 2 * dgv), abs=1e-12)
-        value = tradeoff_bounds(0.4, CH, 0.03)[0].value
-        assert value == pytest.approx(entropy_family(rho, CH.p)[2], abs=1e-12)
-
-    @pytest.mark.parametrize("tau", [0.01, 0.03])
-    def test_is_the_error_bound_diagnostics(self, tau):
-        # One copy of the geometry: the error member's rho_typ, omega_typ and
-        # regime, in every regime.
-        regimes = set()
-        for R in np.linspace(0.01, 0.6, 60):
-            m_plus = tradeoff_bounds(float(R), CH, tau)[0]
-            d = m_plus.diagnostics
-            geometry = typical_error_geometry(float(R), CH, tau)
-            assert geometry == (d["rho_typ"], d["omega_typ"], m_plus.regime), R
-            regimes.add(m_plus.regime)
-        assert regimes == {"a", "b", "c"}
+        assert m_plus.value == pytest.approx(entropy_family(rho, CH.p)[2], abs=1e-12)
 
     def test_invalid_regime_a_keeps_its_diagnostics(self):
         # tau > dgv / 2 puts the entropy argument 1/2 + tau/dgv above 1.
@@ -500,29 +489,21 @@ class TestTypicalGeometry:
             assert m.diagnostics == {
                 "rho_typ": (1.0 - dgv) * CH.p + dgv / 2.0 + sign * 0.3, "omega_typ": dgv
             }
-        assert typical_error_geometry(0.02, CH, 0.3)[:2] == (
-            m_plus.diagnostics["rho_typ"], dgv
-        )
 
     def test_case_b_weights(self):
         lm = landmarks(CH, 0.03)
-        rho, omega, regime = typical_error_geometry(0.15, CH, 0.03)
-        assert regime == "b"
-        assert rho == pytest.approx(lm.rho0_plus, abs=1e-12)
-        assert omega == pytest.approx(lm.omega0_tau, abs=1e-12)
+        m_plus = tradeoff_bounds(0.15, CH, 0.03)[0]
+        assert m_plus.regime == "b"
+        assert m_plus.diagnostics["rho_typ"] == pytest.approx(lm.rho0_plus, abs=1e-12)
+        assert m_plus.diagnostics["omega_typ"] == pytest.approx(lm.omega0_tau, abs=1e-12)
 
 
 class TestWeightProfile:
-    def test_support_and_interpolation(self):
-        wp = WeightProfile((0.2, 0.4), (-1.0, 0.0))
-        assert wp(0.3) == pytest.approx(-0.5)
-        assert wp(0.1) == -math.inf
-        assert wp(0.5) == -math.inf
-
     def test_gv_profile_zero_at_gv_distance(self):
         wp = WeightProfile.gv_ensemble(0.3)
-        assert wp(delta_gv(0.3)) == pytest.approx(0.0, abs=1e-9)
-        assert wp(0.5) == pytest.approx(0.3, abs=1e-6)
+        assert wp.support == (delta_gv(0.3), 1.0)
+        assert wp.alphas[0] == pytest.approx(0.0, abs=1e-9)
+        assert np.interp(0.5, wp.omegas, wp.alphas) == pytest.approx(0.3, abs=1e-6)
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
@@ -539,7 +520,7 @@ class TestSpecificCodeBound:
     def test_single_weight_code(self):
         # One codeword weight omega with zero rate of growth: the distance
         # term is -omega/2 log2(4u) and kappa = 0.
-        wp = WeightProfile.single_weight(0.4)
+        wp = WeightProfile((0.4 - 1e-12, 0.4, 0.4 + 1e-12), (0.0, 0.0, 0.0))
         val = specific_code_bound(wp, 0.2, CH)
         d_term = -(0.4 / 2.0) * math.log2(4.0 * 0.07 * 0.93)
         assert val >= d_term - 1e-9

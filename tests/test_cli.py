@@ -456,6 +456,40 @@ class TestSimulate:
         assert rc == 2 and text == ""
         assert capsys.readouterr().err == f"error: margin must be nonnegative, got {margin}\n"
 
+    def test_nan_awgn_margin_is_error(self, tmp_path, capsys):
+        # A NaN margin would erase every trial and print "tau": NaN, which is not JSON.
+        rc, text = run(tmp_path, "s15.json", "simulate", "--kind", "awgn", "--n", "8",
+                       "--snr", "2", "--M", "16", "--tau", "nan", "--trials", "2000", "--seed", "1")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: margin must be nonnegative, got nan\n"
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", 7.9), ("t", 1.5), ("n", 7.5), ("n", [7.5]), ("M", 4.5), ("trials", 100.5),
+        ("workers", 1.5), ("seed", 1.5), ("code_seed", 0.5), ("trials", math.inf),
+        ("seed", math.nan),
+    ])
+    def test_non_integral_config_value_is_error(self, tmp_path, capsys, name, value):
+        # int() would truncate: "k": 7.9 and "t": 1.5 would run as k = 7 and t = 1.
+        kind = "awgn" if name == "M" else "bsc"
+        cfg = {**self.CONFIGS[kind], name: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc, text = run(tmp_path, "s16.json", "simulate", str(path))
+        shown = value[0] if isinstance(value, list) else value
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {name}: expected an integer, got {shown}\n"
+
+    def test_integral_float_config_values(self, tmp_path):
+        cfg = self.CONFIGS["bsc"]
+        path = tmp_path / "cfg.json"
+        outs = []
+        for values in (cfg, {k: float(v) if type(v) is int else v for k, v in cfg.items()}):
+            path.write_text(json.dumps(values))
+            rc, text = run(tmp_path, "s17.json", "simulate", str(path))
+            assert rc == 0
+            outs.append(text)
+        assert outs[0] == outs[1] and json.loads(outs[0])["k"] == 4
+
 
 class TestValidate:
     def test_passes_and_reports(self, tmp_path):

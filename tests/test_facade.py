@@ -18,7 +18,6 @@ def test_every_name_is_its_modules_object():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(eebounds, name) is getattr(mod, name), (mod.__name__, name)
-    assert eebounds.g_aux is spherical.g_aux
     assert eebounds.delta_gv is binary.delta_gv
 
 

@@ -15,6 +15,7 @@ from eebounds.finite import (
     _decided,
     _nearest,
     _walk,
+    _words,
     awgn_union_bound,
     binary_union_bound,
     exact_margin_probability,
@@ -26,7 +27,6 @@ from eebounds.simulate import (
     LinearCode,
     SphericalCodebook,
     gen_linear_code,
-    margin_decode,
     simulate_bsc,
     weight_distribution,
 )
@@ -572,6 +572,22 @@ class TestExactOracle:
         with pytest.raises(ValueError):
             exact_margin_probability(HAMMING74, 0.05, -1)
 
+    def test_margin_must_be_an_integer(self):
+        # 2t = 3 would match neither t = 1 nor t = 2.
+        with pytest.raises(ValueError, match="margin must be an integer, got 1.5"):
+            exact_margin_probability(HAMMING74, 0.05, 1.5)
+
+    def test_numpy_integer_margin(self):
+        # In uint8, 2t = 260 would wrap around to 4: the t = 2 result.
+        code = gen_linear_code(14, 2, 0)
+        for t, same in ((np.uint8(130), 130), (np.int64(1), 1)):
+            assert exact_margin_probability(code, 0.05, t) == exact_margin_probability(
+                code, 0.05, same
+            )
+        assert exact_margin_probability(code, 0.05, np.uint8(130)) != exact_margin_probability(
+            code, 0.05, 2
+        )
+
 
 # Shapes for the coset table: no parity bits, no information bits, one word
 # of each, and codes whose tables take several passes.
@@ -595,7 +611,7 @@ class TestCosetTable:
         # The received word with no info bits and parity bits s lies in coset s.
         cosets = np.zeros((1 << m, 2), dtype=np.uint64)
         cosets[:, 1] = np.arange(1 << m)
-        near1, near2, _ = _nearest(code, cosets)
+        near1, near2 = _nearest(code, cosets)
         d1, d2, prob = _coset_table(code, 0.1)
         assert np.array_equal(d1, near1)
         if not lone:
@@ -604,7 +620,7 @@ class TestCosetTable:
             assert np.array_equal(_decided(d1, d2, 2 * t, lone), _decided(near1, near2, 2 * t, lone))
         prob_w = 0.1 ** np.arange(n + 1) * 0.9 ** np.arange(n, -1, -1)
         walked = np.zeros(1 << m)
-        for rows, _, block in _walk(code, cosets):
+        for rows, block in _walk(code, cosets):
             walked[rows] += prob_w[block].sum(axis=1)
         assert prob == pytest.approx(walked, rel=1e-12, abs=0.0)
 
@@ -716,21 +732,32 @@ REFERENCE_CODES = [
     gen_linear_code(8, 0, 3),
     gen_linear_code(8, 8, 4),
     HAMMING74,
+    LinearCode(2, 1, ((1,),)),  # the words 01 and 10 tie
 ]
 
 
 class TestPurePythonReference:
     """Every received word decoded by sorting integer distances, independent
-    of the coset table (the oracle) and the popcount kernel (margin_decode)."""
+    of the coset table (the oracle) and the popcount kernel (``_nearest``)."""
 
     @pytest.mark.parametrize("code", REFERENCE_CODES, ids=lambda c: f"{c.n}-{c.k}")
-    def test_oracle_and_margin_decode(self, code):
-        n = code.n
+    def test_oracle_and_nearest(self, code):
+        n, k = code.n, code.k
         cws = reference_codewords(code)
+        # Bit j of the integer word y is coordinate j: k info bits, then parity.
+        ys = np.arange(1 << n, dtype=np.uint64)
+        words = np.column_stack([ys & np.uint64((1 << k) - 1), ys >> np.uint64(k)])
+        d1, d2 = _nearest(code, words)
+        ranked = [sorted(bin(y ^ c).count("1") for c in cws) for y in range(1 << n)]
+        assert d1.tolist() == [r[0] for r in ranked]
+        if k:
+            assert d2.tolist() == [r[1] for r in ranked]
         for t in (0, 1, 2, 7):
             outcomes = [reference_margin_decode(cws, y, t) for y in range(1 << n)]
-            for y, want in enumerate(outcomes):
-                assert margin_decode(code, [(y >> j) & 1 for j in range(n)], t) == want
+            decided = _decided(d1, d2, 2 * t, k == 0)
+            assert decided.tolist() == [
+                len(r) == 1 or r[1] - r[0] >= max(2 * t, 1) for r in ranked
+            ]
             for p in (0.0, 0.1, 1.0):
                 probs = [0.0, 0.0, 0.0]
                 for y, out in enumerate(outcomes):
@@ -765,16 +792,17 @@ class TestNearest:
         rng = np.random.default_rng(5)
         ys = [1029825122, 124264387, int(cws[-1]) ^ 8, *rng.integers(0, 1 << n, 5)]
         ys = np.array(ys, dtype=np.uint64)
-        want = []
+        want, winner = [], []
         for y in ys:
             dist = np.bitwise_count(cws ^ y)
-            want.append((*np.partition(dist, 1)[:2].tolist(), int(dist.argmin())))
+            want.append(tuple(np.partition(dist, 1)[:2].tolist()))
+            winner.append(int(dist.argmin()))
         words = np.column_stack([ys & np.uint64((1 << k) - 1), ys >> np.uint64(k)])
-        d1, d2, first = _nearest(code, words)
-        assert list(zip(d1.tolist(), d2.tolist(), first.tolist())) == want
+        d1, d2 = _nearest(code, words)
+        assert list(zip(d1.tolist(), d2.tolist())) == want
         decided = _decided(d1, d2, 0, False)
         assert not decided.all()  # a tie: an erasure
-        assert (decided & (first >= 1 << 20)).any()  # a winner past the chunk boundary
+        assert (decided & (np.array(winner) >= 1 << 20)).any()  # a winner past the chunk boundary
 
 
 def _refuses(f):
@@ -787,12 +815,12 @@ _N45K21, _N26K18 = gen_linear_code(45, 21, 0), gen_linear_code(26, 18, 0)
 # (entry point, call, tracemalloc peak bound in MB) for each entry point that
 # takes a code, at a size past the element budget of 2^_BUDGET_BITS elements.
 # Each bound lies below what a whole message span or distance matrix takes:
-# 108 MB for margin_decode at k = 22, 40.5 MB for codewords() and 106 MB for
+# 108 MB for _nearest at k = 22, 40.5 MB for codewords() and 106 MB for
 # its BPSK image at (26,18), about 1.1 GB for the (words x 2^21) distances
 # of the (45,21) simulation.
 MEMORY_BOUNDS = [
-    ("margin_decode-k20", lambda: margin_decode(_K20, [0] * 26, 0), 28.0),
-    ("margin_decode-k22", lambda: margin_decode(_K22, [0] * 28, 0), 48.0),
+    ("_nearest-k20", lambda: _nearest(_K20, _words(_K20, np.zeros((1, 26)))), 28.0),
+    ("_nearest-k22", lambda: _nearest(_K22, _words(_K22, np.zeros((1, 28)))), 48.0),
     ("weight_distribution-k22", lambda: weight_distribution(_K22), 32.0),
     ("simulate_bsc-45-21", lambda: simulate_bsc(_N45K21, 0.05, 1, 300, seed=6), 32.0),
     ("codewords-26-18", lambda: _N26K18.codewords(), 12.0),

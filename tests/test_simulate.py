@@ -18,8 +18,6 @@ from eebounds.simulate import (
     TrialTally,
     estimate_exponent,
     gen_linear_code,
-    margin_decode,
-    margin_decode_awgn,
     simulate_awgn,
     simulate_bsc,
     simulate_cone_exit,
@@ -59,64 +57,6 @@ class TestLinearCode:
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
             gen_linear_code(40, 30, 0)
-
-
-class TestMarginDecode:
-    def test_clean_word_decodes_to_sender(self):
-        for msg in (0, 5, 11):
-            y = HAMMING74.codewords()[msg]
-            assert margin_decode(HAMMING74, y, 0) == msg
-
-    def test_single_error_corrected(self):
-        y = HAMMING74.codewords()[3].copy()
-        y[6] ^= 1
-        assert margin_decode(HAMMING74, y, 0) == 3
-
-    def test_margin_erases_correctable_word(self):
-        y = HAMMING74.codewords()[3].copy()
-        y[6] ^= 1
-        # d=3 code: best distance 1, runner-up at most 2, margin 2t=4 fails.
-        assert margin_decode(HAMMING74, y, 2) is None
-
-    def test_tie_is_erasure(self):
-        rep = LinearCode(2, 1, ((1,),))
-        assert margin_decode(rep, [1, 0], 0) is None
-
-    def test_classification_matches_exhaustive_oracle(self):
-        code = gen_linear_code(9, 4, 7)
-        p, t = 0.1, 1
-        pc = pu = pe = 0.0
-        for y_int in range(1 << 9):
-            y = [(y_int >> b) & 1 for b in range(9)]
-            w = sum(y)
-            prob = p**w * (1 - p) ** (9 - w)
-            out = margin_decode(code, y, t)
-            if out is None:
-                pe += prob
-            elif out == 0:
-                pc += prob
-            else:
-                pu += prob
-        epc, epu, epe = exact_margin_probability(code, p, t)
-        assert pc == pytest.approx(epc, abs=1e-12)
-        assert pu == pytest.approx(epu, abs=1e-12)
-        assert pe == pytest.approx(epe, abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [2, 0.5, -1, math.nan])
-    def test_non_bit_entry_rejected(self, bad):
-        with pytest.raises(ValueError, match="only bits 0 and 1"):
-            margin_decode(HAMMING74, [bad, 0, 0, 0, 0, 0, 0], 0)
-
-    def test_awgn_margin_decode(self):
-        cb = SphericalCodebook.binary(LinearCode(2, 1, ((1,),)), 4.0)
-        assert margin_decode_awgn(cb, cb.points[1] * 1.01, 0.0) == 1
-        # Orthogonal received vector sits at equal angles: erasure.
-        assert margin_decode_awgn(cb, [1.0, -1.0], 0.0) is None
-        # A lone point has no runner-up: it wins at any margin, even antipodal.
-        for tau in (0.0, 0.05, 3.0):
-            assert margin_decode_awgn(_M1, -_M1.points[0], tau) == 0
-        with pytest.raises(ValueError):
-            margin_decode_awgn(cb, [1.0, 0.0], -0.1)
 
 
 class TestCodebooks:
@@ -272,6 +212,22 @@ class TestSimulateBsc:
         with pytest.raises(ValueError, match="margin must be nonnegative, got -3"):
             simulate_bsc(HAMMING74, 0.05, -3, 1000, seed=1)
 
+    def test_margin_must_be_an_integer(self):
+        # 2t = 3 would match neither t = 1 nor t = 2.
+        with pytest.raises(ValueError, match="margin must be an integer, got 1.5"):
+            simulate_bsc(HAMMING74, 0.05, 1.5, 1000, seed=1)
+
+    def test_numpy_integer_margin(self):
+        # In uint8, 2t = 260 would wrap around to 4: the t = 2 tally.
+        code = gen_linear_code(14, 2, 0)
+        for t, same in ((np.uint8(130), 130), (np.int64(1), 1)):
+            assert simulate_bsc(code, 0.05, t, 2000, seed=1) == simulate_bsc(
+                code, 0.05, same, 2000, seed=1
+            )
+        assert simulate_bsc(code, 0.05, np.uint8(130), 2000, seed=1) != simulate_bsc(
+            code, 0.05, 2, 2000, seed=1
+        )
+
     def test_margin_increases_erasures(self):
         t0 = simulate_bsc(HAMMING74, 0.1, 0, 100_000, seed=4)
         t1 = simulate_bsc(HAMMING74, 0.1, 1, 100_000, seed=4)
@@ -374,6 +330,12 @@ class TestSimulateAwgn:
         cb = SphericalCodebook.random(16, 12, 4.0, 2)
         with pytest.raises(ValueError, match="margin must be nonnegative, got -0.1"):
             simulate_awgn(cb, -0.1, 1000, seed=3)
+
+    def test_nan_margin_rejected(self):
+        # NaN fails every comparison: a `tau < 0` check would let it erase every trial.
+        cb = SphericalCodebook.random(16, 8, 2.0, 0)
+        with pytest.raises(ValueError, match="margin must be nonnegative, got nan"):
+            simulate_awgn(cb, math.nan, 1000, seed=1)
 
 
 def cone_exit_probability(n, A, phi):
