@@ -32,7 +32,6 @@ from .numerics import BoundValue, binary_entropy as h, entropy_inverse
 
 __all__ = [
     "BscChannel",
-    "BinaryBoundValue",
     "BinaryLandmarks",
     "WeightProfile",
     "delta_gv",
@@ -72,9 +71,6 @@ class BscChannel:
     @property
     def capacity(self) -> float:
         return 1.0 - h(self.p)
-
-
-BinaryBoundValue = BoundValue  # regime "a", "b" or "c"
 
 
 @dataclass(frozen=True)
@@ -189,13 +185,13 @@ def _breakpoints(ch: BscChannel, tau: float) -> _Constants:
     return _Constants(ch.capacity, _D(lm.rho0, p) + lm.R_c, *members)
 
 
-def gallager_exponent(R: float, ch: BscChannel) -> BinaryBoundValue:
+def gallager_exponent(R: float, ch: BscChannel) -> BoundValue:
     """Classical random-coding / expurgated lower bound E0(R, p), in bits."""
     lm = landmarks(ch, 0.0)
     capacity, e0_b = _breakpoints(ch, 0.0)[:2]
     if R > capacity + 1e-12:
         reason = f"rate {R} above capacity {capacity}"
-        return BinaryBoundValue(0.0, "c", valid=False, reason=reason)
+        return BoundValue(0.0, "c", valid=False, reason=reason)
     R = min(R, capacity)
     dgv = delta_gv(R)
     if R <= lm.R_e:
@@ -207,18 +203,16 @@ def gallager_exponent(R: float, ch: BscChannel) -> BinaryBoundValue:
     else:
         value = _D(dgv, ch.p)
         regime = "c"
-    return BinaryBoundValue(value, regime, diagnostics={"delta_gv": dgv})
+    return BoundValue(value, regime, diagnostics={"delta_gv": dgv})
 
 
-def bz_bounds(
-    R: float, ch: BscChannel, tau: float
-) -> tuple[BinaryBoundValue, BinaryBoundValue]:
+def bz_bounds(R: float, ch: BscChannel, tau: float) -> tuple[BoundValue, BoundValue]:
     """Linear-in-tau error/erasure bounds (Ee_lb, Ex_lb)."""
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     base = gallager_exponent(R, ch)
     if not base.valid:
-        invalid = BinaryBoundValue(0.0, base.regime, valid=False, reason=base.reason)
+        invalid = BoundValue(0.0, base.regime, valid=False, reason=base.reason)
         return invalid, invalid
     lm = landmarks(ch, 0.0)
     if R < lm.R_c:
@@ -228,18 +222,18 @@ def bz_bounds(
         # d/d(delta) D(delta || p) in bits.
         dprime = math.log2(dgv * (1.0 - ch.p) / (ch.p * (1.0 - dgv)))
         shift = 2.0 * tau * dprime
-    ee = BinaryBoundValue(base.value + shift, base.regime)
+    ee = BoundValue(base.value + shift, base.regime)
     ex_val = base.value - shift
     if ex_val < 0.0:
-        ex = BinaryBoundValue(
+        ex = BoundValue(
             0.0, base.regime, valid=False, reason=f"negative erasure exponent {ex_val}"
         )
     else:
-        ex = BinaryBoundValue(ex_val, base.regime)
+        ex = BoundValue(ex_val, base.regime)
     return ee, ex
 
 
-def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoundValue:
+def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BoundValue:
     """M+ (sign=+1, undetected error) or M- (sign=-1, erasure)."""
     p = ch.p
     lm = landmarks(ch, tau)
@@ -255,7 +249,7 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
         diag = {"rho_typ": (1.0 - dgv) * p + dgv / 2.0 + sign * tau, "omega_typ": dgv}
         arg = 0.5 + tau / dgv if dgv > 0 else math.inf
         if not 0.0 <= arg <= 1.0:
-            return BinaryBoundValue(
+            return BoundValue(
                 0.0, regime, valid=False, diagnostics=diag,
                 reason=f"entropy argument {arg} outside [0, 1]",
             )
@@ -272,7 +266,7 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
         # Radius dgv +- 2 tau below the typical noise weight (for M- possibly
         # even negative): the tail P(wt(e) > rho n) tends to 1, so neither
         # member has a positive exponent, whatever the regime.
-        return BinaryBoundValue(
+        return BoundValue(
             0.0, regime, valid=False, diagnostics=diag,
             reason=f"decoding radius {rho} below the crossover probability {p}",
         )
@@ -289,18 +283,16 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BinaryBoun
         reason = f"rate {R} below 1 - h(1/2 - tau)" if sign > 0 else f"tau {tau} above p/2"
     elif value < 0.0:
         reason = f"negative exponent {value}"
-    return BinaryBoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
+    return BoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
 
 
-def tradeoff_bounds(
-    R: float, ch: BscChannel, tau: float
-) -> tuple[BinaryBoundValue, BinaryBoundValue]:
+def tradeoff_bounds(R: float, ch: BscChannel, tau: float) -> tuple[BoundValue, BoundValue]:
     """Nonlinear trade-off pair (M_plus, M_minus) for undetected error / erasure.
     A rate outside [0, 1] gives both members ``valid=False``."""
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if not 0.0 <= R <= 1.0:
-        invalid = BinaryBoundValue(
+        invalid = BoundValue(
             0.0, "a" if R < 0.0 else "c", valid=False, reason=f"rate {R} outside [0, 1]"
         )
         return invalid, invalid
@@ -382,7 +374,7 @@ def specific_code_bound(profile: WeightProfile, R: float, ch: BscChannel) -> flo
     return max(-float(np.max(bhatta)), gallager_exponent(R, ch).value - kappa)
 
 
-def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BinaryBoundValue:
+def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BoundValue:
     """Exponent of bounded-distance decoding at radius tau: the union bound
     over codeword weights of the decoding ball's largest term. In fractions
     of n, the codeword has weight omega, a of its ones stay unflipped and b
@@ -399,7 +391,7 @@ def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BinaryBou
     if not 0.0 <= tau <= 0.5:
         raise ValueError(f"tau must lie in [0, 1/2], got {tau}")
     if not 0.0 <= R <= 1.0:
-        return BinaryBoundValue(
+        return BoundValue(
             0.0, "a" if R < 0.0 else "b", valid=False, reason=f"rate {R} outside [0, 1]"
         )
     p, q = ch.p, 1.0 - ch.p
@@ -419,4 +411,4 @@ def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BinaryBou
         value = 1.0 - R - h(tau)
     diag = {"omega": omega, "a": a, "b": b}
     reason = f"negative exponent {value}" if value < 0.0 else None
-    return BinaryBoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)
+    return BoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)

@@ -295,7 +295,7 @@ def cmd_simulate(args) -> int:
 
     obj = {"version": __version__, "kind": kind, "trials": trials, "seed": seed}
     if kind == "bsc":
-        code = simulate.gen_linear_code(v["n"][0], v["k"], v["code_seed"])
+        code = finite.gen_linear_code(v["n"][0], v["k"], v["code_seed"])
         tally = simulate.simulate_bsc(code, v["p"], v["t"], trials, seed, workers)
         obj.update({name: v[name] for name in ("k", "code_seed", "p", "t")}, n=v["n"][0])
         obj.update(_tally_fields(tally))
@@ -351,7 +351,7 @@ def _validation_checks():
     for sign in (+1, -1):
         inner = (lmb.rho0_plus if sign > 0 else lmb.rho0_minus) - 2 * sign * 0.03
         r_mid = 0.5 * ((1.0 - binary_entropy(lmb.omega0_tau)) + (1.0 - binary_entropy(inner)))
-        direct = binary._tradeoff_one(r_mid, ch, 0.03, sign).value
+        direct = binary.tradeoff_bounds(r_mid, ch, 0.03)[0 if sign > 0 else 1].value
         alt = binary.tradeoff_case_b_alternative(ch, 0.03, sign, r_mid)
         worst = max(worst, abs(direct - alt))
     yield "binary case-b identity", worst, 1e-6
@@ -411,8 +411,8 @@ def _validation_checks():
     # Exhaustive oracle: probabilities sum to one, union bound dominates.
     worst_sum, worst_dom = 0.0, 0.0
     for seed in (1, 2, 3):
-        code = simulate.gen_linear_code(12, 5, seed)
-        wd = simulate.weight_distribution(code)
+        code = finite.gen_linear_code(12, 5, seed)
+        wd = finite.weight_distribution(code)
         for p in (0.05, 0.1):
             for t in (0, 1):
                 pc, pu, pe = finite.exact_margin_probability(code, p, t)

@@ -17,15 +17,18 @@ all weights at once as 2-D arrays, one row per weight, in blocks of at most
 that for the binary bound's zero-padded CDF buffer), so their memory does
 not grow with n; the AWGN bound sums each row by a row-wise
 log-sum-exp.
-Exact binary decoding takes received words in one packed format, ``_words``:
+This module owns the binary code type, ``LinearCode``, its spectrum
+``weight_distribution`` and every decision on its received words. Exact
+binary decoding takes received words in one packed format, ``_words``:
 info bits, then parity bits par, in the coset of syndrome par ^ su[info].
 Each coset's two least weights come from one syndrome table, ``_cosets``,
 built by one pass per parity bit once per code and kept for the last few
-codes; the oracle and the BSC simulator use it when it fits the element
-budget, and a call of the oracle only mixes the coset probabilities at its
-p (``_coset_table``). The words of larger codes are decoded by
-``_nearest`` from one streamed popcount walk, ``_walk``, whose blocks
-``weight_distribution`` also counts. One rule, ``_decided``, decides every
+codes, and a call of the oracle only mixes the coset probabilities at its
+p (``_coset_table``). The words of codes past the table's element budget
+are decoded by ``_nearest`` from one streamed popcount walk, ``_walk``,
+whose blocks ``weight_distribution`` also counts. ``_coset_weights`` gives
+the BSC simulator (d1, d2) per received word and is the one place that
+chooses between table and walk. One rule, ``_decided``, decides every
 (d1, d2) pair of both channels, and one check, ``_margin``, admits every
 Hamming margin t.
 """
@@ -35,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +51,9 @@ from .spherical import AwgnChannel, _g_cos, _tail
 __all__ = [
     "WeightDistribution",
     "MarginParams",
+    "LinearCode",
+    "gen_linear_code",
+    "weight_distribution",
     "triangle_count",
     "binary_union_bound",
     "awgn_union_bound",
@@ -325,6 +332,8 @@ def awgn_union_bound(
 
 _BUDGET_BITS = 20  # log2 of the element budget of one intermediate array
 _MEMO_CODES = 4  # codes whose p-free coset tables ``_cosets`` keeps
+_MAX_K = 26  # largest k of a ``LinearCode``: its 2^k messages are enumerated
+_COSETS_LOCK = threading.Lock()  # held while ``_coset_weights`` reads ``_cosets``
 
 
 def _pack(bits) -> np.ndarray:
@@ -342,6 +351,42 @@ def _span(rows: np.ndarray) -> np.ndarray:
     for i, row in enumerate(rows):
         out[1 << i : 2 << i] = out[: 1 << i] ^ row
     return out
+
+
+@dataclass(frozen=True)
+class LinearCode:
+    """Systematic [n, k] binary linear code with generator [I | P]."""
+
+    n: int
+    k: int
+    parity: tuple[tuple[int, ...], ...]  # k x (n - k)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.k <= self.n:
+            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
+        if self.k > _MAX_K:
+            raise ValueError(f"k={self.k} exceeds enumeration guard {_MAX_K}")
+        if len(self.parity) != self.k or any(len(r) != self.n - self.k for r in self.parity):
+            raise ValueError("parity block must be k x (n - k)")
+
+    @property
+    def generator(self) -> np.ndarray:
+        g = np.zeros((self.k, self.n), dtype=np.uint8)
+        g[:, : self.k] = np.eye(self.k, dtype=np.uint8)
+        g[:, self.k :] = np.asarray(self.parity, dtype=np.uint8).reshape(self.k, self.n - self.k)
+        return g
+
+    def codewords(self) -> np.ndarray:
+        """All 2^k codewords as a (2^k, n) bit matrix, message order (the generator rows' span)."""
+        words = _span(_pack(self.generator)).astype("<u8", copy=False)
+        return np.unpackbits(words.view(np.uint8), axis=1, count=self.n, bitorder="little")
+
+
+def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
+    """Random systematic code, deterministic in the seed."""
+    rng = np.random.default_rng(seed)
+    parity = rng.integers(0, 2, size=(k, n - k), dtype=np.uint8)
+    return LinearCode(n, k, tuple(tuple(int(b) for b in row) for row in parity))
 
 
 def _syndrome_columns(code) -> np.ndarray:
@@ -393,6 +438,13 @@ def _nearest(code, words: np.ndarray):
         d2[rows] = np.minimum(np.minimum(d2[rows], block.min(axis=1)), np.maximum(a1, b1))
         d1[rows] = np.minimum(a1, b1)
     return d1, d2
+
+
+def weight_distribution(code: LinearCode) -> WeightDistribution:
+    """Exact weight distribution: the histogram of the walk's distances from the zero word."""
+    blocks = _walk(code, _words(code, np.zeros((1, code.n))))
+    counts = sum(np.bincount(block[0], minlength=code.n + 1) for _, block in blocks)
+    return WeightDistribution.from_counts(counts.tolist())
 
 
 def _decided(d1, d2, margin, lone: bool) -> np.ndarray:
@@ -464,6 +516,34 @@ def _coset_table(code, p: float):
         f = prob.reshape(-1, 2, 1 << i)
         prob = ((1.0 - p) * f + p * f[:, ::-1]).reshape(-1)
     return d1, d2, prob
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order and each row's index among them:
+    ``np.unique(rows, axis=0, return_inverse=True)`` by one lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return ranked[new], which
+
+
+def _coset_weights(code: LinearCode, words: np.ndarray):
+    """(d1, d2) of each received word (``_words``): the two least weights of
+    its coset, read from the coset table at syndrome par ^ su[info] while
+    ``_tabulable`` holds; past that budget ``_nearest`` runs once per
+    distinct word and its pairs are scattered back. Simulation threads that
+    start on a cold table wait for one build, not one each."""
+    if _tabulable(code):
+        with _COSETS_LOCK:
+            su, d1, d2, *_ = _cosets(code)
+        s = words[:, 1] ^ su[words[:, 0]]
+        return d1[s], d2[s]
+    distinct, which = _unique_rows(words)
+    d1, d2 = _nearest(code, distinct)
+    return d1[which], d2[which]
 
 
 def exact_margin_probability(code, p: float, t: int) -> tuple[float, float, float]:

@@ -63,8 +63,9 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A bound's value and the regime that gave it, on either channel;
-    ``valid=False`` comes with a ``reason``."""
+    """A bound's value and the regime that gave it, on either channel (BSC:
+    "a", "b" or "c"; AWGN: expurgation, straight, sphere-packing or
+    detection); ``valid=False`` comes with a ``reason``."""
 
     value: float
     regime: str
@@ -251,9 +252,6 @@ def _row_log_sum(rows: np.ndarray, base: float = 2.0) -> np.ndarray:
     finite = np.isfinite(m)
     shift = np.where(finite, m, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if base == math.e:  # ln e = 1: skip the two scalings, which change no bit
-            out = shift + np.log(np.sum(np.exp(rows - shift[:, None]), axis=1))
-        else:
-            lb = math.log(base)
-            out = shift + np.log(np.sum(np.exp((rows - shift[:, None]) * lb), axis=1)) / lb
+        lb = math.log(base)
+        out = shift + np.log(np.sum(np.exp((rows - shift[:, None]) * lb), axis=1)) / lb
     return np.where(finite, out, m)

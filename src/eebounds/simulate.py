@@ -3,10 +3,9 @@
 Trials are processed in fixed-size blocks; block b draws from an RNG seeded
 by (seed, b), so tallies are identical for any worker count. Each simulator
 does only the work its decision needs. A BSC trial's error pattern is packed
-as a received word, and its syndrome par ^ su[info] is looked up in the
-coset table that the exact oracle in ``finite`` sums; past the table's
-budget, each distinct word of a block is decoded by the streamed popcount
-walk instead. An AWGN trial is decided from its two largest inner products
+as a received word of a ``finite.LinearCode``, and ``finite`` gives the two
+least weights of its coset, from the coset table that the exact oracle sums
+or, past the table's budget, from the streamed popcount walk. An AWGN trial is decided from its two largest inner products
 with the codebook, computed in row slices of a block so that each (rows x M)
 product stays small; this is the package's only AWGN decision. A cone-exit
 trial draws only its sufficient statistic: the noise along the signal and
@@ -32,27 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .finite import (
-    WeightDistribution,
-    _cosets,
-    _decided,
-    _margin,
-    _nearest,
-    _pack,
-    _span,
-    _tabulable,
-    _walk,
-    _words,
-)
+from .finite import LinearCode, _coset_weights, _decided, _margin, _words
 from .spherical import AwgnChannel
 
 __all__ = [
-    "LinearCode",
     "SphericalCodebook",
     "TrialTally",
     "RegressionResult",
-    "gen_linear_code",
-    "weight_distribution",
     "simulate_bsc",
     "simulate_awgn",
     "simulate_cone_exit",
@@ -65,7 +50,6 @@ _DOTS_BUDGET = 1 << 18  # elements of one (rows x M) slice of AWGN inner product
 _GEMM_MADDS = 1 << 18  # multiply-adds of one AWGN inner-product GEMM (OpenBLAS: caller thread)
 _GEMM_ROWS = 32  # trials of one inner-product GEMM
 _DRAW_BUDGET = 1 << 16  # uniforms of one (rows x n) slice of BSC error draws
-_MAX_K = 26
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -112,49 +96,6 @@ class RegressionResult:
     slope: float
     intercept: float
     r_squared: float
-
-
-@dataclass(frozen=True)
-class LinearCode:
-    """Systematic [n, k] binary linear code with generator [I | P]."""
-
-    n: int
-    k: int
-    parity: tuple[tuple[int, ...], ...]  # k x (n - k)
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-        if self.k > _MAX_K:
-            raise ValueError(f"k={self.k} exceeds enumeration guard {_MAX_K}")
-        if len(self.parity) != self.k or any(len(r) != self.n - self.k for r in self.parity):
-            raise ValueError("parity block must be k x (n - k)")
-
-    @property
-    def generator(self) -> np.ndarray:
-        g = np.zeros((self.k, self.n), dtype=np.uint8)
-        g[:, : self.k] = np.eye(self.k, dtype=np.uint8)
-        g[:, self.k :] = np.asarray(self.parity, dtype=np.uint8).reshape(self.k, self.n - self.k)
-        return g
-
-    def codewords(self) -> np.ndarray:
-        """All 2^k codewords as a (2^k, n) bit matrix, message order (the generator rows' span)."""
-        words = _span(_pack(self.generator)).astype("<u8", copy=False)
-        return np.unpackbits(words.view(np.uint8), axis=1, count=self.n, bitorder="little")
-
-
-def gen_linear_code(n: int, k: int, seed: int) -> LinearCode:
-    """Random systematic code, deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    parity = rng.integers(0, 2, size=(k, n - k), dtype=np.uint8)
-    return LinearCode(n, k, tuple(tuple(int(b) for b in row) for row in parity))
-
-
-def weight_distribution(code: LinearCode) -> WeightDistribution:
-    """Exact weight distribution: the histogram of the walk's distances from the zero word."""
-    blocks = _walk(code, _words(code, np.zeros((1, code.n))))
-    counts = sum(np.bincount(block[0], minlength=code.n + 1) for _, block in blocks)
-    return WeightDistribution.from_counts(counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -235,18 +176,6 @@ def _tally(decoded: np.ndarray, correct: np.ndarray) -> np.ndarray:
     return np.array([c, d - c, decoded.size - d], dtype=np.int64)
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in lexicographic order and each row's index among them:
-    ``np.unique(rows, axis=0, return_inverse=True)`` by one lexsort."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    which = np.empty(len(rows), dtype=np.intp)
-    which[order] = np.cumsum(new) - 1
-    return ranked[new], which
-
-
 def simulate_bsc(
     code: LinearCode, p: float, t: int, trials: int, seed: int, workers: int = 1
 ) -> TrialTally:
@@ -254,33 +183,24 @@ def simulate_bsc(
     (exact by linearity and channel symmetry): the error pattern is the
     received word. A trial is decoded when the two least weights d1, d2 of
     its coset differ by max(2t, 1), and correct when also wt(e) = d1. Each
-    block reads d1 and the decision at each word's syndrome par ^ su[info]
-    from the coset table, built once per code and shared with the exact
-    oracle (``finite._cosets``); past the table's element
-    budget, the coset kernel runs once per distinct word of a block. A block
-    draws its error bits in row slices of about ``_DRAW_BUDGET`` uniforms,
-    packed as they come: the same stream as one (block x n) draw."""
+    block reads (d1, d2) per word from ``finite._coset_weights``, which
+    owns the choice between the coset table, shared with the exact oracle,
+    and the walk. A block draws its error bits in row slices of about
+    ``_DRAW_BUDGET`` uniforms, packed as they come: the same stream as one
+    (block x n) draw."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"crossover must lie in [0, 1], got {p}")
     t = _margin(t)
-    if tabulated := _tabulable(code):
-        su, d1, d2, *_ = _cosets(code)
-        decoded = _decided(d1, d2, 2 * t, code.k == 0)
     rows = max(1, _DRAW_BUDGET // code.n)
 
     def block(b: int, size: int) -> np.ndarray:
         rng = np.random.default_rng([seed, b])
         draws = (rng.random((min(rows, size - lo), code.n)) < p for lo in range(0, size, rows))
         words = np.vstack([_words(code, err) for err in draws])
-        if tabulated:
-            which, lead, ok = words[:, 1] ^ su[words[:, 0]], d1, decoded
-        else:
-            distinct, which = _unique_rows(words)
-            lead, d2 = _nearest(code, distinct)
-            ok = _decided(lead, d2, 2 * t, code.k == 0)
+        d1, d2 = _coset_weights(code, words)
         # Column by column: a row-wise sum over the few columns costs ten times more.
         weight = sum(map(np.bitwise_count, words.T), np.zeros(size, dtype=np.uint16))
-        return _tally(ok[which], weight == lead[which])
+        return _tally(_decided(d1, d2, 2 * t, code.k == 0), weight == d1)
 
     c, u, e = _run_blocks(block, trials, workers)
     return TrialTally(trials, int(c), int(u), int(e), seed)

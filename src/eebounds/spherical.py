@@ -43,7 +43,6 @@ from .numerics import (
 
 __all__ = [
     "AwgnChannel",
-    "SphericalBoundValue",
     "SphericalLandmarks",
     "DistanceProfile",
     "theta_s",
@@ -84,9 +83,6 @@ class AwgnChannel:
     def capacity_angle(self) -> float:
         """arccot sqrt(A): the zero-exponent angle."""
         return math.atan(1.0 / math.sqrt(self.A))
-
-
-SphericalBoundValue = BoundValue  # regimes: expurgation, straight, sphere-packing, detection
 
 
 @dataclass(frozen=True)
@@ -145,21 +141,21 @@ def shannon_angles(ch: AwgnChannel) -> tuple[float, float]:
     return te, tc
 
 
-def shannon_exponent(R: float, ch: AwgnChannel) -> SphericalBoundValue:
+def shannon_exponent(R: float, ch: AwgnChannel) -> BoundValue:
     """Classical lower bound on the AWGN reliability function at rate R."""
     if R > ch.capacity + 1e-12:
-        return SphericalBoundValue(
+        return BoundValue(
             0.0, "sphere-packing", valid=False, reason=f"rate {R} above capacity {ch.capacity}"
         )
     theta = theta_s(R)
     te, tc = shannon_angles(ch)
     A = ch.A
     if theta >= te:
-        return SphericalBoundValue((A / 4.0) * (1.0 - math.cos(theta)), "expurgation")
+        return BoundValue((A / 4.0) * (1.0 - math.cos(theta)), "expurgation")
     if theta >= tc:
         value = (A / 4.0) * (1.0 - math.cos(te)) + math.log(math.sin(theta) / math.sin(te))
-        return SphericalBoundValue(value, "straight")
-    return SphericalBoundValue(esp(theta, ch), "sphere-packing")
+        return BoundValue(value, "straight")
+    return BoundValue(esp(theta, ch), "sphere-packing")
 
 
 def big_g(phi: float, tau: float, ch: AwgnChannel) -> float:
@@ -374,9 +370,7 @@ def f_exponent(theta, tau: float, ch: AwgnChannel, rho) -> tuple:
     return value[()], phi[()]
 
 
-def tradeoff_exponent(
-    R: float, ch: AwgnChannel, tau: float, kind: str = "error"
-) -> SphericalBoundValue:
+def tradeoff_exponent(R: float, ch: AwgnChannel, tau: float, kind: str = "error") -> BoundValue:
     """Trade-off lower bound M(R) on the undetected-error (kind="error") or
     erasure (kind="erasure", margin negated) exponent."""
     if kind not in ("error", "erasure"):
@@ -385,7 +379,7 @@ def tradeoff_exponent(
         raise ValueError(f"tau must be nonnegative, got {tau}")
     t = tau if kind == "error" else -tau
     if R <= 0.0 or R > ch.capacity + 1e-12:
-        return SphericalBoundValue(
+        return BoundValue(
             0.0, "sphere-packing", valid=False,
             reason=f"rate {R} outside (0, capacity {ch.capacity}]",
         )
@@ -402,28 +396,28 @@ def tradeoff_exponent(
         # tau = 0 and is negative for tau > 0.
         if ts > theta_1:
             value = (A / 4.0) * (1.0 - math.cos(ts + 2.0 * t))
-            return SphericalBoundValue(
+            return BoundValue(
                 value, "expurgation", diagnostics={"theta_star": ts}
             )
         if ts > spherical_landmarks(t, ch).theta_2:
             value = (A / 4.0) * (1.0 - math.cos(theta_1 + 2.0 * t)) + math.log(
                 math.sin(ts) / math.sin(theta_1)
             )
-            return SphericalBoundValue(
+            return BoundValue(
                 value, "straight", diagnostics={"theta_star": theta_1}
             )
         rho, theta_star = _radius_and_angle(R, t, ch)
         diag = {"rho": rho, "theta_star": theta_star}
     except (ValueError, BracketError) as exc:
-        return SphericalBoundValue(0.0, "sphere-packing", valid=False, reason=str(exc))
+        return BoundValue(0.0, "sphere-packing", valid=False, reason=str(exc))
     if rho < ch.capacity_angle - 1e-12:
         # Noise typically exceeds the radius: the tail term carries no
         # exponential decay and the bound degenerates.
-        return SphericalBoundValue(
+        return BoundValue(
             0.0, "sphere-packing", valid=False, diagnostics=diag,
             reason=f"decoding radius {rho} below the capacity angle {ch.capacity_angle}",
         )
-    return SphericalBoundValue(esp(rho, ch), "sphere-packing", diagnostics=diag)
+    return BoundValue(esp(rho, ch), "sphere-packing", diagnostics=diag)
 
 
 @dataclass(frozen=True)
@@ -499,7 +493,7 @@ def bounded_distance_exponent_s(profile: DistanceProfile, ch: AwgnChannel, tau: 
     )
 
 
-def undetected_error_exponent(theta: float, tau: float) -> SphericalBoundValue:
+def undetected_error_exponent(theta: float, tau: float) -> BoundValue:
     """Exponent of undetected error in the vanishing-radius detection limit.
 
     The value is -1/2 log(8 tau / sin(2 theta)). Its argument is the first-order
@@ -514,10 +508,10 @@ def undetected_error_exponent(theta: float, tau: float) -> SphericalBoundValue:
         raise ValueError(f"tau must be positive, got {tau}")
     arg = 8.0 * tau / math.sin(2.0 * theta)
     if arg > 1.0:
-        return SphericalBoundValue(
+        return BoundValue(
             0.0, "detection", valid=False, reason=f"first-order argument {arg} exceeds 1"
         )
-    return SphericalBoundValue(-0.5 * math.log(arg), "detection")
+    return BoundValue(-0.5 * math.log(arg), "detection")
 
 
 def rankin_rate(theta: float) -> float:

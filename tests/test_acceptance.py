@@ -22,21 +22,17 @@ from eebounds.binary import (
 )
 from eebounds.cli import main
 from eebounds.finite import (
+    LinearCode,
     MarginParams,
     WeightDistribution,
     binary_union_bound,
     exact_margin_probability,
-    triangle_count,
-)
-from eebounds.numerics import binary_entropy as h
-from eebounds.simulate import (
-    LinearCode,
-    estimate_exponent,
     gen_linear_code,
-    simulate_bsc,
-    simulate_cone_exit,
+    triangle_count,
     weight_distribution,
 )
+from eebounds.numerics import binary_entropy as h
+from eebounds.simulate import estimate_exponent, simulate_bsc, simulate_cone_exit
 from eebounds.spherical import (
     AwgnChannel,
     _radius_residual,

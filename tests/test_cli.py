@@ -281,6 +281,16 @@ class TestFiniteBound:
         err = capsys.readouterr().err
         assert err.startswith("error: radius 0.3 below the capacity angle")
 
+    def test_degenerate_radius_bracket_is_error(self, tmp_path, capsys):
+        # theta_s(1e-20) rounds to pi/2: the bracket [theta_s, pi/2 - 1e-9] is empty.
+        rc, text = run(
+            tmp_path, "fb8.json",
+            "finite-bound", "--channel", "awgn", "--snr", "4", "--tau", "0", "--n", "64",
+            "--rate", "1e-20", "--units", "nats",
+        )
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: degenerate decoding-radius bracket [")
+
 
 class TestSimulate:
     BSC = [
@@ -380,7 +390,7 @@ class TestSimulate:
 
         e = expected
         if kind == "bsc":
-            code = simulate.gen_linear_code(7, 4, e["code_seed"])
+            code = finite.gen_linear_code(7, 4, e["code_seed"])
             tally = simulate.simulate_bsc(code, e["p"], e["t"], e["trials"], e["seed"], 1)
             fields = {"k": 4, "p": e["p"], "t": e["t"]}
         else:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -8,9 +9,11 @@ import pytest
 from eebounds import finite
 from eebounds.binary import BscChannel, gallager_exponent
 from eebounds.finite import (
+    LinearCode,
     MarginParams,
     WeightDistribution,
     _coset_table,
+    _coset_weights,
     _cosets,
     _decided,
     _nearest,
@@ -19,17 +22,13 @@ from eebounds.finite import (
     awgn_union_bound,
     binary_union_bound,
     exact_margin_probability,
+    gen_linear_code,
     triangle_count,
+    weight_distribution,
 )
 from eebounds.numerics import LN2, log_sum
 from eebounds.spherical import AwgnChannel, esp, f_exponent
-from eebounds.simulate import (
-    LinearCode,
-    SphericalCodebook,
-    gen_linear_code,
-    simulate_bsc,
-    weight_distribution,
-)
+from eebounds.simulate import SphericalCodebook, simulate_bsc
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
 
@@ -624,6 +623,22 @@ class TestCosetTable:
             walked[rows] += prob_w[block].sum(axis=1)
         assert prob == pytest.approx(walked, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("code", TABLE_CODES, ids=lambda c: f"{c.n}-{c.k}")
+    def test_per_word_reads_match_nearest(self, code):
+        # The table branch of ``_coset_weights`` against the walk on the same
+        # words. At k = 0 the d2 sentinels differ (2n + 1, 0xFFFF): compare
+        # the decisions there.
+        assert finite._tabulable(code)
+        words = _words(code, np.random.default_rng(code.n).integers(0, 2, size=(300, code.n)))
+        d1, d2 = _coset_weights(code, words)
+        near1, near2 = _nearest(code, words)
+        lone = code.k == 0
+        assert np.array_equal(d1, near1)
+        if not lone:
+            assert np.array_equal(d2, near2)
+        for t in (0, 1, 7):
+            assert np.array_equal(_decided(d1, d2, 2 * t, lone), _decided(near1, near2, 2 * t, lone))
+
     def test_one_word_cosets_always_decode(self):
         # k = 0: each coset is its own leader, so no margin erases it. A
         # sentinel d2 of n + 1 would erase the all-ones word at t = 1. No
@@ -664,6 +679,21 @@ class TestCosetMemo:
         simulate_bsc(gen_linear_code(24, 12, 0), 0.05, 1, 1000, seed=3)
         info = _cosets.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+    def test_cold_worker_threads_build_the_table_once(self):
+        # Six worker threads, every one starting its block on a cold table,
+        # with thread switches forced often: one build, and the one-worker
+        # tally.
+        code = gen_linear_code(32, 16, 0)
+        interval = sys.getswitchinterval()
+        _cosets.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            tally = simulate_bsc(code, 0.05, 1, 6 * 2**14, seed=2, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _cosets.cache_info().misses == 1
+        assert tally == simulate_bsc(code, 0.05, 1, 6 * 2**14, seed=2, workers=1)
 
     def test_memo_entry_is_compact(self):
         # A (40,20) entry: su (4 MiB of uint32), d1 and d2 (1 MiB each) and
@@ -765,6 +795,21 @@ class TestPurePythonReference:
                     probs[0 if out == 0 else 2 if out is None else 1] += p**w * (1 - p) ** (n - w)
                 got = exact_margin_probability(code, p, t)
                 assert got == pytest.approx(tuple(probs), abs=1e-12)
+
+    @pytest.mark.parametrize("code", REFERENCE_CODES, ids=lambda c: f"{c.n}-{c.k}")
+    def test_coset_weights(self, code):
+        # Every received word through the per-word reader, which takes the
+        # coset table for each of these codes.
+        n, k = code.n, code.k
+        assert finite._tabulable(code)
+        cws = reference_codewords(code)
+        ys = np.arange(1 << n, dtype=np.uint64)
+        words = np.column_stack([ys & np.uint64((1 << k) - 1), ys >> np.uint64(k)])
+        d1, d2 = _coset_weights(code, words)
+        ranked = [sorted(bin(y ^ c).count("1") for c in cws) for y in range(1 << n)]
+        assert d1.tolist() == [r[0] for r in ranked]
+        if k:
+            assert d2.tolist() == [r[1] for r in ranked]
 
     @pytest.mark.parametrize("code", REFERENCE_CODES, ids=lambda c: f"{c.n}-{c.k}")
     def test_weight_distribution(self, code):

@@ -9,19 +9,16 @@ import pytest
 from scipy import integrate, stats
 
 import eebounds
-from eebounds import simulate
-from eebounds.finite import exact_margin_probability
+from eebounds import finite
+from eebounds.finite import LinearCode, exact_margin_probability, gen_linear_code, weight_distribution
 from eebounds.simulate import (
-    LinearCode,
     RegressionResult,
     SphericalCodebook,
     TrialTally,
     estimate_exponent,
-    gen_linear_code,
     simulate_awgn,
     simulate_bsc,
     simulate_cone_exit,
-    weight_distribution,
     wilson_interval,
 )
 from eebounds.spherical import AwgnChannel
@@ -163,7 +160,7 @@ class TestSimulateBsc:
         # Two blocks, the second partial: coset table lookups against the
         # walk over each block's distinct words, on the same draws.
         table = simulate_bsc(code, 0.05, t, 20_000, seed=3, workers=workers)
-        monkeypatch.setattr(simulate, "_tabulable", lambda code: False)
+        monkeypatch.setattr(finite, "_tabulable", lambda code: False)
         assert simulate_bsc(code, 0.05, t, 20_000, seed=3, workers=workers) == table
 
     def test_error_draw_is_row_sliced(self):

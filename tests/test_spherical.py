@@ -480,6 +480,13 @@ class TestDecodingRadius:
         with pytest.raises(ValueError):
             decoding_radius(0.0, 0.04, CH4)
 
+    @pytest.mark.parametrize("R,tau", [(1e-20, 0.0), (7.0, -0.01)])
+    def test_empty_bracket_is_degenerate(self, R, tau):
+        # [theta_s, pi/2 - 1e-9] is empty once theta_s(R) rounds to pi/2, and
+        # [1e-3, theta_s] once theta_s(R) falls below 1e-3.
+        with pytest.raises(BracketError, match="degenerate decoding-radius bracket"):
+            decoding_radius(R, tau, CH4)
+
     @pytest.mark.parametrize("A", [1.0, 4.0, 64.0, 1e4])
     def test_zero_margin_root_is_theta_s_up_to_capacity(self, A):
         # At tau = 0 the root is theta_s itself, at every SNR. A grid starting
