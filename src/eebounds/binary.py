@@ -35,7 +35,6 @@ __all__ = [
     "BinaryLandmarks",
     "WeightProfile",
     "delta_gv",
-    "entropy_family",
     "gallager_exponent",
     "landmarks",
     "bz_bounds",
@@ -84,30 +83,14 @@ class BinaryLandmarks:
     omega0_tau: float
 
 
-def entropy_family(x: float, y: float) -> tuple[float, float, float]:
-    """(h(x), T(x, y), D(x || y)) in bits.
-
-    T(x, y) = -x log2 y - (1-x) log2(1-y). Degenerate y in {0, 1} yields an
-    explicit infinite T/D when the corresponding weight is nonzero.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    hx = h(x)
-    if y <= 0.0 or y >= 1.0:
-        if (y <= 0.0 and x > 0.0) or (y >= 1.0 and x < 1.0):
-            return hx, math.inf, math.inf
-        t = 0.0
-        return hx, t, t - hx
-    t = -x * math.log2(y) - (1.0 - x) * math.log2(1.0 - y)
-    return hx, t, t - hx
-
-
 def _T(x: float, y: float) -> float:
-    return entropy_family(x, y)[1]
+    """T(x, y) = -x log2 y - (1-x) log2(1-y) in bits, for y in (0, 1)."""
+    return -x * math.log2(y) - (1.0 - x) * math.log2(1.0 - y)
 
 
 def _D(x: float, y: float) -> float:
-    return entropy_family(x, y)[2]
+    """D(x || y) = T(x, y) - h(x) in bits, for y in (0, 1)."""
+    return _T(x, y) - h(x)
 
 
 @lru_cache(maxsize=256)

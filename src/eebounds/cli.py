@@ -42,20 +42,25 @@ _DEFECT_FLOOR = 1e-14
 
 
 def _integer(value) -> int:
-    """int(value) for an integer key of a simulate config, which must not
-    truncate: 7 and 7.0 pass, 7.9 raises ValueError, as do NaN and inf."""
+    """int(value) for an integer simulate parameter, from a flag's string or
+    a config value, which must not truncate: 7, 7.0 and "7.0" pass, 7.9 and
+    "7.9" raise ValueError, as do NaN and inf. int() reads an integer string
+    first, exactly at any size."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value}")
     return int(value)
 
 
-# Simulate parameters: (conversion, default). A flag beats the config file,
-# and the config file beats the default. A config "n" may be one number.
+# Simulate parameters: (conversion, default), in flag order. Each is a flag
+# (--code-seed for code_seed) and a config key, read by the one conversion; a
+# flag beats the config, which beats the default. --n takes one or more.
 _SIM_PARAMS = {
     "kind": (str, None),
-    "seed": (_integer, None),
-    "trials": (_integer, 100000),
-    "workers": (_integer, 1),
     "n": (lambda ns: [_integer(n) for n in (ns if isinstance(ns, list) else [ns])], None),
     "k": (_integer, None),
     "M": (_integer, None),
@@ -64,6 +69,9 @@ _SIM_PARAMS = {
     "tau": (float, 0.0),
     "t": (_integer, 0),
     "phi": (float, None),
+    "trials": (_integer, 100000),
+    "seed": (_integer, None),
+    "workers": (_integer, 1),
     "code_seed": (_integer, 0),
 }
 # The parameters each simulation kind cannot do without; bsc and awgn take one n.
@@ -222,21 +230,12 @@ def cmd_landmarks(args) -> int:
 
 def cmd_finite_bound(args) -> int:
     ch = _make_channel(args)
+    obj = {"version": __version__, "channel": args.channel, "n": args.n, "mode": args.mode}
     if args.channel == "bsc":
         rate = args.rate if args.units == "bits" else args.rate / LN2
         wd = finite.WeightDistribution.gv_ensemble(args.n, rate)
         lb = finite.binary_union_bound(wd, ch.p, finite.MarginParams(t=args.t), args.mode)
-        obj = {
-            "version": __version__,
-            "channel": "bsc",
-            "n": args.n,
-            "rate_bits": rate,
-            "p": ch.p,
-            "t": args.t,
-            "mode": args.mode,
-            "log2_bound": lb,
-            "exponent_bits": -lb / args.n,
-        }
+        obj.update(rate_bits=rate, p=ch.p, t=args.t, log2_bound=lb, exponent_bits=-lb / args.n)
     else:
         rate = args.rate if args.units == "nats" else args.rate * LN2
         wd = finite.WeightDistribution.binomial_spherical(args.n, rate)
@@ -244,18 +243,8 @@ def cmd_finite_bound(args) -> int:
         t = args.tau if args.mode == "error" else -args.tau
         rho = args.rho if args.rho is not None else spherical.decoding_radius(rate, t, ch)
         lb = finite.awgn_union_bound(wd, ch, t, rho)
-        obj = {
-            "version": __version__,
-            "channel": "awgn",
-            "n": args.n,
-            "rate_nats": rate,
-            "snr": ch.A,
-            "tau": args.tau,
-            "mode": args.mode,
-            "rho": rho,
-            "ln_bound": lb,
-            "exponent_nats": -lb / args.n,
-        }
+        obj.update(rate_nats=rate, snr=ch.A, tau=args.tau, rho=rho)
+        obj.update(ln_bound=lb, exponent_nats=-lb / args.n)
     _emit(_json_dump(obj), args.out)
     return 0
 
@@ -481,19 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="seeded Monte Carlo simulation")
     sp.add_argument("config", nargs="?", help="JSON config file")
-    sp.add_argument("--kind", choices=("bsc", "awgn", "cone"))
-    sp.add_argument("--n", type=int, nargs="+")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--M", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--snr", type=float)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--t", type=int)
-    sp.add_argument("--phi", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--code-seed", dest="code_seed", type=int)
+    for name in _SIM_PARAMS:
+        sp.add_argument("--" + name.replace("_", "-"), nargs="+" if name == "n" else None)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_simulate)
 

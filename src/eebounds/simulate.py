@@ -233,8 +233,8 @@ def simulate_awgn(
         y = rng.standard_normal((size, codebook.n))
         y += pts[sent]  # in place: no third (size, n) array per block
         scale = np.linalg.norm(y, axis=1, keepdims=True) * norm_pts
-        # Columns: best, then the runner-up when there is one.
-        top = np.empty((size, 2 if codebook.M > 1 else 1))
+        # Columns: best, then the runner-up (-inf, an angle of pi, when M = 1).
+        top = np.empty((size, 2))
         hit = np.empty(size, dtype=bool)
         for lo in range(0, size, step):
             part = slice(lo, lo + step)
@@ -244,13 +244,11 @@ def simulate_awgn(
             best = dots.argmax(axis=1)
             hit[part] = best == sent[part]
             top[part, 0] = dots[rows, best]
-            if codebook.M > 1:
-                dots[rows, best] = -np.inf
-                # An argmax read costs about a third of a row-wise max here.
-                top[part, 1] = dots[rows, dots.argmax(axis=1)]
+            dots[rows, best] = -np.inf
+            # An argmax read costs about a third of a row-wise max here.
+            top[part, 1] = dots[rows, dots.argmax(axis=1)]
         ang = np.arccos(np.clip(top / scale, -1.0, 1.0))
-        # The last column is the runner-up, or the best again when M = 1.
-        decoded = _decided(ang[:, 0], ang[:, -1], 2.0 * tau, codebook.M == 1)
+        decoded = _decided(ang[:, 0], ang[:, 1], 2.0 * tau, codebook.M == 1)
         return _tally(decoded, hit)
 
     c, u, e = _run_blocks(block, trials, workers)

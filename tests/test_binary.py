@@ -12,7 +12,6 @@ from eebounds.binary import (
     bounded_distance_exponent,
     bz_bounds,
     delta_gv,
-    entropy_family,
     gallager_exponent,
     landmarks,
     nontrivial_rate_threshold,
@@ -105,6 +104,30 @@ class TestChannelAndLandmarks:
         with pytest.raises(ValueError):
             BscChannel(0.5)
         assert BscChannel(0.07).capacity == pytest.approx(1.0 - h(0.07))
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: delta_gv(1.5), r"rate must lie in \[0, 1\], got 1.5"),
+            (lambda: landmarks(CH, 0.5), r"tau must lie in \[0, 1/2\), got 0.5"),
+            (lambda: bz_bounds(0.3, CH, -0.01), "tau must be nonnegative, got -0.01"),
+            (lambda: tradeoff_bounds(0.3, CH, -0.01), "tau must be nonnegative, got -0.01"),
+            (lambda: WeightProfile((0.3,), (0.0, 0.0)), "nonempty and of equal length"),
+            (lambda: WeightProfile((), ()), "nonempty and of equal length"),
+            (
+                lambda: specific_code_bound(WeightProfile((0.0,), (0.0,)), 0.3, CH),
+                "support must contain positive weights",
+            ),
+            (
+                lambda: bounded_distance_exponent(0.3, CH, 0.6),
+                r"tau must lie in \[0, 1/2\], got 0.6",
+            ),
+        ],
+        ids=["delta_gv", "landmarks", "bz", "tradeoff", "grids", "empty", "support", "bd"],
+    )
+    def test_input_checks(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
     def test_saddle_weights(self):
         lm = landmarks(CH, 0.0)
@@ -223,22 +246,14 @@ class TestChannelAndLandmarks:
 class TestEntropyFamily:
     def test_divergence_zero_on_diagonal(self):
         for x in (0.1, 0.3, 0.5):
-            _, _, d = entropy_family(x, x)
-            assert d == pytest.approx(0.0, abs=1e-14)
-
-    def test_degenerate_reference(self):
-        _, t, d = entropy_family(0.3, 0.0)
-        assert t == math.inf and d == math.inf
-        _, t, d = entropy_family(0.0, 0.0)
-        assert t == 0.0 and d == 0.0
+            assert binary_module._D(x, x) == pytest.approx(0.0, abs=1e-14)
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),
         st.floats(min_value=0.01, max_value=0.99),
     )
     def test_divergence_nonnegative(self, x, y):
-        _, _, d = entropy_family(x, y)
-        assert d >= -1e-12
+        assert binary_module._D(x, y) >= -1e-12
 
 
 class TestGallagerExponent:
@@ -478,7 +493,7 @@ class TestTypicalGeometry:
         dgv = delta_gv(0.4)
         assert rho == pytest.approx(dgv + 2 * 0.03, abs=1e-12)
         assert omega == pytest.approx(2 * dgv * (1 - dgv) + 2 * 0.03 * (1 - 2 * dgv), abs=1e-12)
-        assert m_plus.value == pytest.approx(entropy_family(rho, CH.p)[2], abs=1e-12)
+        assert m_plus.value == pytest.approx(binary_module._D(rho, CH.p), abs=1e-12)
 
     def test_invalid_regime_a_keeps_its_diagnostics(self):
         # tau > dgv / 2 puts the entropy argument 1/2 + tau/dgv above 1.
@@ -559,8 +574,7 @@ class TestBoundedDistance:
     def test_zero_margin_is_complete_decoding_distance_term(self):
         val = bounded_distance_exponent(0.3, CH, 0.0).value
         dgv = delta_gv(0.3)
-        _, t, _ = entropy_family(dgv, 0.07)
-        assert val == pytest.approx(t, abs=1e-12)
+        assert val == pytest.approx(binary_module._T(dgv, 0.07), abs=1e-12)
 
     def test_high_rate_closed_form(self):
         # Above the split the value is the ball-volume exponent; the type is

@@ -149,6 +149,23 @@ class TestCurve:
     def test_bad_subcommand_exit_code(self):
         assert main(["no-such-command"]) == 2
 
+    def test_svg_single_point(self, tmp_path):
+        # One rate and one bound: both axis spans are zero and widen to 1.
+        rc, text = run(tmp_path, "k1.svg", *CURVE_BSC[:-2], "--steps", "1",
+                       "--bounds", "gallager", "--format", "svg")
+        assert rc == 0
+        assert '<polyline points="56.00,384.00"' in text
+
+    def test_svg_without_valid_points_is_usage_error(self, tmp_path, capsys):
+        # M- is invalid at every rate here: its decoding radius lies below p.
+        rc, text = run(
+            tmp_path, "k2.svg",
+            "curve", "--channel", "bsc", "--p", "0.45", "--tau", "0.1", "--rmin", "0.0045",
+            "--rmax", "0.0072", "--steps", "2", "--bounds", "m_minus", "--format", "svg",
+        )
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: no valid points to plot\n"
+
 
 class TestLandmarks:
     def test_binary_values(self, tmp_path):
@@ -216,6 +233,10 @@ class TestFiniteBound:
         assert rc == 0
         assert obj["log2_bound"] < 0.0
         assert obj["exponent_bits"] == pytest.approx(-obj["log2_bound"] / 256, rel=1e-12)
+        assert set(obj) == {
+            "version", "channel", "n", "mode", "rate_bits", "p", "t", "log2_bound",
+            "exponent_bits",
+        }
 
     def test_awgn_record(self, tmp_path):
         rc, text = run(
@@ -227,6 +248,16 @@ class TestFiniteBound:
         assert rc == 0
         assert obj["rho"] == 1.0
         assert obj["exponent_nats"] > 0.0
+        assert set(obj) == {
+            "version", "channel", "n", "mode", "rate_nats", "snr", "tau", "rho", "ln_bound",
+            "exponent_nats",
+        }
+
+    def test_awgn_needs_snr(self, tmp_path, capsys):
+        rc, text = run(tmp_path, "fb9.json", "finite-bound", "--channel", "awgn",
+                       "--n", "64", "--rate", "0.3")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: --snr is required for --channel awgn\n"
 
     AWGN = [
         "finite-bound", "--channel", "awgn", "--snr", "4", "--tau", "0.02", "--n", "256",
@@ -406,6 +437,15 @@ class TestSimulate:
                       for c in classes},
         }
 
+    @staticmethod
+    def flags(cfg):
+        """The simulate flags that set the parameters of a config."""
+        argv = []
+        for name, value in cfg.items():
+            values = value if isinstance(value, list) else [value]
+            argv += ["--" + name.replace("_", "-"), *map(str, values)]
+        return argv
+
     @pytest.mark.parametrize("argv, message", [
         (["--kind", "bsc", "--n", "7", "--k", "4", "--p", "0.05"],
          "a seed is required for simulation (use --seed)"),
@@ -430,11 +470,14 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_kind_in_config(self, tmp_path, capsys):
+        # A flag fails as the config value does.
+        cfg = {"kind": "qam", "seed": 1}
         path = tmp_path / "cfg3.json"
-        path.write_text(json.dumps({"kind": "qam", "seed": 1}))
-        rc, text = run(tmp_path, "s13.json", "simulate", str(path))
-        assert rc == 2 and text == ""
-        assert capsys.readouterr().err == "error: unknown simulation kind: qam\n"
+        path.write_text(json.dumps(cfg))
+        for argv in ([str(path)], self.flags(cfg)):
+            rc, text = run(tmp_path, "s13.json", "simulate", *argv)
+            assert rc == 2 and text == ""
+            assert capsys.readouterr().err == "error: unknown simulation kind: qam\n"
 
     def test_missing_seed_is_usage_error(self, tmp_path):
         rc, _ = run(tmp_path, "s8.json", "simulate", "--kind", "bsc", "--n", "7",
@@ -480,25 +523,47 @@ class TestSimulate:
     ])
     def test_non_integral_config_value_is_error(self, tmp_path, capsys, name, value):
         # int() would truncate: "k": 7.9 and "t": 1.5 would run as k = 7 and t = 1.
+        # The same value given as a flag fails with the same message.
         kind = "awgn" if name == "M" else "bsc"
         cfg = {**self.CONFIGS[kind], name: value}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        rc, text = run(tmp_path, "s16.json", "simulate", str(path))
         shown = value[0] if isinstance(value, list) else value
-        assert rc == 2 and text == ""
-        assert capsys.readouterr().err == f"error: {name}: expected an integer, got {shown}\n"
+        for argv in ([str(path)], self.flags(cfg)):
+            rc, text = run(tmp_path, "s16.json", "simulate", *argv)
+            assert rc == 2 and text == ""
+            assert capsys.readouterr().err == f"error: {name}: expected an integer, got {shown}\n"
+
+    def test_full_width_seed_flag(self, tmp_path):
+        # int() reads the string exactly; through a float it would be 2^64.
+        seed = 2**64 - 1
+        rc, text = run(tmp_path, "s20.json", *self.BSC[:-1], str(seed))
+        obj = json.loads(text)
+        tally = simulate.simulate_bsc(finite.gen_linear_code(7, 4, 0), 0.05, 0, 20000, seed)
+        assert rc == 0 and obj["seed"] == seed
+        assert obj["counts"] == {c: getattr(tally, c) for c in ("correct", "undetected", "erasure")}
+
+    def test_parameters_declared_once(self):
+        # Each simulate flag comes from _SIM_PARAMS, and argparse converts none.
+        sp = cli.build_parser()._subparsers._group_actions[0].choices["simulate"]
+        params = [a for a in sp._actions if a.dest in cli._SIM_PARAMS]
+        assert [a.dest for a in params] == list(cli._SIM_PARAMS)
+        assert all(a.type is None and a.choices is None for a in params)
+        assert {a.dest for a in sp._actions} == {*cli._SIM_PARAMS, "help", "config", "out"}
 
     def test_integral_float_config_values(self, tmp_path):
+        # 4.0 reads as 4 from a config value and from a flag ("--k 4.0").
         cfg = self.CONFIGS["bsc"]
+        as_floats = {k: float(v) if type(v) is int else v for k, v in cfg.items()}
         path = tmp_path / "cfg.json"
         outs = []
-        for values in (cfg, {k: float(v) if type(v) is int else v for k, v in cfg.items()}):
+        for values in (cfg, as_floats, {**as_floats, "n": [7.0]}):
             path.write_text(json.dumps(values))
-            rc, text = run(tmp_path, "s17.json", "simulate", str(path))
-            assert rc == 0
-            outs.append(text)
-        assert outs[0] == outs[1] and json.loads(outs[0])["k"] == 4
+            for argv in ([str(path)], self.flags(values)):
+                rc, text = run(tmp_path, "s17.json", "simulate", *argv)
+                assert rc == 0
+                outs.append(text)
+        assert outs == outs[:1] * 6 and json.loads(outs[0])["k"] == 4
 
 
 class TestValidate:

@@ -571,6 +571,21 @@ class TestExactOracle:
         with pytest.raises(ValueError):
             exact_margin_probability(HAMMING74, 0.05, -1)
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: WeightDistribution(3, (0.0, 0.0)), "expected 4 counts, got 2"),
+            (lambda: LinearCode(3, 4, ((),) * 4), "need 0 <= k <= n, got k=4, n=3"),
+            (lambda: LinearCode(3, -1, ()), "need 0 <= k <= n, got k=-1, n=3"),
+            (lambda: LinearCode(3, 1, ((1,),)), r"parity block must be k x \(n - k\)"),
+            (lambda: LinearCode(3, 2, ((1,),)), r"parity block must be k x \(n - k\)"),
+        ],
+        ids=["counts", "k>n", "k<0", "row-length", "row-count"],
+    )
+    def test_shape_checks(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_margin_must_be_an_integer(self):
         # 2t = 3 would match neither t = 1 nor t = 2.
         with pytest.raises(ValueError, match="margin must be an integer, got 1.5"):

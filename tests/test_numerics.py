@@ -250,6 +250,9 @@ class TestEntropy:
             binary_entropy(1.1)
         with pytest.raises(ValueError):
             binary_entropy(np.array([0.2, 1.1]))
+        for y in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="entropy_inverse argument must lie in"):
+                entropy_inverse(y)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_inverse_roundtrip(self, y):

@@ -205,6 +205,10 @@ class TestSimulateBsc:
         with pytest.raises(ValueError, match="trials must be positive"):
             simulate_bsc(HAMMING74, 0.05, 0, 0, seed=1)
 
+    def test_crossover_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"crossover must lie in \[0, 1\], got 1.5"):
+            simulate_bsc(HAMMING74, 1.5, 0, 1000, seed=1)
+
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError, match="margin must be nonnegative, got -3"):
             simulate_bsc(HAMMING74, 0.05, -3, 1000, seed=1)

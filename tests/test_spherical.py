@@ -320,6 +320,9 @@ class TestBigG:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             big_g(3.0, 0.2, CH4)
+        # Inside the domain, but A = 10 drives the log argument below zero.
+        with pytest.raises(ValueError, match="log argument nonpositive"):
+            big_g(1.0, 0.3, AwgnChannel(10.0))
 
 
 class TestEliasTheta:
@@ -1201,6 +1204,8 @@ class TestBoundedDistanceSpherical:
     def test_validation(self):
         with pytest.raises(ValueError):
             bounded_distance_exponent_s(DistanceProfile.packing(0.3), CH4, 0.0)
+        with pytest.raises(ValueError, match="positive minimum distance"):
+            bounded_distance_exponent_s(DistanceProfile.single_angle(0.0), CH4, 0.2)
 
     def test_tail_below_capacity_angle_raises(self):
         # At A = 0.01 the capacity angle is ~1.4711, above pi/2 - 0.2 - 1e-4.
@@ -1240,6 +1245,19 @@ class TestUndetectedError:
     def test_above_threshold_invalid(self):
         assert not undetected_error_exponent(math.pi / 4.0, 0.2).valid
 
+    @pytest.mark.parametrize(
+        "theta, tau, match",
+        [
+            (0.0, 0.1, r"distance angle must lie in \(0, pi/2\), got 0.0"),
+            (math.pi / 2.0, 0.1, r"distance angle must lie in \(0, pi/2\)"),
+            (math.pi / 4.0, 0.0, "tau must be positive, got 0.0"),
+        ],
+        ids=["theta-zero", "theta-right", "tau-zero"],
+    )
+    def test_validation(self, theta, tau, match):
+        with pytest.raises(ValueError, match=match):
+            undetected_error_exponent(theta, tau)
+
     def test_taylor_defect_bounded(self):
         # The pairwise ratio expands as 1 - (8/sin 2theta) tau + O(tau^2);
         # the normalized defect stays bounded as tau -> 0.
@@ -1253,6 +1271,11 @@ class TestUndetectedError:
 class TestRankin:
     def test_right_angle(self):
         assert rankin_rate(math.pi / 2.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_domain(self):
+        for theta in (0.0, 2.0):
+            with pytest.raises(ValueError, match=r"angle must lie in \(0, pi/2\]"):
+                rankin_rate(theta)
 
     def test_reference_point(self):
         assert rankin_rate(math.pi / 3.0) == pytest.approx(0.346574, abs=1e-6)
