@@ -41,18 +41,43 @@ _NATIVE_UNITS = {"bsc": "bits", "awgn": "nats"}
 _DEFECT_FLOOR = 1e-14
 
 
+def _shown(value) -> str:
+    """A flag's string or a config value for a message: a JSON boolean, list
+    or object in its JSON form."""
+    return json.dumps(value) if isinstance(value, (bool, list, dict)) else str(value)
+
+
+def _number(value) -> float:
+    """float(value) for a real simulate parameter, from a flag's string or a
+    config number. A JSON boolean is not a number, though float() reads
+    true as 1.0; nor is a list or an object."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"expected a number, got {_shown(value)}")
+
+
 def _integer(value) -> int:
     """int(value) for an integer simulate parameter, from a flag's string or
     a config value, which must not truncate: 7, 7.0 and "7.0" pass, 7.9 and
-    "7.9" raise ValueError, as do NaN and inf. int() reads an integer string
-    first, exactly at any size."""
+    "7.9" raise ValueError, as do NaN, inf, a JSON boolean, list or object,
+    and a string that is no number. int() reads an integer first, exactly at
+    any size."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
-            value = float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value}")
+            pass
+    try:
+        value = _number(value)
+    except ValueError:
+        pass
+    if not (isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {_shown(value)}")
     return int(value)
 
 
@@ -64,11 +89,11 @@ _SIM_PARAMS = {
     "n": (lambda ns: [_integer(n) for n in (ns if isinstance(ns, list) else [ns])], None),
     "k": (_integer, None),
     "M": (_integer, None),
-    "p": (float, None),
-    "snr": (float, None),
-    "tau": (float, 0.0),
+    "p": (_number, None),
+    "snr": (_number, None),
+    "tau": (_number, 0.0),
     "t": (_integer, 0),
-    "phi": (float, None),
+    "phi": (_number, None),
     "trials": (_integer, 100000),
     "seed": (_integer, None),
     "workers": (_integer, 1),
@@ -263,6 +288,8 @@ def cmd_simulate(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise UsageError("config must be a JSON object")
     v = {}
     for name, (convert, default) in _SIM_PARAMS.items():
         flag = getattr(args, name)

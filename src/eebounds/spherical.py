@@ -11,9 +11,10 @@ the radius within about 1e-15 of its root); worst-angle minima come from
 ``maximize_unimodal`` on the negated integrand. The neighbor-angle equation
 has a closed-form inverse x(theta), so the decoding radius is one solve in
 theta, on the piece (2 max(-tau, 0), pi/2] of the branch rule where its
-residual increases, kept by one acceptance rule. The boundary rate R* is a
-formula that rule checks with no solve; at or above capacity, the straight
-regime runs to capacity. Invalid bound values carry a ``reason``. Both
+residual increases, from theta_s(R) up (the residual is at most 0 there),
+kept by one acceptance rule. The boundary rate R* is a formula that rule
+checks with no solve; at or above capacity, the straight regime runs to
+capacity. Invalid bound values carry a ``reason``. Both
 distance-profile exponents are one ``_union_exponent``: the worst angle
 against the noise tail ``_tail``, which raises ValueError below the capacity
 angle, where leaving the cone is the typical event, and when no angle has a
@@ -245,9 +246,11 @@ def decoding_radius(R: float, tau: float, ch: AwgnChannel) -> float:
     With rho = x(theta) the residual does not depend on A, and it increases
     strictly in theta on the piece (2a, pi/2] of the branch rule, a =
     max(-tau, 0) (see ``_elias_x``), where it is finite and equals R at
-    pi/2. So the solve runs on [2a + 1e-6, pi/2] and finds the one root
-    there, if any, which ``_kept_radius`` keeps or rejects with
-    BracketError."""
+    pi/2. At theta = theta_s(R), R + ln sin(theta) = 0, so the residual is
+    1/2 ln(1 - t2) <= 0, t2 the squared tangent ratio: the one root on the
+    piece lies in [theta_s(R), pi/2]. So the solve runs on
+    [max(2a + 1e-6, theta_s(R)), pi/2] and finds that root, if any, which
+    ``_kept_radius`` keeps or rejects with BracketError."""
     return _radius_and_angle(R, tau, ch)[0]
 
 
@@ -259,9 +262,9 @@ def _radius_and_angle(R: float, tau: float, ch: AwgnChannel) -> tuple[float, flo
     def f(theta: float) -> float:
         return _radius_residual(theta, _elias_x(theta, tau), R, tau)
 
-    try:  # f rises on (2a, pi/2], a = max(-tau, 0)
-        theta = solve_bracketed(f, 2.0 * max(-tau, 0.0) + 1e-6, math.pi / 2.0)
-    except ValueError:  # no sign change, or tau <= -pi/4 empties the piece: no root
+    try:  # f rises on (2a, pi/2], a = max(-tau, 0), and f(theta_s) <= 0
+        theta = solve_bracketed(f, max(2.0 * max(-tau, 0.0) + 1e-6, theta_s(R)), math.pi / 2.0)
+    except ValueError:  # no sign change, or an empty bracket (tau <= -pi/4, R < 6e-17)
         theta = math.nan
     return _kept_radius(theta, R, tau), theta
 

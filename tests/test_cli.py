@@ -534,6 +534,31 @@ class TestSimulate:
             assert rc == 2 and text == ""
             assert capsys.readouterr().err == f"error: {name}: expected an integer, got {shown}\n"
 
+    @pytest.mark.parametrize("name, value, expected", [
+        ("k", True, "an integer"), ("p", True, "a number"), ("k", [7], "an integer"),
+        ("p", {}, "a number"), ("seed", "abc", "an integer"), ("p", "abc", "a number"),
+    ])
+    def test_non_numeric_value_is_error(self, tmp_path, capsys, name, value, expected):
+        # float() and int() read a JSON boolean as a number: "k": true would run
+        # as k = 1 and "p": true as p = 1.0. A flag holding the value's JSON text
+        # fails with the same message.
+        cfg = {**self.CONFIGS["bsc"], name: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        shown = value if isinstance(value, str) else json.dumps(value)
+        for argv in ([str(path)], self.flags({**cfg, name: shown})):
+            rc, text = run(tmp_path, "s18.json", "simulate", *argv)
+            assert rc == 2 and text == ""
+            assert capsys.readouterr().err == f"error: {name}: expected {expected}, got {shown}\n"
+
+    @pytest.mark.parametrize("cfg", ([1, 2], "bsc", 7, None))
+    def test_config_must_be_an_object(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc, text = run(tmp_path, "s19.json", "simulate", str(path), "--seed", "1")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
     def test_full_width_seed_flag(self, tmp_path):
         # int() reads the string exactly; through a float it would be 2^64.
         seed = 2**64 - 1

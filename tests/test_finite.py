@@ -28,7 +28,7 @@ from eebounds.finite import (
 )
 from eebounds.numerics import LN2, log_sum
 from eebounds.spherical import AwgnChannel, esp, f_exponent
-from eebounds.simulate import SphericalCodebook, simulate_bsc
+from eebounds.simulate import SphericalCodebook, simulate_awgn, simulate_bsc
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
 
@@ -872,12 +872,15 @@ def _refuses(f):
 
 _K20, _K22 = gen_linear_code(26, 20, 0), gen_linear_code(28, 22, 0)
 _N45K21, _N26K18 = gen_linear_code(45, 21, 0), gen_linear_code(26, 18, 0)
+_M48N600 = SphericalCodebook.random(48, 600, 0.05, 4)
 # (entry point, call, tracemalloc peak bound in MB) for each entry point that
-# takes a code, at a size past the element budget of 2^_BUDGET_BITS elements.
+# takes a code, at a size past the element budget of 2^_BUDGET_BITS elements,
+# and for one 2^14-trial AWGN block with n > M.
 # Each bound lies below what a whole message span or distance matrix takes:
 # 108 MB for _nearest at k = 22, 40.5 MB for codewords() and 106 MB for
 # its BPSK image at (26,18), about 1.1 GB for the (words x 2^21) distances
-# of the (45,21) simulation.
+# of the (45,21) simulation, and 150.6 MiB for the block's whole (2^14 x 600)
+# noise and its gathered points.
 MEMORY_BOUNDS = [
     ("_nearest-k20", lambda: _nearest(_K20, _words(_K20, np.zeros((1, 26)))), 28.0),
     ("_nearest-k22", lambda: _nearest(_K22, _words(_K22, np.zeros((1, 28)))), 48.0),
@@ -885,6 +888,7 @@ MEMORY_BOUNDS = [
     ("simulate_bsc-45-21", lambda: simulate_bsc(_N45K21, 0.05, 1, 300, seed=6), 32.0),
     ("codewords-26-18", lambda: _N26K18.codewords(), 12.0),
     ("binary_codebook-26-18", lambda: SphericalCodebook.binary(_N26K18, 1.0), 64.0),
+    ("simulate_awgn-48-600", lambda: simulate_awgn(_M48N600, 0.02, 2**14, seed=1), 8.0),
     # Past the coset table's budget: ValueError before any table is built.
     ("exact_margin_probability-45-21",
      lambda: _refuses(lambda: exact_margin_probability(_N45K21, 0.05, 1)), 1.0),
