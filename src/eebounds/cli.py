@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, binary, finite, simulate, spherical
+from . import __version__, binary, spherical
 from .numerics import LN2, ConvergenceError, binary_entropy
 
 # Each channel's curve bounds, in output order, grouped by the call that
@@ -254,6 +254,8 @@ def cmd_landmarks(args) -> int:
 
 
 def cmd_finite_bound(args) -> int:
+    from . import finite
+
     ch = _make_channel(args)
     obj = {"version": __version__, "channel": args.channel, "n": args.n, "mode": args.mode}
     if args.channel == "bsc":
@@ -274,8 +276,9 @@ def cmd_finite_bound(args) -> int:
     return 0
 
 
-def _tally_fields(tally: simulate.TrialTally) -> dict:
-    """The "counts" and "rates" objects of a bsc or awgn simulation."""
+def _tally_fields(tally) -> dict:
+    """The "counts" and "rates" objects of a bsc or awgn simulation's
+    ``simulate.TrialTally``."""
     classes = ("correct", "undetected", "erasure")
     return {
         "counts": {c: getattr(tally, c) for c in classes},
@@ -284,6 +287,8 @@ def _tally_fields(tally: simulate.TrialTally) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from . import finite, simulate
+
     cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -339,6 +344,8 @@ def cmd_simulate(args) -> int:
 
 def _validation_checks():
     """Yield (name, defect, tolerance) triples for the cross-module suite."""
+    from . import finite
+
     # Binary: tau=0 reduction of the trade-off pair to the classical bound.
     worst = 0.0
     for p in (0.05, 0.1, 0.3):

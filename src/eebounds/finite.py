@@ -7,16 +7,14 @@ binary bound is one sum per weight, its inner sum being a binomial CDF
 read from a prefix sum, both in the linear domain with one power-of-two
 scale per row, and each pmf row read as windows of padded tables
 (``numerics._log2_pmf_rows``), not element by element; the AWGN bound is
-one midpoint-rule integral per weight, its
-integrand written in t = tan phi so that a node takes one tangent and no
-float64 sine or cosine, which cost about five tangents each (a call takes
-about 4, 13 and 55 ms at n = 64, 256 and 1024 on a shared 2-core machine,
-0.45 of the rule written with ``esp`` at each node). Both bounds evaluate
-all weights at once as 2-D arrays, one row per weight, in blocks of at most
-``_ROW_BUDGET`` elements (128 KB of float64 per intermediate, under twice
-that for the binary bound's zero-padded CDF buffer), so their memory does
-not grow with n; the AWGN bound sums each row by a row-wise
-log-sum-exp.
+one midpoint-rule integral per weight, its integrand written in t = tan phi
+so that a node takes one tangent and no float64 sine or cosine, which cost
+about five tangents each (a call takes 0.45 of the time of the rule written
+with ``esp`` at each node). Both bounds evaluate all weights at once as 2-D
+arrays, one row per weight, in blocks of at most ``_ROW_BUDGET`` elements
+(128 KB of float64 per intermediate, under twice that for the binary
+bound's zero-padded CDF buffer), so their memory does not grow with n; the
+AWGN bound sums each row by a row-wise log-sum-exp.
 This module owns the binary code type, ``LinearCode``, its spectrum
 ``weight_distribution`` and every decision on its received words. Exact
 binary decoding takes received words in one packed format, ``_words``:

@@ -44,8 +44,8 @@ __all__ = [
 
 _MAX_POINTS = 2001  # guard grid of the maximizer's first round
 _ZOOM_POINTS = 65  # points of each later round, over two cells of the last
-# Bracket width at which a root solve stops: the package's angle solves need
-# rho within about 1e-15 of its root (1e-14 can leave it 8e-15 off).
+# Bracket width at which a root solve stops. It puts the decoding radius rho
+# within about 1e-15 / (pi/2 - rho) of its root (see ``spherical``).
 _ROOT_TOL = 1e-15
 _MAX_TOL = 1e-12  # width of the two cells at which the maximizer stops
 _MAX_ITER = 200  # step (or round) cap of either solver

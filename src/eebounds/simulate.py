@@ -28,7 +28,6 @@ slowing whatever runs next.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -141,6 +140,8 @@ def _run_blocks(fn, trials: int, workers: int) -> np.ndarray:
     if workers <= 1:
         parts = [fn(b, size) for b, size in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # with logging, ~7 ms cold
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda bs: fn(*bs), blocks))
     return np.sum(parts, axis=0)
