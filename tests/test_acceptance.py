@@ -3,6 +3,10 @@
 Each test prints a single "criterion NN: PASS/FAIL" line so the suite output
 doubles as a checklist. Tolerances and runtime budgets are pinned; tests are
 not loosened to force a pass.
+
+Criteria 1, 2, 5, 6, 7, 9 and 10 run the checks of ``eebounds validate``'s
+claims (``cli._CLAIMS``) on wider grids, against the same tolerances, and add
+their own pinned values.
 """
 
 import functools
@@ -20,16 +24,13 @@ from eebounds.binary import (
     nontrivial_rate_threshold,
     tradeoff_bounds,
 )
-from eebounds.cli import main
+from eebounds.cli import _CLAIMS, main
 from eebounds.finite import (
     LinearCode,
     MarginParams,
     WeightDistribution,
     binary_union_bound,
     exact_margin_probability,
-    gen_linear_code,
-    triangle_count,
-    weight_distribution,
 )
 from eebounds.numerics import binary_entropy as h
 from eebounds.simulate import estimate_exponent, simulate_bsc, simulate_cone_exit
@@ -42,8 +43,6 @@ from eebounds.spherical import (
     elias_theta,
     esp,
     profile_exponent,
-    rankin_rate,
-    shannon_exponent,
     spherical_landmarks,
     theta_s,
     tradeoff_exponent,
@@ -51,6 +50,13 @@ from eebounds.spherical import (
 )
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
+SNRS = (1.0, 4.0, 10.0)
+
+
+def assert_claim(name, **grid):
+    """Run the check of ``validate``'s claim ``name`` on this grid."""
+    claim = _CLAIMS[name]
+    assert claim.check(**grid) <= claim.tol, name
 
 
 def reported(num):
@@ -75,16 +81,11 @@ def reported(num):
 @reported(1)
 def test_criterion_01_zero_margin_binary_reduction():
     start = time.perf_counter()
-    worst = 0.0
-    for p in (0.01, 0.05, 0.07, 0.1, 0.2, 0.3, 0.45):
-        ch = BscChannel(p)
-        cap = 1.0 - h(p)
-        for R in np.linspace(1e-4, cap - 1e-4, 200):
-            e0 = gallager_exponent(float(R), ch).value
-            mp, mm = tradeoff_bounds(float(R), ch, 0.0)
-            assert mp.valid and mm.valid
-            worst = max(worst, abs(mp.value - e0), abs(mm.value - e0))
-    assert worst <= 1e-9
+    assert_claim(
+        "binary tau=0 reduction",
+        ps=(0.01, 0.05, 0.07, 0.1, 0.2, 0.3, 0.45),
+        rates=lambda cap: np.linspace(1e-4, cap - 1e-4, 200),
+    )
     assert time.perf_counter() - start < 5.0
 
 
@@ -97,13 +98,7 @@ def test_criterion_02_dominance_over_symmetric_shift():
     assert mp == pytest.approx(0.14009, abs=1e-3)
     assert bz == pytest.approx(0.12118, abs=1e-3)
     assert mp - bz == pytest.approx(0.0189, abs=0.002)
-    for R in np.linspace(0.01, 1.0 - h(0.07) - 1e-6, 300):
-        be, bx = bz_bounds(float(R), ch, tau)
-        tp, tm = tradeoff_bounds(float(R), ch, tau)
-        if be.valid and tp.valid:
-            assert tp.value >= be.value - 1e-12
-        if bx.valid and tm.valid:
-            assert tm.value >= bx.value - 1e-12
+    assert_claim("binary trade-off dominance", rates=lambda cap: np.linspace(0.01, cap - 1e-6, 300))
 
 
 @reported(3)
@@ -143,18 +138,12 @@ def test_criterion_04_erasure_bound_nontriviality():
 @reported(5)
 def test_criterion_05_zero_margin_spherical_collapse():
     start = time.perf_counter()
-    for A in (1.0, 4.0, 10.0):
-        ch = AwgnChannel(A)
-        lm = spherical_landmarks(0.0, ch)
-        assert lm.theta_1 == pytest.approx(lm.theta_e, abs=1e-9)
-        assert lm.theta_2 == pytest.approx(lm.theta_c, abs=1e-9)
-        for R in np.linspace(0.02, ch.capacity - 0.02, 100):
-            base = shannon_exponent(float(R), ch).value
-            m = tradeoff_exponent(float(R), ch, 0.0, "error")
-            assert m.valid
-            assert abs(m.value - base) <= 1e-6
-            rho = decoding_radius(float(R), 0.0, ch)
-            assert rho == pytest.approx(theta_s(float(R)), abs=1e-9)
+    assert_claim("tau=0 landmark collapse", snrs=SNRS)
+    assert_claim("spherical tau=0 reduction", snrs=SNRS,
+                 rates=lambda cap: np.linspace(0.02, cap - 0.02, 100))
+    for ch in map(AwgnChannel, SNRS):
+        for R in map(float, np.linspace(0.02, ch.capacity - 0.02, 100)):
+            assert decoding_radius(R, 0.0, ch) == pytest.approx(theta_s(R), abs=1e-9)
     lm4 = spherical_landmarks(0.0, AwgnChannel(4.0))
     assert lm4.theta_e == pytest.approx(0.904557, abs=1e-5)
     assert lm4.theta_c == pytest.approx(0.666239, abs=1e-5)
@@ -164,32 +153,19 @@ def test_criterion_05_zero_margin_spherical_collapse():
 
 @reported(6)
 def test_criterion_06_implicit_equation_health():
-    for A in (1.0, 4.0, 10.0):
-        ch = AwgnChannel(A)
-        for tau in (0.0, 0.02, 0.05):
-            lm = spherical_landmarks(tau, ch)
-            assert all(abs(v) <= 1e-10 for v in lm.residuals.values())
+    assert_claim("landmark residuals", snrs=SNRS, taus=(0.0, 0.02, 0.05))
     ch4 = AwgnChannel(4.0)
     for R in (0.1, 0.3, 0.5, 0.7):
         for tau in (0.0, 0.03):
             rho = decoding_radius(R, tau, ch4)
             assert abs(_radius_residual(elias_theta(rho, tau), rho, R, tau)) <= 1e-10
-    for x in np.linspace(0.2, 1.4, 15):
-        th = elias_theta(float(x), 0.0)
-        assert math.cos(th) == pytest.approx(math.cos(float(x)) ** 2, abs=1e-10)
-    for R in np.linspace(0.05, 0.75, 15):
-        th = elias_theta(theta_s(float(R)), 0.0)
-        assert rankin_rate(th) == pytest.approx(float(R), abs=1e-9)
+    assert_claim("tau=0 neighbor-angle identity", xs=np.linspace(0.2, 1.4, 15))
+    assert_claim("Rankin rate identity", rates=np.linspace(0.05, 0.75, 15))
 
 
 @reported(7)
 def test_criterion_07_correction_term():
-    for A in (1.0, 4.0, 10.0):
-        ch = AwgnChannel(A)
-        for phi in np.linspace(0.2, 1.4, 25):
-            assert abs(big_g(float(phi), 0.0, ch)) <= 1e-14
-            for tau in np.linspace(0.005, 0.0995, 20):
-                assert big_g(float(phi), float(tau), ch) <= 0.0
+    assert_claim("G(phi, 0) = 0", snrs=SNRS, taus=np.linspace(0.005, 0.0995, 20))
     assert big_g(1.0, 0.04, AwgnChannel(4.0)) == pytest.approx(-0.037063, abs=1e-5)
 
 
@@ -217,38 +193,23 @@ def test_criterion_09_finite_n_vs_asymptotic():
         bound = binary_union_bound(wd, 0.07, MarginParams(0), "error")
         assert -bound / n == pytest.approx(gallager_exponent(R, ch).value, abs=0.05)
     rng = np.random.default_rng(20240817)
+    cases = []
     for seed in range(50):
         nn = int(rng.integers(8, 15))
         kk = int(rng.integers(3, min(nn - 2, 9)))
-        code = gen_linear_code(nn, kk, seed)
-        wd = weight_distribution(code)
         p = float(rng.choice([0.02, 0.05, 0.1]))
         t = int(rng.integers(0, 3))
-        _, pu, pe = exact_margin_probability(code, p, t)
-        if pu > 0.0:
-            assert binary_union_bound(wd, p, MarginParams(t), "error") >= math.log2(pu) - 1e-9
-        if pu + pe > 0.0:
-            assert binary_union_bound(wd, p, MarginParams(t), "erasure") >= math.log2(pu + pe) - 1e-9
+        cases.append(((nn, kk, seed), (p,), (t,)))
+    assert_claim("union bound dominates oracle", cases=cases)
 
 
 @reported(10)
 def test_criterion_10_combinatorial_ground_truth():
-    for n in range(1, 11):
-        for k in range(n + 1):
-            x = (1 << k) - 1
-            table = {}
-            for z in range(1 << n):
-                key = (bin(z).count("1"), bin(z ^ x).count("1"))
-                table[key] = table.get(key, 0) + 1
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    assert triangle_count(n, k, i, j) == table.get((i, j), 0)
-    for seed in range(5):
-        code = gen_linear_code(12, 5, seed)
-        for p in (0.02, 0.1):
-            for t in (0, 1, 2):
-                pc, pu, pe = exact_margin_probability(code, p, t)
-                assert pc + pu + pe == pytest.approx(1.0, abs=1e-12)
+    assert_claim("triangle-count brute force", ns=range(1, 11))
+    assert_claim(
+        "oracle total probability",
+        cases=[((12, 5, seed), (0.02, 0.1), (0, 1, 2)) for seed in range(5)],
+    )
     p = 0.05
     pc, pu, pe = exact_margin_probability(HAMMING74, p, 0)
     covered = sum(math.comb(7, e) * p**e * (1 - p) ** (7 - e) for e in (0, 1))

@@ -17,8 +17,8 @@ from eebounds.binary import (
     nontrivial_rate_threshold,
     specific_code_bound,
     tradeoff_bounds,
-    tradeoff_case_b_alternative,
 )
+from eebounds.cli import _CLAIMS
 from eebounds.numerics import LN2, binary_entropy as h, entropy_inverse
 
 CH = BscChannel(0.07)
@@ -313,22 +313,13 @@ class TestBzBounds:
 
 class TestTradeoffBounds:
     def test_zero_margin_reduction(self):
-        for p in (0.01, 0.05, 0.07, 0.1, 0.2, 0.3, 0.45):
-            ch = BscChannel(p)
-            for r in np.linspace(1e-3, ch.capacity - 1e-9, 50):
-                e0 = gallager_exponent(float(r), ch).value
-                m_plus, m_minus = tradeoff_bounds(float(r), ch, 0.0)
-                assert abs(m_plus.value - e0) < 1e-9
-                assert abs(m_minus.value - e0) < 1e-9
+        claim = _CLAIMS["binary tau=0 reduction"]
+        ps = (0.01, 0.05, 0.07, 0.1, 0.2, 0.3, 0.45)
+        assert claim.check(ps=ps, rates=lambda cap: np.linspace(1e-3, cap - 1e-9, 50)) < claim.tol
 
     def test_dominates_linear_bounds(self):
-        for r in np.linspace(0.01, CH.capacity - 1e-9, 80):
-            ee, ex = bz_bounds(float(r), CH, 0.03)
-            m_plus, m_minus = tradeoff_bounds(float(r), CH, 0.03)
-            if ee.valid and m_plus.valid:
-                assert m_plus.value >= ee.value - 1e-12
-            if ex.valid and m_minus.valid:
-                assert m_minus.value >= ex.value - 1e-12
+        claim = _CLAIMS["binary trade-off dominance"]
+        assert claim.check(rates=lambda cap: np.linspace(0.01, cap - 1e-9, 80)) <= claim.tol
 
     @pytest.mark.parametrize("R", [-0.2, -1e-9, 1.0 + 1e-9, 1.5])
     def test_rate_outside_unit_interval_invalid(self, R):
@@ -405,15 +396,9 @@ class TestTradeoffBounds:
                 assert abs(lo[idx].value - hi[idx].value) < 1e-7
 
     def test_case_b_alternative_identity(self):
-        lm = landmarks(CH, 0.03)
-        for sign in (+1, -1):
-            rho = lm.rho0_plus if sign > 0 else lm.rho0_minus
-            r_lo = 1.0 - h(lm.omega0_tau)
-            r_hi = 1.0 - h(rho - 2.0 * sign * 0.03)
-            for r in np.linspace(r_lo + 1e-6, r_hi - 1e-6, 7):
-                direct = tradeoff_bounds(float(r), CH, 0.03)[0 if sign > 0 else 1].value
-                alt = tradeoff_case_b_alternative(CH, 0.03, sign, float(r))
-                assert direct == pytest.approx(alt, abs=1e-6)
+        # validate's claim at p = 0.07, tau = 0.03, on 7 rates inside each member's regime (b).
+        claim = _CLAIMS["binary case-b identity"]
+        assert claim.check(rates=lambda lo, hi: np.linspace(lo + 1e-6, hi - 1e-6, 7)) <= claim.tol
 
     def test_validity_threshold(self):
         thr = 1.0 - h(0.5 - 0.03)

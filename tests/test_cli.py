@@ -593,29 +593,47 @@ class TestSimulate:
 
 class TestValidate:
     def test_passes_and_reports(self, tmp_path):
+        # Every claim passes, in this order: the benchmark's validate reference
+        # compares exactly these names.
         rc, text = run(tmp_path, "v1.txt", "validate")
         assert rc == 0
-        assert "FAIL" not in text
-        assert text.strip().endswith("OK")
-        assert "critical-angle identity" in text
+        assert [ln.split(":")[0] for ln in text.splitlines()] == [f"PASS  {name}" for name in (
+            "binary tau=0 reduction", "binary trade-off dominance", "binary case-b identity",
+            "G(phi, 0) = 0", "spherical tau=0 reduction", "tau=0 landmark collapse",
+            "tau=0 neighbor-angle identity", "critical-angle identity", "Rankin rate identity",
+            "landmark residuals", "triangle-count brute force", "oracle total probability",
+            "union bound dominates oracle",
+        )] + ["OK"]
 
     # Negative controls: shift one function the checks use and watch the
-    # check named for it, and only that one, fail.
-    @pytest.mark.parametrize("module, name, shift, check", [
+    # checks named for it, and only those, fail. A NaN or invalid value fails
+    # like a wrong one; a NaN from gallager_exponent also reaches the
+    # symmetric-shift bounds, which are built on it.
+    @pytest.mark.parametrize("module, name, shift, checks", [
         (binary, "gallager_exponent",
          lambda f: lambda r, ch: dataclasses.replace(f(r, ch), value=f(r, ch).value + 1e-3),
-         "binary tau=0 reduction"),
+         ["binary tau=0 reduction"]),
+        (binary, "gallager_exponent",
+         lambda f: lambda r, ch: dataclasses.replace(f(r, ch), value=math.nan),
+         ["binary tau=0 reduction", "binary trade-off dominance"]),
+        (spherical, "tradeoff_exponent",
+         lambda f: lambda *a: dataclasses.replace(f(*a), value=math.nan, valid=False),
+         ["spherical tau=0 reduction"]),
         (finite, "binary_union_bound", lambda f: lambda *a: f(*a) - 1.0,
-         "union bound dominates oracle"),
-        (spherical, "big_g", lambda f: lambda *a: f(*a) + 1e-3, "G(phi, 0) = 0"),
-    ], ids=("gallager_exponent", "binary_union_bound", "big_g"))
-    def test_negative_control(self, tmp_path, monkeypatch, module, name, shift, check):
+         ["union bound dominates oracle"]),
+        (spherical, "big_g", lambda f: lambda *a: f(*a) + 1e-3, ["G(phi, 0) = 0"]),
+        (spherical, "big_g",
+         lambda f: lambda phi, tau, ch: f(phi, tau, ch) + (1e-2 if tau > 0.0 else 0.0),
+         ["G(phi, 0) = 0"]),
+    ], ids=("gallager_exponent", "gallager_exponent_nan", "tradeoff_exponent_invalid",
+            "binary_union_bound", "big_g", "big_g_above_zero_margin"))
+    def test_negative_control(self, tmp_path, monkeypatch, module, name, shift, checks):
         monkeypatch.setattr(module, name, shift(getattr(module, name)))
         rc, text = run(tmp_path, "v2.txt", "validate")
         assert rc == 1
         failed = [ln.split(":")[0] for ln in text.splitlines() if ln.startswith("FAIL")]
-        assert failed == [f"FAIL  {check}"]
-        assert text.endswith("\n1 FAILED\n")
+        assert failed == [f"FAIL  {check}" for check in checks]
+        assert text.endswith(f"\n{len(checks)} FAILED\n")
 
     def test_defect_floor(self, tmp_path, monkeypatch):
         # The oracle's total probability is one up to its summation order: a

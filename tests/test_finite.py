@@ -8,6 +8,7 @@ import pytest
 
 from eebounds import finite
 from eebounds.binary import BscChannel, gallager_exponent
+from eebounds.cli import _CLAIMS
 from eebounds.finite import (
     LinearCode,
     MarginParams,
@@ -192,16 +193,6 @@ def _peak_mb(f):
         tracemalloc.stop()
 
 
-def brute_triangle(n, k, i, j):
-    """Count z with |z| ... wt(z)=i and wt(z^x)=j for a fixed x of weight k."""
-    x = (1 << k) - 1
-    cnt = 0
-    for z in range(1 << n):
-        if bin(z).count("1") == i and bin(z ^ x).count("1") == j:
-            cnt += 1
-    return cnt
-
-
 class TestTriangleCount:
     def test_endpoint(self):
         for n in (3, 5, 9):
@@ -213,11 +204,7 @@ class TestTriangleCount:
         assert triangle_count(5, 2, 1, 2) == 0
 
     def test_brute_force(self):
-        for n in (4, 6, 8):
-            for k in range(n + 1):
-                for i in range(n + 1):
-                    for j in range(n + 1):
-                        assert triangle_count(n, k, i, j) == brute_triangle(n, k, i, j)
+        assert _CLAIMS["triangle-count brute force"].check(ns=(4, 6, 8)) == 0.0
 
     def test_out_of_range(self):
         assert triangle_count(5, 2, 7, 1) == 0
@@ -241,18 +228,9 @@ class TestHammingCode:
 
 class TestBinaryUnionBound:
     def test_dominates_exact_oracle(self):
-        for seed in range(6):
-            code = gen_linear_code(12, 5, seed)
-            wd = weight_distribution(code)
-            for p in (0.01, 0.05, 0.1):
-                for t in (0, 1, 2):
-                    pc, pu, pe = exact_margin_probability(code, p, t)
-                    b_err = binary_union_bound(wd, p, MarginParams(t), "error")
-                    b_era = binary_union_bound(wd, p, MarginParams(t), "erasure")
-                    if pu > 0:
-                        assert b_err >= math.log2(pu) - 1e-9
-                    if pu + pe > 0:
-                        assert b_era >= math.log2(pu + pe) - 1e-9
+        claim = _CLAIMS["union bound dominates oracle"]
+        cases = [((12, 5, seed), (0.01, 0.05, 0.1), (0, 1, 2)) for seed in range(6)]
+        assert claim.check(cases=cases) <= claim.tol
 
     def test_hamming_within_factor_ten(self):
         wd = weight_distribution(HAMMING74)
@@ -536,13 +514,9 @@ class TestAwgnUnionBound:
 
 class TestExactOracle:
     def test_probabilities_sum_to_one(self):
-        for seed in range(4):
-            code = gen_linear_code(11, 6, seed)
-            for p in (0.02, 0.11):
-                for t in (0, 1):
-                    pc, pu, pe = exact_margin_probability(code, p, t)
-                    assert pc + pu + pe == pytest.approx(1.0, abs=1e-12)
-                    assert min(pc, pu, pe) >= 0.0
+        claim = _CLAIMS["oracle total probability"]
+        cases = [((11, 6, seed), (0.02, 0.11), (0, 1)) for seed in range(4)]
+        assert claim.check(cases=cases) <= claim.tol  # inf if a probability is negative
 
     def test_noiseless_limit(self):
         pc, pu, pe = exact_margin_probability(HAMMING74, 0.0, 1)

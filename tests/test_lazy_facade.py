@@ -51,6 +51,10 @@ def test_finite_bound_loads_finite_but_not_simulate():
     assert loaded_by_commands(bsc, awgn) == "['eebounds.finite']"
 
 
+def test_validate_loads_finite_but_not_simulate():
+    assert loaded_by_commands(["validate"]) == "['eebounds.finite']"
+
+
 def test_one_worker_simulation_loads_no_thread_pool():
     sim = "eebounds.simulate_bsc(eebounds.gen_linear_code(12, 5, 1), 0.05, 1, 2000, 1, {})"
     assert fresh(f"import eebounds; {sim.format(1)}; {REPORT}") == (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from eebounds.cli import _CLAIMS
 from eebounds.numerics import BracketError
 from eebounds.spherical import (
     AwgnChannel,
@@ -303,19 +304,16 @@ class TestShannonExponent:
 
 class TestBigG:
     def test_zero_margin(self):
-        for phi in (0.3, 0.7, 1.2):
-            for A in (1.0, 4.0, 10.0):
-                assert big_g(phi, 0.0, AwgnChannel(A)) == 0.0
+        grid = dict(snrs=(1.0, 4.0, 10.0), phis=(0.3, 0.7, 1.2), taus=())
+        assert _CLAIMS["G(phi, 0) = 0"].check(**grid) == 0.0
 
     def test_reference_point(self):
         assert big_g(1.0, 0.04, CH4) == pytest.approx(-0.037063, abs=1e-5)
 
     def test_nonpositive_on_grid(self):
-        for A in (1.0, 4.0, 10.0):
-            ch = AwgnChannel(A)
-            for phi in np.linspace(0.2, 1.4, 13):
-                for tau in np.linspace(1e-3, 0.1, 8):
-                    assert big_g(float(phi), float(tau), ch) <= 0.0
+        # The defect is |G(phi, 0)|, or inf where G(phi, tau) > 0.
+        grid = dict(phis=np.linspace(0.2, 1.4, 13), taus=np.linspace(1e-3, 0.1, 8))
+        assert _CLAIMS["G(phi, 0) = 0"].check(snrs=(1.0, 4.0, 10.0), **grid) == 0.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -327,10 +325,8 @@ class TestBigG:
 
 class TestEliasTheta:
     def test_zero_margin_closed_form(self):
-        for x in np.linspace(0.1, 1.5, 15):
-            assert math.cos(elias_theta(float(x), 0.0)) == pytest.approx(
-                math.cos(float(x)) ** 2, abs=1e-10
-            )
+        claim = _CLAIMS["tau=0 neighbor-angle identity"]
+        assert claim.check(xs=np.linspace(0.1, 1.5, 15)) <= claim.tol
 
     def test_reference_point(self):
         assert elias_theta(math.pi / 3.0, 0.0) == pytest.approx(1.318116, abs=1e-6)
@@ -740,12 +736,8 @@ class TestArrayScan:
 
 class TestLandmarks:
     def test_zero_margin_collapse(self):
-        for A in (1.0, 4.0, 10.0):
-            ch = AwgnChannel(A)
-            te, tc = shannon_angles(ch)
-            lm = spherical_landmarks(0.0, ch)
-            assert lm.theta_1 == pytest.approx(te, abs=1e-9)
-            assert lm.theta_2 == pytest.approx(tc, abs=1e-9)
+        claim = _CLAIMS["tau=0 landmark collapse"]
+        assert claim.check(snrs=(1.0, 4.0, 10.0)) <= claim.tol
 
     def test_reference_values(self):
         lm = spherical_landmarks(0.0, CH4)
@@ -765,9 +757,8 @@ class TestLandmarks:
             )
 
     def test_residuals_reported_small(self):
-        for tau in (0.0, 0.04):
-            lm = spherical_landmarks(tau, CH4)
-            assert abs(lm.residuals["theta_1"]) < 1e-10
+        claim = _CLAIMS["landmark residuals"]
+        assert claim.check(snrs=(CH4.A,), taus=(0.0, 0.04)) < claim.tol
 
     def test_ordering(self):
         lm = spherical_landmarks(0.04, CH4)
@@ -890,12 +881,10 @@ class TestFExponent:
 
 class TestTradeoffExponent:
     def test_zero_margin_collapse(self):
-        for A in (1.0, 4.0, 10.0):
-            ch = AwgnChannel(A)
-            for R in np.linspace(0.05, min(0.75, ch.capacity - 1e-6), 25):
-                m = tradeoff_exponent(float(R), ch, 0.0, "error")
-                s = shannon_exponent(float(R), ch)
-                assert abs(m.value - s.value) < 1e-6
+        claim = _CLAIMS["spherical tau=0 reduction"]
+        assert claim.check(
+            snrs=(1.0, 4.0, 10.0), rates=lambda cap: np.linspace(0.05, min(0.75, cap - 1e-6), 25)
+        ) < claim.tol
 
     def test_regime_progression(self):
         lm = spherical_landmarks(0.04, CH4)
@@ -1295,13 +1284,9 @@ class TestRankin:
     def test_neighbor_angle_consistency(self):
         # The zero-margin neighbor angle of the rate-R packing saturates the
         # rate bound: rankin_rate(theta_E(theta_s(R))) = R.
-        for R in (0.1, 0.3, 0.481212, 0.6):
-            th = elias_theta(theta_s(R), 0.0)
-            assert rankin_rate(th) == pytest.approx(R, abs=1e-9)
+        claim = _CLAIMS["Rankin rate identity"]
+        assert claim.check(rates=(0.1, 0.3, 0.481212, 0.6)) <= claim.tol
 
     def test_csc_identity_at_boundary(self):
-        lm = spherical_landmarks(0.0, CH4)
-        th = elias_theta(theta_s(lm.R_star), 0.0)
-        assert 1.0 / math.sin(th) ** 2 == pytest.approx(
-            0.5 * (1.0 + math.sqrt(1.0 + CH4.A**2 / 4.0)), abs=1e-9
-        )
+        claim = _CLAIMS["critical-angle identity"]
+        assert claim.check(snrs=(1.0, 4.0, 10.0)) <= claim.tol
