@@ -2,10 +2,10 @@
 
 All quantities in this module are in bits (log base 2) and relative weights.
 Covers the classical random-coding exponent, the Blokh-Zyablov style
-error/erasure bounds, the improved trade-off pair M+/M-, bounds for a
-specific weight profile and for bounded-distance decoding. Every value is a
-closed form or an exact maximum over a finite set of weights; nothing here
-runs an optimizer, and only ``delta_gv`` solves an equation.
+error/erasure bounds, the improved trade-off pair M+/M- and the bound for a
+specific weight profile. Every value is a closed form or an exact maximum
+over a finite set of weights; nothing here runs an optimizer, and only
+``delta_gv`` solves an equation.
 
 A rate curve holds the channel and margin fixed, so what does not depend on
 the rate is memoized: ``delta_gv`` per R, and ``landmarks`` and
@@ -14,9 +14,7 @@ constants) per (p, tau). A rate point computes only its rate's terms; no
 bound value is cached.
 Each member of the pair is invalid wherever its radius delta_gv(R) +- 2 tau
 (+ for M+, - for the erasure member M-) lies below p, in every regime: at
-tau = 0, M+ is then invalid above capacity, as E0 is. The bounded-distance
-exponent is the union bound over the decoding ball's largest term, which has
-a closed form on each side of its split.
+tau = 0, M+ is then invalid above capacity, as E0 is.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "tradeoff_bounds",
     "nontrivial_rate_threshold",
     "specific_code_bound",
-    "bounded_distance_exponent",
 ]
 
 _GV_KNOTS = 2001  # knots of ``WeightProfile.gv_ensemble``
@@ -83,14 +80,9 @@ class BinaryLandmarks:
     omega0_tau: float
 
 
-def _T(x: float, y: float) -> float:
-    """T(x, y) = -x log2 y - (1-x) log2(1-y) in bits, for y in (0, 1)."""
-    return -x * math.log2(y) - (1.0 - x) * math.log2(1.0 - y)
-
-
 def _D(x: float, y: float) -> float:
-    """D(x || y) = T(x, y) - h(x) in bits, for y in (0, 1)."""
-    return _T(x, y) - h(x)
+    """D(x || y) = -x log2 y - (1-x) log2(1-y) - h(x) in bits, for y in (0, 1)."""
+    return -x * math.log2(y) - (1.0 - x) * math.log2(1.0 - y) - h(x)
 
 
 @lru_cache(maxsize=256)
@@ -191,7 +183,7 @@ def gallager_exponent(R: float, ch: BscChannel) -> BoundValue:
 
 def bz_bounds(R: float, ch: BscChannel, tau: float) -> tuple[BoundValue, BoundValue]:
     """Linear-in-tau error/erasure bounds (Ee_lb, Ex_lb)."""
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     base = gallager_exponent(R, ch)
     if not base.valid:
@@ -272,7 +264,7 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BoundValue
 def tradeoff_bounds(R: float, ch: BscChannel, tau: float) -> tuple[BoundValue, BoundValue]:
     """Nonlinear trade-off pair (M_plus, M_minus) for undetected error / erasure.
     A rate outside [0, 1] gives both members ``valid=False``."""
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if not 0.0 <= R <= 1.0:
         invalid = BoundValue(
@@ -355,43 +347,3 @@ def specific_code_bound(profile: WeightProfile, R: float, ch: BscChannel) -> flo
     bhatta = alpha + (w / 2.0) * math.log2(4.0 * ch.u)
     kappa = max(0.0, float(np.max(alpha - np.maximum(0.0, h(w) - (1.0 - R)))))
     return max(-float(np.max(bhatta)), gallager_exponent(R, ch).value - kappa)
-
-
-def bounded_distance_exponent(R: float, ch: BscChannel, tau: float) -> BoundValue:
-    """Exponent of bounded-distance decoding at radius tau: the union bound
-    over codeword weights of the decoding ball's largest term. In fractions
-    of n, the codeword has weight omega, a of its ones stay unflipped and b
-    of its zeros are flipped, a + b <= tau. Above the split R = 1 - h(omega*),
-    omega* = p + tau (1 - 2p), the term peaks at weight omega* with a = tau q,
-    b = tau p, and the value is the ball-volume exponent 1 - R - h(tau)
-    (regime "b"). At and below it, omega = delta_gv(R), a + b = tau and b is
-    the positive root of A b^2 + B b - C with A = q^2 - p^2, B = q^2 (omega -
-    tau) + p^2 (1 - omega + tau) and C = p^2 tau (1 - omega), taken as 2C /
-    (B + sqrt(B^2 + 4AC)) so that nothing cancels (regime "a"). ``diagnostics``
-    holds the maximizing type {"omega", "a", "b"}. A negative exponent or a
-    rate outside [0, 1] is returned with valid=False.
-    """
-    if not 0.0 <= tau <= 0.5:
-        raise ValueError(f"tau must lie in [0, 1/2], got {tau}")
-    if not 0.0 <= R <= 1.0:
-        return BoundValue(
-            0.0, "a" if R < 0.0 else "b", valid=False, reason=f"rate {R} outside [0, 1]"
-        )
-    p, q = ch.p, 1.0 - ch.p
-    omega = p + tau * (1.0 - 2.0 * p)
-    if R <= 1.0 - h(omega):
-        regime = "a"
-        # delta_gv >= omega* >= tau, so a = tau - b <= omega and b <= 1 - omega.
-        omega = delta_gv(R)
-        B = q * q * (omega - tau) + p * p * (1.0 - omega + tau)
-        C = p * p * tau * (1.0 - omega)
-        b = 2.0 * C / (B + math.sqrt(B * B + 4.0 * (q * q - p * p) * C))
-        a = tau - b
-        value = _T(omega - a + b, p) - omega * h(a / omega) - (1.0 - omega) * h(b / (1.0 - omega))
-    else:
-        regime = "b"
-        a, b = tau * q, tau * p
-        value = 1.0 - R - h(tau)
-    diag = {"omega": omega, "a": a, "b": b}
-    reason = f"negative exponent {value}" if value < 0.0 else None
-    return BoundValue(value, regime, valid=reason is None, diagnostics=diag, reason=reason)

@@ -60,6 +60,18 @@ def _number(value) -> float:
     raise ValueError(f"expected a number, got {_shown(value)}")
 
 
+def _finite(text: str) -> float:
+    """float(text) for a real flag of the bound commands; argparse exits 2 on
+    NaN or an infinity, as on a string that is no number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _integer(value) -> int:
     """int(value) for an integer simulate parameter, from a flag's string or
     a config value, which must not truncate: 7, 7.0 and "7.0" pass, 7.9 and
@@ -538,15 +550,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_channel(sp):
         sp.add_argument("--channel", choices=("bsc", "awgn"), required=True)
-        sp.add_argument("--p", type=float, help="BSC crossover probability")
-        sp.add_argument("--snr", type=float, help="AWGN signal-to-noise ratio A")
-        sp.add_argument("--tau", type=float, default=0.0, help="decoding margin")
+        sp.add_argument("--p", type=_finite, help="BSC crossover probability")
+        sp.add_argument("--snr", type=_finite, help="AWGN signal-to-noise ratio A")
+        sp.add_argument("--tau", type=_finite, default=0.0, help="decoding margin")
         sp.add_argument("--out", help="output path (default stdout)")
 
     sp = sub.add_parser("curve", help="sweep bounds over a rate grid")
     add_channel(sp)
-    sp.add_argument("--rmin", type=float, required=True)
-    sp.add_argument("--rmax", type=float, required=True)
+    sp.add_argument("--rmin", type=_finite, required=True)
+    sp.add_argument("--rmax", type=_finite, required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--units", choices=("bits", "nats"), default=None)
     sp.add_argument("--bounds", help="comma-separated subset of bound names")
@@ -560,9 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("finite-bound", help="finite-blocklength union bound")
     add_channel(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--rate", type=float, required=True)
+    sp.add_argument("--rate", type=_finite, required=True)
     sp.add_argument("--t", type=int, default=0, help="binary margin")
-    sp.add_argument("--rho", type=float, help="decoding radius override (awgn)")
+    sp.add_argument("--rho", type=_finite, help="decoding radius override (awgn)")
     sp.add_argument("--mode", choices=("error", "erasure"), default="error")
     sp.add_argument("--units", choices=("bits", "nats"), default=None)
     sp.set_defaults(func=cmd_finite_bound)

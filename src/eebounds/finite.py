@@ -59,14 +59,22 @@ __all__ = [
 ]
 
 
+def _length(n: int) -> int:
+    """The code length n, ValueError unless n >= 1."""
+    if not n >= 1:
+        raise ValueError(f"code length n must be at least 1, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class WeightDistribution:
-    """Weight distribution of a length-n code, stored as log2 counts."""
+    """Weight distribution of a length-n code, n >= 1, stored as log2 counts."""
 
     n: int
     log2_counts: tuple[float, ...]  # index w -> log2 A_w, -inf for absent weights
 
     def __post_init__(self) -> None:
+        _length(self.n)
         if len(self.log2_counts) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} counts, got {len(self.log2_counts)}")
 
@@ -88,7 +96,7 @@ class WeightDistribution:
         below 0 they vanish and the bound reads a zero error probability."""
         if not 0.0 <= rate_bits <= 1.0:
             raise ValueError(f"rate must lie in [0, 1] bits, got {rate_bits}")
-        lf = _log2_factorials(n)
+        lf = _log2_factorials(_length(n))
         la = (lf[n] - lf - lf[::-1]) - n * (1.0 - rate_bits)
         la[la < 0.0] = -math.inf  # floor() kills expected counts below one
         la[0] = 0.0

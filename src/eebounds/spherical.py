@@ -3,7 +3,7 @@
 All angles are radians, all exponents nats per dimension. The module covers
 the classical lower bound on the reliability function, the trade-off bound
 for margin decoding (error and erasure flavors), the distance-profile bound
-it derives from, and the bounded-distance / error-detection exponents.
+it derives from, and the error-detection exponent.
 The neighbor angle ``elias_theta``, the expurgation angle and the decoding
 radius are each one bracketed solve in ``numerics``, on a bracket that holds
 exactly one root, to the solver's one tolerance of 1e-15 in angle. x(theta)
@@ -16,16 +16,15 @@ theta, on the piece (2 max(-tau, 0), pi/2] of the branch rule where its
 residual increases, from theta_s(R) up (the residual is at most 0 there),
 kept by one acceptance rule. The boundary rate R* is a formula that rule
 checks with no solve; at or above capacity, the straight regime runs to
-capacity. Invalid bound values carry a ``reason``. Both
-distance-profile exponents are one ``_union_exponent``: the worst angle
-against the noise tail ``_tail``, which raises ValueError below the capacity
-angle, where leaving the cone is the typical event, and when no angle has a
-pair exponent. The worst angle is searched on arrays only, so the pair
-exponent (``f_exponent``, ``_phi0``) and every profile's ``b`` are
-NumPy-elementwise, with NaN outside their domain; a scalar gives a NumPy
-scalar. ``esp`` also keeps a float path, for the scalar bounds that call it
-in their loops; its saddle factor ``_g_cos`` takes arrays for the quadrature
-in ``finite`` too.
+capacity. Invalid bound values carry a ``reason``. The distance-profile
+exponent sets the worst angle against the noise tail ``_tail``, which raises
+ValueError below the capacity angle, where leaving the cone is the typical
+event; it raises too when no angle has a pair exponent. The worst angle is
+searched on arrays only, so the pair exponent (``f_exponent``, ``_phi0``)
+and every profile's ``b`` are NumPy-elementwise, with NaN outside their
+domain; a scalar gives a NumPy scalar. ``esp`` also keeps a float path,
+for the scalar bounds that call it in their loops; its saddle factor
+``_g_cos`` takes arrays for the quadrature in ``finite`` too.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "theta_s",
     "esp",
     "shannon_exponent",
-    "shannon_angles",
     "big_g",
     "elias_theta",
     "decoding_radius",
@@ -59,13 +57,9 @@ __all__ = [
     "f_exponent",
     "tradeoff_exponent",
     "profile_exponent",
-    "bounded_distance_exponent_s",
     "undetected_error_exponent",
     "rankin_rate",
 ]
-
-# Gap between the top of the bounded-distance angle range and pi/2 - tau.
-_BD_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,7 @@ def _tail(rho: float, ch: AwgnChannel) -> float:
     return esp(rho, ch)
 
 
-def shannon_angles(ch: AwgnChannel) -> tuple[float, float]:
+def _shannon_angles(ch: AwgnChannel) -> tuple[float, float]:
     """(theta_e, theta_c): expurgation and critical angles."""
     root = math.sqrt(1.0 + ch.A * ch.A / 4.0)
     te = math.asin(math.sqrt(1.0 / (0.5 + 0.5 * root)))
@@ -151,7 +145,7 @@ def shannon_exponent(R: float, ch: AwgnChannel) -> BoundValue:
             0.0, "sphere-packing", valid=False, reason=f"rate {R} above capacity {ch.capacity}"
         )
     theta = theta_s(R)
-    te, tc = shannon_angles(ch)
+    te, tc = _shannon_angles(ch)
     A = ch.A
     if theta >= te:
         return BoundValue((A / 4.0) * (1.0 - math.cos(theta)), "expurgation")
@@ -322,7 +316,7 @@ def spherical_landmarks(tau: float, ch: AwgnChannel) -> SphericalLandmarks:
     straight regime runs to C. BracketError unless R* is finite, >= 1e-4
     and passes. ``residuals``: stationarity at theta_1, elias_theta(x_1) -
     theta_1."""
-    te, tc = shannon_angles(ch)
+    te, tc = _shannon_angles(ch)
     theta_1, resid_t1 = _expurgation_angle(tau, ch)
     x_1 = _elias_x(theta_1, tau)
     try:
@@ -380,7 +374,7 @@ def tradeoff_exponent(R: float, ch: AwgnChannel, tau: float, kind: str = "error"
     erasure (kind="erasure", margin negated) exponent."""
     if kind not in ("error", "erasure"):
         raise ValueError(f"kind must be 'error' or 'erasure', got {kind}")
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     t = tau if kind == "error" else -tau
     if R <= 0.0 or R > ch.capacity + 1e-12:
@@ -446,22 +440,25 @@ class DistanceProfile:
         return cls(lambda th: value, theta0, theta0)
 
 
-def _union_exponent(
-    profile: DistanceProfile, pair, hi: float, rho: float, ch: AwgnChannel
+def profile_exponent(
+    profile: DistanceProfile, R: float, ch: AwgnChannel, tau: float, rho: float
 ) -> float:
-    """The smaller of pair(theta) - b(theta) at its worst angle theta in
-    [theta_min, hi] and the noise tail at radius rho. pair and b are called
-    on arrays only, a one-point array when the range is a single angle, and
-    a non-finite difference means no pairwise exponent there. Raises
-    ValueError when no angle in the range has one, rather than return the
-    tail alone."""
+    """Exponent of the distance-profile union bound: the smaller of the pair
+    exponent less b(theta) at the worst profile angle theta in [theta_min,
+    hi], hi = min(theta_max, 2 (rho - tau) - 1e-9), and the sphere-packing
+    tail at radius rho, which must not lie below the capacity angle. The pair
+    exponent and b are called on arrays only, a one-point array when the
+    range is a single angle, and a non-finite difference means no pairwise
+    exponent there. Raises ValueError when no angle in the range has one,
+    rather than return the tail alone."""
     lo = profile.theta_min
+    hi = min(profile.theta_max, 2.0 * (rho - tau) - 1e-9)
     if hi < lo:
         raise ValueError(f"empty angle range [{lo}, {hi}]")
     tail = _tail(rho, ch)
 
     def integrand(th):
-        return profile.b(th) - pair(th)
+        return profile.b(th) - f_exponent(th, tau, ch, rho)[0]
 
     if hi == lo:
         best = float(integrand(np.array([lo]))[0])
@@ -470,32 +467,6 @@ def _union_exponent(
     if not math.isfinite(best):
         raise ValueError(f"no angle in [{lo}, {hi}] has a pairwise exponent at radius {rho}")
     return min(-best, tail)
-
-
-def profile_exponent(
-    profile: DistanceProfile, R: float, ch: AwgnChannel, tau: float, rho: float
-) -> float:
-    """Exponent of the distance-profile union bound: competition between the
-    worst profile angle and the sphere-packing tail at radius rho, which must
-    not lie below the capacity angle."""
-    hi = min(profile.theta_max, 2.0 * (rho - tau) - 1e-9)
-    return _union_exponent(profile, lambda th: f_exponent(th, tau, ch, rho)[0], hi, rho, ch)
-
-
-def bounded_distance_exponent_s(profile: DistanceProfile, ch: AwgnChannel, tau: float) -> float:
-    """Error exponent of bounded-distance decoding at angular radius tau; the
-    tail is taken at pi/2 - tau - _BD_EPS, the top of the angle range."""
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not profile.theta_min > 0.0:
-        raise ValueError("profile must have positive minimum distance")
-    hi = math.pi / 2.0 - tau - _BD_EPS
-    # The pair at angle 2(theta - tau), margin 0, errors capped at theta + tau.
-    # sin^2 phi0 = 1 only at 2(theta - tau) = pi, so the saddle lies below
-    # pi/2; where rounding puts it at pi/2 it is still past the cap.
-    return _union_exponent(
-        profile, lambda th: f_exponent(2.0 * (th - tau), 0.0, ch, th + tau)[0], hi, hi, ch
-    )
 
 
 def undetected_error_exponent(theta: float, tau: float) -> BoundValue:

@@ -6,7 +6,9 @@ not loosened to force a pass.
 
 Criteria 1, 2, 5, 6, 7, 9 and 10 run the checks of ``eebounds validate``'s
 claims (``cli._CLAIMS``) on wider grids, against the same tolerances, and add
-their own pinned values.
+their own pinned values. Criteria 4, 8, 12 and 14 are the only claims on
+public functions that no command calls; ``tests/test_facade.py`` runs them
+with every command to check that each public function reaches a claim.
 """
 
 import functools
@@ -19,12 +21,14 @@ import pytest
 
 from eebounds.binary import (
     BscChannel,
+    WeightProfile,
     bz_bounds,
     gallager_exponent,
     nontrivial_rate_threshold,
+    specific_code_bound,
     tradeoff_bounds,
 )
-from eebounds.cli import _CLAIMS, main
+from eebounds.cli import _CLAIMS, _worst, main
 from eebounds.finite import (
     LinearCode,
     MarginParams,
@@ -51,12 +55,26 @@ from eebounds.spherical import (
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
 SNRS = (1.0, 4.0, 10.0)
+# The GV profile's 2001 knots leave its specific-code bound about 1.5e-7 off E0.
+GV_PROFILE_TOL = 1e-6
 
 
 def assert_claim(name, **grid):
     """Run the check of ``validate``'s claim ``name`` on this grid."""
     claim = _CLAIMS[name]
     assert claim.check(**grid) <= claim.tol, name
+
+
+def gv_profile_defect(ps=(0.02, 0.07, 0.15), rates=lambda cap: np.linspace(0.01, cap, 42)[1:-1]):
+    """Largest |specific_code_bound - E0| of the GV ensemble's own weight
+    profile, at each crossover probability of ``ps`` and rate of
+    ``rates(capacity)``: inf if one is not finite."""
+    defects = []
+    for ch in map(BscChannel, ps):
+        for R in map(float, rates(ch.capacity)):
+            bound = specific_code_bound(WeightProfile.gv_ensemble(R), R, ch)
+            defects.append(abs(bound - gallager_exponent(R, ch).value))
+    return _worst(defects)
 
 
 def reported(num):
@@ -291,3 +309,10 @@ def test_criterion_13_cli_determinism():
         assert base == run(sim + ["--workers", "4"], "s4.json")
         cbase = run(cone, "k1.json")
         assert cbase == run(cone + ["--workers", "4"], "k2.json")
+
+
+@reported(14)
+def test_criterion_14_gv_profile_specific_code_bound():
+    # The GV ensemble's profile has no excess over the rate-R ensemble, so
+    # its specific-code bound is the classical exponent E0 at every rate.
+    assert gv_profile_defect() <= GV_PROFILE_TOL

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln, xlogy
+from scipy.special import xlogy
 
 from eebounds import binary as binary_module
 from eebounds.binary import (
     BscChannel,
     WeightProfile,
-    bounded_distance_exponent,
     bz_bounds,
     delta_gv,
     gallager_exponent,
@@ -20,6 +19,7 @@ from eebounds.binary import (
 )
 from eebounds.cli import _CLAIMS
 from eebounds.numerics import LN2, binary_entropy as h, entropy_inverse
+from test_acceptance import GV_PROFILE_TOL, gv_profile_defect
 
 CH = BscChannel(0.07)
 
@@ -66,37 +66,6 @@ def tradeoff_grid_oracle(R, p, tau, sign, n_omega=400, n_ij=300):
     return max(best, 0.0)
 
 
-def bounded_distance_grid_oracle(R, p, tau, n=33, rounds=14):
-    """Minimum of the bounded-distance union exponent (1 - R) - h(w) + T(w -
-    a + b, p) - w h(a / w) - (1 - w) h(b / (1 - w)) over codeword weights w
-    in [delta_gv(R), 1/2] and every type (a, b) of the ball, a + b <= tau.
-    The grid runs over (w, s, f) with a = f s, b = (1 - f) s, s in [0, tau],
-    so the face a + b = tau lies on it. The objective is convex in (w, a, b)
-    (T is affine in its first argument, and h and its perspectives are
-    concave), so it has no local minimum but the global one, and each round
-    zooms the grid onto two cells either side of its best point."""
-    lp, lq = math.log2(p), math.log2(1.0 - p)
-    lo0, hi0 = np.array([delta_gv(R), 0.0, 0.0]), np.array([0.5, tau, 1.0])
-    lo, hi = lo0, hi0
-    best = math.inf
-    for _ in range(rounds):
-        axes = [np.linspace(l, u, n) for l, u in zip(lo, hi)]
-        w, s, f = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-        a, b = f * s, (1.0 - f) * s
-        x = w - a + b
-        e = (
-            (1.0 - R) - entropy_vec(w) - x * lp - (1.0 - x) * lq
-            - w * entropy_vec(a / w) - (1.0 - w) * entropy_vec(b / (1.0 - w))
-        )
-        e[(a > w) | (b > 1.0 - w)] = math.inf
-        k = int(np.argmin(e))
-        best = min(best, float(e[k]))
-        step = (hi - lo) / (n - 1)
-        centre = np.array([w[k], s[k], f[k]])
-        lo, hi = np.maximum(lo0, centre - 2.0 * step), np.minimum(hi0, centre + 2.0 * step)
-    return best
-
-
 class TestChannelAndLandmarks:
     def test_channel_validation(self):
         with pytest.raises(ValueError):
@@ -118,12 +87,11 @@ class TestChannelAndLandmarks:
                 lambda: specific_code_bound(WeightProfile((0.0,), (0.0,)), 0.3, CH),
                 "support must contain positive weights",
             ),
-            (
-                lambda: bounded_distance_exponent(0.3, CH, 0.6),
-                r"tau must lie in \[0, 1/2\], got 0.6",
-            ),
+            (lambda: bz_bounds(0.3, CH, math.nan), "tau must be nonnegative, got nan"),
+            (lambda: tradeoff_bounds(0.3, CH, math.nan), "tau must be nonnegative, got nan"),
         ],
-        ids=["delta_gv", "landmarks", "bz", "tradeoff", "grids", "empty", "support", "bd"],
+        ids=["delta_gv", "landmarks", "bz", "tradeoff", "grids", "empty", "support", "bz-nan",
+             "tradeoff-nan"],
     )
     def test_input_checks(self, call, match):
         with pytest.raises(ValueError, match=match):
@@ -512,10 +480,7 @@ class TestWeightProfile:
 
 class TestSpecificCodeBound:
     def test_gv_profile_recovers_classical_bound(self):
-        for R in (0.1, 0.3, 0.5):
-            wp = WeightProfile.gv_ensemble(R)
-            val = specific_code_bound(wp, R, CH)
-            assert val == pytest.approx(gallager_exponent(R, CH).value, abs=1e-4)
+        assert gv_profile_defect(ps=(0.07,), rates=lambda cap: (0.1, 0.3, 0.5)) <= GV_PROFILE_TOL
 
     def test_single_weight_code(self):
         # One codeword weight omega with zero rate of growth: the distance
@@ -553,110 +518,3 @@ class TestSpecificCodeBound:
             exact = specific_code_bound(wp, R, ch)
             assert exact <= scan + 1e-12
             assert scan - exact <= resolution
-
-
-class TestBoundedDistance:
-    def test_zero_margin_is_complete_decoding_distance_term(self):
-        val = bounded_distance_exponent(0.3, CH, 0.0).value
-        dgv = delta_gv(0.3)
-        assert val == pytest.approx(binary_module._T(dgv, 0.07), abs=1e-12)
-
-    def test_high_rate_closed_form(self):
-        # Above the split the value is the ball-volume exponent; the type is
-        # omega* = p + tau (1 - 2p), a = tau (1 - p), b = tau p.
-        p, tau = 0.07, 0.05
-        R = 0.9
-        b = bounded_distance_exponent(R, CH, tau)
-        assert b.regime == "b"
-        assert b.value == pytest.approx(1.0 - R - h(tau), abs=1e-12)
-        assert b.diagnostics == pytest.approx(
-            {"omega": p + tau * (1.0 - 2.0 * p), "a": tau * (1.0 - p), "b": tau * p}, abs=1e-15
-        )
-
-    def test_split_continuity(self):
-        p, tau = 0.07, 0.05
-        split = 1.0 - h(p + tau * (1.0 - 2.0 * p))
-        lo = bounded_distance_exponent(split - 1e-9, CH, tau)
-        hi = bounded_distance_exponent(split + 1e-9, CH, tau)
-        assert (lo.regime, hi.regime) == ("a", "b")
-        assert abs(lo.value - hi.value) < 1e-6
-        assert lo.diagnostics == pytest.approx(hi.diagnostics, abs=1e-6)
-
-    @pytest.mark.parametrize("R, p, tau", [
-        (0.3, 0.07, 0.05), (0.8, 0.07, 0.02), (0.2, 0.1, 0.04), (0.05745, 0.4805, 0.3273),
-    ])
-    def test_grid_oracle(self, R, p, tau):
-        # The closed forms against a brute-force minimum over every weight
-        # and every type of the ball, a + b <= tau included. The b = 0 term
-        # alone misses it by 2.7e-4 or more at these points.
-        val = bounded_distance_exponent(R, BscChannel(p), tau).value
-        assert val == pytest.approx(bounded_distance_grid_oracle(R, p, tau), abs=1e-5)
-
-    def test_outline_sum_oracle(self):
-        # Finite-n log-domain union sum over the whole decoding ball, GV
-        # spectrum: 2^{-n(1-R)} sum_{w >= d} C(n, w) sum_{a + j <= t}
-        # C(w, a) C(n - w, j) p^(w - a + j) q^(n - w + a - j), where a of the
-        # codeword's ones stay unflipped and j of its zeros flip. tau n is an
-        # integer at each length.
-        R, p, tau = 0.3, 0.07, 0.05
-        val = bounded_distance_exponent(R, CH, tau).value
-        lp, lq = math.log2(p), math.log2(1.0 - p)
-
-        def sum_exponent(n):
-            t = int(round(tau * n))
-            d = max(1, int(math.floor(delta_gv(R) * n)))
-            lf = gammaln(np.arange(n + 1) + 1.0) / LN2
-            w = np.arange(d, n + 1)[:, None]
-            terms = []
-            for a in range(t + 1):
-                j = np.arange(t - a + 1)
-                aw, jw = np.minimum(a, w), np.minimum(j, n - w)
-                lt = (
-                    lf[n] - lf[w] - lf[n - w]
-                    + lf[w] - lf[aw] - lf[w - aw]
-                    + lf[n - w] - lf[jw] - lf[n - w - jw]
-                    + (w - a + j) * lp
-                    + (n - w + a - j) * lq
-                )
-                terms.append(np.where((a <= w) & (j <= n - w), lt, -np.inf).ravel())
-            lt = np.concatenate(terms) - n * (1.0 - R)
-            m = lt.max()
-            return -(m + math.log2(float(np.exp2(lt - m).sum()))) / n
-
-        ns = np.array([500, 1000, 2000], dtype=float)
-        es = np.array([sum_exponent(int(n)) for n in ns])
-        slope = np.polyfit(ns, ns * es, 1)[0]
-        assert val <= slope + 0.005
-        assert val == pytest.approx(slope, abs=0.005)
-
-    def test_decreasing_in_margin(self):
-        vals = [bounded_distance_exponent(0.3, CH, t).value for t in (0.0, 0.02, 0.05, 0.1)]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_negative_exponent_is_invalid(self):
-        # Above the split the closed form 1 - R - h(tau) goes negative at
-        # high rate: no bound, so valid=False with a reason.
-        b = bounded_distance_exponent(0.9, CH, 0.05)
-        assert b.value < 0.0 and b.regime == "b"
-        assert not b.valid and "negative exponent" in b.reason
-        ok = bounded_distance_exponent(0.3, CH, 0.05)
-        assert ok.valid and ok.regime == "a" and ok.reason is None
-        assert ok.value > 0.0
-
-    @pytest.mark.parametrize("R, p, tau", [(0.03, 0.3, 0.45), (0.01, 0.2, 0.47)])
-    def test_gv_distance_below_margin_is_invalid(self, R, p, tau):
-        # delta_gv(R) < tau lies below omega* = p + tau (1 - 2p), so the rate
-        # is above the split: regime "b", whose exponent 1 - R - h(tau) is
-        # negative here (-0.0228 and -0.0074).
-        b = bounded_distance_exponent(R, BscChannel(p), tau)
-        assert delta_gv(R) < tau
-        assert not b.valid and b.regime == "b"
-        assert b.value == pytest.approx(1.0 - R - h(tau), abs=1e-15) and b.value < -0.007
-        assert b.reason.startswith("negative exponent")
-
-    @pytest.mark.parametrize("R, regime", [(-0.1, "a"), (1.5, "b")])
-    def test_rate_outside_unit_interval_is_invalid(self, R, regime):
-        # R < 0 once raised from delta_gv; R > 1 once read "negative exponent".
-        b = bounded_distance_exponent(R, CH, 0.05)
-        assert not b.valid and b.regime == regime
-        assert b.reason == f"rate {R} outside [0, 1]"

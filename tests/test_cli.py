@@ -167,6 +167,36 @@ class TestCurve:
         assert capsys.readouterr().err == "error: no valid points to plot\n"
 
 
+class TestRealFlags:
+    # Each real flag of curve, landmarks and finite-bound, set to X; "--flag=X"
+    # lets argparse read -inf as a value. A NaN that reached the bounds would
+    # print invalid rows, or landmarks JSON that is not JSON.
+    AWGN_CURVE = ["curve", "--channel", "awgn", "--snr", "4", "--rmin", "0.1", "--rmax", "0.2",
+                  "--steps", "2"]
+    ARGVS = {
+        "p": ["curve", "--channel", "bsc", "--p=X", "--rmin", "0.1", "--rmax", "0.2",
+              "--steps", "2"],
+        "snr": ["landmarks", "--channel", "awgn", "--snr=X"],
+        "tau": ["landmarks", "--channel", "awgn", "--snr", "4", "--tau=X"],
+        "tau-curve": AWGN_CURVE + ["--tau=X"],
+        "rmin": AWGN_CURVE + ["--rmin=X"],
+        "rmax": AWGN_CURVE + ["--rmax=X"],
+        "rate": ["finite-bound", "--channel", "bsc", "--p", "0.07", "--n", "64", "--rate=X"],
+        "rho": ["finite-bound", "--channel", "awgn", "--snr", "4", "--n", "64", "--rate", "0.3",
+                "--rho=X"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("case", ARGVS)
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, case, value):
+        argv = [a.replace("X", value) for a in self.ARGVS[case]]
+        rc, text = run(tmp_path, "nf.out", *argv)
+        assert rc == 2 and text == ""
+        flag = case.split("-")[0]
+        err = capsys.readouterr().err
+        assert f"argument --{flag}: expected a finite number, got '{value}'" in err
+
+
 class TestLandmarks:
     def test_binary_values(self, tmp_path):
         rc, text = run(tmp_path, "lm1.json", "landmarks", "--channel", "bsc", "--p", "0.07")
@@ -301,6 +331,13 @@ class TestFiniteBound:
         rc, text = run(tmp_path, "fb7.json", "finite-bound", "--n", "64", *argv)
         assert rc == 2 and text == ""
         assert capsys.readouterr().err.startswith("error: rate must lie in [0, ")
+
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_length_below_one_is_error(self, tmp_path, capsys, n):
+        rc, text = run(tmp_path, "fb9.json", "finite-bound", "--channel", "bsc", "--p", "0.07",
+                       "--n", n, "--rate", "0.3")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"error: code length n must be at least 1, got {n}\n"
 
     def test_awgn_radius_below_capacity_angle_is_error(self, tmp_path, capsys):
         rc, text = run(

@@ -4,10 +4,9 @@ reason, and a valid value is finite and nonnegative. Where valid, the
 trade-off pair brackets the classical exponent (error kind >= classical >=
 erasure kind: a margin decoder's undetected errors are a subset of ML
 errors, which are a subset of its errors or erasures), and its values do
-not rise with the rate; the bounded-distance exponent rises with neither
-the rate nor the radius. The draws are
-derandomized (seeded from each test's source), so every run tests the same
-inputs; the examples pin inputs that once broke the contract."""
+not rise with the rate. The draws are derandomized (seeded from each test's
+source), so every run tests the same inputs; the examples pin inputs that
+once broke the contract."""
 
 import math
 
@@ -15,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from eebounds.binary import (
     BscChannel,
-    bounded_distance_exponent,
     bz_bounds,
     gallager_exponent,
     tradeoff_bounds,
@@ -100,32 +98,6 @@ class TestBinary:
         (p1, m1), (p2, m2) = tradeoff_bounds(R1, ch, tau), tradeoff_bounds(R2, ch, tau)
         assert_nonincreasing(m1, m2)
         assert_nonincreasing(p1, p2)
-
-    @contract
-    @given(st.one_of(rate, st.floats(-1.0, 2.0)), crossover, st.floats(0.0, 0.5))
-    # Regime "a" with delta_gv(R) < tau once raised "x must lie in [0, 1]";
-    # R < 0 once raised from delta_gv.
-    @example(0.03, 0.3, 0.45)
-    @example(0.01, 0.2, 0.47)
-    @example(-0.1, 0.07, 0.05)
-    @example(1.5, 0.07, 0.05)
-    def test_bounded_distance_exponent(self, R, p, tau):
-        v = bounded_distance_exponent(R, BscChannel(p), tau)
-        assert_contract(v)
-        assert 0.0 <= R <= 1.0 or not v.valid, v
-
-    @contract
-    @given(crossover, rate, rate, st.floats(0.0, 0.5), st.floats(0.0, 0.5))
-    # The single-term value (before the ball's largest term) rose with tau
-    # and with R at these points: 0.351 -> 0.791 and 0.599 -> 0.666.
-    @example(0.4805, 0.05745, 0.05745, 0.2817, 0.3273)
-    @example(0.48752, 0.01556, 0.03475, 0.30016, 0.30016)
-    def test_bounded_distance_nonincreasing(self, p, R1, R2, tau1, tau2):
-        ch = BscChannel(p)
-        (R1, R2), (tau1, tau2) = sorted((R1, R2)), sorted((tau1, tau2))
-        first = bounded_distance_exponent(R1, ch, tau1)
-        assert_nonincreasing(first, bounded_distance_exponent(R2, ch, tau1))
-        assert_nonincreasing(first, bounded_distance_exponent(R1, ch, tau2))
 
 
 class TestSpherical:

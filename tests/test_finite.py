@@ -549,12 +549,18 @@ class TestExactOracle:
         "make, match",
         [
             (lambda: WeightDistribution(3, (0.0, 0.0)), "expected 4 counts, got 2"),
+            # gv_ensemble reads its factorial table at n before it builds the spectrum.
+            (lambda: WeightDistribution.gv_ensemble(-5, 0.3), "n must be at least 1, got -5"),
+            (lambda: WeightDistribution.gv_ensemble(0, 0.3), "n must be at least 1, got 0"),
+            (lambda: WeightDistribution.binomial_spherical(0, 0.3), "n must be at least 1, got 0"),
+            (lambda: WeightDistribution.from_counts([1]), "n must be at least 1, got 0"),
             (lambda: LinearCode(3, 4, ((),) * 4), "need 0 <= k <= n, got k=4, n=3"),
             (lambda: LinearCode(3, -1, ()), "need 0 <= k <= n, got k=-1, n=3"),
             (lambda: LinearCode(3, 1, ((1,),)), r"parity block must be k x \(n - k\)"),
             (lambda: LinearCode(3, 2, ((1,),)), r"parity block must be k x \(n - k\)"),
         ],
-        ids=["counts", "k>n", "k<0", "row-length", "row-count"],
+        ids=["counts", "gv-n<0", "gv-n=0", "binomial-n=0", "from-counts-n=0", "k>n", "k<0",
+             "row-length", "row-count"],
     )
     def test_shape_checks(self, make, match):
         with pytest.raises(ValueError, match=match):

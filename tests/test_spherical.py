@@ -10,14 +10,12 @@ from eebounds.spherical import (
     AwgnChannel,
     DistanceProfile,
     big_g,
-    bounded_distance_exponent_s,
     decoding_radius,
     elias_theta,
     esp,
     f_exponent,
     profile_exponent,
     rankin_rate,
-    shannon_angles,
     shannon_exponent,
     spherical_landmarks,
     theta_s,
@@ -278,7 +276,8 @@ class TestShannonExponent:
 
     def test_angles_golden_ratio(self):
         # At A=4 the csc^2 closed forms hit golden-ratio values.
-        te, tc = shannon_angles(CH4)
+        lm = spherical_landmarks(0.0, CH4)
+        te, tc = lm.theta_e, lm.theta_c
         assert te == pytest.approx(0.904557, abs=1e-5)
         assert tc == pytest.approx(0.666239, abs=1e-5)
         assert math.cos(te) == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-9)
@@ -287,8 +286,8 @@ class TestShannonExponent:
         )
 
     def test_continuity_at_boundaries(self):
-        te, tc = shannon_angles(CH4)
-        for theta in (te, tc):
+        lm = spherical_landmarks(0.0, CH4)
+        for theta in (lm.theta_e, lm.theta_c):
             R = rate_of_angle(theta)
             lo = shannon_exponent(R - 1e-9, CH4).value
             hi = shannon_exponent(R + 1e-9, CH4).value
@@ -813,7 +812,7 @@ class TestFExponent:
 
     def test_interior_saddle_identity(self):
         # Exact closed form of the Laplace saddle value for any margin.
-        for theta in (0.6, 0.9, 1.2):
+        for theta in (0.6, 0.9, 1.2, 1.3):
             for tau in (0.0, 0.02, 0.04):
                 val, saddle = f_exponent(theta, tau, CH4, math.pi / 2.0 - 1e-9)
                 assert val == pytest.approx(
@@ -825,6 +824,24 @@ class TestFExponent:
         for theta in np.linspace(0.2, 1.4, 10):
             for tau in (0.0, 0.05):
                 assert _phi0(float(theta), tau, CH4) > float(theta) / 2.0 + tau
+
+    def test_saddle_below_right_angle(self):
+        # At margin 0, sin^2 phi0 = 1 only at theta = pi, so the saddle lies in
+        # (theta/2, pi/2) for pair angles past pi/2 too, here up to 2.56.
+        for th in np.linspace(0.3, 1.3, 12):
+            for tau in (0.02, 0.1):
+                theta = 2.0 * (float(th) - tau)
+                assert theta / 2.0 < _phi0(theta, 0.0, CH4) < math.pi / 2.0
+
+    def test_saddle_rounded_to_right_angle_is_capped(self):
+        # At A = 0.01 the saddle angle of this pair rounds to pi/2, while its
+        # exact value lies past the cap rho < pi/2: the exponent is the
+        # capped, finite one.
+        ch, th, tau = AwgnChannel(0.01), 1.5705046168920598, 1e-4
+        theta, rho = 2.0 * (th - tau), th + tau
+        assert _phi0(theta, 0.0, ch) == math.pi / 2.0
+        val, phi = f_exponent(theta, 0.0, ch, rho)
+        assert phi == rho and math.isfinite(val)
 
     def test_endpoint_form_larger(self):
         theta, tau = 1.0, 0.04
@@ -859,8 +876,7 @@ class TestFExponent:
         # One NumPy path: a scalar call gives the bits of the matching array
         # entry, NaN outside theta/2 + tau < rho < pi/2. theta runs to 2 pi,
         # so that theta/2 + tau passes rho, pi/2 and pi, and the saddle falls
-        # below it; rho runs past pi/2, as an array too, as in
-        # bounded_distance_exponent_s.
+        # below it; rho runs past pi/2, as an array too.
         ch = AwgnChannel(A)
         theta = np.linspace(-0.5, 2.0 * math.pi, 301)
         for tau in (-0.05, 0.0, 0.03, 0.1):
@@ -1036,6 +1052,12 @@ class TestTradeoffExponent:
         with pytest.raises(ValueError):
             tradeoff_exponent(0.3, CH4, -0.01, "error")
 
+    @pytest.mark.parametrize("kind", ["error", "erasure"])
+    def test_nan_margin_is_rejected(self, kind):
+        # NaN compares false with 0 either way, so only tau >= 0 rejects it.
+        with pytest.raises(ValueError, match="tau must be nonnegative, got nan"):
+            tradeoff_exponent(0.3, CH4, math.nan, kind)
+
 
 class TestProfileExponent:
     def test_oracle_equivalence(self):
@@ -1154,82 +1176,6 @@ class TestProfileExponent:
         assert profile_exponent(prof, 0.3, CH4, 0.0, CH4.capacity_angle) == min(
             f_exponent(0.3, 0.0, CH4, CH4.capacity_angle)[0], esp(CH4.capacity_angle, CH4)
         )
-
-
-class TestBoundedDistanceSpherical:
-    def test_saddle_location_checks(self):
-        A = CH4.A
-        for th in np.linspace(0.3, 1.3, 12):
-            for tau in (0.02, 0.1):
-                psi = 2.0 * (th - tau)
-                s2 = (4.0 + A * math.sin(psi) ** 2) / (
-                    4.0 + 2.0 * A + 2.0 * A * math.cos(psi)
-                )
-                phi0 = math.asin(math.sqrt(min(max(s2, 0.0), 1.0)))
-                assert phi0 < math.pi / 2.0
-                assert phi0 > th - tau
-
-    def test_saddle_value_closed_form(self):
-        # The interior saddle value of the bounded-distance integrand obeys
-        # the same exact identity with psi = 2(theta - tau).
-        th, tau = 0.7, 0.05
-        A = CH4.A
-        psi = 2.0 * (th - tau)
-        s2 = (4.0 + A * math.sin(psi) ** 2) / (4.0 + 2.0 * A + 2.0 * A * math.cos(psi))
-        phi0 = math.asin(math.sqrt(s2))
-        t2 = math.tan(th - tau) ** 2 / math.tan(phi0) ** 2
-        minus_q = -0.5 * math.log(1.0 - t2) + esp(phi0, CH4)
-        assert minus_q == pytest.approx((A / 4.0) * (1.0 - math.cos(psi)), abs=1e-12)
-
-    def test_quadrature_oracle(self):
-        # Log-domain double integral at n=600 versus the Laplace exponent.
-        R, tau, n = 0.3, 0.1, 600
-        prof = DistanceProfile.packing(R)
-        val = bounded_distance_exponent_s(prof, CH4, tau)
-        lo, hi = prof.theta_min, math.pi / 2.0 - tau - 1e-4
-        thetas = np.linspace(lo, hi, 900)
-        outer = np.full(len(thetas), -np.inf)
-        for k, th in enumerate(thetas):
-            phis = np.linspace(th - tau + 1e-9, th + tau - 1e-9, 300)
-            q = 0.5 * np.log(
-                1.0 - math.tan(th - tau) ** 2 / np.tan(phis) ** 2
-            ) - np.array([esp(float(p), CH4) for p in phis])
-            m = q.max()
-            inner = n * m + math.log(np.trapezoid(np.exp(n * (q - m)), phis))
-            outer[k] = n * prof.b(float(th)) + inner
-        m = outer.max()
-        est = -(m + math.log(np.trapezoid(np.exp(outer - m), thetas))) / n
-        assert val == pytest.approx(est, abs=0.02)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bounded_distance_exponent_s(DistanceProfile.packing(0.3), CH4, 0.0)
-        with pytest.raises(ValueError, match="positive minimum distance"):
-            bounded_distance_exponent_s(DistanceProfile.single_angle(0.0), CH4, 0.2)
-
-    def test_tail_below_capacity_angle_raises(self):
-        # At A = 0.01 the capacity angle is ~1.4711, above pi/2 - 0.2 - 1e-4.
-        with pytest.raises(ValueError, match="capacity angle"):
-            bounded_distance_exponent_s(DistanceProfile.packing(0.3), AwgnChannel(0.01), 0.2)
-
-    @pytest.mark.parametrize("A, tau, profile, expected", [
-        (4.0, 0.1, DistanceProfile.packing(0.2), 1.1470623019412667),
-        (16.0, 0.01, DistanceProfile.packing(0.5), 3.077638719321798),
-        (1.0, 0.05, DistanceProfile.single_angle(theta_s(0.05), -0.1), 0.45054427607275666),
-    ])
-    def test_pinned_values(self, A, tau, profile, expected):
-        # Recorded when the integrand was written out inline, not via f_exponent.
-        assert bounded_distance_exponent_s(profile, AwgnChannel(A), tau) == expected
-
-    def test_saddle_rounded_to_right_angle_is_evaluated(self):
-        # At A = 0.01, tau = 1e-4 the saddle angle rounds to pi/2 near the top
-        # of the range, while its exact value lies past the cap theta + tau.
-        # Such angles belong to the minimum like any other.
-        A, tau, th = 0.01, 1e-4, 1.5705046168920598
-        ch, prof = AwgnChannel(A), DistanceProfile.packing(0.2)
-        assert _phi0(2.0 * (th - tau), 0.0, ch) == math.pi / 2.0
-        at_th = -prof.b(th) + f_exponent(2.0 * (th - tau), 0.0, ch, th + tau)[0]
-        assert bounded_distance_exponent_s(prof, ch, tau) <= at_th
 
 
 class TestUndetectedError:
