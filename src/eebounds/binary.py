@@ -8,10 +8,10 @@ over a finite set of weights; nothing here runs an optimizer, and only
 ``delta_gv`` solves an equation.
 
 A rate curve holds the channel and margin fixed, so what does not depend on
-the rate is memoized: ``delta_gv`` per R, and ``landmarks`` and
-``_breakpoints`` (capacity, validity floors, regime splits, regime-(b)
-constants) per (p, tau). A rate point computes only its rate's terms; no
-bound value is cached.
+the rate is memoized: ``delta_gv`` per R, and ``_breakpoints`` (the
+``landmarks``, capacity, validity floors, regime splits, regime-(b)
+constants) per (p, tau), the one memo a bound looks them up in. A rate
+point computes only its rate's terms; no bound value is cached.
 Each member of the pair is invalid wherever its radius delta_gv(R) +- 2 tau
 (+ for M+, - for the erasure member M-) lies below p, in every regime: at
 tau = 0, M+ is then invalid above capacity, as E0 is.
@@ -94,10 +94,9 @@ def delta_gv(R: float) -> float:
     return entropy_inverse(1.0 - R)
 
 
-@lru_cache(maxsize=256)
 def landmarks(ch: BscChannel, tau: float = 0.0) -> BinaryLandmarks:
-    """Saddle weights and rate breakpoints of the binary bounds, memoized per
-    (p, tau): every bound of every rate at one channel and margin reads them."""
+    """Saddle weights and rate breakpoints of the binary bounds. The bounds
+    read them from ``_breakpoints``, memoized per (p, tau)."""
     if not 0.0 <= tau < 0.5:
         raise ValueError(f"tau must lie in [0, 1/2), got {tau}")
     p, u = ch.p, ch.u
@@ -130,6 +129,7 @@ class _Member(NamedTuple):
 
 
 class _Constants(NamedTuple):
+    lm: BinaryLandmarks
     capacity: float
     e0_b: float  # E0 in regime (b) is e0_b - R, e0_b = D(rho0 || p) + R_c
     plus: _Member
@@ -138,12 +138,12 @@ class _Constants(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _breakpoints(ch: BscChannel, tau: float) -> _Constants:
-    """The terms of E0 and of the trade-off pair that do not depend on the
-    rate, memoized per (p, tau) like ``landmarks``. M+ is valid from 1 - h(1/2
-    - tau); M- at every rate (floor -inf) if tau <= p/2, else at none (floor
-    +inf). R_a = 1 - h(omega0_tau). The (b)/(c) split is where the interior
-    saddle rho0s leaves the feasible range [dgv/2 + tau, dgv + 2 tau], i.e.
-    at dgv = rho0s - 2*sign*tau."""
+    """The ``landmarks`` and the terms of E0 and of the trade-off pair that
+    do not depend on the rate, memoized per (p, tau). M+ is valid from 1 -
+    h(1/2 - tau); M- at every rate (floor -inf) if tau <= p/2, else at none
+    (floor +inf). R_a = 1 - h(omega0_tau). The (b)/(c) split is where the
+    interior saddle rho0s leaves the feasible range [dgv/2 + tau, dgv + 2
+    tau], i.e. at dgv = rho0s - 2*sign*tau."""
     lm = landmarks(ch, tau)
     p = ch.p
     R_a = 1.0 - h(lm.omega0_tau)
@@ -157,13 +157,12 @@ def _breakpoints(ch: BscChannel, tau: float) -> _Constants:
         rho0s = min(max(rho0s, 0.0), 1.0)
         h_b = h(min(max(rho0s - 2.0 * sign * tau, 0.0), 1.0))
         members.append(_Member(floor, R_a, 1.0 - h_b, _D(rho0s, p) + 1.0, h_b))
-    return _Constants(ch.capacity, _D(lm.rho0, p) + lm.R_c, *members)
+    return _Constants(lm, ch.capacity, _D(lm.rho0, p) + lm.R_c, *members)
 
 
 def gallager_exponent(R: float, ch: BscChannel) -> BoundValue:
     """Classical random-coding / expurgated lower bound E0(R, p), in bits."""
-    lm = landmarks(ch, 0.0)
-    capacity, e0_b = _breakpoints(ch, 0.0)[:2]
+    lm, capacity, e0_b = _breakpoints(ch, 0.0)[:3]
     if R > capacity + 1e-12:
         reason = f"rate {R} above capacity {capacity}"
         return BoundValue(0.0, "c", valid=False, reason=reason)
@@ -189,8 +188,7 @@ def bz_bounds(R: float, ch: BscChannel, tau: float) -> tuple[BoundValue, BoundVa
     if not base.valid:
         invalid = BoundValue(0.0, base.regime, valid=False, reason=base.reason)
         return invalid, invalid
-    lm = landmarks(ch, 0.0)
-    if R < lm.R_c:
+    if R < _breakpoints(ch, 0.0).lm.R_c:
         shift = ch.nu * tau
     else:
         dgv = delta_gv(R)
@@ -211,10 +209,9 @@ def bz_bounds(R: float, ch: BscChannel, tau: float) -> tuple[BoundValue, BoundVa
 def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BoundValue:
     """M+ (sign=+1, undetected error) or M- (sign=-1, erasure)."""
     p = ch.p
-    lm = landmarks(ch, tau)
     k = _breakpoints(ch, tau)
     m = k.plus if sign > 0 else k.minus
-    rho0s = lm.rho0_plus if sign > 0 else lm.rho0_minus
+    rho0s = k.lm.rho0_plus if sign > 0 else k.lm.rho0_minus
     dgv = delta_gv(R)
     # Regime (c)'s error weight; for M- it is the decoding radius dgv - 2 tau.
     rho = dgv + 2.0 * sign * tau
@@ -230,7 +227,7 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BoundValue
             )
     elif R <= m.R_b:
         regime = "b"
-        diag = {"rho_typ": rho0s, "omega_typ": lm.omega0_tau}
+        diag = {"rho_typ": rho0s, "omega_typ": k.lm.omega0_tau}
     else:
         regime = "c"
         diag = {

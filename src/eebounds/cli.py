@@ -151,6 +151,8 @@ def _make_channel(args):
 
 
 def _curve_rows(args, ch) -> list[tuple[float, str, float, str, bool]]:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     groups = _CURVE_BOUNDS[args.channel]
     allowed = [b for names, _ in groups for b in names]
     names = args.bounds.split(",") if args.bounds else allowed

@@ -291,6 +291,8 @@ def awgn_union_bound(
         raise ValueError(f"decoding radius must lie in (0, pi/2), got {rho}")
     if n < 2:
         raise ValueError(f"dimension n must be at least 2, got {n}")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     tail = -n * _tail(rho, ch)
     d = hamming_wd.min_distance
     # (log2 A_w, cone start) of the present weights whose cone starts inside rho.

@@ -435,10 +435,6 @@ class DistanceProfile:
         b = lambda t: R + np.log(np.sin(t))
         return cls(b, tmin, math.pi - tmin)
 
-    @classmethod
-    def single_angle(cls, theta0: float, value: float = 0.0) -> "DistanceProfile":
-        return cls(lambda th: value, theta0, theta0)
-
 
 def profile_exponent(
     profile: DistanceProfile, R: float, ch: AwgnChannel, tau: float, rho: float

@@ -6,9 +6,10 @@ not loosened to force a pass.
 
 Criteria 1, 2, 5, 6, 7, 9 and 10 run the checks of ``eebounds validate``'s
 claims (``cli._CLAIMS``) on wider grids, against the same tolerances, and add
-their own pinned values. Criteria 4, 8, 12 and 14 are the only claims on
-public functions that no command calls; ``tests/test_facade.py`` runs them
-with every command to check that each public function reaches a claim.
+their own pinned values. Criteria 4, 8, 12, 14 and 15 are the only claims
+on public functions and methods that no command calls;
+``tests/test_facade.py`` runs them with every command to check that each
+public function, method and property reaches a claim.
 """
 
 import functools
@@ -37,7 +38,14 @@ from eebounds.finite import (
     exact_margin_probability,
 )
 from eebounds.numerics import binary_entropy as h
-from eebounds.simulate import estimate_exponent, simulate_bsc, simulate_cone_exit
+from eebounds.simulate import (
+    SphericalCodebook,
+    estimate_exponent,
+    simulate_awgn,
+    simulate_bsc,
+    simulate_cone_exit,
+    wilson_interval,
+)
 from eebounds.spherical import (
     AwgnChannel,
     _radius_residual,
@@ -54,6 +62,13 @@ from eebounds.spherical import (
 )
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
+# The extended Golay [24, 12, 8] code. Parity row i < 11 is the indicator of
+# {0} and the quadratic residues {1, 3, 4, 5, 9} mod 11, shifted left by i,
+# then a 1; row 11 is eleven 1s and a 0.
+_QR11 = (1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0)
+GOLAY24 = LinearCode(
+    24, 12, tuple(_QR11[i:] + _QR11[:i] + (1,) for i in range(11)) + ((1,) * 11 + (0,),)
+)
 SNRS = (1.0, 4.0, 10.0)
 # The GV profile's 2001 knots leave its specific-code bound about 1.5e-7 off E0.
 GV_PROFILE_TOL = 1e-6
@@ -316,3 +331,26 @@ def test_criterion_14_gv_profile_specific_code_bound():
     # The GV ensemble's profile has no excess over the rate-R ensemble, so
     # its specific-code bound is the classical exponent E0 at every rate.
     assert gv_profile_defect() <= GV_PROFILE_TOL
+
+
+@reported(15)
+def test_criterion_15_golay_bpsk_union_bound():
+    # The BPSK image of the extended Golay code: from a point, the squared
+    # distances are 4A times the code's weights, with its spectrum's counts.
+    A = 2.0
+    cb = SphericalCodebook.binary(GOLAY24, A)
+    dist = np.sum((cb.points - cb.points[0]) ** 2, axis=1) / (4.0 * A)
+    assert np.abs(dist - np.round(dist)).max() <= 1e-12
+    weights, counts = np.unique(np.round(dist).astype(int), return_counts=True)
+    assert weights.tolist() == [0, 8, 12, 16, 24]
+    assert counts.tolist() == [1, 759, 2576, 759, 1]
+    # At tau = 0 a trial fails only if another point is at least as close as
+    # the sent one, which a weight-w point is with probability Q(sqrt(A w)):
+    # the soft-decision union bound is an upper bound on the failure rate.
+    union = sum(c * 0.5 * math.erfc(math.sqrt(A * w / 2.0))
+                for w, c in zip(weights[1:].tolist(), counts[1:].tolist()))
+    assert union == pytest.approx(0.025285, abs=1e-6)
+    tally = simulate_awgn(cb, 0.0, 1 << 14, seed=1, workers=2)
+    failures = tally.trials - tally.correct
+    assert failures > 0
+    assert wilson_interval(failures, tally.trials, 0.999)[1] < union

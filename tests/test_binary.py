@@ -153,7 +153,8 @@ class TestChannelAndLandmarks:
 
     def test_memo_is_invisible(self, monkeypatch):
         # Every bound on a (p, tau, R) grid equals its value with the
-        # per-(channel, tau) constants recomputed on each call.
+        # per-(channel, tau) constants, landmarks included, recomputed on
+        # each call.
         grid = [
             (BscChannel(p), tau, float(R))
             for p in (0.02, 0.07, 0.2, 0.45)
@@ -167,12 +168,10 @@ class TestChannelAndLandmarks:
                 for ch, tau, R in grid
             ]
 
-        landmarks.cache_clear()
         binary_module._breakpoints.cache_clear()
         memoized = bounds()
         for ch, tau, _ in grid[::41]:
-            assert landmarks.__wrapped__(ch, tau) == landmarks(ch, tau)
-        monkeypatch.setattr(binary_module, "landmarks", landmarks.__wrapped__)
+            assert binary_module._breakpoints(ch, tau).lm == landmarks(ch, tau)
         monkeypatch.setattr(
             binary_module, "_breakpoints", binary_module._breakpoints.__wrapped__
         )
@@ -189,7 +188,6 @@ class TestChannelAndLandmarks:
             return h(x)
 
         monkeypatch.setattr(binary_module, "h", counted)
-        landmarks.cache_clear()
         binary_module._breakpoints.cache_clear()
         tau = 0.03
         per_point = []
@@ -207,7 +205,6 @@ class TestChannelAndLandmarks:
         assert constants <= set(per_point[0])
         assert all(constants.isdisjoint(point) for point in per_point[1:])
         assert max(len(point) for point in per_point[1:]) <= 6
-        landmarks.cache_clear()
         binary_module._breakpoints.cache_clear()
 
 

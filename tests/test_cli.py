@@ -139,6 +139,13 @@ class TestCurve:
         rc, _ = run(tmp_path, "y.csv", *CURVE_BSC[:-2], "--steps", "4", "--bounds", "shannon")
         assert rc == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_one_is_usage_error(self, tmp_path, capsys, steps):
+        # Zero steps would print a header-only table and exit 0.
+        rc, text = run(tmp_path, "s.csv", *CURVE_BSC[:-2], "--steps", steps)
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"error: --steps must be at least 1, got {steps}\n"
+
     def test_missing_channel_parameter(self, tmp_path):
         rc, _ = run(
             tmp_path, "z.csv",

@@ -1,7 +1,8 @@
 """The package namespace re-exports each module's ``__all__``, and nothing
-else: the modules' lists are the one declaration of the public API. A name
-stays public only if a claim reaches it: a command, a ``validate`` line or an
-acceptance criterion."""
+else: the modules' lists are the one declaration of the public API. A name,
+or a public method or property of a public class, stays public only if a
+claim reaches it: a command, a ``validate`` line or an acceptance
+criterion."""
 
 import inspect
 import os
@@ -34,12 +35,13 @@ COMMANDS = (
      "--trials", "2000", "--seed", "1", "--workers", "1"],
     ["validate"],
 )
-# The acceptance criteria on public functions that no command calls.
+# The acceptance criteria on public functions and methods that no command calls.
 CRITERIA = (
     test_acceptance.test_criterion_04_erasure_bound_nontriviality,  # nontrivial_rate_threshold
     test_acceptance.test_criterion_08_profile_oracle_equivalence,  # profile_exponent
     test_acceptance.test_criterion_12_detection_limit_asymptotics,  # undetected_error_exponent
     test_acceptance.test_criterion_14_gv_profile_specific_code_bound,  # specific_code_bound
+    test_acceptance.test_criterion_15_golay_bpsk_union_bound,  # SphericalCodebook.binary
 )
 
 
@@ -82,6 +84,22 @@ def test_awgn_union_bound_has_no_node_count_parameter():
     assert "quad_points" not in inspect.signature(finite.awgn_union_bound).parameters
 
 
+def public_code(obj, name):
+    """(name, code object) of a public function, or of each public method and
+    property that the body of a public class defines: the names without a
+    leading underscore, which leaves out all that dataclass and NamedTuple
+    generate. A class method's code is its function's; a property's, its
+    getter's."""
+    if not inspect.isclass(obj):
+        return [(name, inspect.unwrap(obj).__code__)]
+    members = []
+    for attr, value in vars(obj).items():
+        fn = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+        if not attr.startswith("_") and inspect.isfunction(fn):
+            members.append((f"{name}.{attr}", fn.__code__))
+    return members
+
+
 def test_every_public_function_reaches_a_claim():
     def run():
         for argv in COMMANDS:
@@ -90,7 +108,7 @@ def test_every_public_function_reaches_a_claim():
             criterion()
 
     codes = called_code(run)
-    functions = {name: getattr(eebounds, name) for name in eebounds.__all__}
-    missed = [name for name, fn in functions.items()
-              if not inspect.isclass(fn) and inspect.unwrap(fn).__code__ not in codes]
-    assert not missed, f"public functions that no claim reaches: {missed}"
+    public = [pair for name in eebounds.__all__
+              for pair in public_code(getattr(eebounds, name), name)]
+    missed = [name for name, code in public if code not in codes]
+    assert not missed, f"public functions and methods that no claim reaches: {missed}"

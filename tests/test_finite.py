@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eebounds import finite
-from eebounds.binary import BscChannel, gallager_exponent
+from eebounds.binary import BscChannel, gallager_exponent, tradeoff_bounds
 from eebounds.cli import _CLAIMS
 from eebounds.finite import (
     LinearCode,
@@ -30,6 +30,7 @@ from eebounds.finite import (
 from eebounds.numerics import LN2, log_sum
 from eebounds.spherical import AwgnChannel, esp, f_exponent
 from eebounds.simulate import SphericalCodebook, simulate_awgn, simulate_bsc
+from test_acceptance import GOLAY24
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
 
@@ -309,6 +310,27 @@ class TestBinaryUnionBound:
         bound = binary_union_bound(wd, p, MarginParams(0), "error")
         assert -bound / n == pytest.approx(gallager_exponent(R, BscChannel(p)).value, abs=0.05)
 
+    @pytest.mark.parametrize("p, tau, R, mode", [
+        (0.07, 0.02, 0.15, "error"), (0.07, 0.02, 0.15, "erasure"),
+        (0.05, 0.01, 0.2, "error"), (0.05, 0.01, 0.2, "erasure"),
+        (0.1, 0.03, 0.1, "error"), (0.1, 0.03, 0.1, "erasure"),
+        (0.07, 0.02, 0.25, "error"),
+    ])
+    def test_gv_regime_b_exponent(self, p, tau, R, mode):
+        # In regime (b) the GV ensemble's bound at margin t = tau n is
+        # 2^-n(E + a log2(n)/n + c/n) to within what three lengths resolve:
+        # the fit gives the trade-off member's exponent E and a = 1/2. The
+        # rates keep clear of the regime splits, where the fit converges
+        # slowly (2.1e-6 off at p, tau, R = 0.07, 0.02, 0.1).
+        ns = (3200, 6400, 12800)
+        ys = [-binary_union_bound(WeightDistribution.gv_ensemble(n, R), p,
+                                  MarginParams(round(tau * n)), mode) / n for n in ns]
+        E, a, _ = np.linalg.solve([[1.0, math.log2(n) / n, 1.0 / n] for n in ns], ys)
+        member = tradeoff_bounds(R, BscChannel(p), tau)[0 if mode == "error" else 1]
+        assert member.valid and member.regime == "b"
+        assert abs(E - member.value) <= 1e-6
+        assert a == pytest.approx(0.5, abs=1e-3)
+
     @pytest.mark.parametrize("key", sorted(PINNED_GV_BOUNDS), ids=str)
     def test_pinned_gv_values(self, key):
         n, mode, t = key
@@ -441,6 +463,14 @@ class TestAwgnUnionBound:
         light = WeightDistribution.from_counts([1, 1] + [0] * 63)
         with pytest.raises(ValueError, match="tau"):
             awgn_union_bound(light, self.CH, -0.2, 1.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_margin_raises(self, tau):
+        # A non-finite tau fails every cone-start test, which would leave the
+        # tail alone: -47.97 for this spectrum, whatever its pair terms.
+        wd = WeightDistribution.binomial_spherical(64, 0.3)
+        with pytest.raises(ValueError, match=f"tau must be finite, got {tau}"):
+            awgn_union_bound(wd, AwgnChannel(4.0), tau, 1.0)
 
     @staticmethod
     def _per_weight_reference(wd, ch, tau, rho, quad_points):
@@ -593,6 +623,40 @@ TABLE_CODES = [
     gen_linear_code(14, 7, 0),
     gen_linear_code(24, 12, 0),
 ]
+
+
+class TestExtendedGolay:
+    """The extended Golay [24, 12, 8] code on the walk, the coset table, the
+    exact oracle and the BSC simulator."""
+
+    def test_weight_distribution(self):
+        assert _spectrum(GOLAY24) == [
+            {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}.get(w, 0) for w in range(25)
+        ]
+
+    def test_coset_leaders(self):
+        # Every word within 3 of a codeword has a unique leader, the next
+        # coset word lying 8 - 2 d1 farther; the 1771 weight-4 cosets hold
+        # six weight-4 words each, so their d2 ties d1.
+        d1, d2 = (d.astype(int) for d in _cosets(GOLAY24)[1:3])
+        assert np.bincount(d1).tolist() == [1, 24, 276, 2024, 1771]
+        assert (d2 - d1 == np.where(d1 <= 3, 8 - 2 * d1, 0)).all()
+
+    @pytest.mark.parametrize("p", (0.01, 0.05, 0.1))
+    @pytest.mark.parametrize("t", (0, 1, 2, 3))
+    def test_oracle_correct_probability(self, p, t):
+        # A coset decodes when 8 - 2 d1 >= max(2t, 1), i.e. d1 <= min(3, 4 - t),
+        # and correctly when the error is its leader.
+        pc = exact_margin_probability(GOLAY24, p, t)[0]
+        leaders = range(min(3, 4 - t) + 1)
+        exact = sum(math.comb(24, i) * p**i * (1 - p) ** (24 - i) for i in leaders)
+        assert pc == pytest.approx(exact, abs=1e-15)
+
+    @pytest.mark.parametrize("t", (0, 1))
+    def test_table_and_walk_agree(self, t, monkeypatch):
+        table = simulate_bsc(GOLAY24, 0.05, t, 20_000, seed=3)
+        monkeypatch.setattr(finite, "_tabulable", lambda code: False)
+        assert simulate_bsc(GOLAY24, 0.05, t, 20_000, seed=3) == table
 
 
 class TestCosetTable:

@@ -1120,7 +1120,7 @@ class TestProfileExponent:
 
     def test_single_angle_profile(self):
         theta0, tau, rho = 0.9, 0.02, 1.1
-        prof = DistanceProfile.single_angle(theta0)
+        prof = DistanceProfile(np.zeros_like, theta0, theta0)
         out = profile_exponent(prof, 0.3, CH4, tau, rho)
         assert out == pytest.approx(
             min(f_exponent(theta0, tau, CH4, rho)[0], esp(rho, CH4)), abs=1e-9
@@ -1160,7 +1160,7 @@ class TestProfileExponent:
 
     def test_empty_support_error(self):
         with pytest.raises(ValueError):
-            profile_exponent(DistanceProfile.single_angle(1.4), 0.3, CH4, 0.0, 0.5)
+            profile_exponent(DistanceProfile(np.zeros_like, 1.4, 1.4), 0.3, CH4, 0.0, 0.5)
 
     def test_no_pairwise_exponent_raises(self):
         # At rho = pi/2 f_exponent rejects every angle; the bare tail esp(pi/2)
@@ -1170,7 +1170,7 @@ class TestProfileExponent:
 
     def test_radius_below_capacity_angle_raises(self):
         # Below arccot sqrt(A) ~ 0.4636 the noise typically leaves the cone.
-        prof = DistanceProfile.single_angle(0.3)
+        prof = DistanceProfile(np.zeros_like, 0.3, 0.3)
         with pytest.raises(ValueError, match="capacity angle"):
             profile_exponent(prof, 0.3, CH4, 0.0, 0.4)
         assert profile_exponent(prof, 0.3, CH4, 0.0, CH4.capacity_angle) == min(
