@@ -94,11 +94,16 @@ def delta_gv(R: float) -> float:
     return entropy_inverse(1.0 - R)
 
 
+def _check_tau(tau: float) -> None:
+    """ValueError unless the margin tau lies in [0, 1/2), NaN too."""
+    if not 0.0 <= tau < 0.5:
+        raise ValueError(f"tau must lie in [0, 1/2), got {tau}")
+
+
 def landmarks(ch: BscChannel, tau: float = 0.0) -> BinaryLandmarks:
     """Saddle weights and rate breakpoints of the binary bounds. The bounds
     read them from ``_breakpoints``, memoized per (p, tau)."""
-    if not 0.0 <= tau < 0.5:
-        raise ValueError(f"tau must lie in [0, 1/2), got {tau}")
+    _check_tau(tau)
     p, u = ch.p, ch.u
     sp = math.sqrt(p)
     rho0 = sp / (sp + math.sqrt(1.0 - p))
@@ -182,8 +187,7 @@ def gallager_exponent(R: float, ch: BscChannel) -> BoundValue:
 
 def bz_bounds(R: float, ch: BscChannel, tau: float) -> tuple[BoundValue, BoundValue]:
     """Linear-in-tau error/erasure bounds (Ee_lb, Ex_lb)."""
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     base = gallager_exponent(R, ch)
     if not base.valid:
         invalid = BoundValue(0.0, base.regime, valid=False, reason=base.reason)
@@ -261,8 +265,7 @@ def _tradeoff_one(R: float, ch: BscChannel, tau: float, sign: int) -> BoundValue
 def tradeoff_bounds(R: float, ch: BscChannel, tau: float) -> tuple[BoundValue, BoundValue]:
     """Nonlinear trade-off pair (M_plus, M_minus) for undetected error / erasure.
     A rate outside [0, 1] gives both members ``valid=False``."""
-    if not tau >= 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     if not 0.0 <= R <= 1.0:
         invalid = BoundValue(
             0.0, "a" if R < 0.0 else "c", valid=False, reason=f"rate {R} outside [0, 1]"

@@ -7,14 +7,15 @@ binary bound is one sum per weight, its inner sum being a binomial CDF
 read from a prefix sum, both in the linear domain with one power-of-two
 scale per row, and each pmf row read as windows of padded tables
 (``numerics._log2_pmf_rows``), not element by element; the AWGN bound is
-one midpoint-rule integral per weight, its integrand written in t = tan phi
-so that a node takes one tangent and no float64 sine or cosine, which cost
-about five tangents each (a call takes 0.45 of the time of the rule written
-with ``esp`` at each node). Both bounds evaluate all weights at once as 2-D
-arrays, one row per weight, in blocks of at most ``_ROW_BUDGET`` elements
-(128 KB of float64 per intermediate, under twice that for the binary
-bound's zero-padded CDF buffer), so their memory does not grow with n; the
-AWGN bound sums each row by a row-wise log-sum-exp.
+one midpoint-rule integral per present weight whose cone start theta_w / 2
++ tau lies below rho, its integrand written in t = tan phi so that a node
+takes one tangent and no float64 sine or cosine, which cost about five
+tangents each (a call takes 0.45 of the time of the rule written with
+``esp`` at each node). Both read the spectrum by ``_present`` and evaluate
+all weights at once as 2-D arrays, one row per weight, in blocks of at most
+``_ROW_BUDGET`` elements (128 KB of float64 per intermediate, under twice
+that for the binary bound's zero-padded CDF buffer), so their memory does
+not grow with n; the AWGN bound sums each row by a row-wise log-sum-exp.
 This module owns the binary code type, ``LinearCode``, its spectrum
 ``weight_distribution`` and every decision on its received words. Exact
 binary decoding takes received words in one packed format, ``_words``:
@@ -38,7 +39,6 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -110,13 +110,6 @@ class WeightDistribution:
             raise ValueError(f"rate must lie in [0, ln 2] nats, got {rate_nats}")
         return cls.gv_ensemble(n, rate_nats / LN2)
 
-    @property
-    def min_distance(self) -> Optional[int]:
-        for w in range(1, self.n + 1):
-            if self.log2_counts[w] > -math.inf:
-                return w
-        return None
-
 
 def _margin(t) -> int:
     """The Hamming margin t as an int: ValueError unless t is a nonnegative
@@ -153,6 +146,13 @@ def triangle_count(n: int, k: int, i: int, j: int) -> int:
     if s > k or s > i or i - s > n - k:
         return 0
     return math.comb(k, s) * math.comb(n - k, i - s)
+
+
+def _present(wd: WeightDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The present weights w >= 1 of ``wd``, ascending, and their log2 A_w."""
+    counts = np.fromiter(wd.log2_counts, float, wd.n + 1)
+    w = np.flatnonzero(counts[1:] > -math.inf) + 1
+    return w, counts[w]
 
 
 _ROW_BUDGET = 1 << 14  # elements of one (weights x terms) block of the union bounds
@@ -200,19 +200,15 @@ def binary_union_bound(
         raise ValueError(f"crossover must lie in (0, 1/2), got {p}")
     n, t = wd.n, m.t
     sign = 1 if mode == "error" else -1
-    counts = np.fromiter(wd.log2_counts, float, n + 1)
-    present = counts[1:] > -math.inf
-    d = int(present.argmax()) + 1  # the minimum distance, if any weight is present
-
-    r = max(min(d + sign * 2 * t, n), -1) if present.any() else n
+    w, law = _present(wd)
+    r = max(min(int(w[0]) + sign * 2 * t, n), -1) if len(w) else n  # w[0]: the minimum distance
 
     pmf_rows = _log2_pmf_rows(n, p)
-    # Weights w >= 1 that are present and admit i in [lo, hi].
-    w = np.arange(1, n + 1)
+    # Present weights that admit i in [lo, hi].
     lo = np.maximum((w + 1) // 2 + sign * t, 0)
     hi = np.minimum(r, w)
-    keep = present & (lo <= hi)
-    w, lo, hi = w[keep], lo[keep], hi[keep]
+    keep = lo <= hi
+    w, law, lo, hi = w[keep], law[keep], lo[keep], hi[keep]
     off = n - w
     # Where each CDF row takes its scale: its mode floor((n - w + 1) p), or
     # r - lo, its last read entry, if that comes first.
@@ -241,7 +237,7 @@ def binary_union_bound(
         terms -= lead[:, None]
         np.exp2(terms, out=terms)
         terms *= sliding_window_view(buf, ki, axis=1)[at, kc - 1 - r + lo[b]]
-        pieces[b] = counts[w[b]] + lead + top + np.log2(terms.sum(axis=1))
+        pieces[b] = law[b] + lead + top + np.log2(terms.sum(axis=1))
     # Tail: error weight beyond the decoding radius.
     if r < n:
         pieces = np.append(pieces, log_sum(pmf_rows(np.array([n]), r + 1, n - r)))
@@ -257,9 +253,9 @@ def awgn_union_bound(
     """ln of the finite-n tangential-sphere style union bound for a binary
     spherical code with the given Hamming spectrum.
 
-    Weight w contributes A_w times a ``_QUAD_POINTS``-node midpoint rule over
-    the cone angles phi from its cone start h = theta_w / 2 + tau to rho, of
-    the cap area times the cone-exit density,
+    Each present weight w whose cone start h = theta_w / 2 + tau lies below
+    rho - 1e-12 contributes A_w times a ``_QUAD_POINTS``-node midpoint rule
+    over phi from h to rho, of the cap area times the cone-exit density,
 
         P (tan phi / tan h) (1 - tan^2 h / tan^2 phi)^((n-1)/2) e^{-n esp(phi)},
 
@@ -294,18 +290,13 @@ def awgn_union_bound(
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     tail = -n * _tail(rho, ch)
-    d = hamming_wd.min_distance
-    # (log2 A_w, cone start) of the present weights whose cone starts inside rho.
-    cones = []
-    if d is not None:
-        w_hi = min(n, math.floor(n * (1.0 - math.cos(2.0 * rho)) / 2.0))
-        for w in range(d, w_hi + 1):
-            half = math.acos(1.0 - 2.0 * w / n) / 2.0 + tau
-            if hamming_wd.log2_counts[w] > -math.inf and half < rho - 1e-12:
-                if half <= 0.0:
-                    raise ValueError(f"tau={tau} puts the cone start of weight {w} at {half} <= 0")
-                cones.append((hamming_wd.log2_counts[w], half))
-    law, half = np.array(cones).reshape(-1, 2).T
+    # Present weights whose cone starts lie inside rho; the starts rise with w.
+    w, law = _present(hamming_wd)
+    half = np.array([math.acos(x) for x in (1.0 - 2.0 * w / n).tolist()]) / 2.0 + tau
+    keep = half < rho - 1e-12
+    w, law, half = w[keep], law[keep], half[keep]
+    if len(half) and half[0] <= 0.0:
+        raise ValueError(f"tau={tau} puts the cone start of weight {w[0]} at {half[0]} <= 0")
     # Normalized cap-area prefactor, exact to leading order.
     log_cap_pref = (
         math.lgamma(n / 2.0) - math.lgamma((n - 1) / 2.0) - 0.5 * math.log(math.pi) - math.log(n - 1)

@@ -56,7 +56,8 @@ _DRAW_BUDGET = 1 << 16  # uniforms of one (rows x n) slice of BSC error draws
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion, each end clamped to
+    the proportion itself, which rounding can cross at 0 and n successes."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
@@ -67,7 +68,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    return min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
 
 
 @dataclass(frozen=True)
@@ -227,8 +228,8 @@ def simulate_awgn(
     max(M, n)`` rows at a time, each the next rows of the block's stream:
     the same stream as one (block x n) draw, so tallies do not depend on
     the slicing or the worker count."""
-    if not tau >= 0.0:  # NaN too
-        raise ValueError(f"margin must be nonnegative, got {tau}")
+    if not 0.0 <= tau < math.inf:  # NaN too
+        raise ValueError(f"margin must be finite and nonnegative, got {tau}")
     pts = codebook.points
     # GEMMs on chunks of this copy run as fast as one whole product; on
     # chunks of the transposed view pts.T they ran about 30% slower.

@@ -79,19 +79,24 @@ class TestChannelAndLandmarks:
         [
             (lambda: delta_gv(1.5), r"rate must lie in \[0, 1\], got 1.5"),
             (lambda: landmarks(CH, 0.5), r"tau must lie in \[0, 1/2\), got 0.5"),
-            (lambda: bz_bounds(0.3, CH, -0.01), "tau must be nonnegative, got -0.01"),
-            (lambda: tradeoff_bounds(0.3, CH, -0.01), "tau must be nonnegative, got -0.01"),
+            (lambda: bz_bounds(0.3, CH, -0.01), r"tau must lie in \[0, 1/2\), got -0.01"),
+            (lambda: tradeoff_bounds(0.3, CH, -0.01), r"tau must lie in \[0, 1/2\), got -0.01"),
             (lambda: WeightProfile((0.3,), (0.0, 0.0)), "nonempty and of equal length"),
             (lambda: WeightProfile((), ()), "nonempty and of equal length"),
             (
                 lambda: specific_code_bound(WeightProfile((0.0,), (0.0,)), 0.3, CH),
                 "support must contain positive weights",
             ),
-            (lambda: bz_bounds(0.3, CH, math.nan), "tau must be nonnegative, got nan"),
-            (lambda: tradeoff_bounds(0.3, CH, math.nan), "tau must be nonnegative, got nan"),
+            (lambda: bz_bounds(0.3, CH, math.nan), r"tau must lie in \[0, 1/2\), got nan"),
+            (lambda: tradeoff_bounds(0.3, CH, math.nan), r"tau must lie in \[0, 1/2\), got nan"),
+            # Past 1/2 bz_bounds would return a valid Ee growing without bound in tau.
+            (lambda: bz_bounds(0.1, CH, 0.5), r"tau must lie in \[0, 1/2\), got 0.5"),
+            (lambda: bz_bounds(0.1, CH, math.inf), r"tau must lie in \[0, 1/2\), got inf"),
+            (lambda: tradeoff_bounds(0.1, CH, 0.5), r"tau must lie in \[0, 1/2\), got 0.5"),
+            (lambda: tradeoff_bounds(0.1, CH, math.inf), r"tau must lie in \[0, 1/2\), got inf"),
         ],
         ids=["delta_gv", "landmarks", "bz", "tradeoff", "grids", "empty", "support", "bz-nan",
-             "tradeoff-nan"],
+             "tradeoff-nan", "bz-half", "bz-inf", "tradeoff-half", "tradeoff-inf"],
     )
     def test_input_checks(self, call, match):
         with pytest.raises(ValueError, match=match):

@@ -146,6 +146,14 @@ class TestCurve:
         assert rc == 2 and text == ""
         assert capsys.readouterr().err == f"error: --steps must be at least 1, got {steps}\n"
 
+    @pytest.mark.parametrize("bounds", [[], ["--bounds", "bz_e"]], ids=("all", "bz_e"))
+    def test_bsc_tau_from_half_is_error(self, tmp_path, capsys, bounds):
+        # bz_e alone printed valid rows at tau = 0.6, where the trade-off pair raised.
+        rc, text = run(tmp_path, "t.csv", "curve", "--channel", "bsc", "--p", "0.07",
+                       "--tau", "0.6", "--rmin", "0.1", "--rmax", "0.2", "--steps", "2", *bounds)
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: tau must lie in [0, 1/2), got 0.6\n"
+
     def test_missing_channel_parameter(self, tmp_path):
         rc, _ = run(
             tmp_path, "z.csv",
@@ -544,21 +552,30 @@ class TestSimulate:
         assert rc == 2 and text == ""
         assert capsys.readouterr().err == "error: trials must be positive, got 0\n"
 
-    @pytest.mark.parametrize("argv, margin", [
-        (["--kind", "bsc", "--n", "7", "--k", "4", "--p", "0.05", "--t", "-2"], "-2"),
-        (["--kind", "awgn", "--n", "8", "--M", "4", "--snr", "2", "--tau", "-0.1"], "-0.1"),
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "bsc", "--n", "7", "--k", "4", "--p", "0.05", "--t", "-2"],
+         "margin must be nonnegative, got -2"),
+        (["--kind", "awgn", "--n", "8", "--M", "4", "--snr", "2", "--tau", "-0.1"],
+         "margin must be finite and nonnegative, got -0.1"),
     ], ids=("bsc", "awgn"))
-    def test_negative_margin_is_error(self, tmp_path, capsys, argv, margin):
+    def test_negative_margin_is_error(self, tmp_path, capsys, argv, message):
         rc, text = run(tmp_path, "s14.json", "simulate", *argv, "--seed", "1")
         assert rc == 2 and text == ""
-        assert capsys.readouterr().err == f"error: margin must be nonnegative, got {margin}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_nan_awgn_margin_is_error(self, tmp_path, capsys):
         # A NaN margin would erase every trial and print "tau": NaN, which is not JSON.
         rc, text = run(tmp_path, "s15.json", "simulate", "--kind", "awgn", "--n", "8",
                        "--snr", "2", "--M", "16", "--tau", "nan", "--trials", "2000", "--seed", "1")
         assert rc == 2 and text == ""
-        assert capsys.readouterr().err == "error: margin must be nonnegative, got nan\n"
+        assert capsys.readouterr().err == "error: margin must be finite and nonnegative, got nan\n"
+
+    def test_infinite_awgn_margin_is_error(self, tmp_path, capsys):
+        # An infinite margin would tally all 2000 trials as erasures and exit 0.
+        rc, text = run(tmp_path, "s15.json", "simulate", "--kind", "awgn", "--n", "8",
+                       "--snr", "2", "--M", "16", "--tau", "inf", "--trials", "2000", "--seed", "1")
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == "error: margin must be finite and nonnegative, got inf\n"
 
     @pytest.mark.parametrize("name, value", [
         ("k", 7.9), ("t", 1.5), ("n", 7.5), ("n", [7.5]), ("M", 4.5), ("trials", 100.5),

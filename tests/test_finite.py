@@ -28,11 +28,16 @@ from eebounds.finite import (
     weight_distribution,
 )
 from eebounds.numerics import LN2, log_sum
-from eebounds.spherical import AwgnChannel, esp, f_exponent
+from eebounds.spherical import AwgnChannel, decoding_radius, esp, f_exponent
 from eebounds.simulate import SphericalCodebook, simulate_awgn, simulate_bsc
 from test_acceptance import GOLAY24
 
 HAMMING74 = LinearCode(7, 4, ((1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
+
+
+def _min_distance(wd):
+    """The least present weight w >= 1 of ``wd``, None if it has none."""
+    return next((w for w in range(1, wd.n + 1) if wd.log2_counts[w] > -math.inf), None)
 
 
 def _spectrum(code):
@@ -109,7 +114,7 @@ def _log_domain_union_bound(wd, p, t, mode):
     def log_pmf(m, j):
         return lf[m] - lf[j] - lf[m - j] + j * lp + (m - j) * lq
 
-    d = wd.min_distance
+    d = _min_distance(wd)
     r = n if d is None else max(min(d + sign * 2 * t, n), -1)
     pieces = []
     for w in range(1, n + 1):
@@ -276,7 +281,7 @@ class TestBinaryUnionBound:
         code = gen_linear_code(12, 5, 1)
         wd = weight_distribution(code)
         bumped = list(wd.log2_counts)
-        w = wd.min_distance
+        w = _min_distance(wd)
         bumped[w] = bumped[w] + 1.0
         wd2 = WeightDistribution(wd.n, tuple(bumped))
         m = MarginParams(1)
@@ -288,7 +293,8 @@ class TestBinaryUnionBound:
         assert wd.log2_counts[0] == 0.0
         # Expected counts below one are floored away.
         assert wd.log2_counts[1] == -math.inf
-        assert wd.min_distance is not None and wd.min_distance > 1
+        d = _min_distance(wd)
+        assert d is not None and d > 1
 
     @pytest.mark.parametrize("rate", [1.5, -0.5, 1.0 + 1e-12, -1e-300, math.nan])
     def test_gv_ensemble_rejects_rate_outside_unit_interval(self, rate):
@@ -300,8 +306,8 @@ class TestBinaryUnionBound:
             WeightDistribution.binomial_spherical(64, rate * LN2)
 
     def test_rate_interval_ends_accepted(self):
-        assert WeightDistribution.gv_ensemble(64, 0.0).min_distance is None
-        assert WeightDistribution.gv_ensemble(64, 1.0).min_distance == 1
+        assert _min_distance(WeightDistribution.gv_ensemble(64, 0.0)) is None
+        assert _min_distance(WeightDistribution.gv_ensemble(64, 1.0)) == 1
         assert WeightDistribution.binomial_spherical(64, LN2) == WeightDistribution.gv_ensemble(64, 1.0)
 
     def test_gv_exponent_near_asymptote(self):
@@ -494,17 +500,14 @@ class TestAwgnUnionBound:
             return log_sum(list(integrand), base=math.e) + math.log((rho - half) / quad_points)
 
         pieces = []
-        d = wd.min_distance
-        if d is not None:
-            w_hi = min(n, math.floor(n * (1.0 - math.cos(2.0 * rho)) / 2.0))
-            for w in range(d, w_hi + 1):
-                law = wd.log2_counts[w]
-                if law == -math.inf:
-                    continue
-                theta_w = math.acos(1.0 - 2.0 * w / n)
-                if theta_w / 2.0 + tau >= rho - 1e-12:
-                    continue
-                pieces.append(law * LN2 + log_f(theta_w))
+        for w in range(1, n + 1):
+            law = wd.log2_counts[w]
+            if law == -math.inf:
+                continue
+            theta_w = math.acos(1.0 - 2.0 * w / n)
+            if theta_w / 2.0 + tau >= rho - 1e-12:
+                continue
+            pieces.append(law * LN2 + log_f(theta_w))
         pieces.append(-n * esp(rho, ch))
         return log_sum(pieces, base=math.e)
 
@@ -536,6 +539,18 @@ class TestAwgnUnionBound:
         bound = awgn_union_bound(wd, ch, tau, rho)
         ref = self._per_weight_reference(wd, ch, tau, rho, finite._QUAD_POINTS)
         assert bound == pytest.approx(ref, rel=1e-12)
+
+    def test_erasure_window_keeps_every_cone_start_below_rho(self):
+        # tau < 0 starts weights 2, 3 and 4 (38 codewords) inside rho = 0.418,
+        # though theta_w / 2 > rho for each: a weight window blind to tau
+        # dropped them and read the tail alone, -4.666403101694927.
+        ch, tau = AwgnChannel(16.0), -0.2
+        wd = WeightDistribution.binomial_spherical(12, 0.44)
+        rho = decoding_radius(0.44, tau, ch)
+        bound = awgn_union_bound(wd, ch, tau, rho)
+        ref = self._per_weight_reference(wd, ch, tau, rho, finite._QUAD_POINTS)
+        assert bound == pytest.approx(ref, rel=1e-12)
+        assert ref == pytest.approx(-4.591891415794306, rel=1e-12)
 
     def test_peak_memory_bounded(self):
         wd = WeightDistribution.binomial_spherical(4096, 0.275)

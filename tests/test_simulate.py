@@ -97,6 +97,13 @@ class TestTallies:
         with pytest.raises(ValueError):
             wilson_interval(1, 0)
 
+    @pytest.mark.parametrize("trials", [1, 10, 2000, 10**6])
+    def test_wilson_contains_zero_and_full_proportions(self, trials):
+        # Rounding put the lower end at 2.8e-17 for (0, 10) and the upper end
+        # at 1 - 2^-52 for (2000, 2000): intervals that excluded the estimate.
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+
     @pytest.mark.parametrize("successes", [12, -1])
     def test_wilson_successes_out_of_range(self, successes):
         with pytest.raises(ValueError, match=r"successes must lie in \[0, trials=10\]"):
@@ -329,14 +336,20 @@ class TestSimulateAwgn:
 
     def test_negative_margin_rejected(self):
         cb = SphericalCodebook.random(16, 12, 4.0, 2)
-        with pytest.raises(ValueError, match="margin must be nonnegative, got -0.1"):
+        with pytest.raises(ValueError, match="margin must be finite and nonnegative, got -0.1"):
             simulate_awgn(cb, -0.1, 1000, seed=3)
 
     def test_nan_margin_rejected(self):
         # NaN fails every comparison: a `tau < 0` check would let it erase every trial.
         cb = SphericalCodebook.random(16, 8, 2.0, 0)
-        with pytest.raises(ValueError, match="margin must be nonnegative, got nan"):
+        with pytest.raises(ValueError, match="margin must be finite and nonnegative, got nan"):
             simulate_awgn(cb, math.nan, 1000, seed=1)
+
+    def test_infinite_margin_rejected(self):
+        # An infinite margin would tally every trial as an erasure.
+        cb = SphericalCodebook.random(16, 8, 2.0, 0)
+        with pytest.raises(ValueError, match="margin must be finite and nonnegative, got inf"):
+            simulate_awgn(cb, math.inf, 1000, seed=1)
 
 
 def cone_exit_probability(n, A, phi):
